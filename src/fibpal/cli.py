@@ -2,7 +2,7 @@
 
 Every query emits one JSON record per line (machine consumption first); pass
 ``--plain`` for human-readable output.  Exit codes: 0 success, 1 verification
-failure, 2 usage or input error.
+failure, 2 usage or input error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -337,6 +337,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, ResourceError) as exc:
         print(f"fibpal: error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a defect, not a verification failure: never exit 1
+        print(f"fibpal: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -17,13 +17,11 @@ block(m), so the per-index form is the single-branch
 
     end_count(n) = end_count(n - fib(m-1)) + 1
 
-for every n in block m.  That gives O(log n) evaluation without building
-blocks; agreement with the block form and with the palindromic-tree oracle
-is enforced by the test suite.
-
-The cumulative count comes from closed forms at block boundaries plus a
-two-case tail recursion; all fractional-looking /5 coefficients combine to
-integers, which is asserted on every division.
+for every n in block m, after which n lies in block m-1 or m-2.  The
+cumulative count is a closed form at the block boundary plus a tail sum that
+follows the same chain in two cases, so all four counting queries share one
+iterative O(log n) walk with no memo; every /5 division is checked exact.
+Agreement with the block form and the tree oracle is enforced by the tests.
 
 Interval splitting
 ------------------
@@ -40,35 +38,60 @@ first cells down to kernel indices {-1, 0} tiles every interval.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .chain import ChainInterval, chain_interval, singular_end_pos
 from .errors import DomainError
 from .fibword import check_cap, fib, fib_floor_index
 
-# end_count(1) .. end_count(6); the recursion bottoms out here.
+# end_count(1) .. end_count(6); the walk bottoms out here.
 _END_BASE = (1, 1, 2, 2, 2, 3)
 
 
 def _div5(x: int) -> int:
-    assert x % 5 == 0, f"coefficient sum {x} is not divisible by 5"
+    if x % 5:
+        raise AssertionError(f"coefficient sum {x} is not divisible by 5")
     return x // 5
 
 
-def _locate_block(n: int) -> int:
-    """Block index m with fib(m) - 1 <= n <= fib(m+1) - 2."""
-    return fib_floor_index(n + 1)
+def _walk(n: int, with_tail: bool, steps: list | None = None) -> tuple[int, int, int]:
+    """(end_count(n), tail_sum(n), block index of n) by walking n -> n - fib(m-1).
+
+    The tail is 0 unless ``with_tail``; then each step adds its contribution:
+    below the block's halfway point 2*fib(m-1)-1 the range is a shifted copy
+    of a lower block, past it a closed form for the copied head joins the
+    shifted tail.  A ``steps`` list receives (n, m, case, contribution).
+    """
+    m0 = m = fib_floor_index(n + 1)  # the block: fib(m) - 1 <= n <= fib(m+1) - 2
+    fm, f1 = fib(m), fib(m - 1)  # kept equal to fib(m), fib(m-1) as m drops
+    hops = tail = 0
+    while n > 6:
+        if with_tail:
+            if n + 1 < 2 * f1:
+                case, part = "copy", n - fm + 2
+            else:  # 2*f1 - fm is fib(m-3)
+                case, part = "head+tail", n + _div5((m - 11) * f1 + (m + 1) * (2 * f1 - fm)) + 2
+            tail += part
+            if steps is not None:
+                steps.append((n, m, case, part))
+        n -= f1
+        hops += 1
+        if n >= f1 - 1:  # n now lies in block m-1, else in block m-2
+            m, fm, f1 = m - 1, f1, fm - f1
+        else:
+            m, fm, f1 = m - 2, fm - f1, 2 * f1 - fm
+    if with_tail:
+        part = sum(_END_BASE[fm - 2:n])
+        tail += part
+        if steps is not None:
+            steps.append((n, m, "table", part))
+    return _END_BASE[n - 1] + hops, tail, m0
 
 
 def end_count(n: int) -> int:
     """Number of palindrome occurrences ending exactly at position n."""
     if n < 1:
         raise DomainError(f"positions are 1-based, got {n}")
-    add = 0
-    while n > 3:
-        n -= fib(_locate_block(n) - 1)
-        add += 1
-    return _END_BASE[n - 1] + add
+    return _walk(n, False)[0]
 
 
 def end_count_block(m: int) -> list[int]:
@@ -83,24 +106,15 @@ def end_count_block(m: int) -> list[int]:
     return blocks[m]
 
 
-@lru_cache(maxsize=None)
 def tail_sum(n: int) -> int:
     """Sum of end_count over the containing block's start through n.
 
     With m the block index of n, this is sum(end_count(i) for i in
-    [fib(m)-1, n]), computed by the two-case recursion: below the block's
-    halfway point 2*fib(m-1)-1 the whole range is a shifted copy of a lower
-    block; past it a closed form for the copied head joins a shifted tail.
+    [fib(m)-1, n]).
     """
     if n < 1:
         raise DomainError(f"positions are 1-based, got {n}")
-    m = _locate_block(n)
-    if n <= 6:
-        return sum(_END_BASE[i - 1] for i in range(fib(m) - 1, n + 1))
-    if n + 1 < 2 * fib(m - 1):
-        return tail_sum(n - fib(m - 1)) + n - fib(m) + 2
-    head = _div5((m - 11) * fib(m - 1) + (m + 1) * fib(m - 3))
-    return tail_sum(n - fib(m - 1)) + n + head + 2
+    return _walk(n, True)[1]
 
 
 def block_prefix_total(m: int) -> int:
@@ -140,43 +154,32 @@ def end_count_near_fib(m: int) -> tuple[int, int, int]:
 def occurrence_count(n: int) -> int:
     """Number of palindrome occurrences (with repetition) in the length-n prefix.
 
-    occurrence_count(0) is 0 by convention.  O(log^2 n): block location plus
-    the tail recursion, all in exact integer arithmetic with no prefix
+    occurrence_count(0) is 0 by convention.  O(log n) steps: one walk down the
+    chain, in exact integer arithmetic with no memo and no prefix
     materialization.
     """
     if n < 0:
         raise DomainError(f"prefix lengths are >= 0, got {n}")
-    if n == 0:
-        return 0
     if n <= 3:
-        return (1, 2, 4)[n - 1]
-    return block_prefix_total(_locate_block(n)) + tail_sum(n)
+        return (0, 1, 2, 4)[n]
+    _, tail, m = _walk(n, True)
+    return block_prefix_total(m) + tail
 
 
 def occurrence_count_trace(n: int) -> tuple[int, dict]:
-    """occurrence_count(n) plus the recursion path taken to compute it."""
+    """occurrence_count(n) plus the walk taken; each step's value is tail_sum of its n."""
     if n < 0:
         raise DomainError(f"prefix lengths are >= 0, got {n}")
     if n <= 3:
         return occurrence_count(n), {"base_table": True, "value": occurrence_count(n)}
-    m = _locate_block(n)
-    steps = []
-    k = n
-    while True:
-        mk = _locate_block(k)
-        if k <= 6:
-            steps.append({"n": k, "m": mk, "case": "table", "value": tail_sum(k)})
-            break
-        case = "copy" if k + 1 < 2 * fib(mk - 1) else "head+tail"
-        steps.append({"n": k, "m": mk, "case": case, "value": tail_sum(k)})
-        k -= fib(mk - 1)
-    trace = {
-        "m": m,
-        "before_block": block_prefix_total(m),
-        "tail": tail_sum(n),
-        "tail_steps": steps,
-    }
-    return block_prefix_total(m) + tail_sum(n), trace
+    walked: list = []
+    _, tail, m = _walk(n, True, walked)
+    steps, done = [], 0
+    for k, mk, case, part in walked:
+        steps.append({"n": k, "m": mk, "case": case, "value": tail - done})
+        done += part
+    before = block_prefix_total(m)
+    return before + tail, {"m": m, "before_block": before, "tail": tail, "tail_steps": steps}
 
 
 def convolution_identity_holds(m: int) -> bool:
@@ -203,9 +206,8 @@ def split_cell(m: int, p: int) -> CellSplit:
     parent = chain_interval(m, p)
     left = chain_interval(m - 2, singular_end_pos(0, p) + 1)
     right = chain_interval(m - 1, singular_end_pos(-1, p) + 1)
-    assert left.lo == parent.lo and right.hi == parent.hi and left.hi + 1 == right.lo, (
-        f"cell split misaligned for (m={m}, p={p})"
-    )
+    if not (left.lo == parent.lo and right.hi == parent.hi and left.hi + 1 == right.lo):
+        raise AssertionError(f"cell split misaligned for (m={m}, p={p})")
     return CellSplit(parent, left, right)
 
 
@@ -214,7 +216,8 @@ def reduce_cell(p: int) -> ChainInterval:
     if p < 1:
         raise DomainError(f"occurrence index must be >= 1, got {p}")
     child = chain_interval(-1, singular_end_pos(-1, p) + 1)
-    assert child.lo == chain_interval(0, p).hi, f"cell reduction misaligned for p={p}"
+    if child.lo != chain_interval(0, p).hi:
+        raise AssertionError(f"cell reduction misaligned for p={p}")
     return child
 
 
@@ -223,12 +226,15 @@ def expand_cell(m: int, p: int, depth: int | None = None, include_reduce: bool =
 
     Cells with kernel index >= 1 split; indices -1 and 0 are leaves (with the
     optional singleton reduction attached to index-0 leaves).  ``depth``
-    limits the number of splitting levels; None expands to the leaves.
+    limits the number of splitting levels; None expands to the leaves.  The
+    leaf count, at most min(2**depth, fib(m)), is checked against the cap.
     """
     node: dict = {"m": m, "p": p}
     iv = chain_interval(m, p)
     node["lo"], node["hi"] = iv.lo, iv.hi
     if m >= 1 and (depth is None or depth > 0):
+        # every split lowers the kernel index, so depth m already expands fully
+        check_cap(fib(m) if depth is None else min(2 ** min(depth, m), fib(m)), "cell expansion")
         nxt = None if depth is None else depth - 1
         step = split_cell(m, p)
         node["children"] = [
@@ -242,8 +248,12 @@ def expand_cell(m: int, p: int, depth: int | None = None, include_reduce: bool =
 
 
 def expand_leaves(m: int, p: int) -> list[ChainInterval]:
-    """Leaf cells (kernel index in {-1, 0}) tiling cell (m, p), in order."""
+    """Leaf cells (kernel index in {-1, 0}) tiling cell (m, p), in order.
+
+    There are exactly fib(m) of them, checked against the cap.
+    """
     if m <= 0:
         return [chain_interval(m, p)]
+    check_cap(fib(m), "cell expansion")
     step = split_cell(m, p)
     return expand_leaves(step.left.m, step.left.p) + expand_leaves(step.right.m, step.right.p)

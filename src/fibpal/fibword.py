@@ -132,8 +132,8 @@ def letter_at(n: int) -> str:
     return LETTER_A if floor_phi(n + 1) - floor_phi(n) == 1 else LETTER_B
 
 
-def prefix(n: int) -> str:
-    """The prefix of length n as a string over {a, b}; prefix(0) is empty.
+def _prefix_bytes(n: int, letters: bytes) -> bytearray:
+    """The prefix of length n with ``a``, ``b`` spelled as the two bytes of letters.
 
     Built by the concatenation recursion of the morphism iterates: once the
     buffer holds an iterate, the next iterate is the buffer followed by a
@@ -142,38 +142,24 @@ def prefix(n: int) -> str:
     if n < 0:
         raise DomainError(f"prefix length must be >= 0, got {n}")
     check_cap(n, "prefix")
-    if n == 0:
-        return ""
-    if n == 1:
-        return LETTER_A
     buf = bytearray(n)
-    buf[0:2] = b"ab"
-    cur, prev = 2, 1
+    buf[:2] = letters[:n]
+    cur, prev = min(n, 2), 1
     while cur < n:
         take = min(prev, n - cur)
         buf[cur:cur + take] = buf[:take]
         cur, prev = cur + take, cur
-    return buf.decode("ascii")
+    return buf
+
+
+def prefix(n: int) -> str:
+    """The prefix of length n as a string over {a, b}; prefix(0) is empty."""
+    return _prefix_bytes(n, b"ab").decode("ascii")
 
 
 def prefix_array(n: int) -> np.ndarray:
-    """The prefix of length n as a uint8 array with a -> 0, b -> 1."""
-    if n < 0:
-        raise DomainError(f"prefix length must be >= 0, got {n}")
-    check_cap(n, "prefix")
-    out = np.empty(n, dtype=np.uint8)
-    if n == 0:
-        return out
-    out[0] = 0
-    if n == 1:
-        return out
-    out[1] = 1
-    cur, prev = 2, 1
-    while cur < n:
-        take = min(prev, n - cur)
-        out[cur:cur + take] = out[:take]
-        cur, prev = cur + take, cur
-    return out
+    """The prefix of length n as a writable uint8 array with a -> 0, b -> 1."""
+    return np.frombuffer(_prefix_bytes(n, b"\x00\x01"), dtype=np.uint8)
 
 
 def iterate(m: int) -> str:

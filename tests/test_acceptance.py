@@ -223,12 +223,11 @@ def test_criterion_10_closed_forms():
 
 
 def test_criterion_11_performance():
-    counting.tail_sum.cache_clear()
     t0 = time.perf_counter()
     value = fp.occurrence_count(10**18)
     closed_elapsed = time.perf_counter() - t0
     ok = closed_elapsed < 0.05 and value > 0
-    # logarithmic recursion depth
+    # logarithmic walk length
     _, trace = fp.occurrence_count_trace(10**18)
     ok = ok and len(trace["tail_steps"]) <= 120
     # no prefix materialization on the closed path
@@ -241,7 +240,6 @@ def test_criterion_11_performance():
 
         fibword.prefix = _refuse
         fibword.prefix_array = _refuse
-        counting.tail_sum.cache_clear()
         assert fp.occurrence_count(10**18) == value
     finally:
         fibword.prefix = orig_prefix

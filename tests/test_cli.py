@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from fibpal import verify
+from fibpal import cli, occurrence_count, verify
 from fibpal.cli import main
 from fibpal.verify import VerifyResult
 
@@ -165,6 +165,25 @@ def test_materialize_cap_respected(capsys, monkeypatch):
     monkeypatch.setenv("FIBPAL_MAX_MATERIALIZE", "100")
     code, _, err = run_cli(capsys, "prefix", "-n", "1000")
     assert code == 2 and "cap" in err
+    monkeypatch.setenv("FIBPAL_MAX_MATERIALIZE", "1000")
+    code, _, err = run_cli(capsys, "tau", "-m", "20", "-p", "1", "--expand-depth", "-1")
+    assert code == 2 and "cap" in err
+
+
+def test_internal_error_exit_3(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_fib", broken)
+    code, out, err = run_cli(capsys, "fib", "-m", "6")
+    assert code == 3 and out == ""
+    assert "fibpal: internal error: RuntimeError: boom" in err
+
+
+def test_count_past_1e1000(capsys):
+    n = 10**1000 + 7
+    code, out, _ = run_cli(capsys, "count", "--occurrences", "-n", str(n))
+    assert code == 0 and records(out)[0]["value"] == occurrence_count(n)
 
 
 def test_huge_inputs_roundtrip(capsys):

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+from random import Random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fibpal import (
     DomainError,
+    ResourceError,
     block_prefix_total,
     block_sum,
     chain_interval,
@@ -23,6 +30,7 @@ from fibpal import (
     tail_sum,
 )
 from fibpal import counting, oracle
+from fibpal.fibword import fib_floor_index
 
 # end-count vectors over the first six blocks
 BLOCK_VECTORS = {
@@ -77,7 +85,7 @@ def test_tail_sum_examples():
 
 def test_tail_sum_matches_direct():
     for n in range(1, 2000):
-        m = counting._locate_block(n)
+        m = fib_floor_index(n + 1)  # block of n: fib(m) - 1 <= n <= fib(m+1) - 2
         assert tail_sum(n) == sum(end_count(i) for i in range(fib(m) - 1, n + 1))
 
 
@@ -104,6 +112,19 @@ def test_occurrence_count_trace():
 @settings(max_examples=60)
 def test_occurrence_count_additivity(n):
     assert occurrence_count(n) - occurrence_count(n - 1) == end_count(n)
+
+
+def test_identities_past_the_oracle():
+    # exact O(log n) self-consistency where no tree pass can reach
+    rng = Random(1601)
+    for digits in (30, 150, 200, 1000):
+        for _ in range(8):
+            n = rng.randrange(10 ** (digits - 1), 10**digits)
+            assert occurrence_count(n) - occurrence_count(n - 1) == end_count(n)
+    for m in [4700] + rng.sample(range(2, 4700), 30):  # fib(4700) ~ 1e982
+        f = fib(m)
+        assert occurrence_count(f) == fib_prefix_total(m)
+        assert end_count(f - 1) + end_count(f) == m + 1
 
 
 def test_block_sum_examples():
@@ -178,6 +199,16 @@ def test_convolution_identity():
         assert convolution_identity_holds(m)
 
 
+def test_invariant_checks_survive_optimize_flag():
+    src = str(Path(counting.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", "from fibpal import counting; print(counting._div5(7))"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode != 0 and "AssertionError" in proc.stderr
+
+
 def test_divisibility_assertions_pass_at_scale():
     for m in range(2, 501):
         block_sum(m)
@@ -224,11 +255,25 @@ def test_expand_leaves_tile_the_cell():
     for m in range(1, 10):
         iv = chain_interval(m, 1)
         expect = iv.lo
-        for leaf in expand_leaves(m, 1):
+        leaves = expand_leaves(m, 1)
+        assert len(leaves) == fib(m)
+        for leaf in leaves:
             assert leaf.m in (-1, 0)
             assert leaf.lo == expect
             expect = leaf.hi + 1
         assert expect == iv.hi + 1
+
+
+def test_expansion_respects_materialize_cap(monkeypatch):
+    monkeypatch.setenv("FIBPAL_MAX_MATERIALIZE", "1000")
+    with pytest.raises(ResourceError):
+        expand_leaves(20, 1)  # fib(20) = 10946 leaves
+    with pytest.raises(ResourceError):
+        expand_cell(20, 1, depth=None)
+    with pytest.raises(ResourceError):
+        expand_cell(20, 1, depth=10)  # 2**10 leaves
+    assert len(expand_leaves(14, 1)) == fib(14) == 987
+    assert expand_cell(20, 1, depth=9)["m"] == 20
 
 
 def test_expand_cell_tree_shape():
@@ -255,11 +300,9 @@ def test_thread_safety_of_memoized_queries():
     from concurrent.futures import ThreadPoolExecutor
     from random import Random
 
-    counting.tail_sum.cache_clear()
     ns = list(range(1, 400)) + [10**9 + k for k in range(50)]
     Random(3).shuffle(ns)
     expected = {n: occurrence_count(n) for n in ns}
-    counting.tail_sum.cache_clear()
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(lambda n: (n, occurrence_count(n)), ns))
     assert all(expected[n] == v for n, v in results)

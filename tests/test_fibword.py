@@ -68,9 +68,10 @@ def test_prefix_is_morphism_fixed_point():
 
 
 def test_prefix_array_matches_prefix():
-    s = prefix(4000)
-    arr = prefix_array(4000)
-    assert (arr == np.frombuffer(s.encode().translate(bytes.maketrans(b"ab", b"\x00\x01")), dtype=np.uint8)).all()
+    for n in list(range(6)) + [4000]:
+        arr = prefix_array(n)
+        assert arr.dtype == np.uint8 and arr.flags.writeable
+        assert arr.tolist() == [int(c == "b") for c in prefix(n)]
 
 
 def test_letter_at_examples():
