@@ -4,7 +4,13 @@ Closed-form, logarithmic-time answers for occurrence positions, per-position
 and cumulative occurrence counts, and canonical palindrome coordinates, all
 in exact integer arithmetic, with a palindromic-tree oracle for independent
 verification at desk scale.
+
+The closed-form API loads without NumPy.  The oracle names (``Eertree``,
+``eertree_total``, ...) and the ``oracle`` and ``kernels`` modules need it,
+so they are imported on first access (PEP 562).
 """
+
+import importlib
 
 from .chain import (
     ChainInterval,
@@ -56,16 +62,6 @@ from .fibword import (
     letter_at,
     prefix,
     prefix_array,
-)
-from .oracle import (
-    Eertree,
-    ReturnWordSeq,
-    eertree_distinct,
-    eertree_end_counts,
-    eertree_total,
-    kernel_correspondence,
-    occurrences,
-    return_words,
 )
 from .singular import KernelResult, is_factor, kernel, singular_word
 
@@ -131,3 +127,27 @@ __all__ = [
     "tail_sum",
     "__version__",
 ]
+
+_ORACLE_NAMES = frozenset({
+    "Eertree",
+    "ReturnWordSeq",
+    "eertree_distinct",
+    "eertree_end_counts",
+    "eertree_total",
+    "kernel_correspondence",
+    "occurrences",
+    "return_words",
+})
+_LAZY_MODULES = frozenset({"kernels", "oracle"})
+
+
+def __getattr__(name):
+    if name in _LAZY_MODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _ORACLE_NAMES:
+        return getattr(importlib.import_module(f"{__name__}.oracle"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _ORACLE_NAMES | _LAZY_MODULES)

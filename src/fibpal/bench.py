@@ -6,6 +6,7 @@ import time
 from dataclasses import dataclass
 
 from . import counting, kernels, oracle
+from .errors import DomainError
 
 
 @dataclass
@@ -24,6 +25,8 @@ class BenchRow:
 
 def time_closed(n: int, repeat: int = 5) -> tuple[float, int]:
     """Median seconds for one occurrence_count(n) query."""
+    if repeat < 1:
+        raise DomainError(f"repeat must be >= 1, got {repeat}")
     times = []
     value = 0
     for _ in range(repeat):

@@ -3,6 +3,9 @@
 Every query emits one JSON record per line (machine consumption first); pass
 ``--plain`` for human-readable output.  Exit codes: 0 success, 1 verification
 failure, 2 usage or input error, 3 internal error.
+
+The query commands never load NumPy: ``verify`` and ``bench`` import the
+oracle side, which needs it, only when they run.
 """
 
 from __future__ import annotations
@@ -11,8 +14,8 @@ import argparse
 import json
 import sys
 
-from . import bench, counting, cylinder, fibword, kernels, oracle, singular, verify
-from .chain import chain_interval, new_pal_at, pal_span, singular_end_pos, singular_start_pos
+from . import counting, cylinder, fibword, singular
+from .chain import chain_interval, distinct_count, new_pal_at, pal_span, singular_end_pos, singular_start_pos
 from .cylinder import PalCoord, coord_from_pal, pal_from_coord, pals_of_length
 from .errors import DomainError, ResourceError
 
@@ -157,7 +160,8 @@ def cmd_chain(args) -> int:
 
 
 def cmd_tau(args) -> int:
-    tree = counting.expand_cell(args.m, args.p, depth=args.expand_depth, include_reduce=args.reduce)
+    depth = None if args.expand_depth == -1 else args.expand_depth
+    tree = counting.expand_cell(args.m, args.p, depth=depth, include_reduce=args.reduce)
     _emit(args, {"cmd": "tau", "m": args.m, "p": args.p, "tree": tree}, _cell_lines(tree))
     return 0
 
@@ -185,8 +189,8 @@ def cmd_count(args) -> int:
     if args.n is None:
         raise DomainError("count requires -n")
     if args.distinct:
-        rec = {"cmd": "count", "mode": "distinct", "n": args.n, "value": args.n}
-        _emit(args, rec, [str(args.n)])
+        value = distinct_count(args.n)
+        _emit(args, {"cmd": "count", "mode": "distinct", "n": args.n, "value": value}, [str(value)])
         return 0
     if args.trace:
         value, trace = counting.occurrence_count_trace(args.n)
@@ -201,7 +205,14 @@ def cmd_count(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    names = list(verify.SUITES) if args.suite == "all" else [args.suite]
+    from . import verify
+
+    if args.suite == "all":
+        names = list(verify.SUITES)
+    elif args.suite in verify.SUITES:
+        names = [args.suite]
+    else:
+        raise DomainError(f"unknown suite {args.suite!r}; choose from {', '.join(sorted(verify.SUITES))}, all")
     results = verify.run_suites(names, args.max_n, args.max_m, args.max_p)
     failed = False
     for r in results:
@@ -216,6 +227,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from . import bench
+
     ns = [int(x) for x in args.n_list.split(",") if x]
     if not ns:
         raise DomainError("--n-list must name at least one prefix length")
@@ -312,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("verify", help="run verification suites")
-    p.add_argument("suite", choices=sorted(verify.SUITES) + ["all"])
+    p.add_argument("suite", help="a suite name, or all")
     p.add_argument("--max-n", type=int, default=10**4)
     p.add_argument("--max-m", type=int, default=10)
     p.add_argument("--max-p", type=int, default=50)
@@ -330,8 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.cmd == "tau" and args.expand_depth == -1:
-        args.expand_depth = None
     try:
         return args.func(args)
     except (DomainError, ResourceError) as exc:

@@ -229,6 +229,8 @@ def expand_cell(m: int, p: int, depth: int | None = None, include_reduce: bool =
     limits the number of splitting levels; None expands to the leaves.  The
     leaf count, at most min(2**depth, fib(m)), is checked against the cap.
     """
+    if depth is not None and depth < 0:
+        raise DomainError(f"expansion depth must be >= 0, or None for the leaves, got {depth}")
     node: dict = {"m": m, "p": p}
     iv = chain_interval(m, p)
     node["lo"], node["hi"] = iv.lo, iv.hi

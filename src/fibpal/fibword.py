@@ -20,10 +20,12 @@ import math
 import os
 import threading
 from bisect import bisect_right
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, ResourceError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 LETTER_A = "a"
 LETTER_B = "b"
@@ -159,6 +161,8 @@ def prefix(n: int) -> str:
 
 def prefix_array(n: int) -> np.ndarray:
     """The prefix of length n as a writable uint8 array with a -> 0, b -> 1."""
+    import numpy as np  # here, so that the closed-form path never loads NumPy
+
     return np.frombuffer(_prefix_bytes(n, b"\x00\x01"), dtype=np.uint8)
 
 

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import fibpal
 from fibpal import cli, occurrence_count, verify
 from fibpal.cli import main
 from fibpal.verify import VerifyResult
@@ -99,6 +102,9 @@ def test_count_modes(capsys):
 def test_count_usage_errors(capsys):
     code, _, err = run_cli(capsys, "count", "-n", "10")
     assert code == 2 and "count" in err
+    for n in ("0", "-3"):
+        code, out, err = run_cli(capsys, "count", "--distinct", "-n", n)
+        assert code == 2 and out == "" and "1-based" in err
     code, _, err = run_cli(capsys, "count", "--distinct", "--occurrences", "-n", "3")
     assert code == 2
     code, _, err = run_cli(capsys, "count", "--occurrences")
@@ -126,6 +132,14 @@ def test_verify_all_smoke(capsys):
     assert all(r["ok"] for r in recs)
 
 
+def test_verify_suite_names(capsys):
+    code, out, _ = run_cli(capsys, "verify", "floors", "--max-n", "100")
+    assert code == 0 and records(out)[0]["ok"] is True
+    code, out, err = run_cli(capsys, "verify", "bogus")
+    assert code == 2 and out == ""
+    assert "bogus" in err and all(name in err for name in verify.SUITES)
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     broken = dict(verify.SUITES)
     broken["floors"] = lambda max_n, max_m, max_p: VerifyResult(
@@ -144,6 +158,19 @@ def test_bench_records(capsys):
     recs = records(out)
     assert [r["n"] for r in recs] == [2000, 4000]
     assert all(r["agree"] for r in recs)
+
+
+def test_bench_repeat_zero_exit_2(capsys):
+    code, out, err = run_cli(capsys, "bench", "--n-list", "10", "--repeat", "0")
+    assert code == 2 and out == "" and "repeat" in err
+
+
+def test_tau_depth_below_minus_one_exit_2(capsys):
+    for depth in ("-2", "-5"):
+        code, out, err = run_cli(capsys, "tau", "-m", "4", "-p", "1", "--expand-depth", depth)
+        assert code == 2 and out == "" and "depth" in err
+    code, out, _ = run_cli(capsys, "tau", "-m", "4", "-p", "1", "--expand-depth", "0")
+    assert code == 0 and "children" not in records(out)[0]["tree"]
 
 
 def test_input_errors_exit_2(capsys):
@@ -220,3 +247,60 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == 144
+
+
+QUERY_ARGVS = [
+    ["fib", "-m", "10"],
+    ["letters", "-n", "10"],
+    ["prefix", "-n", "10"],
+    ["singular", "-m", "4"],
+    ["kernel", "-w", "abaab"],
+    ["pal", "list", "--length", "5"],
+    ["pal", "coord", "-w", "ababa"],
+    ["pal", "at", "-n", "21"],
+    ["pal", "conjugates", "-m", "4"],
+    ["pal", "prefix-lengths", "--max", "100"],
+    ["pos", "kernel", "-m", "2", "-p", "3"],
+    ["pos", "pal", "-m", "2", "-i", "4", "-p", "1"],
+    ["chain", "-m", "4", "-p", "1"],
+    ["tau", "-m", "4", "-p", "1", "--expand-depth", "-1"],
+    ["count", "--occurrences", "-n", str(10**18)],
+    ["count", "--occurrences", "-n", "29", "--trace"],
+    ["count", "--distinct", "-n", "100"],
+    ["count", "special", "--m", "6"],
+]
+
+IMPORT_SPLIT = """
+import contextlib, io, json, sys
+import fibpal, fibpal.cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = fibpal.cli.main(argv)
+    assert code == 0, (argv, code)
+assert "numpy" not in sys.modules, "a query command loaded numpy"
+assert fibpal.Eertree is fibpal.oracle.Eertree and "numpy" in sys.modules
+print("ok")
+"""
+
+
+def test_query_commands_do_not_import_numpy():
+    src = str(Path(fibpal.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_SPLIT, json.dumps(QUERY_ARGVS)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+
+
+def test_oracle_names_resolve_lazily():
+    assert fibpal.Eertree is fibpal.oracle.Eertree
+    assert fibpal.eertree_total(100) == fibpal.occurrence_count(100)
+    assert bytes(fibpal.prefix_array(8)) == bytes([0, 1, 0, 0, 1, 0, 1, 0])
+    assert {"Eertree", "eertree_total", "oracle", "kernels"} <= set(dir(fibpal))
+    namespace: dict = {}
+    exec("from fibpal import *", namespace)
+    assert set(fibpal.__all__) <= set(namespace)
+    with pytest.raises(AttributeError):
+        fibpal.no_such_name

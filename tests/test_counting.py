@@ -279,6 +279,9 @@ def test_expansion_respects_materialize_cap(monkeypatch):
 def test_expand_cell_tree_shape():
     tree = expand_cell(4, 1, depth=1)
     assert [c["m"] for c in tree["children"]] == [2, 3]
+    assert "children" not in expand_cell(4, 1, depth=0)
+    with pytest.raises(DomainError):
+        expand_cell(4, 1, depth=-1)
     full = expand_cell(4, 1, depth=None, include_reduce=True)
 
     def collect(node, leaves, reduced):
