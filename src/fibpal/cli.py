@@ -229,7 +229,12 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     from . import bench
 
-    ns = [int(x) for x in args.n_list.split(",") if x]
+    ns = []
+    for item in filter(None, args.n_list.split(",")):
+        try:
+            ns.append(int(item))
+        except ValueError:
+            raise DomainError(f"--n-list item {item!r} is not an integer") from None
     if not ns:
         raise DomainError("--n-list must name at least one prefix length")
     rows = bench.run_bench(ns, compare_backends=args.backends, repeat=args.repeat)

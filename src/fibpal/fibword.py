@@ -134,19 +134,14 @@ def letter_at(n: int) -> str:
     return LETTER_A if floor_phi(n + 1) - floor_phi(n) == 1 else LETTER_B
 
 
-def _prefix_bytes(n: int, letters: bytes) -> bytearray:
-    """The prefix of length n with ``a``, ``b`` spelled as the two bytes of letters.
+def _grow(buf: bytearray, cur: int, prev: int) -> bytearray:
+    """Fill buf by the concatenation recursion of the morphism iterates.
 
-    Built by the concatenation recursion of the morphism iterates: once the
-    buffer holds an iterate, the next iterate is the buffer followed by a
-    copy of its own previous-iterate prefix.
+    buf[:cur] must hold an iterate and buf[:prev] the one before it: the
+    next iterate is the current one followed by a copy of its previous
+    iterate, which is also its own prefix.
     """
-    if n < 0:
-        raise DomainError(f"prefix length must be >= 0, got {n}")
-    check_cap(n, "prefix")
-    buf = bytearray(n)
-    buf[:2] = letters[:n]
-    cur, prev = min(n, 2), 1
+    n = len(buf)
     while cur < n:
         take = min(prev, n - cur)
         buf[cur:cur + take] = buf[:take]
@@ -154,16 +149,39 @@ def _prefix_bytes(n: int, letters: bytes) -> bytearray:
     return buf
 
 
+# Every prefix of up to fib(PREFIX_TABLE_M) = 17,711 letters is a slice of
+# this one table, the PREFIX_TABLE_M-th iterate, built once at import.
+PREFIX_TABLE_M = 20
+_TABLE = _grow(bytearray(b"ab") + bytearray(fib(PREFIX_TABLE_M) - 2), 2, 1).decode("ascii")
+
+
+def _prefix(n: int) -> str:
+    """The prefix of length n: a slice of the table up to the table length;
+    longer prefixes continue the doubling loop from the whole table."""
+    if n < 0:
+        raise DomainError(f"prefix length must be >= 0, got {n}")
+    check_cap(n, "prefix")
+    if n <= len(_TABLE):
+        return _TABLE[:n]
+    buf = bytearray(n)
+    buf[:len(_TABLE)] = _TABLE.encode("ascii")
+    return _grow(buf, len(_TABLE), fib(PREFIX_TABLE_M - 1)).decode("ascii")
+
+
 def prefix(n: int) -> str:
     """The prefix of length n as a string over {a, b}; prefix(0) is empty."""
-    return _prefix_bytes(n, b"ab").decode("ascii")
+    return _prefix(n)
 
 
 def prefix_array(n: int) -> np.ndarray:
     """The prefix of length n as a writable uint8 array with a -> 0, b -> 1."""
     import numpy as np  # here, so that the closed-form path never loads NumPy
 
-    return np.frombuffer(_prefix_bytes(n, b"\x00\x01"), dtype=np.uint8)
+    # _prefix, not prefix: a wrapper around either public name (a profiler's,
+    # say) then sees each materialized prefix once
+    arr = np.frombuffer(bytearray(_prefix(n), "ascii"), dtype=np.uint8)
+    arr -= ord(LETTER_A)
+    return arr
 
 
 def iterate(m: int) -> str:

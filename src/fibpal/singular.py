@@ -1,10 +1,18 @@
-"""Singular words and kernel extraction.
+"""Singular words, kernel extraction and exact factor membership.
 
 The m-th singular word is the m-th morphism iterate with its last letter
 moved to the front, i.e. last-letter-of-iterate(m+1) + iterate(m) minus its
-final letter.  Singular words are palindromes of length fib(m), satisfy the
-three-part recursion S(m) = S(m-2) S(m-3) S(m-2) for m >= 2, and the maximal
-singular word occurring in a factor (its kernel) occurs there exactly once.
+final letter.  Singular words are palindromes of length fib(m) and satisfy
+the three-part recursion S(m) = S(m-2) S(m-3) S(m-2) for m >= 2.
+
+The kernel of a factor w is the largest singular word occurring in w; it
+occurs there exactly once, and the p-th occurrence of w in the infinite word
+carries the p-th occurrence of its kernel at that same offset (Wen & Wen,
+"Some properties of the singular words of the Fibonacci word", 1994).  The
+first occurrence of S(m) starts at position fib(m+1), so a word is a factor
+exactly when it equals the slice of the infinite word that puts its kernel
+there.  Membership is therefore decided exactly, from fib(M+1) + len(w)
+letters with M the largest index fib(M) <= len(w), with no scanning window.
 """
 
 from __future__ import annotations
@@ -14,12 +22,6 @@ from dataclasses import dataclass
 from . import fibword
 from .errors import DomainError, NotAFactorError
 from .fibword import fib, prefix
-
-# Factor membership is decided by scanning a prefix window.  Measured over
-# all factors up to length 2000, the first occurrence of a length-L factor
-# ends by ~2.62*L, so a 4*L window (with a floor for short factors) is safe.
-FACTOR_WINDOW_MULT = 4
-FACTOR_WINDOW_MIN = 10**4
 
 
 @dataclass(frozen=True)
@@ -49,40 +51,60 @@ def singular_word(m: int) -> str:
     return last_letter(m + 1) + fibword.iterate(m)[:-1]
 
 
-def factor_window(length: int) -> int:
-    """Prefix length scanned when deciding factor membership."""
-    return max(FACTOR_WINDOW_MULT * length, FACTOR_WINDOW_MIN)
+def _largest_singular(w: str) -> tuple[int, int, bool] | None:
+    """The largest singular word in w: (m, its 0-based index in w, w occurs).
+
+    Every candidate S(m) is read off one prefix, which also holds the
+    slice that w must equal if it is a factor: the kernel's first
+    occurrence starts at singular_start_pos(m, 1) = fib(m+1).  None when w
+    holds neither letter.  A factor whose kernel occurs twice in it raises
+    AssertionError: that contradicts the uniqueness of the kernel
+    occurrence, so it is a defect, not bad input.
+    """
+    n = len(w)
+    m = fibword.fib_floor_index(n)
+    text = prefix(fib(m + 1) + n)
+    while m >= -1:
+        s = last_letter(m + 1) + text[:fib(m) - 1]
+        idx = w.find(s)
+        if idx >= 0:
+            start = fib(m + 1) - idx - 1
+            occurs = start >= 0 and text[start:start + n] == w
+            if occurs and w.find(s, idx + 1) >= 0:
+                raise AssertionError(f"the kernel S({m}) occurs twice in the factor {w[:40]!r}")
+            return m, idx, occurs
+        m -= 1
+    return None
 
 
 def is_factor(w: str) -> bool:
-    """Whether w occurs in the infinite word (scan of a sufficient prefix)."""
+    """Whether w occurs in the infinite word.
+
+    Exact, with no scanning window: w occurs iff it equals the slice that
+    puts its kernel on the kernel's first occurrence (kernel
+    correspondence, Wen & Wen 1994; see the module docstring).
+    """
     if not w:
         raise DomainError("the empty word is not handled")
-    if set(w) - {"a", "b"}:
-        return False
-    return w in prefix(factor_window(len(w)))
+    found = _largest_singular(w)
+    return found is not None and found[2]
 
 
 def kernel(w: str, require_factor: bool = True) -> KernelResult:
     """The maximal singular word occurring in w, with its occurrence offset.
 
     Candidates are tested for decreasing index starting from the largest m
-    with fib(m) <= len(w); singular-word lengths bound the search.  With
-    ``require_factor`` (the default) membership in the infinite word is
-    checked first and the uniqueness of the kernel occurrence is verified.
+    with fib(m) <= len(w); the same search decides membership exactly, as
+    in ``is_factor``.  With ``require_factor`` (the default) a non-factor
+    raises NotAFactorError; without it a non-factor gets the search's
+    answer as a best effort.  A factor whose kernel occurs twice in it
+    raises AssertionError, since that would be a defect.
     """
     if not w:
         raise DomainError("kernel of the empty word is undefined")
-    if require_factor and not is_factor(w):
+    found = _largest_singular(w)
+    if require_factor and (found is None or not found[2]):
         raise NotAFactorError(f"{w[:40]!r} does not occur in the Fibonacci word")
-    m = fibword.fib_floor_index(len(w))
-    while m >= -1:
-        idx = w.find(singular_word(m))
-        if idx >= 0:
-            if require_factor and w.find(singular_word(m), idx + 1) >= 0:
-                raise NotAFactorError(
-                    f"kernel candidate occurs twice in {w[:40]!r}; not a factor"
-                )
-            return KernelResult(m, idx + 1)
-        m -= 1
-    raise DomainError(f"no singular word occurs in {w[:40]!r}")  # unreachable over {a,b}
+    if found is None:
+        raise DomainError(f"no singular word occurs in {w[:40]!r}")
+    return KernelResult(found[0], found[1] + 1)

@@ -8,6 +8,7 @@ runs.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -198,7 +199,11 @@ def verify_return_words(prefix_n: int = 10**4, factors: list[str] | None = None)
 
 
 def verify_kernels(prefix_n: int = 10**4, max_p: int = 50, max_len: int = 50) -> VerifyResult:
-    """Kernel uniqueness and occurrence correspondence over all short factors."""
+    """Kernel uniqueness and occurrence correspondence over all short factors.
+
+    For lengths up to 10 every word over {a, b} is also checked:
+    ``is_factor`` must hold exactly on the factors scanned.
+    """
     t0 = time.perf_counter()
     s = prefix(prefix_n)
     checked = 0
@@ -220,6 +225,12 @@ def verify_kernels(prefix_n: int = 10**4, max_p: int = 50, max_len: int = 50) ->
             checked += 1
         if len(seen) != length + 1:
             return _finish("kernels", False, checked, t0, {"length": length, "distinct": len(seen)})
+        if length <= 10:
+            for letters in itertools.product("ab", repeat=length):
+                w = "".join(letters)
+                if singular.is_factor(w) != (w in seen):
+                    return _finish("kernels", False, checked, t0, {"word": w, "is_factor": w not in seen})
+                checked += 1
     return _finish("kernels", True, checked, t0)
 
 

@@ -165,6 +165,11 @@ def test_bench_repeat_zero_exit_2(capsys):
     assert code == 2 and out == "" and "repeat" in err
 
 
+def test_bench_n_list_not_integer_exit_2(capsys):
+    code, out, err = run_cli(capsys, "bench", "--n-list", "1,x", "--repeat", "1")
+    assert code == 2 and out == "" and "'x'" in err and "internal error" not in err
+
+
 def test_tau_depth_below_minus_one_exit_2(capsys):
     for depth in ("-2", "-5"):
         code, out, err = run_cli(capsys, "tau", "-m", "4", "-p", "1", "--expand-depth", depth)

@@ -74,6 +74,30 @@ def test_prefix_array_matches_prefix():
         assert arr.tolist() == [int(c == "b") for c in prefix(n)]
 
 
+def test_prefix_table_boundary(monkeypatch):
+    t = len(fibword._TABLE)
+    assert t == fib(fibword.PREFIX_TABLE_M)
+    built = morphism_iterate(fibword.PREFIX_TABLE_M + 2)
+    assert len(built) >= 2 * t + 3
+    for n in (0, 1, t - 1, t, t + 1, 2 * t + 3):
+        assert prefix(n) == built[:n]
+        assert prefix_array(n).tolist() == [int(c == "b") for c in built[:n]]
+    # a returned array is the caller's own: writing to it changes no later prefix
+    for n in (t - 1, t + 1):
+        arr = prefix_array(n)
+        arr[:] = 1
+        assert prefix(n) == built[:n]
+        assert prefix_array(n).tolist() == [int(c == "b") for c in built[:n]]
+    # the table does not bypass the cap
+    monkeypatch.setenv("FIBPAL_MAX_MATERIALIZE", "1000")
+    for n in (5000, t + 1):
+        with pytest.raises(ResourceError):
+            prefix(n)
+        with pytest.raises(ResourceError):
+            prefix_array(n)
+    assert prefix(1000) == built[:1000]
+
+
 def test_letter_at_examples():
     assert letter_at(1) == "a"
     assert letter_at(5) == "b"

@@ -1,7 +1,10 @@
+import itertools
+import random
+
 import pytest
 
 from fibpal import DomainError, NotAFactorError, fib, is_factor, kernel, prefix, singular_word
-from fibpal import oracle, singular
+from fibpal import oracle, singular, verify
 
 
 def test_singular_examples():
@@ -61,6 +64,46 @@ def test_is_factor():
     assert is_factor(singular_word(10))
     assert not is_factor("bb")
     assert not is_factor("abc")
+    assert not is_factor("ccc")
+    with pytest.raises(DomainError):
+        is_factor("")
+
+
+def brute_kernel(w):
+    # the largest m with S(m) in w, and the 1-based index of its first occurrence
+    m = max(m for m in range(-1, 20) if fib(m) <= len(w) and singular_word(m) in w)
+    return m, w.index(singular_word(m)) + 1
+
+
+def test_membership_exhaustive_short_words():
+    text = prefix(10**5)
+    n_factors = 0
+    for length in range(1, 15):
+        factors = {text[i: i + length] for i in range(len(text) - length + 1)}
+        for letters in itertools.product("ab", repeat=length):
+            w = "".join(letters)
+            assert is_factor(w) == (w in factors), w
+            if w in factors:
+                n_factors += 1
+                res = kernel(w)
+                assert (res.m, res.offset) == brute_kernel(w), w
+    assert n_factors == sum(length + 1 for length in range(1, 15))  # Sturmian complexity
+
+
+def test_membership_long_factors_and_mutants():
+    text = prefix(10**6)
+    rng = random.Random(20260418)
+    for _ in range(200):
+        length = rng.randint(10**3, 2 * 10**4)
+        start = rng.randrange(len(text) - length)
+        w = text[start: start + length]
+        assert is_factor(w)
+        res = kernel(w)
+        assert w[res.offset - 1:].startswith(singular_word(res.m))
+        assert singular_word(res.m + 1) not in w
+        k = rng.randrange(length)
+        mutant = w[:k] + ("a" if w[k] == "b" else "b") + w[k + 1:]
+        assert is_factor(mutant) == (mutant in text)
 
 
 def test_kernel_uniqueness_over_short_factors(prefix_10k):
@@ -92,3 +135,12 @@ def test_kernel_correspondence_example():
     b_spans = oracle.occurrences("b", 100)
     assert b_spans[2].start == 7
     assert oracle.kernel_correspondence("aba", 3, 100)
+
+
+def test_verify_kernels_checks_non_factors(monkeypatch):
+    res = verify.verify_kernels(prefix_n=1000, max_len=12)
+    # length + 1 factors per length, plus every word of length <= 10
+    assert res.ok and res.checked == sum(length + 1 for length in range(1, 13)) + 2**11 - 2
+    monkeypatch.setattr(singular, "is_factor", lambda w: True)
+    res = verify.verify_kernels(prefix_n=1000, max_len=12)
+    assert not res.ok and res.counterexample == {"word": "bb", "is_factor": True}
