@@ -5,7 +5,7 @@ and cumulative occurrence counts, and canonical palindrome coordinates, all
 in exact integer arithmetic, with a palindromic-tree oracle for independent
 verification at desk scale.
 
-The closed-form API loads without NumPy.  The oracle names (``Eertree``,
+The closed-form API loads without NumPy.  The oracle names (``scan_word``,
 ``eertree_total``, ...) and the ``oracle`` and ``kernels`` modules need it,
 so they are imported on first access (PEP 562).
 """
@@ -71,7 +71,6 @@ __all__ = [
     "CellSplit",
     "ChainInterval",
     "DomainError",
-    "Eertree",
     "KernelResult",
     "NotAFactorError",
     "OccurrenceSpan",
@@ -120,6 +119,7 @@ __all__ = [
     "prefix_palindrome_lengths",
     "reduce_cell",
     "return_words",
+    "scan_word",
     "singular_end_pos",
     "singular_start_pos",
     "singular_word",
@@ -129,7 +129,6 @@ __all__ = [
 ]
 
 _ORACLE_NAMES = frozenset({
-    "Eertree",
     "ReturnWordSeq",
     "eertree_distinct",
     "eertree_end_counts",
@@ -137,6 +136,7 @@ _ORACLE_NAMES = frozenset({
     "kernel_correspondence",
     "occurrences",
     "return_words",
+    "scan_word",
 })
 _LAZY_MODULES = frozenset({"kernels", "oracle"})
 

@@ -1,16 +1,15 @@
-"""Hot inner loops: palindromic-tree fill and bulk floor-identity sweeps.
+"""Hot inner loops: the palindromic-tree fill and the bulk floor-identity sweep.
 
-Each kernel exists twice: a plain-Python/NumPy implementation and, when numba
-is importable, an ``@njit``-compiled twin of the same source.  The active
-variant is chosen once at import time from the ``FIBPAL_BACKEND`` environment
-variable:
+The tree fill is one source, ``_eertree_fill``.  It runs as plain Python
+(``eertree_fill_py``) and, when numba is importable, also ``@njit``-compiled
+from the same source (``eertree_fill_jit``).  The active fill is chosen once
+at import time from the ``FIBPAL_BACKEND`` environment variable:
 
-* unset or ``numba``  -- use the jitted kernels when numba is available
-* ``python``          -- force the pure fallback
+* unset or ``numba``  -- use the jitted fill when numba is available
+* ``python``          -- force the pure fill
 
-``FIBPAL_BACKEND=numba`` with numba missing raises at import.  The fallback
-implementations are also exported under ``*_py`` names so benchmarks and
-parity tests can time both paths regardless of the active backend.
+``FIBPAL_BACKEND=numba`` with numba missing raises at import.  The floor
+sweep is one vectorized NumPy pass for both backends.
 
 These kernels work on machine-width integers only; callers guard the input
 ranges and escalate to exact big-int arithmetic beyond them.
@@ -18,7 +17,6 @@ ranges and escalate to exact big-int arithmetic beyond them.
 
 from __future__ import annotations
 
-import math
 import os
 
 import numpy as np
@@ -54,40 +52,19 @@ FAST_FLOOR_MAX = 10**9
 FAST_SCAN_MAX = 3 * 10**8
 
 
-def _floor_identity_scan(lo, hi):
-    """First p in [lo, hi] violating any of the four floor identities, else 0."""
+def _eertree_fill(text, lens, link, trans, depth, node_out):
+    """Feed ``text`` (letters 0 and 1) into a palindromic tree.
 
-    def fphi(x):
-        # exact floor(phi*x) in int64: float sqrt seed, then correction steps
-        n = 5 * x * x
-        s = int(math.sqrt(n))
-        while s * s > n:
-            s -= 1
-        while (s + 1) * (s + 1) <= n:
-            s += 1
-        return (s - x) // 2
+    The pure fill takes ``bytes`` and ``array.array`` buffers (NumPy uint8
+    elements would make ``2*v + c`` wrap); the jitted one NumPy arrays.
 
-    for p in range(lo, hi + 1):
-        q = fphi(p)
-        if fphi(p + q) != p - 1:
-            return p
-        if fphi(2 * p + q) != p + q:
-            return p
-        if fphi(p + q + 1) != p:
-            return p
-        if fphi(2 * p + q + 1) != p + q:
-            return p
-    return 0
-
-
-def _eertree_fill(text, lens, link, trans, depth, a_out, max_out, dist_out):
-    """Feed ``text`` (uint8 letters) into a palindromic tree.
-
-    Arrays are preallocated by the caller: one node per distinct palindrome
-    plus the two roots (node 0 of virtual length -1, node 1 of length 0).
-    Writes, per position, the number of palindromic suffixes (``a_out``), the
-    length of the longest palindromic suffix (``max_out``) and the running
-    count of distinct palindromes (``dist_out``).  Returns the node count.
+    Buffers are preallocated by the caller: one node per distinct palindrome
+    plus the two roots (node 0 of virtual length -1, node 1 of length 0), and
+    ``trans`` zeroed, with the edge of node v on letter c at ``2*v + c``.
+    Nodes are numbered in creation order.  Writes the node of the longest
+    palindromic suffix at each position to ``node_out``; ``depth`` is the
+    suffix-link chain length, i.e. the number of palindromic suffixes.
+    Returns the node count.
     """
     lens[0] = -1
     link[0] = 0
@@ -97,51 +74,38 @@ def _eertree_fill(text, lens, link, trans, depth, a_out, max_out, dist_out):
     depth[1] = 0
     num = 2
     last = 1
-    n = text.shape[0]
-    for pos in range(n):
+    for pos in range(len(text)):
         c = text[pos]
         v = last
         while True:
-            l = lens[v]
-            if pos - l - 1 >= 0 and text[pos - l - 1] == c:
+            i = pos - lens[v] - 1
+            if i >= 0 and text[i] == c:
                 break
             v = link[v]
-        if trans[v, c] != 0:
-            last = trans[v, c]
-        else:
-            cur = num
+        edge = 2 * v + c
+        last = trans[edge]
+        if last == 0:
+            last = num
             num += 1
-            lens[cur] = lens[v] + 2
-            if lens[cur] == 1:
-                link[cur] = 1
+            lens[last] = lens[v] + 2
+            if lens[last] == 1:
+                link[last] = 1
             else:
                 u = link[v]
                 while True:
-                    l = lens[u]
-                    if pos - l - 1 >= 0 and text[pos - l - 1] == c:
+                    i = pos - lens[u] - 1
+                    if i >= 0 and text[i] == c:
                         break
                     u = link[u]
-                link[cur] = trans[u, c]
-            depth[cur] = depth[link[cur]] + 1
-            trans[v, c] = cur
-            last = cur
-        a_out[pos] = depth[last]
-        max_out[pos] = lens[last]
-        dist_out[pos] = num - 2
+                link[last] = trans[2 * u + c]
+            depth[last] = depth[link[last]] + 1
+            trans[edge] = last
+        node_out[pos] = last
     return num
 
 
-# Fallback (plain Python) and jitted twins.
-floor_identity_scan_py = _floor_identity_scan
 eertree_fill_py = _eertree_fill
-
-if _njit is not None:
-    floor_identity_scan_jit = _njit(cache=True)(_floor_identity_scan)
-    eertree_fill_jit = _njit(cache=True)(_eertree_fill)
-else:
-    floor_identity_scan_jit = None
-    eertree_fill_jit = None
-
+eertree_fill_jit = None if _njit is None else _njit(cache=True)(_eertree_fill)
 eertree_fill = eertree_fill_jit if BACKEND == "numba" else eertree_fill_py
 
 
@@ -149,8 +113,7 @@ def floor_phi_block(p: np.ndarray) -> np.ndarray:
     """Vectorized exact floor(phi * p) for an int64 array with p <= FAST_FLOOR_MAX.
 
     float64 square roots seed the integer root; the correction loops make the
-    result exact.  NumPy path only; the jitted scan above does the same
-    arithmetic scalar-wise.
+    result exact.
     """
     if p.size and int(p.max()) > FAST_FLOOR_MAX:
         raise OverflowError("floor_phi_block input exceeds machine-width guard")
@@ -169,8 +132,13 @@ def floor_phi_block(p: np.ndarray) -> np.ndarray:
     return (s - p) >> 1
 
 
-def floor_identity_scan_np(lo: int, hi: int, chunk: int = 1 << 19) -> int:
-    """NumPy twin of floor_identity_scan: first failing p in [lo, hi], else 0."""
+def floor_identity_scan(lo: int, hi: int, chunk: int = 1 << 19) -> int:
+    """First p in [lo, hi] violating any of the four floor identities, else 0.
+
+    With q = floor(phi*p): floor(phi*(p+q)) = p-1, floor(phi*(2p+q)) = p+q,
+    floor(phi*(p+q+1)) = p and floor(phi*(2p+q+1)) = p+q.  Swept in blocks
+    of ``chunk`` values through ``floor_phi_block``.
+    """
     for start in range(lo, hi + 1, chunk):
         stop = min(start + chunk - 1, hi)
         p = np.arange(start, stop + 1, dtype=np.int64)
@@ -184,10 +152,3 @@ def floor_identity_scan_np(lo: int, hi: int, chunk: int = 1 << 19) -> int:
         if bad.any():
             return int(p[bad][0])
     return 0
-
-
-# The bulk identity sweep: jitted scalar loop under numba, vectorized NumPy
-# otherwise (the plain scalar loop stays available for parity tests).
-floor_identity_scan = (
-    floor_identity_scan_jit if BACKEND == "numba" else floor_identity_scan_np
-)

@@ -5,13 +5,15 @@ scanners (center expansion, substring slicing, plain substring search) that
 validate the tree itself.  Nothing here shares code with the closed-form
 modules, so agreement between the two paths is meaningful evidence.
 
-Bulk scans over long prefixes go through the kernels module (numba or the
-pure fallback per FIBPAL_BACKEND); the readable ``Eertree`` class is the
-reference the kernel is checked against.
+There is one tree: ``kernels.eertree_fill`` (numba or the pure fill per
+FIBPAL_BACKEND).  ``scan_word`` runs it over any word over {a, b} and
+``scan_prefix`` over a prefix of the Fibonacci word; every per-position fact,
+the distinct factors and the palindromic suffixes are read off its arrays.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,110 +25,102 @@ from .fibword import check_cap, prefix, prefix_array
 from .singular import kernel, singular_word
 
 
-class Eertree:
-    """Palindromic tree: one node per distinct palindromic factor plus two roots.
-
-    Node 0 is the root of virtual length -1, node 1 the empty-word root.
-    ``depth`` counts the suffix-link chain length, i.e. the number of
-    palindromic suffixes the node's palindrome has.
-    """
-
-    def __init__(self):
-        self.lens = [-1, 0]
-        self.link = [0, 0]
-        self.to: list[dict[str, int]] = [{}, {}]
-        self.depth = [0, 0]
-        self.text: list[str] = []
-        self.last = 1
-        self.end_counts: list[int] = []
-        self.max_suffix: list[int] = []
-        self.node_at: list[int] = []
-
-    def _extend_down(self, v: int, pos: int) -> int:
-        while True:
-            l = self.lens[v]
-            if pos - l - 1 >= 0 and self.text[pos - l - 1] == self.text[pos]:
-                return v
-            v = self.link[v]
-
-    def add(self, ch: str) -> int:
-        """Feed one letter; returns the palindromic-suffix count at the new position."""
-        pos = len(self.text)
-        self.text.append(ch)
-        v = self._extend_down(self.last, pos)
-        cur = self.to[v].get(ch)
-        if cur is None:
-            cur = len(self.lens)
-            self.lens.append(self.lens[v] + 2)
-            if self.lens[cur] == 1:
-                self.link.append(1)
-            else:
-                u = self._extend_down(self.link[v], pos)
-                self.link.append(self.to[u][ch])
-            self.depth.append(self.depth[self.link[cur]] + 1)
-            self.to.append({})
-            self.to[v][ch] = cur
-        self.last = cur
-        self.end_counts.append(self.depth[cur])
-        self.max_suffix.append(self.lens[cur])
-        self.node_at.append(cur)
-        return self.depth[cur]
-
-    def feed(self, word: str) -> None:
-        for ch in word:
-            self.add(ch)
-
-    def distinct(self) -> int:
-        return len(self.lens) - 2
-
-    def palindromic_suffix_lengths(self, pos: int) -> list[int]:
-        """Lengths of all palindromic suffixes of the prefix ending at 1-based pos."""
-        v = self.node_at[pos - 1]
-        out = []
-        while self.lens[v] > 0:
-            out.append(self.lens[v])
-            v = self.link[v]
-        return out
-
-    def words(self) -> set[str]:
-        # every node was the longest palindromic suffix at its creation
-        # position, so collecting those suffixes covers all distinct factors
-        text = "".join(self.text)
-        return {
-            text[pos + 1 - self.lens[v]: pos + 1] for pos, v in enumerate(self.node_at)
-        }
+_CODES = bytes.maketrans(b"ab", b"\x00\x01")
+_LETTERS = bytes.maketrans(b"\x00\x01", b"ab")
 
 
 @dataclass
 class PrefixScan:
-    """Per-position facts from one palindromic-tree pass over a prefix."""
+    """Per-position facts from one palindromic-tree pass over a word.
+
+    ``node`` is the tree node of the longest palindromic suffix at each
+    position; ``lens`` and ``link`` are the tree's node lengths and suffix
+    links (node 0 is the root of virtual length -1, node 1 the empty word).
+    """
 
     n: int
     end_counts: np.ndarray  # occurrences ending at each position (1-based shift)
     max_suffix: np.ndarray  # longest palindromic suffix length per position
     distinct: np.ndarray  # distinct palindromic factors so far per position
     nodes: int
+    text: bytes  # the letters fed, a -> 0, b -> 1
+    lens: np.ndarray
+    link: np.ndarray
+    node: np.ndarray
+
+    def _check_pos(self, i: int) -> None:
+        if not 1 <= i <= self.n:
+            raise DomainError(f"position must be in 1..{self.n}, got {i}")
 
     def end_count(self, i: int) -> int:
+        self._check_pos(i)
         return int(self.end_counts[i - 1])
+
+    def palindromic_suffix_lengths(self, pos: int) -> list[int]:
+        """Lengths of all palindromic suffixes of the prefix ending at 1-based pos."""
+        self._check_pos(pos)
+        v = int(self.node[pos - 1])
+        out = []
+        while self.lens[v] > 0:
+            out.append(int(self.lens[v]))
+            v = int(self.link[v])
+        return out
+
+    def words(self) -> set[str]:
+        """Every distinct palindromic factor of the scanned word."""
+        # every node was the longest palindromic suffix at its creation
+        # position, so collecting those suffixes covers all distinct factors
+        s = self.text.translate(_LETTERS).decode("ascii")
+        return {s[pos + 1 - l: pos + 1] for pos, l in enumerate(self.max_suffix.tolist())}
+
+
+def _scan(text: bytes, fill=None) -> PrefixScan:
+    """One tree pass over ``text`` (letters 0 and 1)."""
+    if fill is None:
+        fill = kernels.eertree_fill
+    n = len(text)
+    cap = n + 3
+    lens = array("q", bytes(8 * cap))
+    link = array("i", bytes(4 * cap))
+    depth = array("i", bytes(4 * cap))
+    node = array("i", bytes(4 * n))
+    bufs = (text, lens, link, array("i", bytes(8 * cap)), depth, node)
+    if kernels.eertree_fill_jit is not None and fill is not kernels.eertree_fill_py:
+        # the jitted fill takes NumPy views of the same buffers (zero copy)
+        bufs = (np.frombuffer(text, dtype=np.uint8), *map(np.asarray, bufs[1:]))
+    nodes = int(fill(*bufs))
+    del bufs  # frees the edge table before the per-position arrays are built
+    lens_a = np.asarray(lens)[:nodes]
+    link_a = np.asarray(link)[:nodes]
+    node_a = np.asarray(node)
+    # nodes are numbered in creation order, so the largest node seen so far
+    # counts the distinct palindromes (the two roots are nodes 0 and 1)
+    distinct = np.maximum.accumulate(node_a, dtype=np.int64)
+    distinct -= 1
+    return PrefixScan(
+        n,
+        end_counts=np.asarray(depth)[node_a],
+        max_suffix=lens_a[node_a],
+        distinct=distinct,
+        nodes=nodes,
+        text=text,
+        lens=lens_a,
+        link=link_a,
+        node=node_a,
+    )
+
+
+def scan_word(w: str) -> PrefixScan:
+    """Run the tree kernel over any word over {a, b}."""
+    if not set(w) <= {"a", "b"}:
+        raise DomainError(f"scan_word takes words over {{a, b}}, got {w[:40]!r}")
+    return _scan(w.encode("ascii").translate(_CODES))
 
 
 def scan_prefix(n: int, fill=None) -> PrefixScan:
     """Run the (backend-selected) tree kernel over the length-n prefix."""
     check_cap(n, "prefix scan")
-    text = prefix_array(n)
-    cap = n + 3
-    lens = np.empty(cap, dtype=np.int64)
-    link = np.empty(cap, dtype=np.int32)
-    trans = np.zeros((cap, 2), dtype=np.int32)
-    depth = np.empty(cap, dtype=np.int32)
-    a_out = np.empty(n, dtype=np.int32)
-    max_out = np.empty(n, dtype=np.int64)
-    dist_out = np.empty(n, dtype=np.int64)
-    if fill is None:
-        fill = kernels.eertree_fill
-    nodes = fill(text, lens, link, trans, depth, a_out, max_out, dist_out)
-    return PrefixScan(n, a_out, max_out, dist_out, int(nodes))
+    return _scan(prefix_array(n).tobytes(), fill)
 
 
 def eertree_end_counts(n_max: int) -> np.ndarray:
@@ -136,8 +130,6 @@ def eertree_end_counts(n_max: int) -> np.ndarray:
 
 def eertree_total(n: int) -> int:
     """Total palindrome occurrences in the length-n prefix (tree-counted)."""
-    if n == 0:
-        return 0
     return int(scan_prefix(n).end_counts.sum())
 
 

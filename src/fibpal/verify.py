@@ -17,6 +17,7 @@ import numpy as np
 from . import counting, cylinder, kernels, oracle, singular
 from .chain import chain_interval, new_pal_at, pal_end_pos, pal_span
 from .cylinder import PalCoord, coord_from_pal, pal_from_coord, pals_of_length
+from .errors import DomainError
 from .fibword import check_floor_identities, fib, prefix
 
 
@@ -55,7 +56,7 @@ def verify_floors(max_p: int = 10**6) -> VerifyResult:
                     break
     if bad:
         return _finish("floors", False, max_p, t0, {"p": bad, "identities": check_floor_identities(bad)})
-    return _finish("floors", True, max_p, t0, backend=kernels.active_backend())
+    return _finish("floors", True, max_p, t0)
 
 
 def verify_cylinder(prefix_n: int = 10**4, max_len: int = 100) -> VerifyResult:
@@ -247,4 +248,8 @@ SUITES = {
 
 
 def run_suites(names: list[str], max_n: int, max_m: int, max_p: int) -> list[VerifyResult]:
+    """Run the named suites at the given bounds, each of which must be >= 1."""
+    for flag, value in (("max_n", max_n), ("max_m", max_m), ("max_p", max_p)):
+        if value < 1:
+            raise DomainError(f"{flag} must be >= 1, got {value}")
     return [SUITES[name](max_n, max_m, max_p) for name in names]

@@ -19,7 +19,5 @@ def scan_10k() -> oracle.PrefixScan:
 
 
 @pytest.fixture(scope="session")
-def eertree_2k(prefix_2k) -> oracle.Eertree:
-    tree = oracle.Eertree()
-    tree.feed(prefix_2k)
-    return tree
+def scan_2k(prefix_2k) -> oracle.PrefixScan:
+    return oracle.scan_word(prefix_2k)

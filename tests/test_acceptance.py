@@ -256,7 +256,6 @@ def test_criterion_12_oracle_self_check():
     ok = True
     for n in list(range(1, 65)) + [500, 2000]:
         s = fp.prefix(n)
-        tree = oracle.Eertree()
-        tree.feed(s)
-        ok = ok and tree.words() == oracle.naive_palindrome_set(s)
+        words = oracle.scan_word(s).words()
+        ok = ok and words == oracle.scan_prefix(n).words() == oracle.naive_palindrome_set(s)
     report(12, "tree oracle agrees with naive substring enumeration", ok)

@@ -99,11 +99,11 @@ def test_new_pal_at_inverts_first_occurrence(n):
     assert pal_end_pos(new_pal_at(n), 1) == n
 
 
-def test_new_pal_at_is_genuinely_new(eertree_2k):
+def test_new_pal_at_is_genuinely_new(scan_2k):
     # only the longest palindromic suffix can be new, and every position has
     # a new palindrome, so the two must coincide
     for n in range(1, 2001):
-        assert eertree_2k.max_suffix[n - 1] == new_pal_at(n).length()
+        assert scan_2k.max_suffix[n - 1] == new_pal_at(n).length()
 
 
 def test_prefix_palindromes_start_at_one():

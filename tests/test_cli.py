@@ -140,6 +140,14 @@ def test_verify_suite_names(capsys):
     assert "bogus" in err and all(name in err for name in verify.SUITES)
 
 
+def test_verify_bounds_below_one_exit_2(capsys):
+    for argv in (["floors", "--max-n", "-5"], ["tau", "--max-m", "-3", "--max-p", "0"],
+                 ["cylinder", "--max-n", "0"], ["kernels", "--max-n", "0"]):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2 and out == "", argv
+        assert "must be >= 1" in err, argv
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     broken = dict(verify.SUITES)
     broken["floors"] = lambda max_n, max_m, max_p: VerifyResult(
@@ -283,7 +291,7 @@ for argv in json.loads(sys.argv[1]):
         code = fibpal.cli.main(argv)
     assert code == 0, (argv, code)
 assert "numpy" not in sys.modules, "a query command loaded numpy"
-assert fibpal.Eertree is fibpal.oracle.Eertree and "numpy" in sys.modules
+assert fibpal.scan_word is fibpal.oracle.scan_word and "numpy" in sys.modules
 print("ok")
 """
 
@@ -300,10 +308,11 @@ def test_query_commands_do_not_import_numpy():
 
 
 def test_oracle_names_resolve_lazily():
-    assert fibpal.Eertree is fibpal.oracle.Eertree
+    assert fibpal.scan_word is fibpal.oracle.scan_word
+    assert not hasattr(fibpal, "Eertree") and not hasattr(fibpal.oracle, "Eertree")
     assert fibpal.eertree_total(100) == fibpal.occurrence_count(100)
     assert bytes(fibpal.prefix_array(8)) == bytes([0, 1, 0, 0, 1, 0, 1, 0])
-    assert {"Eertree", "eertree_total", "oracle", "kernels"} <= set(dir(fibpal))
+    assert {"scan_word", "eertree_total", "oracle", "kernels"} <= set(dir(fibpal))
     namespace: dict = {}
     exec("from fibpal import *", namespace)
     assert set(fibpal.__all__) <= set(namespace)

@@ -314,9 +314,8 @@ def test_thread_safety_of_memoized_queries():
 def test_suffix_palindromes_repeat_across_cells():
     # palindromic suffixes with kernel index <= m agree between the i-th
     # element of cell (m, p) and the i-th element of cell (m, 1)
-    tree = oracle.Eertree()
     text = prefix(1100)
-    tree.feed(text)
+    tree = oracle.scan_word(text)
 
     def kernel_bounded_suffixes(pos, m):
         out = set()

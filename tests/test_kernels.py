@@ -1,8 +1,10 @@
+from array import array
+
 import numpy as np
 import pytest
 
 from fibpal import floor_phi
-from fibpal import kernels, oracle
+from fibpal import kernels, oracle, verify
 
 
 def test_backend_reported():
@@ -23,15 +25,37 @@ def test_floor_phi_block_overflow_guard():
         kernels.floor_phi_block(np.array([kernels.FAST_FLOOR_MAX + 1], dtype=np.int64))
 
 
-def test_floor_identity_scan_variants_agree():
-    assert kernels.floor_identity_scan_py(1, 3000) == 0
-    assert kernels.floor_identity_scan_np(1, 3000) == 0
-    if kernels.floor_identity_scan_jit is not None:
-        assert kernels.floor_identity_scan_jit(1, 3000) == 0
-    # spot-check near the sweep's machine-width bound
+def test_floor_identity_scan_clean():
+    assert kernels.floor_identity_scan(1, 3000) == 0
+    # small blocks, and near the sweep's machine-width bound
+    assert kernels.floor_identity_scan(1, 3000, chunk=7) == 0
     hi = kernels.FAST_SCAN_MAX
-    assert kernels.floor_identity_scan_np(hi - 200, hi) == 0
-    assert kernels.floor_identity_scan_py(hi - 200, hi) == 0
+    assert kernels.floor_identity_scan(hi - 200, hi) == 0
+
+
+def test_floor_identity_scan_catches_a_wrong_floor(monkeypatch):
+    # floor(phi*x) made one too large at x = bad; the arguments p+q, 2p+q,
+    # p+q+1 and 2p+q+1 of a smaller p can reach bad first, so the expected
+    # answer is the first p failing under the same fault, scalar-wise
+    bad = 1234
+    true_block = kernels.floor_phi_block
+
+    def wrong(x):
+        return floor_phi(x) + (x == bad)
+
+    def holds(p):
+        q = wrong(p)
+        return (wrong(p + q) == p - 1 and wrong(2 * p + q) == p + q
+                and wrong(p + q + 1) == p and wrong(2 * p + q + 1) == p + q)
+
+    first = next(p for p in range(1, 3001) if not holds(p))
+    assert 1 <= first <= bad
+    monkeypatch.setattr(kernels, "floor_phi_block", lambda x: true_block(x) + (x == bad))
+    assert kernels.floor_identity_scan(1, 3000) == first
+    assert kernels.floor_identity_scan(1, 3000, chunk=100) == first
+    assert kernels.floor_identity_scan(bad, 3000) == bad
+    r = verify.verify_floors(3000)
+    assert not r.ok and r.counterexample["p"] == first
 
 
 def test_eertree_fill_backends_agree():
@@ -49,19 +73,13 @@ def test_eertree_fill_backends_agree():
 
 def test_eertree_fill_arbitrary_text():
     # the kernel is not Fibonacci-specific; richness can fail, sizes cannot
-    text = np.array([0, 0, 1, 1, 0, 1, 0, 0, 1, 1, 1], dtype=np.uint8)
+    text = bytes([0, 0, 1, 1, 0, 1, 0, 0, 1, 1, 1])
     n = len(text)
     cap = n + 3
-    args = (
-        np.empty(cap, np.int64),
-        np.empty(cap, np.int32),
-        np.zeros((cap, 2), np.int32),
-        np.empty(cap, np.int32),
-        np.empty(n, np.int32),
-        np.empty(n, np.int64),
-        np.empty(n, np.int64),
-    )
-    nodes = kernels.eertree_fill_py(text, *args)
+    lens, link, depth = array("q", [0]) * cap, array("i", [0]) * cap, array("i", [0]) * cap
+    node = array("i", [0]) * n
+    nodes = kernels.eertree_fill_py(text, lens, link, array("i", [0]) * (2 * cap), depth, node)
     s = "".join("ab"[c] for c in text)
     assert nodes - 2 == len(oracle.naive_palindrome_set(s))
-    assert args[4].tolist() == oracle.center_end_counts(s)
+    assert [depth[v] for v in node] == oracle.center_end_counts(s)
+    assert max(node) == nodes - 1

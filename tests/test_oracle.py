@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -35,44 +37,82 @@ def test_eertree_rich_per_position(scan_10k):
     assert np.array_equal(scan_10k.distinct, np.arange(1, 10**4 + 1))
 
 
-def test_eertree_class_agrees_with_kernel_scan(prefix_2k):
-    tree = oracle.Eertree()
-    tree.feed(prefix_2k)
-    scan = oracle.scan_prefix(2000)
-    assert tree.end_counts == scan.end_counts.tolist()
-    assert tree.max_suffix == scan.max_suffix.tolist()
-    assert tree.distinct() == scan.nodes - 2 == int(scan.distinct[-1])
-
-
 def test_eertree_vs_naive_sets_small():
     for n in list(range(1, 65)) + [257, 500, 1000]:
         s = prefix(n)
-        tree = oracle.Eertree()
-        tree.feed(s)
-        assert tree.words() == oracle.naive_palindrome_set(s)
-        assert tree.words() == oracle.center_palindrome_set(s)
+        words = oracle.scan_word(s).words()
+        assert words == oracle.scan_prefix(n).words()
+        assert words == oracle.naive_palindrome_set(s)
+        assert words == oracle.center_palindrome_set(s)
 
 
-def test_eertree_counts_vs_naive_scans(prefix_2k):
-    tree = oracle.Eertree()
-    tree.feed(prefix_2k)
-    assert tree.end_counts == oracle.center_end_counts(prefix_2k)
+def test_eertree_counts_vs_naive_scans(prefix_2k, scan_2k):
+    end_counts = scan_2k.end_counts.tolist()
+    assert end_counts == oracle.center_end_counts(prefix_2k)
     for pos in range(1, 301):
-        assert tree.end_counts[pos - 1] == naive_suffix_palindrome_count(prefix_2k, pos)
+        assert end_counts[pos - 1] == naive_suffix_palindrome_count(prefix_2k, pos)
 
 
-def test_eertree_suffix_links_shorten(eertree_2k):
-    for v in range(2, len(eertree_2k.lens)):
-        assert eertree_2k.lens[eertree_2k.link[v]] < eertree_2k.lens[v]
+def test_eertree_suffix_links_shorten(scan_2k):
+    for v in range(2, scan_2k.nodes):
+        assert scan_2k.lens[scan_2k.link[v]] < scan_2k.lens[v]
 
 
 def test_eertree_on_non_fibonacci_words():
     # sanity on arbitrary words: counts match the naive scanners
     for s in ["aaaa", "abab", "abba", "aabbaabb", "babab", "a", "ab"]:
-        tree = oracle.Eertree()
-        tree.feed(s)
-        assert tree.words() == oracle.naive_palindrome_set(s)
-        assert tree.end_counts == oracle.center_end_counts(s)
+        scan = oracle.scan_word(s)
+        assert scan.words() == oracle.naive_palindrome_set(s)
+        assert scan.end_counts.tolist() == oracle.center_end_counts(s)
+
+
+def naive_longest_suffix(t: str) -> int:
+    return max(k for k in range(1, len(t) + 1) if t[-k:] == t[-k:][::-1])
+
+
+def test_scan_word_random_words():
+    # off the Fibonacci word: random words, most of them not rich
+    rng = random.Random(11)
+    for _ in range(300):
+        s = "".join(rng.choice("ab") for _ in range(rng.randint(1, 40)))
+        scan = oracle.scan_word(s)
+        assert scan.n == len(s)
+        assert scan.words() == oracle.naive_palindrome_set(s)
+        assert scan.nodes - 2 == len(scan.words())
+        assert scan.end_counts.tolist() == oracle.center_end_counts(s)
+        for pos in range(1, len(s) + 1):
+            t = s[:pos]
+            assert scan.max_suffix[pos - 1] == naive_longest_suffix(t)
+            assert scan.distinct[pos - 1] == len(oracle.naive_palindrome_set(t))
+            assert scan.palindromic_suffix_lengths(pos) == [
+                k for k in range(pos, 0, -1) if t[-k:] == t[-k:][::-1]
+            ]
+
+
+def test_scan_word_edges():
+    empty = oracle.scan_word("")
+    assert empty.n == 0 and empty.nodes == 2 and empty.words() == set()
+    assert empty.end_counts.size == empty.max_suffix.size == empty.distinct.size == 0
+    for bad in ["abc", "c", "ab a", "aXb"]:
+        with pytest.raises(DomainError):
+            oracle.scan_word(bad)
+
+
+def test_scan_dtypes():
+    scan = oracle.scan_prefix(100)
+    assert scan.end_counts.dtype == np.int32
+    assert scan.max_suffix.dtype == np.int64
+    assert scan.distinct.dtype == np.int64
+
+
+def test_end_count_position_range():
+    scan = oracle.scan_prefix(10)
+    assert scan.end_count(1) == 1 and scan.end_count(10) == int(scan.end_counts[-1])
+    for bad in (0, -1, 11):
+        with pytest.raises(DomainError):
+            scan.end_count(bad)
+        with pytest.raises(DomainError):
+            scan.palindromic_suffix_lengths(bad)
 
 
 def test_occurrences_examples():
@@ -112,10 +152,11 @@ def test_kernel_correspondence_examples():
         oracle.kernel_correspondence("aba", 10**6, 100)
 
 
-def test_max_suffix_matches_naive(prefix_2k):
-    tree = oracle.Eertree()
-    tree.feed(prefix_2k[:500])
+def test_max_suffix_matches_naive(prefix_2k, scan_2k):
+    # the longest palindrome ending at each position, from center-expansion spans
+    longest = [0] * len(prefix_2k)
+    for i, j in oracle.center_palindrome_spans(prefix_2k):
+        longest[j] = max(longest[j], j - i + 1)
+    assert scan_2k.max_suffix.tolist() == longest
     for pos in range(1, 501):
-        t = prefix_2k[:pos]
-        naive = max(k for k in range(1, pos + 1) if t[-k:] == t[-k:][::-1])
-        assert tree.max_suffix[pos - 1] == naive
+        assert scan_2k.max_suffix[pos - 1] == naive_longest_suffix(prefix_2k[:pos])
