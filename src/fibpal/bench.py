@@ -1,18 +1,17 @@
-"""Benchmarks: closed-form counting vs. the tree oracle, numba vs. fallback."""
+"""Benchmarks: closed-form counting vs. one palindromic-tree pass over the prefix."""
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
 
-from . import counting, kernels, oracle
+from . import counting, oracle
 from .errors import DomainError
 
 
 @dataclass
 class BenchRow:
     n: int
-    backend: str
     closed_seconds: float
     tree_seconds: float
     closed_value: int
@@ -37,27 +36,19 @@ def time_closed(n: int, repeat: int = 5) -> tuple[float, int]:
     return times[len(times) // 2], value
 
 
-def time_tree(n: int, fill) -> tuple[float, int]:
+def time_tree(n: int) -> tuple[float, int]:
     """Seconds for one full tree pass over the length-n prefix."""
     t0 = time.perf_counter()
-    scan = oracle.scan_prefix(n, fill=fill)
+    scan = oracle.scan_prefix(n)
     elapsed = time.perf_counter() - t0
     return elapsed, int(scan.end_counts.sum())
 
 
-def run_bench(ns: list[int], compare_backends: bool = False, repeat: int = 5) -> list[BenchRow]:
-    """Benchmark each n; optionally time both kernel backends."""
-    fills = {kernels.active_backend(): kernels.eertree_fill}
-    if compare_backends:
-        fills["python"] = kernels.eertree_fill_py
-        if kernels.eertree_fill_jit is not None:
-            fills["numba"] = kernels.eertree_fill_jit
-    if kernels.eertree_fill_jit is not None:
-        oracle.scan_prefix(64, fill=kernels.eertree_fill_jit)  # compile outside timings
+def run_bench(ns: list[int], repeat: int = 5) -> list[BenchRow]:
+    """Benchmark each n: one row with both timings and both totals."""
     rows = []
     for n in ns:
         closed_s, closed_v = time_closed(n, repeat)
-        for backend, fill in sorted(fills.items()):
-            tree_s, tree_v = time_tree(n, fill)
-            rows.append(BenchRow(n, backend, closed_s, tree_s, closed_v, tree_v))
+        tree_s, tree_v = time_tree(n)
+        rows.append(BenchRow(n, closed_s, tree_s, closed_v, tree_v))
     return rows

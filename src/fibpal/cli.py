@@ -217,7 +217,7 @@ def cmd_verify(args) -> int:
     failed = False
     for r in results:
         rec = {"cmd": "verify", "suite": r.name, "ok": r.ok, "checked": r.checked,
-               "seconds": round(r.seconds, 6), **r.notes}
+               "seconds": round(r.seconds, 6)}
         if r.counterexample is not None:
             rec["counterexample"] = r.counterexample
         _emit(args, rec, [f"{r.name}: {'ok' if r.ok else 'FAIL ' + repr(r.counterexample)} "
@@ -237,18 +237,17 @@ def cmd_bench(args) -> int:
             raise DomainError(f"--n-list item {item!r} is not an integer") from None
     if not ns:
         raise DomainError("--n-list must name at least one prefix length")
-    rows = bench.run_bench(ns, compare_backends=args.backends, repeat=args.repeat)
+    rows = bench.run_bench(ns, repeat=args.repeat)
     for row in rows:
         rec = {
             "cmd": "bench",
             "n": row.n,
-            "backend": row.backend,
             "closed_seconds": row.closed_seconds,
             "tree_seconds": row.tree_seconds,
             "speedup": row.speedup,
             "agree": row.closed_value == row.tree_value,
         }
-        _emit(args, rec, [f"n={row.n} [{row.backend}] closed {row.closed_seconds * 1e6:.1f}us "
+        _emit(args, rec, [f"n={row.n} closed {row.closed_seconds * 1e6:.1f}us "
                           f"tree {row.tree_seconds:.3f}s speedup {row.speedup:.0f}x"])
     return 0
 
@@ -338,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="closed forms vs. tree oracle timings")
     p.add_argument("--n-list", required=True, help="comma-separated prefix lengths")
-    p.add_argument("--backends", action="store_true", help="time the numba and pure kernels")
     p.add_argument("--repeat", type=int, default=5)
     p.set_defaults(func=cmd_bench)
 

@@ -10,4 +10,5 @@ class NotAFactorError(DomainError):
 
 
 class ResourceError(RuntimeError):
-    """The request would materialize more letters than the configured cap."""
+    """The request would materialize more letters than the configured cap,
+    or need a Fibonacci number past the table limit."""

@@ -32,7 +32,12 @@ LETTER_B = "b"
 
 DEFAULT_MATERIALIZE_CAP = 10**8
 
-# Fibonacci numbers, index shifted by one: _fibs[i] holds fib(i - 1).
+# Fibonacci numbers, index shifted by one: _fibs[i] holds fib(i - 1).  The
+# table keeps every value up to the largest index asked for, about 0.35 m^2
+# bits for index m (some 460 MB of peak RSS at m = 10**5), so indices past
+# FIB_INDEX_MAX are refused before it grows.  A position of 10**10000 has
+# block index ~47,850.
+FIB_INDEX_MAX = 10**5
 _fibs = [1, 1]
 _fibs_lock = threading.Lock()
 
@@ -64,13 +69,16 @@ def check_cap(n: int, what: str = "word") -> None:
 def fib(m: int) -> int:
     """The m-th Fibonacci number with fib(-1) = fib(0) = 1.
 
-    Memoized; exact for arbitrarily large m.  Growth of the shared table is
+    Memoized and exact up to m = FIB_INDEX_MAX; a larger m raises
+    ResourceError before the table grows.  Growth of the shared table is
     serialized, reads of already-cached entries are lock-free.
     """
     if m < -1:
         raise DomainError(f"fib index must be >= -1, got {m}")
     idx = m + 1
     if idx >= len(_fibs):
+        if m > FIB_INDEX_MAX:
+            raise ResourceError(f"fib index {m} exceeds the table limit {FIB_INDEX_MAX}")
         with _fibs_lock:
             while idx >= len(_fibs):
                 _fibs.append(_fibs[-1] + _fibs[-2])
@@ -81,12 +89,15 @@ def fib_floor_index(x: int) -> int:
     """Largest m with fib(m) <= x, for x >= 1.
 
     Because fib(-1) == fib(0) == 1, the *largest* such m is returned
-    (so fib_floor_index(1) == 0).
+    (so fib_floor_index(1) == 0).  Past the table limit of ``fib`` it raises
+    ResourceError, and the table does not grow.
     """
     if x < 1:
         raise DomainError(f"fib_floor_index needs x >= 1, got {x}")
-    while _fibs[-1] <= x:
-        fib(len(_fibs))  # extend the table past x
+    if _fibs[-1] <= x:
+        # with g = (1 + sqrt 5)/2, fib(m) >= g**m and log(2)/log(g) < 1.4405,
+        # so fib(m) > x here: one request grows the table past x, or is refused
+        fib(x.bit_length() * 14405 // 10000 + 1)
     return bisect_right(_fibs, x) - 2
 
 

@@ -1,47 +1,20 @@
 """Hot inner loops: the palindromic-tree fill and the bulk floor-identity sweep.
 
-The tree fill is one source, ``_eertree_fill``.  It runs as plain Python
-(``eertree_fill_py``) and, when numba is importable, also ``@njit``-compiled
-from the same source (``eertree_fill_jit``).  The active fill is chosen once
-at import time from the ``FIBPAL_BACKEND`` environment variable:
-
-* unset or ``numba``  -- use the jitted fill when numba is available
-* ``python``          -- force the pure fill
-
-``FIBPAL_BACKEND=numba`` with numba missing raises at import.  The floor
-sweep is one vectorized NumPy pass for both backends.
-
-These kernels work on machine-width integers only; callers guard the input
-ranges and escalate to exact big-int arithmetic beyond them.
+The tree fill, ``eertree_fill``, is plain Python over ``bytes`` and
+``array.array`` buffers; the floor sweep is one vectorized NumPy pass.
+Both work on machine-width integers only; callers guard the input ranges and
+escalate to exact big-int arithmetic beyond them.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 
-def _pick_backend():
-    choice = os.environ.get("FIBPAL_BACKEND", "").strip().lower()
-    if choice not in ("", "numba", "python"):
-        raise ValueError(f"FIBPAL_BACKEND must be 'numba' or 'python', got {choice!r}")
-    if choice == "python":
-        return "python", None
-    try:
-        from numba import njit
-    except ImportError:
-        if choice == "numba":
-            raise
-        return "python", None
-    return "numba", njit
-
-
-BACKEND, _njit = _pick_backend()
-
-
 def active_backend() -> str:
-    return BACKEND
+    """The tree fill's implementation, as benchmark records name it: there is
+    one, in plain Python."""
+    return "python"
 
 
 # Machine-width guards.  floor arguments up to FAST_FLOOR_MAX keep 5*p*p and
@@ -52,11 +25,11 @@ FAST_FLOOR_MAX = 10**9
 FAST_SCAN_MAX = 3 * 10**8
 
 
-def _eertree_fill(text, lens, link, trans, depth, node_out):
+def eertree_fill(text, lens, link, trans, depth, node_out):
     """Feed ``text`` (letters 0 and 1) into a palindromic tree.
 
-    The pure fill takes ``bytes`` and ``array.array`` buffers (NumPy uint8
-    elements would make ``2*v + c`` wrap); the jitted one NumPy arrays.
+    ``text`` is ``bytes`` and the other buffers ``array.array`` (NumPy
+    uint8 elements would make ``2*v + c`` wrap).
 
     Buffers are preallocated by the caller: one node per distinct palindrome
     plus the two roots (node 0 of virtual length -1, node 1 of length 0), and
@@ -102,11 +75,6 @@ def _eertree_fill(text, lens, link, trans, depth, node_out):
             trans[edge] = last
         node_out[pos] = last
     return num
-
-
-eertree_fill_py = _eertree_fill
-eertree_fill_jit = None if _njit is None else _njit(cache=True)(_eertree_fill)
-eertree_fill = eertree_fill_jit if BACKEND == "numba" else eertree_fill_py
 
 
 def floor_phi_block(p: np.ndarray) -> np.ndarray:

@@ -5,10 +5,10 @@ scanners (center expansion, substring slicing, plain substring search) that
 validate the tree itself.  Nothing here shares code with the closed-form
 modules, so agreement between the two paths is meaningful evidence.
 
-There is one tree: ``kernels.eertree_fill`` (numba or the pure fill per
-FIBPAL_BACKEND).  ``scan_word`` runs it over any word over {a, b} and
-``scan_prefix`` over a prefix of the Fibonacci word; every per-position fact,
-the distinct factors and the palindromic suffixes are read off its arrays.
+There is one tree: ``kernels.eertree_fill``, filled over ``array.array``
+buffers.  ``scan_word`` runs it over any word over {a, b} and ``scan_prefix``
+over a prefix of the Fibonacci word; every per-position fact, the distinct
+factors and the palindromic suffixes are read off its arrays.
 """
 
 from __future__ import annotations
@@ -74,22 +74,17 @@ class PrefixScan:
         return {s[pos + 1 - l: pos + 1] for pos, l in enumerate(self.max_suffix.tolist())}
 
 
-def _scan(text: bytes, fill=None) -> PrefixScan:
+def _scan(text: bytes) -> PrefixScan:
     """One tree pass over ``text`` (letters 0 and 1)."""
-    if fill is None:
-        fill = kernels.eertree_fill
     n = len(text)
     cap = n + 3
     lens = array("q", bytes(8 * cap))
     link = array("i", bytes(4 * cap))
     depth = array("i", bytes(4 * cap))
     node = array("i", bytes(4 * n))
-    bufs = (text, lens, link, array("i", bytes(8 * cap)), depth, node)
-    if kernels.eertree_fill_jit is not None and fill is not kernels.eertree_fill_py:
-        # the jitted fill takes NumPy views of the same buffers (zero copy)
-        bufs = (np.frombuffer(text, dtype=np.uint8), *map(np.asarray, bufs[1:]))
-    nodes = int(fill(*bufs))
-    del bufs  # frees the edge table before the per-position arrays are built
+    # looked up at call time, so a wrapper on the module attribute sees every
+    # fill; the edge table is a temporary, freed before the arrays are built
+    nodes = kernels.eertree_fill(text, lens, link, array("i", bytes(8 * cap)), depth, node)
     lens_a = np.asarray(lens)[:nodes]
     link_a = np.asarray(link)[:nodes]
     node_a = np.asarray(node)
@@ -117,10 +112,10 @@ def scan_word(w: str) -> PrefixScan:
     return _scan(w.encode("ascii").translate(_CODES))
 
 
-def scan_prefix(n: int, fill=None) -> PrefixScan:
-    """Run the (backend-selected) tree kernel over the length-n prefix."""
+def scan_prefix(n: int) -> PrefixScan:
+    """Run the tree kernel over the length-n prefix."""
     check_cap(n, "prefix scan")
-    return _scan(prefix_array(n).tobytes(), fill)
+    return _scan(prefix_array(n).tobytes())
 
 
 def eertree_end_counts(n_max: int) -> np.ndarray:

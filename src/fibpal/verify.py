@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from . import counting, cylinder, kernels, oracle, singular
 from .chain import chain_interval, new_pal_at, pal_end_pos, pal_span
 from .cylinder import PalCoord, coord_from_pal, pal_from_coord, pals_of_length
 from .errors import DomainError
-from .fibword import check_floor_identities, fib, prefix
+from .fibword import check_floor_identities, fib, fib_floor_index, prefix
 
 
 @dataclass
@@ -28,11 +28,24 @@ class VerifyResult:
     checked: int
     counterexample: dict | None = None
     seconds: float = 0.0
-    notes: dict = field(default_factory=dict)
 
 
-def _finish(name, ok, checked, t0, counterexample=None, **notes):
-    return VerifyResult(name, ok, checked, counterexample, time.perf_counter() - t0, dict(notes))
+def _finish(name, ok, checked, t0, counterexample=None):
+    return VerifyResult(name, ok, checked, counterexample, time.perf_counter() - t0)
+
+
+def _require_prefix(prefix_n: int, max_len: int) -> None:
+    """Refuse a prefix too short to hold every factor of length <= max_len.
+
+    The kernel S(m) of a factor of length L has fib(m) <= L, and the first
+    occurrence of the factor puts its kernel on S(m)'s first occurrence at
+    fib(m+1) (singular.py), so every such factor ends within fib(M+1) + L
+    letters, M = fib_floor_index(L).  The bound grows with L.
+    """
+    need = fib(fib_floor_index(max_len) + 1) + max_len
+    if prefix_n < need:
+        raise DomainError(f"a prefix of {prefix_n} letters may miss factors of length {max_len}; "
+                          f"the prefix length (--max-n) must be >= {need}")
 
 
 def verify_floors(max_p: int = 10**6) -> VerifyResult:
@@ -61,6 +74,7 @@ def verify_floors(max_p: int = 10**6) -> VerifyResult:
 
 def verify_cylinder(prefix_n: int = 10**4, max_len: int = 100) -> VerifyResult:
     """Coordinate enumeration vs. naive palindrome scan, plus classification."""
+    _require_prefix(prefix_n, max_len)
     t0 = time.perf_counter()
     scanned = oracle.center_palindrome_set(prefix(prefix_n), max_len)
     generated = {}
@@ -171,7 +185,7 @@ def verify_counts(max_n: int = 10**4) -> VerifyResult:
         total += a
         if counting.occurrence_count(n) != total:
             return _finish("counts", False, n, t0, {"n": n, "closed_total": counting.occurrence_count(n), "oracle_total": total})
-    return _finish("counts", True, max_n, t0, backend=kernels.active_backend())
+    return _finish("counts", True, max_n, t0)
 
 
 def verify_richness(max_n: int = 10**5) -> VerifyResult:
@@ -182,7 +196,7 @@ def verify_richness(max_n: int = 10**5) -> VerifyResult:
     if not np.array_equal(scan.distinct, want):
         n = int(np.nonzero(scan.distinct != want)[0][0]) + 1
         return _finish("richness", False, max_n, t0, {"n": n, "distinct": int(scan.distinct[n - 1])})
-    return _finish("richness", True, max_n, t0, backend=kernels.active_backend())
+    return _finish("richness", True, max_n, t0)
 
 
 def verify_return_words(prefix_n: int = 10**4, factors: list[str] | None = None) -> VerifyResult:
@@ -205,6 +219,7 @@ def verify_kernels(prefix_n: int = 10**4, max_p: int = 50, max_len: int = 50) ->
     For lengths up to 10 every word over {a, b} is also checked:
     ``is_factor`` must hold exactly on the factors scanned.
     """
+    _require_prefix(prefix_n, max_len)
     t0 = time.perf_counter()
     s = prefix(prefix_n)
     checked = 0

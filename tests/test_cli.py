@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -148,6 +149,16 @@ def test_verify_bounds_below_one_exit_2(capsys):
         assert "must be >= 1" in err, argv
 
 
+def test_verify_prefix_too_short_exit_2(capsys):
+    # every factor of length L occurs within fib(fib_floor_index(L) + 1) + L
+    # letters: 244 for the cylinder suite's L = 100, 105 for the kernels' 50
+    for suite, short, enough in (("cylinder", 236, 244), ("kernels", 104, 105)):
+        code, out, err = run_cli(capsys, "verify", suite, "--max-n", str(short))
+        assert code == 2 and out == "" and str(enough) in err, suite
+        code, out, _ = run_cli(capsys, "verify", suite, "--max-n", str(enough))
+        assert code == 0 and records(out)[0]["ok"] is True, suite
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     broken = dict(verify.SUITES)
     broken["floors"] = lambda max_n, max_m, max_p: VerifyResult(
@@ -166,6 +177,12 @@ def test_bench_records(capsys):
     recs = records(out)
     assert [r["n"] for r in recs] == [2000, 4000]
     assert all(r["agree"] for r in recs)
+
+
+def test_bench_backends_flag_removed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--n-list", "100", "--backends"])
+    assert exc.value.code == 2
 
 
 def test_bench_repeat_zero_exit_2(capsys):
@@ -218,6 +235,15 @@ def test_internal_error_exit_3(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "fib", "-m", "6")
     assert code == 3 and out == ""
     assert "fibpal: internal error: RuntimeError: boom" in err
+
+
+def test_fib_past_table_limit_exit_2(capsys):
+    size = len(fibpal.fibword._fibs)
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "fib", "-m", "1000000")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == "" and "limit" in err
+    assert len(fibpal.fibword._fibs) == size
 
 
 def test_count_past_1e1000(capsys):
@@ -296,9 +322,13 @@ print("ok")
 """
 
 
-def test_query_commands_do_not_import_numpy():
+def _env_with_src(*paths):
     src = str(Path(fibpal.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [*paths, src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_query_commands_do_not_import_numpy():
+    env = _env_with_src()
     proc = subprocess.run(
         [sys.executable, "-c", IMPORT_SPLIT, json.dumps(QUERY_ARGVS)],
         capture_output=True, text=True, env=env,
@@ -318,3 +348,17 @@ def test_oracle_names_resolve_lazily():
     assert set(fibpal.__all__) <= set(namespace)
     with pytest.raises(AttributeError):
         fibpal.no_such_name
+
+
+def test_stale_backend_setting_is_ignored(tmp_path):
+    # the tree fill has one implementation: neither a leftover FIBPAL_BACKEND
+    # nor an importable but broken numba may turn verify into an internal error
+    (tmp_path / "numba").mkdir()
+    (tmp_path / "numba" / "__init__.py").write_text('raise ImportError("stub numba")\n')
+    env = {**_env_with_src(str(tmp_path)), "FIBPAL_BACKEND": "numba"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "fibpal.cli", "verify", "richness", "--max-n", "100"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["ok"] is True

@@ -29,7 +29,7 @@ from fibpal import (
     split_cell,
     tail_sum,
 )
-from fibpal import counting, oracle
+from fibpal import counting, fibword, oracle
 from fibpal.fibword import fib_floor_index
 
 # end-count vectors over the first six blocks
@@ -274,6 +274,19 @@ def test_expansion_respects_materialize_cap(monkeypatch):
         expand_cell(20, 1, depth=10)  # 2**10 leaves
     assert len(expand_leaves(14, 1)) == fib(14) == 987
     assert expand_cell(20, 1, depth=9)["m"] == 20
+
+
+def test_count_past_fib_table_limit():
+    # 10**100000 has block index ~478,500, past fibword.FIB_INDEX_MAX; the
+    # refusal comes before the Fibonacci table grows
+    size = len(fibword._fibs)
+    with pytest.raises(ResourceError):
+        occurrence_count(10**100000)
+    with pytest.raises(ResourceError):
+        fib_floor_index(10**100000)
+    assert len(fibword._fibs) == size
+    m = fib_floor_index(10**10000)  # still inside the limit
+    assert fib(m) <= 10**10000 < fib(m + 1)
 
 
 def test_expand_cell_tree_shape():

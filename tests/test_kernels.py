@@ -8,7 +8,7 @@ from fibpal import kernels, oracle, verify
 
 
 def test_backend_reported():
-    assert kernels.active_backend() in ("numba", "python")
+    assert kernels.active_backend() == "python"
 
 
 def test_floor_phi_block_matches_scalar():
@@ -58,19 +58,6 @@ def test_floor_identity_scan_catches_a_wrong_floor(monkeypatch):
     assert not r.ok and r.counterexample["p"] == first
 
 
-def test_eertree_fill_backends_agree():
-    n = 20000
-    py = oracle.scan_prefix(n, fill=kernels.eertree_fill_py)
-    assert py.nodes - 2 == n
-    if kernels.eertree_fill_jit is None:
-        pytest.skip("numba unavailable")
-    jit = oracle.scan_prefix(n, fill=kernels.eertree_fill_jit)
-    assert py.nodes == jit.nodes
-    assert np.array_equal(py.end_counts, jit.end_counts)
-    assert np.array_equal(py.max_suffix, jit.max_suffix)
-    assert np.array_equal(py.distinct, jit.distinct)
-
-
 def test_eertree_fill_arbitrary_text():
     # the kernel is not Fibonacci-specific; richness can fail, sizes cannot
     text = bytes([0, 0, 1, 1, 0, 1, 0, 0, 1, 1, 1])
@@ -78,7 +65,7 @@ def test_eertree_fill_arbitrary_text():
     cap = n + 3
     lens, link, depth = array("q", [0]) * cap, array("i", [0]) * cap, array("i", [0]) * cap
     node = array("i", [0]) * n
-    nodes = kernels.eertree_fill_py(text, lens, link, array("i", [0]) * (2 * cap), depth, node)
+    nodes = kernels.eertree_fill(text, lens, link, array("i", [0]) * (2 * cap), depth, node)
     s = "".join("ab"[c] for c in text)
     assert nodes - 2 == len(oracle.naive_palindrome_set(s))
     assert [depth[v] for v in node] == oracle.center_end_counts(s)
