@@ -13,11 +13,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
 from . import counting, cylinder, fibword, singular
 from .chain import chain_interval, distinct_count, new_pal_at, pal_span, singular_end_pos, singular_start_pos
 from .cylinder import PalCoord, coord_from_pal, pal_from_coord, pals_of_length
 from .errors import DomainError, ResourceError
+
+if TYPE_CHECKING:
+    from collections.abc import Callable, Iterable
 
 # words longer than this are reported by coordinates only
 INLINE_WORD_MAX = 10**4
@@ -35,9 +39,31 @@ class _SubParser(argparse.ArgumentParser):
         self.add_argument("--plain", action="store_true", default=argparse.SUPPRESS)
 
 
-def _emit(args, record: dict, plain_lines: list[str] | None = None) -> None:
+def _long_int_field(value, limit: int, path: str = "") -> str | None:
+    """Path of the first int in a record with more than ``limit`` digits, if any."""
+    if isinstance(value, int):  # 2**(3 * limit) < 10**limit: most ints skip the power
+        return path if value.bit_length() > 3 * limit and abs(value) >= 10**limit else None
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        found = _long_int_field(item, limit, f"{path}.{key}" if path else str(key))
+        if found is not None:
+            return found
+    return None
+
+
+def _emit(args, record: dict, plain_lines: Callable[[], Iterable[str]] | None = None) -> None:
+    """Print the record as JSON, or with --plain the lines ``plain_lines()`` builds.
+
+    Python refuses to print an int longer than ``sys.get_int_max_str_digits()``
+    digits; such an answer is refused as a ResourceError naming its field.
+    """
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    field = _long_int_field(record, limit) if limit else None
+    if field is not None:
+        raise ResourceError(f"field {field!r} of the answer has more than {limit} digits, the interpreter's "
+                            "limit for printing an integer (raise it with PYTHONINTMAXSTRDIGITS)")
     if args.plain and plain_lines is not None:
-        print("\n".join(plain_lines))
+        print("\n".join(plain_lines()))
     else:
         print(json.dumps(record, sort_keys=True))
 
@@ -68,19 +94,19 @@ def _cell_lines(node: dict, depth: int = 0) -> list[str]:
 
 def cmd_fib(args) -> int:
     value = fibword.fib(args.m)
-    _emit(args, {"cmd": "fib", "m": args.m, "value": value}, [str(value)])
+    _emit(args, {"cmd": "fib", "m": args.m, "value": value}, lambda: [str(value)])
     return 0
 
 
 def cmd_letters(args) -> int:
     letter = fibword.letter_at(args.n)
-    _emit(args, {"cmd": "letters", "n": args.n, "letter": letter}, [letter])
+    _emit(args, {"cmd": "letters", "n": args.n, "letter": letter}, lambda: [letter])
     return 0
 
 
 def cmd_prefix(args) -> int:
     word = fibword.prefix(args.n)
-    _emit(args, {"cmd": "prefix", "n": args.n, "word": word}, [word])
+    _emit(args, {"cmd": "prefix", "n": args.n, "word": word}, lambda: [word])
     return 0
 
 
@@ -89,7 +115,7 @@ def cmd_singular(args) -> int:
     _emit(
         args,
         {"cmd": "singular", "m": args.m, "word": word, "length": fibword.fib(args.m)},
-        [word],
+        lambda: [word],
     )
     return 0
 
@@ -103,7 +129,7 @@ def cmd_kernel(args) -> int:
         "offset": res.offset,
         "kernel": singular.singular_word(res.m),
     }
-    _emit(args, rec, [f"kernel index {res.m} ({rec['kernel']}) at offset {res.offset}"])
+    _emit(args, rec, lambda: [f"kernel index {res.m} ({rec['kernel']}) at offset {res.offset}"])
     return 0
 
 
@@ -111,30 +137,32 @@ def cmd_pal(args) -> int:
     if args.pal_cmd == "list":
         coords = pals_of_length(args.length)
         rec = {"cmd": "pal list", "length": args.length, "palindromes": [_coord_info(c) for c in coords]}
-        lines = []
-        for info in rec["palindromes"]:
-            label = info.get("word", f"(length {info['length']})")
-            lines.append(f"{label}  (m={info['m']}, i={info['i']}, cylinder {info['cylinder']})")
+
+        def lines():
+            for info in rec["palindromes"]:
+                label = info.get("word", f"(length {info['length']})")
+                yield f"{label}  (m={info['m']}, i={info['i']}, cylinder {info['cylinder']})"
+
         _emit(args, rec, lines)
     elif args.pal_cmd == "coord":
         c = coord_from_pal(args.word)
         _emit(args, {"cmd": "pal coord", "word": args.word, **_coord_info(c)},
-              [f"m={c.m} i={c.i}"])
+              lambda: [f"m={c.m} i={c.i}"])
     elif args.pal_cmd == "at":
         c = new_pal_at(args.n)
         info = _coord_info(c)
         info["start"] = args.n - c.length() + 1
         info["end"] = args.n
         _emit(args, {"cmd": "pal at", "n": args.n, **info},
-              [f"m={c.m} i={c.i} length={c.length()} span=[{info['start']},{info['end']}]"])
+              lambda: [f"m={c.m} i={c.i} length={c.length()} span=[{info['start']},{info['end']}]"])
     elif args.pal_cmd == "conjugates":
         words = sorted(cylinder.palindromic_conjugates(args.m))
         _emit(args, {"cmd": "pal conjugates", "m": args.m, "words": words, "count": len(words)},
-              words or ["(none)"])
+              lambda: words or ["(none)"])
     else:  # prefix-lengths
         lengths = cylinder.prefix_palindrome_lengths(args.max)
         _emit(args, {"cmd": "pal prefix-lengths", "max": args.max, "lengths": lengths},
-              [" ".join(map(str, lengths))])
+              lambda: [" ".join(map(str, lengths))])
     return 0
 
 
@@ -143,26 +171,26 @@ def cmd_pos(args) -> int:
         start = singular_start_pos(args.m, args.p)
         end = singular_end_pos(args.m, args.p)
         _emit(args, {"cmd": "pos kernel", "m": args.m, "p": args.p, "start": start, "end": end},
-              [f"[{start},{end}]"])
+              lambda: [f"[{start},{end}]"])
     else:
         span = pal_span(PalCoord(args.m, args.i), args.p)
         _emit(args, {"cmd": "pos pal", "m": args.m, "i": args.i, "p": args.p,
                      "start": span.start, "end": span.end, "length": span.length()},
-              [f"[{span.start},{span.end}]"])
+              lambda: [f"[{span.start},{span.end}]"])
     return 0
 
 
 def cmd_chain(args) -> int:
     iv = chain_interval(args.m, args.p)
     _emit(args, {"cmd": "chain", "m": args.m, "p": args.p, "lo": iv.lo, "hi": iv.hi, "size": iv.size()},
-          [f"<K_{args.m},{args.p}> = {{{iv.lo},...,{iv.hi}}}"])
+          lambda: [f"<K_{args.m},{args.p}> = {{{iv.lo},...,{iv.hi}}}"])
     return 0
 
 
 def cmd_tau(args) -> int:
     depth = None if args.expand_depth == -1 else args.expand_depth
     tree = counting.expand_cell(args.m, args.p, depth=depth, include_reduce=args.reduce)
-    _emit(args, {"cmd": "tau", "m": args.m, "p": args.p, "tree": tree}, _cell_lines(tree))
+    _emit(args, {"cmd": "tau", "m": args.m, "p": args.p, "tree": tree}, lambda: _cell_lines(tree))
     return 0
 
 
@@ -181,8 +209,8 @@ def cmd_count(args) -> int:
             "end_count_fib_minus1": e1,
             "end_count_fib": e0,
         }
-        _emit(args, rec, [f"B(f_{args.m}-2)={before}  B(f_{args.m})={at_fib}  "
-                          f"A(f_{args.m}-2..f_{args.m})=({e2},{e1},{e0})"])
+        _emit(args, rec, lambda: [f"B(f_{args.m}-2)={before}  B(f_{args.m})={at_fib}  "
+                                  f"A(f_{args.m}-2..f_{args.m})=({e2},{e1},{e0})"])
         return 0
     if args.distinct == args.occurrences:
         raise DomainError("count requires exactly one of --distinct / --occurrences")
@@ -190,17 +218,16 @@ def cmd_count(args) -> int:
         raise DomainError("count requires -n")
     if args.distinct:
         value = distinct_count(args.n)
-        _emit(args, {"cmd": "count", "mode": "distinct", "n": args.n, "value": value}, [str(value)])
+        _emit(args, {"cmd": "count", "mode": "distinct", "n": args.n, "value": value}, lambda: [str(value)])
         return 0
     if args.trace:
         value, trace = counting.occurrence_count_trace(args.n)
         rec = {"cmd": "count", "mode": "occurrences", "n": args.n, "value": value, "trace": trace}
-        lines = [f"B({args.n}) = {value}",
-                 f"  before block: {trace.get('before_block')}  tail: {trace.get('tail')}"]
-        _emit(args, rec, lines)
+        _emit(args, rec, lambda: [f"B({args.n}) = {value}",
+                                  f"  before block: {trace.get('before_block')}  tail: {trace.get('tail')}"])
     else:
         value = counting.occurrence_count(args.n)
-        _emit(args, {"cmd": "count", "mode": "occurrences", "n": args.n, "value": value}, [str(value)])
+        _emit(args, {"cmd": "count", "mode": "occurrences", "n": args.n, "value": value}, lambda: [str(value)])
     return 0
 
 
@@ -220,8 +247,8 @@ def cmd_verify(args) -> int:
                "seconds": round(r.seconds, 6)}
         if r.counterexample is not None:
             rec["counterexample"] = r.counterexample
-        _emit(args, rec, [f"{r.name}: {'ok' if r.ok else 'FAIL ' + repr(r.counterexample)} "
-                          f"({r.checked} checks, {r.seconds:.2f}s)"])
+        _emit(args, rec, lambda: [f"{r.name}: {'ok' if r.ok else 'FAIL ' + repr(r.counterexample)} "
+                                  f"({r.checked} checks, {r.seconds:.2f}s)"])
         failed |= not r.ok
     return 1 if failed else 0
 
@@ -247,8 +274,8 @@ def cmd_bench(args) -> int:
             "speedup": row.speedup,
             "agree": row.closed_value == row.tree_value,
         }
-        _emit(args, rec, [f"n={row.n} closed {row.closed_seconds * 1e6:.1f}us "
-                          f"tree {row.tree_seconds:.3f}s speedup {row.speedup:.0f}x"])
+        _emit(args, rec, lambda: [f"n={row.n} closed {row.closed_seconds * 1e6:.1f}us "
+                                  f"tree {row.tree_seconds:.3f}s speedup {row.speedup:.0f}x"])
     return 0
 
 

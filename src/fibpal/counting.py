@@ -17,11 +17,17 @@ block(m), so the per-index form is the single-branch
 
     end_count(n) = end_count(n - fib(m-1)) + 1
 
-for every n in block m, after which n lies in block m-1 or m-2.  The
-cumulative count is a closed form at the block boundary plus a tail sum that
-follows the same chain in two cases, so all four counting queries share one
-iterative O(log n) walk with no memo; every /5 division is checked exact.
-Agreement with the block form and the tree oracle is enforced by the tests.
+for every n in block m, after which n lies in block m-1 or m-2.  All four
+counting queries share one iterative O(log n) walk with no memo, on the block
+offset r = n - fib(m) + 1: a hop keeps r into block m-2 if r < fib(m-3), else
+subtracts fib(m-3) into block m-1 (the greedy Zeckendorf digits of r), so it
+costs one big-int comparison and at most one big-int subtraction.  The
+cumulative count is a closed form at the block boundary plus a tail sum whose
+every term is a small integer times a Fibonacci number: the walk collects the
+small coefficients per index, checks on small integers (fib mod 5) that each
+head's closed form is exact, and combines them in one dot product with one
+checked division by 5.  Agreement with the block form and the tree oracle is
+enforced by the tests.
 
 Interval splitting
 ------------------
@@ -38,13 +44,18 @@ first cells down to kernel indices {-1, 0} tiles every interval.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
+from . import fibword
 from .chain import ChainInterval, chain_interval, singular_end_pos
 from .errors import DomainError
 from .fibword import check_cap, fib, fib_floor_index
 
 # end_count(1) .. end_count(6); the walk bottoms out here.
 _END_BASE = (1, 1, 2, 2, 2, 3)
+
+# fib(k) % 5 at index k % 20, for k >= -1: fib mod 5 has period 20 (Pisano).
+_FIB_MOD5 = (1, 2, 3, 0, 3, 3, 1, 4, 0, 4, 4, 3, 2, 0, 2, 2, 4, 1, 0, 1)
 
 
 def _div5(x: int) -> int:
@@ -54,37 +65,44 @@ def _div5(x: int) -> int:
 
 
 def _walk(n: int, with_tail: bool, steps: list | None = None) -> tuple[int, int, int]:
-    """(end_count(n), tail_sum(n), block index of n) by walking n -> n - fib(m-1).
+    """(end_count(n), tail_sum(n), block index of n) by walking the block offset.
 
-    The tail is 0 unless ``with_tail``; then each step adds its contribution:
-    below the block's halfway point 2*fib(m-1)-1 the range is a shifted copy
-    of a lower block, past it a closed form for the copied head joins the
-    shifted tail.  A ``steps`` list receives (n, m, case, contribution).
+    A "copy" hop keeps the offset r; a "head+tail" hop (r >= fib(m-3)) takes
+    r - fib(m-3).  With ``with_tail`` the tail adds r + 1 per hop, the closed
+    form (5 fib(m) + (m-11) fib(m-1) + (m+1) fib(m-3)) / 5 of each copied
+    head, and the base table.  A ``steps`` list receives (m, r, case) per hop
+    and the final (m, r, "table").
     """
     m0 = m = fib_floor_index(n + 1)  # the block: fib(m) - 1 <= n <= fib(m+1) - 2
-    fm, f1 = fib(m), fib(m - 1)  # kept equal to fib(m), fib(m-1) as m drops
-    hops = tail = 0
-    while n > 6:
-        if with_tail:
-            if n + 1 < 2 * f1:
-                case, part = "copy", n - fm + 2
-            else:  # 2*f1 - fm is fib(m-3)
-                case, part = "head+tail", n + _div5((m - 11) * f1 + (m + 1) * (2 * f1 - fm)) + 2
-            tail += part
-            if steps is not None:
-                steps.append((n, m, case, part))
-        n -= f1
-        hops += 1
-        if n >= f1 - 1:  # n now lies in block m-1, else in block m-2
-            m, fm, f1 = m - 1, f1, fm - f1
-        else:
-            m, fm, f1 = m - 2, fm - f1, 2 * f1 - fm
-    if with_tail:
-        part = sum(_END_BASE[fm - 2:n])
-        tail += part
+    fibs = fibword._fibs  # fibs[k + 1] is fib(k), grown past fib(m0) just above
+    r0 = r = n - fibs[m + 1] + 1
+    coef = [0] * (m0 + 2) if with_tail else None  # coef[k + 1] multiplies fib(k)
+    hops = 0
+    while m > 3:
+        g = fibs[m - 2]  # fib(m-3)
         if steps is not None:
-            steps.append((n, m, "table", part))
-    return _END_BASE[n - 1] + hops, tail, m0
+            steps.append((m, r, "copy" if r < g else "head+tail"))
+        if r < g:
+            m -= 2
+        else:
+            if coef is not None:
+                if ((m - 11) * _FIB_MOD5[(m - 1) % 20] + (m + 1) * _FIB_MOD5[(m - 3) % 20]) % 5:
+                    raise AssertionError(f"head closed form at block {m} is not divisible by 5")
+                coef[m + 1] += 5
+                coef[m] += m - 11
+                coef[m - 2] += 5 * hops + m + 1  # hops: fib(m-3) is in offsets 1 .. hops
+            r -= g
+            m -= 1
+        hops += 1
+    base = fibs[m + 1] - 2  # _END_BASE index of the block's first position
+    tail = 0
+    if coef is not None:
+        # the offsets sum to r0 + (hops - 1) r plus the hop-weighted fib(m-3) in coef
+        tail = hops + r0 + (hops - 1) * r + _div5(sum(map(mul, coef, fibs)))
+        tail += sum(_END_BASE[base:base + r + 1])
+    if steps is not None:
+        steps.append((m, r, "table"))
+    return _END_BASE[base + r] + hops, tail, m0
 
 
 def end_count(n: int) -> int:
@@ -175,9 +193,11 @@ def occurrence_count_trace(n: int) -> tuple[int, dict]:
     walked: list = []
     _, tail, m = _walk(n, True, walked)
     steps, done = [], 0
-    for k, mk, case, part in walked:
-        steps.append({"n": k, "m": mk, "case": case, "value": tail - done})
-        done += part
+    for mk, r, case in walked:
+        steps.append({"n": r + fib(mk) - 1, "m": mk, "case": case, "value": tail - done})
+        done += r + 1
+        if case == "head+tail":
+            done += _div5(5 * fib(mk) + (mk - 11) * fib(mk - 1) + (mk + 1) * fib(mk - 3))
     before = block_prefix_total(m)
     return before + tail, {"m": m, "before_block": before, "tail": tail, "tail_steps": steps}
 

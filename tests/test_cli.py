@@ -246,6 +246,24 @@ def test_fib_past_table_limit_exit_2(capsys):
     assert len(fibpal.fibword._fibs) == size
 
 
+def test_answer_past_int_digit_limit_exit_2(capsys):
+    # Python prints ints of at most sys.get_int_max_str_digits() digits (4300 by default)
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python prints ints of any length")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for argv, field in ((("fib", "-m", "20700"), "value"), (("--plain", "fib", "-m", "20700"), "value"),
+                            (("chain", "-m", "21000", "-p", "1"), "lo")):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == "" and f"field {field!r}" in err and "4300 digits" in err, argv
+        code, out, _ = run_cli(capsys, "fib", "-m", "20000")
+        assert code == 0 and records(out)[0]["value"] == fibpal.fib(20000)
+        assert len(str(fibpal.fib(20000))) == 4180
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_count_past_1e1000(capsys):
     n = 10**1000 + 7
     code, out, _ = run_cli(capsys, "count", "--occurrences", "-n", str(n))

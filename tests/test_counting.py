@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from itertools import count
 from pathlib import Path
 from random import Random
 
@@ -108,6 +109,48 @@ def test_occurrence_count_trace():
     assert trace["tail_steps"][-1]["case"] == "table"
 
 
+def reference_walk(n):
+    """The n -> n - fib(m-1) walk with a big-int part per step: (end count, tail, block, trace steps)."""
+    base = (1, 1, 2, 2, 2, 3)  # end_count(1) .. end_count(6)
+    m0 = m = fib_floor_index(n + 1)
+    fm, f1 = fib(m), fib(m - 1)
+    hops, parts = 0, []
+    while n > 6:
+        if n + 1 < 2 * f1:
+            parts.append((n, m, "copy", n - fm + 2))
+        else:  # 2*f1 - fm is fib(m-3)
+            head = (m - 11) * f1 + (m + 1) * (2 * f1 - fm)
+            assert head % 5 == 0
+            parts.append((n, m, "head+tail", n + head // 5 + 2))
+        n -= f1
+        hops += 1
+        if n >= f1 - 1:  # n now lies in block m-1, else in block m-2
+            m, fm, f1 = m - 1, f1, fm - f1
+        else:
+            m, fm, f1 = m - 2, fm - f1, 2 * f1 - fm
+    parts.append((n, m, "table", sum(base[fm - 2:n])))
+    tail = sum(part for *_, part in parts)
+    steps, done = [], 0
+    for k, mk, case, part in parts:
+        steps.append({"n": k, "m": mk, "case": case, "value": tail - done})
+        done += part
+    return base[n - 1] + hops, tail, m0, steps
+
+
+def test_walk_matches_reference_walk():
+    rng = Random(1972)
+    ns = list(range(1, 20001))
+    for k in (6, 18, 100, 1000):
+        ns += [rng.randrange(10**k, 10 ** (k + 1)) for _ in range(30)]
+    for n in ns:
+        end, tail, m, steps = reference_walk(n)
+        assert end_count(n) == end and tail_sum(n) == tail, n
+        if n > 3:  # below 4 the count comes from a table, without a walk
+            value, trace = occurrence_count_trace(n)
+            assert trace == {"m": m, "before_block": block_prefix_total(m), "tail": tail, "tail_steps": steps}, n
+            assert occurrence_count(n) == value == block_prefix_total(m) + tail, n
+
+
 @given(st.integers(min_value=1, max_value=10**12))
 @settings(max_examples=60)
 def test_occurrence_count_additivity(n):
@@ -199,14 +242,44 @@ def test_convolution_identity():
         assert convolution_identity_holds(m)
 
 
-def test_invariant_checks_survive_optimize_flag():
+def _run_optimized(code):
     src = str(Path(counting.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", "from fibpal import counting; print(counting._div5(7))"],
-        capture_output=True, text=True, env=env,
-    )
+    return subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+
+
+def test_invariant_checks_survive_optimize_flag():
+    proc = _run_optimized("from fibpal import counting; print(counting._div5(7))")
     assert proc.returncode != 0 and "AssertionError" in proc.stderr
+
+
+def _corrupt_fib_mod5(table, k=7):
+    """The fib-mod-5 table with entry k off by one."""
+    return table[:k] + ((table[k] + 1) % 5,) + table[k + 1:]
+
+
+def test_head_exactness_check_catches_faults(monkeypatch):
+    assert all(counting._FIB_MOD5[k % 20] == fib(k) % 5 for k in range(-1, 200))
+    n = 10**1000 + 12345
+    with monkeypatch.context() as mp:
+        mp.setattr(counting, "_FIB_MOD5", _corrupt_fib_mod5(counting._FIB_MOD5))
+        with pytest.raises(AssertionError, match="head closed form"):
+            occurrence_count(n)
+    calls = count()  # the first coefficient product comes out one too large
+    with monkeypatch.context() as mp:
+        mp.setattr(counting, "mul", lambda c, f: c * f + (next(calls) == 0))
+        with pytest.raises(AssertionError, match="not divisible by 5"):
+            occurrence_count(n)
+    assert occurrence_count(n) - occurrence_count(n - 1) == end_count(n)
+
+
+def test_head_exactness_check_survives_optimize_flag():
+    proc = _run_optimized(
+        "from fibpal import counting; t = counting._FIB_MOD5; "
+        "counting._FIB_MOD5 = t[:7] + ((t[7] + 1) % 5,) + t[8:]; "
+        "counting.occurrence_count(10**1000 + 12345)"
+    )
+    assert proc.returncode != 0 and "AssertionError: head closed form" in proc.stderr
 
 
 def test_divisibility_assertions_pass_at_scale():
@@ -312,16 +385,25 @@ def test_expand_cell_tree_shape():
     assert sorted(reduced + [p for m, p in leaves if m == -1]) == list(range(13, 21))
 
 
-def test_thread_safety_of_memoized_queries():
+def test_concurrent_counting_queries(monkeypatch):
+    # the walk reads the shared Fibonacci table without a lock: start from a
+    # fresh table so that some threads walk on it while another grows it
     from concurrent.futures import ThreadPoolExecutor
-    from random import Random
 
+    rng = Random(3)
     ns = list(range(1, 400)) + [10**9 + k for k in range(50)]
-    Random(3).shuffle(ns)
-    expected = {n: occurrence_count(n) for n in ns}
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(lambda n: (n, occurrence_count(n)), ns))
-    assert all(expected[n] == v for n, v in results)
+    ns += [rng.randrange(10**1000, 10**1001) for _ in range(12)] + [rng.randrange(10**4000, 10**4001) for _ in range(3)]
+    rng.shuffle(ns)
+    expected = {n: (occurrence_count(n), end_count(n)) for n in ns}
+    monkeypatch.setattr(fibword, "_fibs", [1, 1])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(lambda n: (n, (occurrence_count(n), end_count(n))), ns, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == len(ns) and all(expected[n] == v for n, v in results)
 
 
 def test_suffix_palindromes_repeat_across_cells():
