@@ -4,6 +4,10 @@ Every query emits one JSON record per line (machine consumption first); pass
 ``--plain`` for human-readable output.  Exit codes: 0 success, 1 verification
 failure, 2 usage or input error, 3 internal error.
 
+Each command is declared once, in ``COMMANDS``; the parser, every record and
+every ``--plain`` line are built from that table, so adding a command means
+adding one entry.
+
 The query commands never load NumPy: ``verify`` and ``bench`` import the
 oracle side, which needs it, only when they run.
 """
@@ -11,6 +15,7 @@ oracle side, which needs it, only when they run.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import TYPE_CHECKING
@@ -51,8 +56,8 @@ def _long_int_field(value, limit: int, path: str = "") -> str | None:
     return None
 
 
-def _emit(args, record: dict, plain_lines: Callable[[], Iterable[str]] | None = None) -> None:
-    """Print the record as JSON, or with --plain the lines ``plain_lines()`` builds.
+def _emit(plain: bool, record: dict, plain_lines: Callable[[dict], Iterable[str]]) -> None:
+    """Print the record as JSON, or with --plain the lines ``plain_lines(record)`` builds.
 
     Python refuses to print an int longer than ``sys.get_int_max_str_digits()``
     digits; such an answer is refused as a ResourceError naming its field.
@@ -62,8 +67,8 @@ def _emit(args, record: dict, plain_lines: Callable[[], Iterable[str]] | None = 
     if field is not None:
         raise ResourceError(f"field {field!r} of the answer has more than {limit} digits, the interpreter's "
                             "limit for printing an integer (raise it with PYTHONINTMAXSTRDIGITS)")
-    if args.plain and plain_lines is not None:
-        print("\n".join(plain_lines()))
+    if plain:
+        print("\n".join(plain_lines(record)))
     else:
         print(json.dumps(record, sort_keys=True))
 
@@ -92,289 +97,214 @@ def _cell_lines(node: dict, depth: int = 0) -> list[str]:
     return lines
 
 
-def cmd_fib(args) -> int:
-    value = fibword.fib(args.m)
-    _emit(args, {"cmd": "fib", "m": args.m, "value": value}, lambda: [str(value)])
-    return 0
+def _kernel(a) -> dict:
+    res = singular.kernel(a.word)
+    return {"word": a.word, "m": res.m, "offset": res.offset, "kernel": singular.singular_word(res.m)}
 
 
-def cmd_letters(args) -> int:
-    letter = fibword.letter_at(args.n)
-    _emit(args, {"cmd": "letters", "n": args.n, "letter": letter}, lambda: [letter])
-    return 0
+def _pal_list_lines(r: dict) -> Iterable[str]:
+    for info in r["palindromes"]:
+        label = info.get("word", f"(length {info['length']})")
+        yield f"{label}  (m={info['m']}, i={info['i']}, cylinder {info['cylinder']})"
 
 
-def cmd_prefix(args) -> int:
-    word = fibword.prefix(args.n)
-    _emit(args, {"cmd": "prefix", "n": args.n, "word": word}, lambda: [word])
-    return 0
+def _pal_at(a) -> dict:
+    c = new_pal_at(a.n)
+    return {"n": a.n, **_coord_info(c), "start": a.n - c.length() + 1, "end": a.n}
 
 
-def cmd_singular(args) -> int:
-    word = singular.singular_word(args.m)
-    _emit(
-        args,
-        {"cmd": "singular", "m": args.m, "word": word, "length": fibword.fib(args.m)},
-        lambda: [word],
-    )
-    return 0
+def _pal_conjugates(a) -> dict:
+    words = sorted(cylinder.palindromic_conjugates(a.m))
+    return {"m": a.m, "words": words, "count": len(words)}
 
 
-def cmd_kernel(args) -> int:
-    res = singular.kernel(args.word)
-    rec = {
-        "cmd": "kernel",
-        "word": args.word,
-        "m": res.m,
-        "offset": res.offset,
-        "kernel": singular.singular_word(res.m),
-    }
-    _emit(args, rec, lambda: [f"kernel index {res.m} ({rec['kernel']}) at offset {res.offset}"])
-    return 0
+def _pos_pal(a) -> dict:
+    span = pal_span(PalCoord(a.m, a.i), a.p)
+    return {"m": a.m, "i": a.i, "p": a.p, "start": span.start, "end": span.end, "length": span.length()}
 
 
-def cmd_pal(args) -> int:
-    if args.pal_cmd == "list":
-        coords = pals_of_length(args.length)
-        rec = {"cmd": "pal list", "length": args.length, "palindromes": [_coord_info(c) for c in coords]}
-
-        def lines():
-            for info in rec["palindromes"]:
-                label = info.get("word", f"(length {info['length']})")
-                yield f"{label}  (m={info['m']}, i={info['i']}, cylinder {info['cylinder']})"
-
-        _emit(args, rec, lines)
-    elif args.pal_cmd == "coord":
-        c = coord_from_pal(args.word)
-        _emit(args, {"cmd": "pal coord", "word": args.word, **_coord_info(c)},
-              lambda: [f"m={c.m} i={c.i}"])
-    elif args.pal_cmd == "at":
-        c = new_pal_at(args.n)
-        info = _coord_info(c)
-        info["start"] = args.n - c.length() + 1
-        info["end"] = args.n
-        _emit(args, {"cmd": "pal at", "n": args.n, **info},
-              lambda: [f"m={c.m} i={c.i} length={c.length()} span=[{info['start']},{info['end']}]"])
-    elif args.pal_cmd == "conjugates":
-        words = sorted(cylinder.palindromic_conjugates(args.m))
-        _emit(args, {"cmd": "pal conjugates", "m": args.m, "words": words, "count": len(words)},
-              lambda: words or ["(none)"])
-    else:  # prefix-lengths
-        lengths = cylinder.prefix_palindrome_lengths(args.max)
-        _emit(args, {"cmd": "pal prefix-lengths", "max": args.max, "lengths": lengths},
-              lambda: [" ".join(map(str, lengths))])
-    return 0
+def _chain(a) -> dict:
+    iv = chain_interval(a.m, a.p)
+    return {"m": a.m, "p": a.p, "lo": iv.lo, "hi": iv.hi, "size": iv.size()}
 
 
-def cmd_pos(args) -> int:
-    if args.pos_cmd == "kernel":
-        start = singular_start_pos(args.m, args.p)
-        end = singular_end_pos(args.m, args.p)
-        _emit(args, {"cmd": "pos kernel", "m": args.m, "p": args.p, "start": start, "end": end},
-              lambda: [f"[{start},{end}]"])
-    else:
-        span = pal_span(PalCoord(args.m, args.i), args.p)
-        _emit(args, {"cmd": "pos pal", "m": args.m, "i": args.i, "p": args.p,
-                     "start": span.start, "end": span.end, "length": span.length()},
-              lambda: [f"[{span.start},{span.end}]"])
-    return 0
-
-
-def cmd_chain(args) -> int:
-    iv = chain_interval(args.m, args.p)
-    _emit(args, {"cmd": "chain", "m": args.m, "p": args.p, "lo": iv.lo, "hi": iv.hi, "size": iv.size()},
-          lambda: [f"<K_{args.m},{args.p}> = {{{iv.lo},...,{iv.hi}}}"])
-    return 0
-
-
-def cmd_tau(args) -> int:
-    depth = None if args.expand_depth == -1 else args.expand_depth
-    tree = counting.expand_cell(args.m, args.p, depth=depth, include_reduce=args.reduce)
-    _emit(args, {"cmd": "tau", "m": args.m, "p": args.p, "tree": tree}, lambda: _cell_lines(tree))
-    return 0
-
-
-def cmd_count(args) -> int:
-    if args.count_cmd == "special":
-        if args.m is None:
+def _count(a) -> dict:
+    if a.count_cmd == "special":
+        if a.m is None:
             raise DomainError("count special requires --m")
-        before, at_fib = counting.block_prefix_total(args.m), counting.fib_prefix_total(args.m)
-        e2, e1, e0 = counting.end_count_near_fib(args.m)
-        rec = {
-            "cmd": "count special",
-            "m": args.m,
-            "total_at_fib_minus2": before,
-            "total_at_fib": at_fib,
-            "end_count_fib_minus2": e2,
-            "end_count_fib_minus1": e1,
-            "end_count_fib": e0,
-        }
-        _emit(args, rec, lambda: [f"B(f_{args.m}-2)={before}  B(f_{args.m})={at_fib}  "
-                                  f"A(f_{args.m}-2..f_{args.m})=({e2},{e1},{e0})"])
-        return 0
-    if args.distinct == args.occurrences:
+        before, at_fib = counting.block_prefix_total(a.m), counting.fib_prefix_total(a.m)
+        e2, e1, e0 = counting.end_count_near_fib(a.m)
+        # "special" is a positional choice, not a subcommand, so the record names it here
+        return {"cmd": "count special", "m": a.m, "total_at_fib_minus2": before, "total_at_fib": at_fib,
+                "end_count_fib_minus2": e2, "end_count_fib_minus1": e1, "end_count_fib": e0}
+    if a.distinct == a.occurrences:
         raise DomainError("count requires exactly one of --distinct / --occurrences")
-    if args.n is None:
+    if a.n is None:
         raise DomainError("count requires -n")
-    if args.distinct:
-        value = distinct_count(args.n)
-        _emit(args, {"cmd": "count", "mode": "distinct", "n": args.n, "value": value}, lambda: [str(value)])
-        return 0
-    if args.trace:
-        value, trace = counting.occurrence_count_trace(args.n)
-        rec = {"cmd": "count", "mode": "occurrences", "n": args.n, "value": value, "trace": trace}
-        _emit(args, rec, lambda: [f"B({args.n}) = {value}",
-                                  f"  before block: {trace.get('before_block')}  tail: {trace.get('tail')}"])
-    else:
-        value = counting.occurrence_count(args.n)
-        _emit(args, {"cmd": "count", "mode": "occurrences", "n": args.n, "value": value}, lambda: [str(value)])
-    return 0
+    if a.distinct:
+        return {"mode": "distinct", "n": a.n, "value": distinct_count(a.n)}
+    if not a.trace:
+        return {"mode": "occurrences", "n": a.n, "value": counting.occurrence_count(a.n)}
+    value, trace = counting.occurrence_count_trace(a.n)
+    return {"mode": "occurrences", "n": a.n, "value": value, "trace": trace}
 
 
-def cmd_verify(args) -> int:
+def _count_lines(r: dict) -> list[str]:
+    if r["cmd"] == "count special":
+        m = r["m"]
+        return [f"B(f_{m}-2)={r['total_at_fib_minus2']}  B(f_{m})={r['total_at_fib']}  A(f_{m}-2..f_{m})="
+                f"({r['end_count_fib_minus2']},{r['end_count_fib_minus1']},{r['end_count_fib']})"]
+    if "trace" in r:
+        trace = r["trace"]
+        return [f"B({r['n']}) = {r['value']}",
+                f"  before block: {trace.get('before_block')}  tail: {trace.get('tail')}"]
+    return [str(r["value"])]
+
+
+def _verify(a) -> list[dict]:
     from . import verify
 
-    if args.suite == "all":
+    if a.suite == "all":
         names = list(verify.SUITES)
-    elif args.suite in verify.SUITES:
-        names = [args.suite]
+    elif a.suite in verify.SUITES:
+        names = [a.suite]
     else:
-        raise DomainError(f"unknown suite {args.suite!r}; choose from {', '.join(sorted(verify.SUITES))}, all")
-    results = verify.run_suites(names, args.max_n, args.max_m, args.max_p)
-    failed = False
-    for r in results:
-        rec = {"cmd": "verify", "suite": r.name, "ok": r.ok, "checked": r.checked,
-               "seconds": round(r.seconds, 6)}
+        raise DomainError(f"unknown suite {a.suite!r}; choose from {', '.join(sorted(verify.SUITES))}, all")
+    records = []
+    for r in verify.run_suites(names, a.max_n, a.max_m, a.max_p):
+        rec = {"suite": r.name, "ok": r.ok, "checked": r.checked, "seconds": round(r.seconds, 6)}
         if r.counterexample is not None:
             rec["counterexample"] = r.counterexample
-        _emit(args, rec, lambda: [f"{r.name}: {'ok' if r.ok else 'FAIL ' + repr(r.counterexample)} "
-                                  f"({r.checked} checks, {r.seconds:.2f}s)"])
-        failed |= not r.ok
-    return 1 if failed else 0
+        records.append(rec)
+    return records
 
 
-def cmd_bench(args) -> int:
+def _verify_lines(r: dict) -> list[str]:
+    verdict = "ok" if r["ok"] else "FAIL " + repr(r.get("counterexample"))
+    return [f"{r['suite']}: {verdict} ({r['checked']} checks, {r['seconds']:.2f}s)"]
+
+
+def _bench(a) -> list[dict]:
     from . import bench
 
     ns = []
-    for item in filter(None, args.n_list.split(",")):
+    for item in filter(None, a.n_list.split(",")):
         try:
             ns.append(int(item))
         except ValueError:
             raise DomainError(f"--n-list item {item!r} is not an integer") from None
     if not ns:
         raise DomainError("--n-list must name at least one prefix length")
-    rows = bench.run_bench(ns, repeat=args.repeat)
-    for row in rows:
-        rec = {
-            "cmd": "bench",
-            "n": row.n,
-            "closed_seconds": row.closed_seconds,
-            "tree_seconds": row.tree_seconds,
-            "speedup": row.speedup,
-            "agree": row.closed_value == row.tree_value,
-        }
-        _emit(args, rec, lambda: [f"n={row.n} closed {row.closed_seconds * 1e6:.1f}us "
-                                  f"tree {row.tree_seconds:.3f}s speedup {row.speedup:.0f}x"])
-    return 0
+    return [{"n": row.n, "closed_seconds": row.closed_seconds, "tree_seconds": row.tree_seconds,
+             "speedup": row.speedup, "agree": row.closed_value == row.tree_value}
+            for row in bench.run_bench(ns, repeat=a.repeat)]
 
 
+_INT = {"type": int, "required": True}
+_WORD = {"dest": "word", "required": True}
+
+# help of the commands that group subcommands ("pal at", "pos kernel", ...)
+GROUPS = {"pal": "palindrome queries", "pos": "occurrence positions"}
+
+# name -> (help, {flag or positional: add_argument keywords}, answer, plain), in
+# argparse usage order; a name with a space is a subcommand of its first word's
+# group.  answer(args) gives the record fields, or a list of them for one record
+# each; plain(record) gives the --plain lines of a finished record.
+COMMANDS: dict[str, tuple[str, dict[str, dict], Callable, Callable]] = {
+    "fib": ("Fibonacci number of the given index", {"-m": _INT},
+        lambda a: {"m": a.m, "value": fibword.fib(a.m)}, lambda r: [str(r["value"])]),
+    "letters": ("letter at a 1-based position", {"-n": _INT},
+        lambda a: {"n": a.n, "letter": fibword.letter_at(a.n)}, lambda r: [r["letter"]]),
+    "prefix": ("the length-n prefix", {"-n": _INT},
+        lambda a: {"n": a.n, "word": fibword.prefix(a.n)}, lambda r: [r["word"]]),
+    "singular": ("the m-th singular word", {"-m": _INT},
+        lambda a: {"m": a.m, "word": singular.singular_word(a.m), "length": fibword.fib(a.m)},
+        lambda r: [r["word"]]),
+    "kernel": ("maximal singular word inside a factor", {"-w": _WORD}, _kernel,
+        lambda r: [f"kernel index {r['m']} ({r['kernel']}) at offset {r['offset']}"]),
+    "pal list": ("all palindromes of a given length", {"--length": _INT},
+        lambda a: {"length": a.length,
+                   "palindromes": [_coord_info(c) for c in pals_of_length(a.length)]},
+        _pal_list_lines),
+    "pal coord": ("coordinates of a palindromic factor", {"-w": _WORD},
+        lambda a: {"word": a.word, **_coord_info(coord_from_pal(a.word))},
+        lambda r: [f"m={r['m']} i={r['i']}"]),
+    "pal at": ("the palindrome whose first occurrence ends at n", {"-n": _INT}, _pal_at,
+        lambda r: [f"m={r['m']} i={r['i']} length={r['length']} span=[{r['start']},{r['end']}]"]),
+    "pal conjugates": ("palindromic rotations of the m-th iterate", {"-m": _INT}, _pal_conjugates,
+        lambda r: r["words"] or ["(none)"]),
+    "pal prefix-lengths": ("prefix lengths that are palindromes", {"--max": _INT},
+        lambda a: {"max": a.max, "lengths": cylinder.prefix_palindrome_lengths(a.max)},
+        lambda r: [" ".join(map(str, r["lengths"]))]),
+    "pos kernel": ("span of the p-th singular-word occurrence", {"-m": _INT, "-p": _INT},
+        lambda a: {"m": a.m, "p": a.p, "start": singular_start_pos(a.m, a.p),
+                   "end": singular_end_pos(a.m, a.p)},
+        lambda r: [f"[{r['start']},{r['end']}]"]),
+    "pos pal": ("span of the p-th occurrence of palindrome (m, i)", {"-m": _INT, "-i": _INT, "-p": _INT},
+        _pos_pal, lambda r: [f"[{r['start']},{r['end']}]"]),
+    "chain": ("interval of p-th ending positions for kernel index m", {"-m": _INT, "-p": _INT}, _chain,
+        lambda r: [f"<K_{r['m']},{r['p']}> = {{{r['lo']},...,{r['hi']}}}"]),
+    "tau": ("recursive interval splitting", {
+        "-m": _INT, "-p": _INT,
+        "--expand-depth": {"type": int, "default": 1, "help": "splitting levels; -1 expands to the leaves"},
+        "--reduce": {"action": "store_true", "help": "attach the singleton reduction to index-0 leaves"},
+    }, lambda a: {"m": a.m, "p": a.p, "tree": counting.expand_cell(
+        a.m, a.p, depth=None if a.expand_depth == -1 else a.expand_depth, include_reduce=a.reduce)},
+        lambda r: _cell_lines(r["tree"])),
+    "count": ("distinct / repeated occurrence counts", {
+        "count_cmd": {"nargs": "?", "choices": ["special"], "default": None},
+        "--distinct": {"action": "store_true"},
+        "--occurrences": {"action": "store_true"},
+        "-n": {"type": int},
+        "--m": {"type": int},
+        "--trace": {"action": "store_true"},
+    }, _count, _count_lines),
+    "verify": ("run verification suites", {
+        "suite": {"help": "a suite name, or all"},
+        "--max-n": {"type": int, "default": 10**4},
+        "--max-m": {"type": int, "default": 10},
+        "--max-p": {"type": int, "default": 50},
+    }, _verify, _verify_lines),
+    "bench": ("closed forms vs. tree oracle timings", {
+        "--n-list": {"required": True, "help": "comma-separated prefix lengths"},
+        "--repeat": {"type": int, "default": 5},
+    }, _bench, lambda r: [f"n={r['n']} closed {r['closed_seconds'] * 1e6:.1f}us "
+                          f"tree {r['tree_seconds']:.3f}s speedup {r['speedup']:.0f}x"]),
+}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of ``COMMANDS``, built once per process."""
     parser = argparse.ArgumentParser(
         prog="fibpal",
         description="Exact palindrome queries on prefixes of the infinite Fibonacci word",
     )
     parser.add_argument("--plain", action="store_true", help="human-readable output instead of JSON records")
-    sub = parser.add_subparsers(dest="cmd", required=True, parser_class=_SubParser)
-
-    p = sub.add_parser("fib", help="Fibonacci number of the given index")
-    p.add_argument("-m", type=int, required=True)
-    p.set_defaults(func=cmd_fib)
-
-    p = sub.add_parser("letters", help="letter at a 1-based position")
-    p.add_argument("-n", type=int, required=True)
-    p.set_defaults(func=cmd_letters)
-
-    p = sub.add_parser("prefix", help="the length-n prefix")
-    p.add_argument("-n", type=int, required=True)
-    p.set_defaults(func=cmd_prefix)
-
-    p = sub.add_parser("singular", help="the m-th singular word")
-    p.add_argument("-m", type=int, required=True)
-    p.set_defaults(func=cmd_singular)
-
-    p = sub.add_parser("kernel", help="maximal singular word inside a factor")
-    p.add_argument("-w", dest="word", required=True)
-    p.set_defaults(func=cmd_kernel)
-
-    p = sub.add_parser("pal", help="palindrome queries")
-    psub = p.add_subparsers(dest="pal_cmd", required=True)
-    q = psub.add_parser("list", help="all palindromes of a given length")
-    q.add_argument("--length", type=int, required=True)
-    q = psub.add_parser("coord", help="coordinates of a palindromic factor")
-    q.add_argument("-w", dest="word", required=True)
-    q = psub.add_parser("at", help="the palindrome whose first occurrence ends at n")
-    q.add_argument("-n", type=int, required=True)
-    q = psub.add_parser("conjugates", help="palindromic rotations of the m-th iterate")
-    q.add_argument("-m", type=int, required=True)
-    q = psub.add_parser("prefix-lengths", help="prefix lengths that are palindromes")
-    q.add_argument("--max", type=int, required=True)
-    p.set_defaults(func=cmd_pal)
-
-    p = sub.add_parser("pos", help="occurrence positions")
-    psub = p.add_subparsers(dest="pos_cmd", required=True)
-    q = psub.add_parser("kernel", help="span of the p-th singular-word occurrence")
-    q.add_argument("-m", type=int, required=True)
-    q.add_argument("-p", type=int, required=True)
-    q = psub.add_parser("pal", help="span of the p-th occurrence of palindrome (m, i)")
-    q.add_argument("-m", type=int, required=True)
-    q.add_argument("-i", type=int, required=True)
-    q.add_argument("-p", type=int, required=True)
-    p.set_defaults(func=cmd_pos)
-
-    p = sub.add_parser("chain", help="interval of p-th ending positions for kernel index m")
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("-p", type=int, required=True)
-    p.set_defaults(func=cmd_chain)
-
-    p = sub.add_parser("tau", help="recursive interval splitting")
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("-p", type=int, required=True)
-    p.add_argument("--expand-depth", type=int, default=1,
-                   help="splitting levels; -1 expands to the leaves")
-    p.add_argument("--reduce", action="store_true",
-                   help="attach the singleton reduction to index-0 leaves")
-    p.set_defaults(func=cmd_tau)
-
-    p = sub.add_parser("count", help="distinct / repeated occurrence counts")
-    p.add_argument("count_cmd", nargs="?", choices=["special"], default=None)
-    p.add_argument("--distinct", action="store_true")
-    p.add_argument("--occurrences", action="store_true")
-    p.add_argument("-n", type=int)
-    p.add_argument("--m", type=int, dest="m")
-    p.add_argument("--trace", action="store_true")
-    p.set_defaults(func=cmd_count)
-
-    p = sub.add_parser("verify", help="run verification suites")
-    p.add_argument("suite", help="a suite name, or all")
-    p.add_argument("--max-n", type=int, default=10**4)
-    p.add_argument("--max-m", type=int, default=10)
-    p.add_argument("--max-p", type=int, default=50)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("bench", help="closed forms vs. tree oracle timings")
-    p.add_argument("--n-list", required=True, help="comma-separated prefix lengths")
-    p.add_argument("--repeat", type=int, default=5)
-    p.set_defaults(func=cmd_bench)
-
+    groups = {"": parser.add_subparsers(dest="cmd", required=True, parser_class=_SubParser)}
+    for name, (help_, arguments, _, _) in COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        if group not in groups:
+            groups[group] = groups[""].add_parser(group, help=GROUPS[group]).add_subparsers(
+                dest=f"{group}_cmd", required=True)
+        p = groups[group].add_parser(leaf, help=help_)
+        for flag, keywords in arguments.items():
+            p.add_argument(flag, **keywords)
+        p.set_defaults(command=name)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    _, _, answer, plain_lines = COMMANDS[args.command]
     try:
-        return args.func(args)
+        fields = answer(args)
+        failed = False
+        for one in fields if isinstance(fields, list) else [fields]:
+            record = {"cmd": args.command, **one}
+            _emit(args.plain, record, plain_lines)
+            failed |= record.get("ok") is False  # only verify records carry "ok"
+        return 1 if failed else 0
     except (DomainError, ResourceError) as exc:
         print(f"fibpal: error: {exc}", file=sys.stderr)
         return 2

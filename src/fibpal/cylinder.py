@@ -55,19 +55,13 @@ def cylinder_tag(c: PalCoord | int) -> str:
 
 
 def pal_from_coord(c: PalCoord) -> str:
-    """Materialize the palindrome with coordinate c.
+    """Materialize the palindrome with coordinate c, as the slice of S(m+3).
 
-    Both defining forms (two-singular-word concatenation and the slice of the
-    (m+3)-rd singular word) are built and must agree.
+    ``verify_cylinder`` checks this form against the concatenation form.
     """
     validate_coord(c)
     fibword.check_cap(fib(c.m + 3), "palindrome construction")
-    s_next = singular_word(c.m + 1)
-    word = s_next[c.i:] + singular_word(c.m) + s_next[: fib(c.m + 1) - c.i]
-    alt = singular_word(c.m + 3)[c.i: fib(c.m + 3) - c.i]
-    if word != alt:
-        raise AssertionError(f"coordinate forms disagree for {c}")
-    return word
+    return singular_word(c.m + 3)[c.i: fib(c.m + 3) - c.i]
 
 
 def coord_from_pal(w: str) -> PalCoord:

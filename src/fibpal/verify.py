@@ -73,7 +73,11 @@ def verify_floors(max_p: int = 10**6) -> VerifyResult:
 
 
 def verify_cylinder(prefix_n: int = 10**4, max_len: int = 100) -> VerifyResult:
-    """Coordinate enumeration vs. naive palindrome scan, plus classification."""
+    """Coordinate enumeration vs. naive palindrome scan, plus classification.
+
+    Each palindrome is built by ``pal_from_coord`` (the slice of S(m+3)) and
+    checked against the concatenation S(m+1)[i+1 ..] + S(m) + S(m+1)[.. fib(m+1)-i].
+    """
     _require_prefix(prefix_n, max_len)
     t0 = time.perf_counter()
     scanned = oracle.center_palindrome_set(prefix(prefix_n), max_len)
@@ -82,6 +86,11 @@ def verify_cylinder(prefix_n: int = 10**4, max_len: int = 100) -> VerifyResult:
     for n in range(1, max_len + 1):
         for c in pals_of_length(n):
             w = pal_from_coord(c)
+            s_next = singular.singular_word(c.m + 1)
+            concatenated = s_next[c.i:] + singular.singular_word(c.m) + s_next[: fib(c.m + 1) - c.i]
+            if w != concatenated:
+                return _finish("cylinder", False, n_checked, t0,
+                               {"coord": (c.m, c.i), "slice": w, "concatenation": concatenated})
             generated[w] = c
             n_checked += 1
             back = coord_from_pal(w)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -169,6 +170,8 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert code == 1
     rec = records(out)[0]
     assert rec["ok"] is False and rec["counterexample"] == {"p": 1}
+    code, out, _ = run_cli(capsys, "verify", "floors", "--plain")
+    assert code == 1 and out == "floors: FAIL {'p': 1} (1 checks, 0.00s)\n"
 
 
 def test_bench_records(capsys):
@@ -228,13 +231,16 @@ def test_materialize_cap_respected(capsys, monkeypatch):
 
 
 def test_internal_error_exit_3(capsys, monkeypatch):
-    def broken(args):
+    def broken(*args):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "cmd_fib", broken)
-    code, out, err = run_cli(capsys, "fib", "-m", "6")
-    assert code == 3 and out == ""
-    assert "fibpal: internal error: RuntimeError: boom" in err
+    # what the `fib` entry and the grouped `pal at` entry call
+    for module, name, argv in ((fibpal.fibword, "fib", ["fib", "-m", "6"]), (cli, "new_pal_at", ["pal", "at", "-n", "21"])):
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, broken)
+            code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == "", argv
+        assert "fibpal: internal error: RuntimeError: boom" in err, argv
 
 
 def test_fib_past_table_limit_exit_2(capsys):
@@ -306,26 +312,99 @@ def test_console_script_runs():
     assert json.loads(proc.stdout)["value"] == 144
 
 
-QUERY_ARGVS = [
-    ["fib", "-m", "10"],
-    ["letters", "-n", "10"],
-    ["prefix", "-n", "10"],
-    ["singular", "-m", "4"],
-    ["kernel", "-w", "abaab"],
-    ["pal", "list", "--length", "5"],
-    ["pal", "coord", "-w", "ababa"],
-    ["pal", "at", "-n", "21"],
-    ["pal", "conjugates", "-m", "4"],
-    ["pal", "prefix-lengths", "--max", "100"],
-    ["pos", "kernel", "-m", "2", "-p", "3"],
-    ["pos", "pal", "-m", "2", "-i", "4", "-p", "1"],
-    ["chain", "-m", "4", "-p", "1"],
-    ["tau", "-m", "4", "-p", "1", "--expand-depth", "-1"],
-    ["count", "--occurrences", "-n", str(10**18)],
-    ["count", "--occurrences", "-n", "29", "--trace"],
-    ["count", "--distinct", "-n", "100"],
-    ["count", "special", "--m", "6"],
+# argv, its JSON stdout and its --plain stdout: at least one row per command
+# table entry, with the timings of verify and bench replaced by T (_untimed)
+GOLDEN = [
+    (["fib", "-m", "10"], '{"cmd": "fib", "m": 10, "value": 144}', "144"),
+    (["letters", "-n", "10"], '{"cmd": "letters", "letter": "b", "n": 10}', "b"),
+    (["prefix", "-n", "10"], '{"cmd": "prefix", "n": 10, "word": "abaababaab"}', "abaababaab"),
+    (["singular", "-m", "4"], '{"cmd": "singular", "length": 8, "m": 4, "word": "babaabab"}', "babaabab"),
+    (["kernel", "-w", "abaab"], '{"cmd": "kernel", "kernel": "aa", "m": 1, "offset": 3, "word": "abaab"}',
+     "kernel index 1 (aa) at offset 3"),
+    (["pal", "list", "--length", "5"],
+     '{"cmd": "pal list", "length": 5, "palindromes": [{"cylinder": "a", "i": 4, "length": 5, "m": 2, '
+     '"singular": false, "word": "ababa"}, {"cylinder": "b", "i": 8, "length": 5, "m": 3, "singular": true, '
+     '"word": "aabaa"}]}',
+     "ababa  (m=2, i=4, cylinder a)\naabaa  (m=3, i=8, cylinder b)"),
+    (["pal", "coord", "-w", "ababa"],
+     '{"cmd": "pal coord", "cylinder": "a", "i": 4, "length": 5, "m": 2, "singular": false, "word": "ababa"}',
+     "m=2 i=4"),
+    (["pal", "at", "-n", "21"],
+     '{"cmd": "pal at", "cylinder": "aa", "end": 21, "i": 12, "length": 10, "m": 4, "n": 21, "singular": false, '
+     '"start": 12, "word": "ababaababa"}',
+     "m=4 i=12 length=10 span=[12,21]"),
+    (["pal", "conjugates", "-m", "4"], '{"cmd": "pal conjugates", "count": 0, "m": 4, "words": []}', "(none)"),
+    (["pal", "conjugates", "-m", "3"], '{"cmd": "pal conjugates", "count": 1, "m": 3, "words": ["ababa"]}', "ababa"),
+    (["pal", "prefix-lengths", "--max", "100"],
+     '{"cmd": "pal prefix-lengths", "lengths": [1, 3, 6, 11, 19, 32, 53, 87], "max": 100}', "1 3 6 11 19 32 53 87"),
+    (["pos", "kernel", "-m", "2", "-p", "3"], '{"cmd": "pos kernel", "end": 20, "m": 2, "p": 3, "start": 18}',
+     "[18,20]"),
+    (["pos", "pal", "-m", "2", "-i", "4", "-p", "1"],
+     '{"cmd": "pos pal", "end": 8, "i": 4, "length": 5, "m": 2, "p": 1, "start": 4}', "[4,8]"),
+    (["chain", "-m", "4", "-p", "1"], '{"cmd": "chain", "hi": 32, "lo": 20, "m": 4, "p": 1, "size": 13}',
+     "<K_4,1> = {20,...,32}"),
+    (["tau", "-m", "2", "-p", "3", "--expand-depth", "-1", "--reduce"],
+     '{"cmd": "tau", "m": 2, "p": 3, "tree": {"children": [{"hi": 21, "lo": 20, "m": 0, "p": 8, "reduces_to": '
+     '{"hi": 21, "lo": 21, "m": -1, "p": 13}}, {"children": [{"hi": 22, "lo": 22, "m": -1, "p": 14}, {"hi": 24, '
+     '"lo": 23, "m": 0, "p": 9, "reduces_to": {"hi": 24, "lo": 24, "m": -1, "p": 15}}], "hi": 24, "lo": 22, '
+     '"m": 1, "p": 5}], "hi": 24, "lo": 20, "m": 2, "p": 3}}',
+     "<K_2,3> = {20,...,24}\n  <K_0,8> = {20,...,21}\n    -> <K_-1,13> = {21}\n  <K_1,5> = {22,...,24}\n"
+     "    <K_-1,14> = {22,...,22}\n    <K_0,9> = {23,...,24}\n      -> <K_-1,15> = {24}"),
+    (["count", "--occurrences", "-n", str(10**18)],
+     '{"cmd": "count", "mode": "occurrences", "n": 1000000000000000000, "value": 60257579735235512567}',
+     "60257579735235512567"),
+    (["count", "--occurrences", "-n", "29", "--trace"],
+     '{"cmd": "count", "mode": "occurrences", "n": 29, "trace": {"before_block": 56, "m": 6, "tail": 42, '
+     '"tail_steps": [{"case": "head+tail", "m": 6, "n": 29, "value": 42}, {"case": "head+tail", "m": 5, "n": 16, '
+     '"value": 17}, {"case": "copy", "m": 4, "n": 8, "value": 5}, {"case": "table", "m": 2, "n": 3, "value": 3}]}, '
+     '"value": 98}',
+     "B(29) = 98\n  before block: 56  tail: 42"),
+    (["count", "--distinct", "-n", "100"], '{"cmd": "count", "mode": "distinct", "n": 100, "value": 100}', "100"),
+    (["count", "special", "--m", "6"],
+     '{"cmd": "count special", "end_count_fib": 4, "end_count_fib_minus1": 3, "end_count_fib_minus2": 5, "m": 6, '
+     '"total_at_fib": 63, "total_at_fib_minus2": 56}',
+     "B(f_6-2)=56  B(f_6)=63  A(f_6-2..f_6)=(5,3,4)"),
+    (["verify", "tau", "--max-n", "500", "--max-m", "5", "--max-p", "20"],
+     '{"checked": 100120, "cmd": "verify", "ok": true, "seconds": T, "suite": "tau"}',
+     "tau: ok (100120 checks, Ts)"),
+    (["bench", "--n-list", "200,400", "--repeat", "1"],
+     '{"agree": true, "closed_seconds": T, "cmd": "bench", "n": 200, "speedup": T, "tree_seconds": T}\n'
+     '{"agree": true, "closed_seconds": T, "cmd": "bench", "n": 400, "speedup": T, "tree_seconds": T}',
+     "n=200 closed Tus tree Ts speedup Tx\nn=400 closed Tus tree Ts speedup Tx"),
 ]
+QUERY_ARGVS = [argv for argv, _, _ in GOLDEN if argv[0] not in ("verify", "bench")]
+
+
+def _untimed(out: str) -> str:
+    out = re.sub(r'"(seconds|closed_seconds|tree_seconds|speedup)": [^,}]+', r'"\1": T', out)
+    return re.sub(r"\d[\d.]*(?=(us|s|x)\b)", "T", out)
+
+
+def test_golden_output(capsys):
+    for argv, json_out, plain_out in GOLDEN:
+        for full_argv, expected in ((argv, json_out), (["--plain", *argv], plain_out)):
+            code, out, err = run_cli(capsys, *full_argv)
+            assert (code, _untimed(out), err) == (0, expected + "\n", ""), full_argv
+
+
+def test_golden_output_covers_every_command():
+    parser = cli.build_parser()
+    assert {parser.parse_args(argv).command for argv, _, _ in GOLDEN} == set(cli.COMMANDS)
+
+
+def test_parser_built_once_and_flags_reset_per_call(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    for _ in range(2):
+        code, out, _ = run_cli(capsys, "--plain", "count", "--occurrences", "-n", "29", "--trace")
+        assert code == 0 and out == "B(29) = 98\n  before block: 56  tail: 42\n"
+        code, out, _ = run_cli(capsys, "count", "--occurrences", "-n", "29")
+        assert code == 0 and out == '{"cmd": "count", "mode": "occurrences", "n": 29, "value": 98}\n'
+        code, out, _ = run_cli(capsys, "tau", "-m", "2", "-p", "3", "--expand-depth", "-1", "--reduce", "--plain")
+        assert code == 0 and "-> <K_-1,13>" in out and "<K_-1,14>" in out
+        code, out, _ = run_cli(capsys, "tau", "-m", "2", "-p", "3")
+        assert code == 0 and out == ('{"cmd": "tau", "m": 2, "p": 3, "tree": {"children": [{"hi": 21, "lo": 20, '
+                                     '"m": 0, "p": 8}, {"hi": 24, "lo": 22, "m": 1, "p": 5}], "hi": 24, "lo": 20, '
+                                     '"m": 2, "p": 3}}\n')
 
 IMPORT_SPLIT = """
 import contextlib, io, json, sys

@@ -13,8 +13,9 @@ from fibpal import (
     pals_of_length,
     prefix,
     prefix_palindrome_lengths,
+    singular_word,
 )
-from fibpal import oracle
+from fibpal import oracle, verify
 
 
 def test_pal_from_coord_examples():
@@ -51,7 +52,9 @@ def test_roundtrip_all_coords():
     for m in range(-1, 13):
         for i in range(1, fib(m + 1) + 1):
             c = PalCoord(m, i)
-            w = pal_from_coord(c)  # also cross-checks the two defining forms
+            w = pal_from_coord(c)
+            s_next = singular_word(m + 1)  # the other defining form
+            assert w == s_next[i:] + singular_word(m) + s_next[: fib(m + 1) - i], c
             assert len(w) == c.length()
             assert w == w[::-1]
             assert coord_from_pal(w) == c
@@ -122,3 +125,13 @@ def test_prefix_palindrome_lengths_by_reversal():
     s = prefix(1000)
     expected = {n for n in range(1, 1001) if s[:n] == s[:n][::-1]}
     assert set(prefix_palindrome_lengths(1000)) == expected
+
+
+def test_verify_cylinder_checks_both_forms(monkeypatch):
+    assert verify.verify_cylinder(prefix_n=300, max_len=20).ok
+    real, swap = verify.pal_from_coord, str.maketrans("ab", "ba")
+    monkeypatch.setattr(verify, "pal_from_coord", lambda c: real(c).translate(swap) if c == PalCoord(1, 1) else real(c))
+    res = verify.verify_cylinder(prefix_n=300, max_len=20)
+    word = real(PalCoord(1, 1))
+    assert not res.ok
+    assert res.counterexample == {"coord": (1, 1), "slice": word.translate(swap), "concatenation": word}
