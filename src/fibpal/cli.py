@@ -130,6 +130,10 @@ def _chain(a) -> dict:
 
 def _count(a) -> dict:
     if a.count_cmd == "special":
+        stray = [flag for flag, given in (("-n", a.n is not None), ("--distinct", a.distinct),
+                                          ("--occurrences", a.occurrences), ("--trace", a.trace)) if given]
+        if stray:
+            raise DomainError(f"count special does not take {', '.join(stray)}")
         if a.m is None:
             raise DomainError("count special requires --m")
         before, at_fib = counting.block_prefix_total(a.m), counting.fib_prefix_total(a.m)
@@ -137,8 +141,12 @@ def _count(a) -> dict:
         # "special" is a positional choice, not a subcommand, so the record names it here
         return {"cmd": "count special", "m": a.m, "total_at_fib_minus2": before, "total_at_fib": at_fib,
                 "end_count_fib_minus2": e2, "end_count_fib_minus1": e1, "end_count_fib": e0}
+    if a.m is not None:
+        raise DomainError("--m applies only to count special")
     if a.distinct == a.occurrences:
         raise DomainError("count requires exactly one of --distinct / --occurrences")
+    if a.distinct and a.trace:
+        raise DomainError("--trace applies only to count --occurrences")
     if a.n is None:
         raise DomainError("count requires -n")
     if a.distinct:

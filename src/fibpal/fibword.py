@@ -16,6 +16,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -42,12 +43,10 @@ _fibs = [1, 1]
 _fibs_lock = threading.Lock()
 
 
-def materialize_cap() -> int:
-    """Maximum number of letters a single call may materialize.
-
-    Overridden with the ``FIBPAL_MAX_MATERIALIZE`` environment variable.
-    """
-    raw = os.environ.get("FIBPAL_MAX_MATERIALIZE")
+@functools.lru_cache(maxsize=1)  # parsed again only when the value changes; a bad one raises each time
+def materialize_cap(raw: str | None) -> int:
+    """Maximum number of letters a single call may materialize, from the
+    raw ``FIBPAL_MAX_MATERIALIZE`` value (None when it is not set)."""
     if raw is None:
         return DEFAULT_MATERIALIZE_CAP
     try:
@@ -60,8 +59,9 @@ def materialize_cap() -> int:
 
 
 def check_cap(n: int, what: str = "word") -> None:
-    """Raise ResourceError if materializing ``n`` letters exceeds the cap."""
-    cap = materialize_cap()
+    """Raise ResourceError if materializing ``n`` letters exceeds the cap,
+    read from the ``FIBPAL_MAX_MATERIALIZE`` environment variable on every call."""
+    cap = materialize_cap(os.environ.get("FIBPAL_MAX_MATERIALIZE"))
     if n > cap:
         raise ResourceError(f"{what} of length {n} exceeds materialization cap {cap}")
 

@@ -133,17 +133,21 @@ def eertree_distinct(n: int) -> int:
     return scan_prefix(n).nodes - 2
 
 
-def occurrences(w: str, n: int) -> list[OccurrenceSpan]:
-    """All (possibly overlapping) occurrence spans of w in the length-n prefix."""
+def occurrence_starts(s: str, w: str) -> list[int]:
+    """0-based starts of every (possibly overlapping) occurrence of w in s, from one scan."""
     if not w:
         raise DomainError("occurrences of the empty word are undefined")
-    s = prefix(n)
     out = []
     idx = s.find(w)
     while idx >= 0:
-        out.append(OccurrenceSpan(idx + 1, idx + len(w)))
+        out.append(idx)
         idx = s.find(w, idx + 1)
     return out
+
+
+def occurrences(w: str, n: int) -> list[OccurrenceSpan]:
+    """All (possibly overlapping) occurrence spans of w in the length-n prefix."""
+    return [OccurrenceSpan(i + 1, i + len(w)) for i in occurrence_starts(prefix(n), w)]
 
 
 @dataclass
@@ -164,13 +168,11 @@ def return_words(w: str, n: int) -> ReturnWordSeq:
     and rewriting the sequence over {a, b} (first word -> a) again yields a
     prefix of the Fibonacci word; both facts are enforced here.
     """
-    spans = occurrences(w, n)
-    if len(spans) < 3:
-        raise DomainError(f"{w[:40]!r} occurs only {len(spans)} times in prefix({n})")
     s = prefix(n)
-    rets = [
-        s[spans[k].start - 1: spans[k + 1].start - 1] for k in range(len(spans) - 1)
-    ]
+    starts = occurrence_starts(s, w)
+    if len(starts) < 3:
+        raise DomainError(f"{w[:40]!r} occurs only {len(starts)} times in prefix({n})")
+    rets = [s[i:j] for i, j in zip(starts, starts[1:])]
     first = rets[0]
     second = next((r for r in rets if r != first), None)
     distinct = set(rets)
@@ -180,18 +182,23 @@ def return_words(w: str, n: int) -> ReturnWordSeq:
     return ReturnWordSeq(w, rets, (first, second), reduced)
 
 
+def starts_correspond(starts_w: list[int], starts_k: list[int], offset: int, p_max: int) -> bool:
+    """Whether the kernel at 1-based ``offset`` in each of the first ``p_max``
+    occurrences of a factor (0-based starts ``starts_w``) is the kernel
+    occurrence of the same rank (``starts_k``); a kernel with fewer does not."""
+    shift = offset - 1
+    return len(starts_k) >= p_max and [i + shift for i in starts_w[:p_max]] == starts_k[:p_max]
+
+
 def kernel_correspondence(w: str, p_max: int, n: int) -> bool:
     """Check that the kernel inside the p-th occurrence of w is the p-th
     occurrence of w's kernel, for every p <= p_max."""
     ker = kernel(w)
-    spans_w = occurrences(w, n)
-    if len(spans_w) < p_max:
-        raise DomainError(f"{w[:40]!r} has only {len(spans_w)} occurrences in prefix({n})")
-    spans_k = occurrences(singular_word(ker.m), n)
-    for p in range(p_max):
-        if spans_w[p].start + ker.offset - 1 != spans_k[p].start:
-            return False
-    return True
+    s = prefix(n)
+    starts_w = occurrence_starts(s, w)
+    if len(starts_w) < p_max:
+        raise DomainError(f"{w[:40]!r} has only {len(starts_w)} occurrences in prefix({n})")
+    return starts_correspond(starts_w, occurrence_starts(s, singular_word(ker.m)), ker.offset, p_max)
 
 
 # --- naive scanners (second-level oracle, validate the tree itself) ---

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from . import counting, cylinder, kernels, oracle, singular
 from .chain import chain_interval, new_pal_at, pal_end_pos, pal_span
 from .cylinder import PalCoord, coord_from_pal, pal_from_coord, pals_of_length
-from .errors import DomainError
+from .errors import DomainError, NotAFactorError
 from .fibword import check_floor_identities, fib, fib_floor_index, prefix
 
 
@@ -131,14 +132,11 @@ def verify_chain(max_n: int = 10**6, max_m: int = 8, max_p: int = 30, prefix_n: 
     for n in range(1, span_len + 1):
         for c in pals_of_length(n):
             w = pal_from_coord(c)
-            idx, p = s.find(w), 0
-            while idx >= 0:
-                p += 1
+            for p, idx in enumerate(oracle.occurrence_starts(s, w), 1):
                 sp = pal_span(c, p)
                 if (sp.start, sp.end) != (idx + 1, idx + n):
                     return _finish("chain", False, checked, t0, {"word": w, "p": p, "formula": (sp.start, sp.end), "scan": (idx + 1, idx + n)})
                 checked += 1
-                idx = s.find(w, idx + 1)
     # interval elements enumerate the ending positions bijectively
     for m in range(-1, max_m + 1):
         for p in range(1, max_p + 1):
@@ -213,10 +211,12 @@ def verify_return_words(prefix_n: int = 10**4, factors: list[str] | None = None)
     t0 = time.perf_counter()
     if factors is None:
         factors = ["a", "b", "aa", "aba", "abaab", "ababa", singular.singular_word(3), singular.singular_word(4)]
+    s = prefix(prefix_n)
     checked = 0
     for w in factors:
         seq = oracle.return_words(w, prefix_n)
-        if seq.reduced != prefix(len(seq.reduced)):
+        # one letter per return word, so the reduced word is shorter than s
+        if seq.reduced != s[:len(seq.reduced)]:
             return _finish("return-words", False, checked, t0, {"factor": w, "reduced": seq.reduced[:40]})
         checked += 1
     return _finish("return-words", True, checked, t0)
@@ -225,36 +225,40 @@ def verify_return_words(prefix_n: int = 10**4, factors: list[str] | None = None)
 def verify_kernels(prefix_n: int = 10**4, max_p: int = 50, max_len: int = 50) -> VerifyResult:
     """Kernel uniqueness and occurrence correspondence over all short factors.
 
-    For lengths up to 10 every word over {a, b} is also checked:
-    ``is_factor`` must hold exactly on the factors scanned.
+    One pass per length indexes every factor's starts in the prefix; the
+    starts of each kernel S(m) are scanned once and shared by every factor
+    whose kernel it is.  For lengths up to 10 every word over {a, b} is
+    also checked: ``is_factor`` must hold exactly on the factors scanned.
     """
     _require_prefix(prefix_n, max_len)
     t0 = time.perf_counter()
     s = prefix(prefix_n)
+    kernel_starts = {}  # m -> 0-based starts of S(m) in s
     checked = 0
     for length in range(1, max_len + 1):
-        seen = set()
+        index = defaultdict(list)  # factor -> its 0-based starts, in first-occurrence order
         for i in range(len(s) - length + 1):
-            w = s[i: i + length]
-            if w in seen:
-                continue
-            seen.add(w)
-            ker = singular.kernel(w, require_factor=False)
+            index[s[i: i + length]].append(i)
+        for w, starts_w in index.items():
+            try:
+                ker = singular.kernel(w)
+            except NotAFactorError:
+                return _finish("kernels", False, checked, t0, {"factor": w, "is_factor": False})
             kw = singular.singular_word(ker.m)
             if w.count(kw) != 1:
                 return _finish("kernels", False, checked, t0, {"factor": w, "kernel": kw})
-            spans = oracle.occurrences(w, prefix_n)
-            p_hi = min(max_p, len(spans))
-            if not oracle.kernel_correspondence(w, p_hi, prefix_n):
+            if ker.m not in kernel_starts:
+                kernel_starts[ker.m] = oracle.occurrence_starts(s, kw)
+            if not oracle.starts_correspond(starts_w, kernel_starts[ker.m], ker.offset, min(max_p, len(starts_w))):
                 return _finish("kernels", False, checked, t0, {"factor": w})
             checked += 1
-        if len(seen) != length + 1:
-            return _finish("kernels", False, checked, t0, {"length": length, "distinct": len(seen)})
+        if len(index) != length + 1:
+            return _finish("kernels", False, checked, t0, {"length": length, "distinct": len(index)})
         if length <= 10:
             for letters in itertools.product("ab", repeat=length):
                 w = "".join(letters)
-                if singular.is_factor(w) != (w in seen):
-                    return _finish("kernels", False, checked, t0, {"word": w, "is_factor": w not in seen})
+                if singular.is_factor(w) != (w in index):
+                    return _finish("kernels", False, checked, t0, {"word": w, "is_factor": w not in index})
                 checked += 1
     return _finish("kernels", True, checked, t0)
 

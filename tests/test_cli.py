@@ -113,6 +113,22 @@ def test_count_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, flags", [
+    (["count", "special", "--m", "6", "-n", "5"], ["-n"]),
+    (["count", "special", "--m", "6", "--distinct"], ["--distinct"]),
+    (["count", "special", "--m", "6", "--occurrences"], ["--occurrences"]),
+    (["count", "special", "--m", "6", "--trace"], ["--trace"]),
+    (["count", "special", "--m", "6", "--distinct", "-n", "5"], ["-n", "--distinct"]),
+    (["count", "--occurrences", "-n", "5", "--m", "9"], ["--m"]),
+    (["count", "--distinct", "-n", "5", "--m", "9"], ["--m"]),
+    (["count", "--distinct", "-n", "5", "--trace"], ["--trace"]),
+])
+def test_count_rejects_flags_outside_their_mode(capsys, argv, flags):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert all(flag in err for flag in flags)
+
+
 def test_plain_flag_both_positions(capsys):
     code, out, _ = run_cli(capsys, "--plain", "chain", "-m", "4", "-p", "1")
     assert code == 0 and out.strip() == "<K_4,1> = {20,...,32}"

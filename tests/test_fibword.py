@@ -192,6 +192,21 @@ def test_materialize_cap(monkeypatch):
         prefix(10)
 
 
+def test_materialize_cap_follows_every_change(monkeypatch):
+    # the parsed value is kept per raw value, so each change must show on the next call
+    for raw, ok_len in (("500", 500), ("1000", 1000), ("500", 500)):
+        monkeypatch.setenv("FIBPAL_MAX_MATERIALIZE", raw)
+        assert len(prefix(ok_len)) == ok_len
+        with pytest.raises(ResourceError):
+            prefix(ok_len + 1)
+    for raw in ("junk", "junk", "0", "-3"):  # a bad value raises on every call
+        monkeypatch.setenv("FIBPAL_MAX_MATERIALIZE", raw)
+        with pytest.raises(ResourceError):
+            prefix(10)
+    monkeypatch.delenv("FIBPAL_MAX_MATERIALIZE")
+    assert len(prefix(501)) == 501
+
+
 def test_prefix_domain():
     with pytest.raises(DomainError):
         prefix(-1)
