@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import counting, oracle
 from .errors import DomainError
 
 
-@dataclass
-class BenchRow:
+class BenchRow(NamedTuple):
     n: int
     closed_seconds: float
     tree_seconds: float

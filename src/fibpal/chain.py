@@ -13,15 +13,14 @@ one palindrome's first occurrence ends at each position n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cylinder import PalCoord, validate_coord
 from .errors import DomainError
 from .fibword import fib, fib_floor_index, floor_phi
 
 
-@dataclass(frozen=True)
-class OccurrenceSpan:
+class OccurrenceSpan(NamedTuple):
     """1-based first/last letter positions of one occurrence."""
 
     start: int
@@ -31,8 +30,7 @@ class OccurrenceSpan:
         return self.end - self.start + 1
 
 
-@dataclass(frozen=True)
-class ChainInterval:
+class ChainInterval(NamedTuple):
     """Ending positions of the p-th occurrences of all kernel-(m) palindromes."""
 
     m: int
@@ -50,17 +48,18 @@ class ChainInterval:
         return range(self.lo, self.hi + 1)
 
 
-def _check_mp(m: int, p: int) -> None:
-    if m < -1:
-        raise DomainError(f"kernel index must be >= -1, got {m}")
-    if p < 1:
-        raise DomainError(f"occurrence index must be >= 1, got {p}")
+def _end_pos(m: int, p: int, fib_next: int) -> int:
+    """singular_end_pos(m, p) for checked arguments, given fib_next = fib(m+1)."""
+    return p * fib_next + (floor_phi(p) + 1) * fib(m) - 1
 
 
 def singular_end_pos(m: int, p: int) -> int:
     """Ending position of the p-th occurrence of the m-th singular word."""
-    _check_mp(m, p)
-    return p * fib(m + 1) + (floor_phi(p) + 1) * fib(m) - 1
+    if m < -1:
+        raise DomainError(f"kernel index must be >= -1, got {m}")
+    if p < 1:
+        raise DomainError(f"occurrence index must be >= 1, got {p}")
+    return _end_pos(m, p, fib(m + 1))
 
 
 def singular_start_pos(m: int, p: int) -> int:
@@ -70,8 +69,10 @@ def singular_start_pos(m: int, p: int) -> int:
 
 def pal_end_pos(c: PalCoord, p: int) -> int:
     """Ending position of the p-th occurrence of the palindrome (m, i)."""
-    validate_coord(c)
-    return singular_end_pos(c.m, p) + fib(c.m + 1) - c.i
+    fib_next = validate_coord(c)  # the coordinate error wins over p's
+    if p < 1:
+        raise DomainError(f"occurrence index must be >= 1, got {p}")
+    return _end_pos(c.m, p, fib_next) + fib_next - c.i
 
 
 def pal_start_pos(c: PalCoord, p: int) -> int:
@@ -89,8 +90,7 @@ def chain_interval(m: int, p: int) -> ChainInterval:
     Stored as (lo, hi); the interval is provably contiguous of size fib(m+1),
     so it is never materialized as an element set.
     """
-    _check_mp(m, p)
-    lo = singular_end_pos(m, p)
+    lo = singular_end_pos(m, p)  # checks m, then p
     return ChainInterval(m, p, lo, lo + fib(m + 1) - 1)
 
 

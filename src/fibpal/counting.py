@@ -43,8 +43,8 @@ first cells down to kernel indices {-1, 0} tiles every interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from . import fibword
 from .chain import ChainInterval, chain_interval, singular_end_pos
@@ -210,8 +210,7 @@ def convolution_identity_holds(m: int) -> bool:
     return lhs == _div5((m + 2) * fib(m + 2) + (m + 4) * fib(m))
 
 
-@dataclass(frozen=True)
-class CellSplit:
+class CellSplit(NamedTuple):
     """One splitting step: a cell and the two child cells tiling it."""
 
     parent: ChainInterval
@@ -247,35 +246,42 @@ def expand_cell(m: int, p: int, depth: int | None = None, include_reduce: bool =
     Cells with kernel index >= 1 split; indices -1 and 0 are leaves (with the
     optional singleton reduction attached to index-0 leaves).  ``depth``
     limits the number of splitting levels; None expands to the leaves.  The
-    leaf count, at most min(2**depth, fib(m)), is checked against the cap.
+    leaf count, at most min(2**depth, fib(m)), is checked against the cap
+    once: no subtree has more leaves than the whole tree.
     """
     if depth is not None and depth < 0:
         raise DomainError(f"expansion depth must be >= 0, or None for the leaves, got {depth}")
-    node: dict = {"m": m, "p": p}
-    iv = chain_interval(m, p)
-    node["lo"], node["hi"] = iv.lo, iv.hi
+
+    def expand(iv: ChainInterval, depth: int | None) -> dict:
+        node = iv._asdict()  # m, p, lo, hi
+        if iv.m >= 1 and (depth is None or depth > 0):
+            step = split_cell(iv.m, iv.p)
+            nxt = None if depth is None else depth - 1
+            node["children"] = [expand(step.left, nxt), expand(step.right, nxt)]
+        elif iv.m == 0 and include_reduce:
+            node["reduces_to"] = reduce_cell(iv.p)._asdict()
+        return node
+
+    root = chain_interval(m, p)
     if m >= 1 and (depth is None or depth > 0):
         # every split lowers the kernel index, so depth m already expands fully
         check_cap(fib(m) if depth is None else min(2 ** min(depth, m), fib(m)), "cell expansion")
-        nxt = None if depth is None else depth - 1
-        step = split_cell(m, p)
-        node["children"] = [
-            expand_cell(step.left.m, step.left.p, nxt, include_reduce),
-            expand_cell(step.right.m, step.right.p, nxt, include_reduce),
-        ]
-    elif m == 0 and include_reduce:
-        child = reduce_cell(p)
-        node["reduces_to"] = {"m": child.m, "p": child.p, "lo": child.lo, "hi": child.hi}
-    return node
+    return expand(root, depth)
 
 
 def expand_leaves(m: int, p: int) -> list[ChainInterval]:
     """Leaf cells (kernel index in {-1, 0}) tiling cell (m, p), in order.
 
-    There are exactly fib(m) of them, checked against the cap.
+    There are exactly fib(m) of them, checked against the cap once.
     """
-    if m <= 0:
-        return [chain_interval(m, p)]
-    check_cap(fib(m), "cell expansion")
-    step = split_cell(m, p)
-    return expand_leaves(step.left.m, step.left.p) + expand_leaves(step.right.m, step.right.p)
+    if m >= 1:
+        check_cap(fib(m), "cell expansion")
+    out, todo = [], [chain_interval(m, p)]
+    while todo:
+        iv = todo.pop()
+        if iv.m <= 0:
+            out.append(iv)
+        else:
+            step = split_cell(iv.m, iv.p)
+            todo += (step.right, step.left)  # the left child comes out first
+    return out

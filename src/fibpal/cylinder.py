@@ -15,7 +15,7 @@ letter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import fibword, singular
 from .errors import DomainError
@@ -25,8 +25,7 @@ from .singular import kernel, singular_word
 CYLINDER_BY_MOD = {2: "a", 0: "b", 1: "aa"}
 
 
-@dataclass(frozen=True, order=True)
-class PalCoord:
+class PalCoord(NamedTuple):
     """Coordinate (m, i) of a palindromic factor; i in [1, fib(m+1)]."""
 
     m: int
@@ -39,11 +38,14 @@ class PalCoord:
         return self.i == fib(self.m + 1)
 
 
-def validate_coord(c: PalCoord) -> None:
+def validate_coord(c: PalCoord) -> int:
+    """Raise DomainError unless i lies in [1, fib(m+1)]; return fib(m+1)."""
     if c.m < -1:
         raise DomainError(f"kernel index must be >= -1, got {c.m}")
-    if not 1 <= c.i <= fib(c.m + 1):
-        raise DomainError(f"i must lie in [1, fib({c.m + 1})={fib(c.m + 1)}], got {c.i}")
+    top = fib(c.m + 1)
+    if not 1 <= c.i <= top:
+        raise DomainError(f"i must lie in [1, fib({c.m + 1})={top}], got {c.i}")
+    return top
 
 
 def cylinder_tag(c: PalCoord | int) -> str:
@@ -60,8 +62,7 @@ def pal_from_coord(c: PalCoord) -> str:
     ``verify_cylinder`` checks this form against the concatenation form.
     """
     validate_coord(c)
-    fibword.check_cap(fib(c.m + 3), "palindrome construction")
-    return singular_word(c.m + 3)[c.i: fib(c.m + 3) - c.i]
+    return singular_word(c.m + 3, "palindrome construction")[c.i: fib(c.m + 3) - c.i]
 
 
 def coord_from_pal(w: str) -> PalCoord:
@@ -109,8 +110,7 @@ def palindromic_conjugates(m: int) -> set[str]:
     """
     if m < -1:
         raise DomainError(f"iterate index must be >= -1, got {m}")
-    fibword.check_cap(fib(m), "conjugate enumeration")
-    return {c for c in conjugates(fibword.iterate(m)) if c == c[::-1]}
+    return {c for c in conjugates(fibword.iterate(m, "conjugate enumeration")) if c == c[::-1]}
 
 
 def prefix_palindrome_lengths(max_n: int) -> list[int]:

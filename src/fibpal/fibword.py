@@ -166,12 +166,12 @@ PREFIX_TABLE_M = 20
 _TABLE = _grow(bytearray(b"ab") + bytearray(fib(PREFIX_TABLE_M) - 2), 2, 1).decode("ascii")
 
 
-def _prefix(n: int) -> str:
+def _prefix(n: int, what: str) -> str:
     """The prefix of length n: a slice of the table up to the table length;
     longer prefixes continue the doubling loop from the whole table."""
     if n < 0:
         raise DomainError(f"prefix length must be >= 0, got {n}")
-    check_cap(n, "prefix")
+    check_cap(n, what)
     if n <= len(_TABLE):
         return _TABLE[:n]
     buf = bytearray(n)
@@ -179,29 +179,30 @@ def _prefix(n: int) -> str:
     return _grow(buf, len(_TABLE), fib(PREFIX_TABLE_M - 1)).decode("ascii")
 
 
-def prefix(n: int) -> str:
-    """The prefix of length n as a string over {a, b}; prefix(0) is empty."""
-    return _prefix(n)
+def prefix(n: int, what: str = "prefix") -> str:
+    """The prefix of length n as a string over {a, b}; prefix(0) is empty.
+    Its cap check names the caller's request ``what``, so no caller checks again."""
+    return _prefix(n, what)
 
 
-def prefix_array(n: int) -> np.ndarray:
+def prefix_array(n: int, what: str = "prefix") -> np.ndarray:
     """The prefix of length n as a writable uint8 array with a -> 0, b -> 1."""
     import numpy as np  # here, so that the closed-form path never loads NumPy
 
     # _prefix, not prefix: a wrapper around either public name (a profiler's,
     # say) then sees each materialized prefix once
-    arr = np.frombuffer(bytearray(_prefix(n), "ascii"), dtype=np.uint8)
+    arr = np.frombuffer(bytearray(_prefix(n, what), "ascii"), dtype=np.uint8)
     arr -= ord(LETTER_A)
     return arr
 
 
-def iterate(m: int) -> str:
+def iterate(m: int, what: str = "prefix") -> str:
     """The m-th morphism iterate, of length fib(m); iterate(-1) is ``b``."""
     if m < -1:
         raise DomainError(f"iterate index must be >= -1, got {m}")
     if m == -1:
         return LETTER_B
-    return prefix(fib(m))
+    return prefix(fib(m), what)
 
 
 def check_floor_identities(p: int) -> dict[str, bool]:

@@ -14,14 +14,14 @@ factors and the palindromic suffixes are read off its arrays.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import kernels
 from .chain import OccurrenceSpan
 from .errors import DomainError
-from .fibword import check_cap, prefix, prefix_array
+from .fibword import prefix, prefix_array
 from .singular import kernel, singular_word
 
 
@@ -29,8 +29,7 @@ _CODES = bytes.maketrans(b"ab", b"\x00\x01")
 _LETTERS = bytes.maketrans(b"\x00\x01", b"ab")
 
 
-@dataclass
-class PrefixScan:
+class PrefixScan(NamedTuple):
     """Per-position facts from one palindromic-tree pass over a word.
 
     ``node`` is the tree node of the longest palindromic suffix at each
@@ -114,8 +113,7 @@ def scan_word(w: str) -> PrefixScan:
 
 def scan_prefix(n: int) -> PrefixScan:
     """Run the tree kernel over the length-n prefix."""
-    check_cap(n, "prefix scan")
-    return _scan(prefix_array(n).tobytes())
+    return _scan(prefix_array(n, "prefix scan").tobytes())
 
 
 def eertree_end_counts(n_max: int) -> np.ndarray:
@@ -150,8 +148,7 @@ def occurrences(w: str, n: int) -> list[OccurrenceSpan]:
     return [OccurrenceSpan(i + 1, i + len(w)) for i in occurrence_starts(prefix(n), w)]
 
 
-@dataclass
-class ReturnWordSeq:
+class ReturnWordSeq(NamedTuple):
     """Consecutive-occurrence gap words of a factor, over its two-word alphabet."""
 
     factor: str

@@ -17,15 +17,14 @@ letters with M the largest index fib(M) <= len(w), with no scanning window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import fibword
 from .errors import DomainError, NotAFactorError
 from .fibword import fib, prefix
 
 
-@dataclass(frozen=True)
-class KernelResult:
+class KernelResult(NamedTuple):
     """Kernel index plus the 1-based offset of its unique occurrence."""
 
     m: int
@@ -39,7 +38,7 @@ def last_letter(m: int) -> str:
     return fibword.LETTER_A if m % 2 == 0 else fibword.LETTER_B
 
 
-def singular_word(m: int) -> str:
+def singular_word(m: int, what: str = "singular word") -> str:
     """The m-th singular word, a palindrome of length fib(m), for m >= -1."""
     if m < -1:
         raise DomainError(f"singular index must be >= -1, got {m}")
@@ -47,8 +46,7 @@ def singular_word(m: int) -> str:
         return "a"
     if m == 0:
         return "b"
-    fibword.check_cap(fib(m), "singular word")
-    return last_letter(m + 1) + fibword.iterate(m)[:-1]
+    return last_letter(m + 1) + fibword.iterate(m, what)[:-1]
 
 
 def _largest_singular(w: str) -> tuple[int, int, bool] | None:

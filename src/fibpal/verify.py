@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import time
 from collections import defaultdict
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +22,7 @@ from .errors import DomainError, NotAFactorError
 from .fibword import check_floor_identities, fib, fib_floor_index, prefix
 
 
-@dataclass
-class VerifyResult:
+class VerifyResult(NamedTuple):
     name: str
     ok: bool
     checked: int

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,7 +20,7 @@ from fibpal import (
     singular_start_pos,
     singular_word,
 )
-from fibpal import oracle
+from fibpal import chain, cylinder, oracle
 
 
 def test_singular_end_pos_examples():
@@ -41,6 +43,29 @@ def test_pal_end_pos_examples():
     assert pal_end_pos(PalCoord(4, 12), 1) == 21
     for p in (1, 2, 10):
         assert pal_end_pos(PalCoord(-1, 1), p) == singular_end_pos(-1, p)
+
+
+def test_pal_end_pos_checks_each_argument_once(monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return fib(m)
+
+    monkeypatch.setattr(chain, "fib", counted)
+    monkeypatch.setattr(cylinder, "fib", counted)
+    for m, i, p in ((5, 3, 7), (-1, 1, 1), (0, 1, 4), (8, 55, 10**30)):
+        expect = singular_end_pos(m, p) + fib(m + 1) - i
+        calls.clear()
+        assert pal_end_pos(PalCoord(m, i), p) == expect
+        assert calls == [m + 1, m]  # fib(m+1) once, for the bound on i and the offset
+    # the coordinate is checked before p, and every message names the bad value
+    for c, p, msg in ((PalCoord(-2, 1), 0, "kernel index must be >= -1, got -2"),
+                      (PalCoord(2, 6), 0, "i must lie in [1, fib(3)=5], got 6"),
+                      (PalCoord(2, 0), 1, "i must lie in [1, fib(3)=5], got 0"),
+                      (PalCoord(2, 4), 0, "occurrence index must be >= 1, got 0")):
+        with pytest.raises(DomainError, match=re.escape(msg)):
+            pal_end_pos(c, p)
 
 
 def test_pal_spans_match_scans(prefix_10k):

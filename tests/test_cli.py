@@ -429,6 +429,7 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = fibpal.cli.main(argv)
     assert code == 0, (argv, code)
+    assert "dataclasses" not in sys.modules and "inspect" not in sys.modules, (argv, "loaded dataclasses or inspect")
 assert "numpy" not in sys.modules, "a query command loaded numpy"
 assert fibpal.scan_word is fibpal.oracle.scan_word and "numpy" in sys.modules
 print("ok")

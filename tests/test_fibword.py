@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from fibpal import (
     DomainError,
+    PalCoord,
     ResourceError,
     check_floor_identities,
     count_a,
@@ -12,10 +13,13 @@ from fibpal import (
     floor_inv_phi,
     floor_phi,
     letter_at,
+    pal_from_coord,
+    palindromic_conjugates,
     prefix,
     prefix_array,
+    singular_word,
 )
-from fibpal import fibword
+from fibpal import counting, fibword, oracle
 from fibpal.kernels import floor_phi_block
 
 
@@ -205,6 +209,34 @@ def test_materialize_cap_follows_every_change(monkeypatch):
             prefix(10)
     monkeypatch.delenv("FIBPAL_MAX_MATERIALIZE")
     assert len(prefix(501)) == 501
+
+
+def test_each_call_reads_the_cap_once(monkeypatch):
+    reads = []
+    parse = fibword.materialize_cap
+
+    def counted(raw):
+        reads.append(raw)
+        return parse(raw)
+
+    monkeypatch.setattr(fibword, "materialize_cap", counted)
+    calls = [
+        (prefix, 50), (prefix_array, 50), (fibword.iterate, 9), (singular_word, 9),
+        (pal_from_coord, PalCoord(5, 2)), (palindromic_conjugates, 6), (oracle.scan_prefix, 100),
+        (counting.expand_leaves, 12, 1), (counting.expand_cell, 12, 1), (counting.expand_cell, 12, 1, 3, True),
+    ]
+    for fn, *args in calls:
+        reads.clear()
+        fn(*args)
+        assert len(reads) == 1, fn.__name__
+    # a capped call still raises, naming the request
+    monkeypatch.setenv("FIBPAL_MAX_MATERIALIZE", "20")
+    for fn, arg, what in ((singular_word, 8, "singular word"), (pal_from_coord, PalCoord(5, 2), "palindrome construction"),
+                          (palindromic_conjugates, 6, "conjugate enumeration"), (oracle.scan_prefix, 21, "prefix scan"),
+                          (prefix, 21, "prefix"), (fibword.iterate, 7, "prefix")):
+        with pytest.raises(ResourceError, match=f"^{what} of length"):
+            fn(arg)
+    assert len(singular_word(5)) == 13 and len(prefix(20)) == 20
 
 
 def test_prefix_domain():
