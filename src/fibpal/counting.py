@@ -24,10 +24,13 @@ subtracts fib(m-3) into block m-1 (the greedy Zeckendorf digits of r), so it
 costs one big-int comparison and at most one big-int subtraction.  The
 cumulative count is a closed form at the block boundary plus a tail sum whose
 every term is a small integer times a Fibonacci number: the walk collects the
-small coefficients per index, checks on small integers (fib mod 5) that each
-head's closed form is exact, and combines them in one dot product with one
-checked division by 5.  Agreement with the block form and the tree oracle is
-enforced by the tests.
+small coefficients per index and combines them once, by a dense dot product
+for short lists and by divide and conquer over Z[phi] for long ones, with one
+checked division by 5.  That each head's closed form is an integer depends on
+m mod 20 only, so it is checked once on small integers (fib mod 5) for all 20
+residues, not per hop.  Past the Fibonacci table the walk reads fib(m-3) from
+a pair stepped down by subtraction, so memory stays bounded.  Agreement with
+the block form and the tree oracle is enforced by the tests.
 
 Interval splitting
 ------------------
@@ -56,6 +59,17 @@ _END_BASE = (1, 1, 2, 2, 2, 3)
 
 # fib(k) % 5 at index k % 20, for k >= -1: fib mod 5 has period 20 (Pisano).
 _FIB_MOD5 = (1, 2, 3, 0, 3, 3, 1, 4, 0, 4, 4, 3, 2, 0, 2, 2, 4, 1, 0, 1)
+_heads_checked = None  # the last _FIB_MOD5 table found to make every head exact
+
+# Coefficient lists at least this long are summed by _split_dot; below it the
+# dense dot product over the table is faster.
+_SPLIT_MIN = 2400
+_LEAF = 64
+_F = [1, 0]  # F(-1), F(0), ..., F(_LEAF) in the standard indexing
+for _ in range(_LEAF):
+    _F.append(_F[-1] + _F[-2])
+# F(i - 1) and F(i) for 0 <= i < _LEAF, and phi**_LEAF = F(_LEAF - 1) + F(_LEAF) phi
+_LEAF_X, _LEAF_Y, _LEAF_POW = tuple(_F[:_LEAF]), tuple(_F[1:_LEAF + 1]), (_F[_LEAF], _F[_LEAF + 1])
 
 
 def _div5(x: int) -> int:
@@ -64,33 +78,96 @@ def _div5(x: int) -> int:
     return x // 5
 
 
+def _check_heads() -> None:
+    """Raise unless every head closed form is an integer.
+
+    The numerator (m-11) fib(m-1) + (m+1) fib(m-3) mod 5 depends on m mod 20
+    only, so the 20 residues cover every block; a table is checked once.
+    """
+    global _heads_checked
+    table = _FIB_MOD5
+    if table is _heads_checked:
+        return
+    for m in range(20):
+        if ((m - 11) * table[(m - 1) % 20] + (m + 1) * table[(m - 3) % 20]) % 5:
+            raise AssertionError(f"head closed form at blocks m = {m} mod 20 is not divisible by 5")
+    _heads_checked = table
+
+
+def _split_dot(coef: list[int]) -> int:
+    """sum(c * fib(k - 1) for k, c in enumerate(coef)), by divide and conquer.
+
+    In the standard indexing fib(k - 1) = F(k + 1), and with phi**i = F(i-1) +
+    F(i) phi, a run of coefficients c_i is the element sum(c_i phi**i) = x +
+    y phi of Z[phi].  Leaves of _LEAF coefficients take x and y as dense dot
+    products with small Fibonacci numbers.  Two neighbouring runs, the lower
+    of length s, join as u_lo + phi**s u_hi: the split F(s+j) = F(s-1) F(j) +
+    F(s) F(j+1), multiplied out in three products.  For the whole list,
+    sum(c_k F(k+1)) = X + Y, as F(k+1) = F(k-1) + F(k).
+    """
+    xs, ys = [], []
+    for o in range(0, len(coef), _LEAF):
+        run = coef[o:o + _LEAF]
+        xs.append(sum(map(mul, run, _LEAF_X)))
+        ys.append(sum(map(mul, run, _LEAF_Y)))
+    a, b = _LEAF_POW  # phi**s = a + b phi for the run length s of this level
+    while len(xs) > 1:
+        nx, ny = [], []
+        for i in range(1, len(xs), 2):
+            x, y = xs[i], ys[i]
+            xa, yb = x * a, y * b
+            nx.append(xs[i - 1] + xa + yb)
+            ny.append(ys[i - 1] + (x + y) * (a + b) - xa)
+        if len(xs) % 2:
+            nx.append(xs[-1])
+            ny.append(ys[-1])
+        xs, ys = nx, ny
+        if len(xs) > 1:
+            a, b = a * a + b * b, b * (2 * a + b)  # phi**(2s)
+    return xs[0] + ys[0]
+
+
+def _fib_dot(coef: list[int]) -> int:
+    """sum(c * fib(k - 1) for k, c in enumerate(coef)): a dense dot product
+    with the table below _SPLIT_MIN coefficients, else _split_dot."""
+    if len(coef) < _SPLIT_MIN:
+        return sum(map(mul, coef, fibword.fibs_through(len(coef) - 2)))
+    return _split_dot(coef)
+
+
 def _walk(n: int, with_tail: bool, steps: list | None = None) -> tuple[int, int, int]:
     """(end_count(n), tail_sum(n), block index of n) by walking the block offset.
 
     A "copy" hop keeps the offset r; a "head+tail" hop (r >= fib(m-3)) takes
     r - fib(m-3).  With ``with_tail`` the tail adds r + 1 per hop, the closed
     form (5 fib(m) + (m-11) fib(m-1) + (m+1) fib(m-3)) / 5 of each copied
-    head, and the base table.  A ``steps`` list receives (m, r, case) per hop
-    and the final (m, r, "table").
+    head, and the base table.  A ``steps`` list receives (m, n, case, part)
+    per hop and for the final "table" step, where part is what the step adds
+    to the tail.
     """
     m0 = m = fib_floor_index(n + 1)  # the block: fib(m) - 1 <= n <= fib(m+1) - 2
-    fibs = fibword._fibs  # fibs[k + 1] is fib(k), grown past fib(m0) just above
+    fibs = fibword.fibs_through(m0)  # fibs[k + 1] is fib(k): the table, or a stepped pair past it
     r0 = r = n - fibs[m + 1] + 1
-    coef = [0] * (m0 + 2) if with_tail else None  # coef[k + 1] multiplies fib(k)
+    coef = None
+    if with_tail:
+        _check_heads()
+        coef = [0] * (m0 - 1)  # coef[k + 1] multiplies fib(k)
     hops = 0
     while m > 3:
         g = fibs[m - 2]  # fib(m-3)
         if steps is not None:
-            steps.append((m, r, "copy" if r < g else "head+tail"))
+            f = fibs[m + 1]
+            head = 0 if r < g else _div5(5 * f + (m - 11) * fibs[m] + (m + 1) * g)
+            steps.append((m, r + f - 1, "copy" if r < g else "head+tail", r + 1 + head))
         if r < g:
             m -= 2
         else:
             if coef is not None:
-                if ((m - 11) * _FIB_MOD5[(m - 1) % 20] + (m + 1) * _FIB_MOD5[(m - 3) % 20]) % 5:
-                    raise AssertionError(f"head closed form at block {m} is not divisible by 5")
-                coef[m + 1] += 5
-                coef[m] += m - 11
-                coef[m - 2] += 5 * hops + m + 1  # hops: fib(m-3) is in offsets 1 .. hops
+                # the head in the basis fib(m-3), fib(m-4), where fib(m) = 3 fib(m-3) +
+                # 2 fib(m-4) and fib(m-1) = 2 fib(m-3) + fib(m-4), plus 5 hops fib(m-3):
+                # fib(m-3) is also in offsets 1 .. hops
+                coef[m - 2] += 5 * hops + 3 * m - 6
+                coef[m - 3] += m - 1
             r -= g
             m -= 1
         hops += 1
@@ -98,10 +175,10 @@ def _walk(n: int, with_tail: bool, steps: list | None = None) -> tuple[int, int,
     tail = 0
     if coef is not None:
         # the offsets sum to r0 + (hops - 1) r plus the hop-weighted fib(m-3) in coef
-        tail = hops + r0 + (hops - 1) * r + _div5(sum(map(mul, coef, fibs)))
+        tail = hops + r0 + (hops - 1) * r + _div5(_fib_dot(coef))
         tail += sum(_END_BASE[base:base + r + 1])
     if steps is not None:
-        steps.append((m, r, "table"))
+        steps.append((m, base + r + 1, "table", sum(_END_BASE[base:base + r + 1])))
     return _END_BASE[base + r] + hops, tail, m0
 
 
@@ -193,11 +270,9 @@ def occurrence_count_trace(n: int) -> tuple[int, dict]:
     walked: list = []
     _, tail, m = _walk(n, True, walked)
     steps, done = [], 0
-    for mk, r, case in walked:
-        steps.append({"n": r + fib(mk) - 1, "m": mk, "case": case, "value": tail - done})
-        done += r + 1
-        if case == "head+tail":
-            done += _div5(5 * fib(mk) + (mk - 11) * fib(mk - 1) + (mk + 1) * fib(mk - 3))
+    for mk, nk, case, part in walked:
+        steps.append({"n": nk, "m": mk, "case": case, "value": tail - done})
+        done += part
     before = block_prefix_total(m)
     return before + tail, {"m": m, "before_block": before, "tail": tail, "tail_steps": steps}
 
@@ -206,7 +281,11 @@ def convolution_identity_holds(m: int) -> bool:
     """Check sum(fib(i) * fib(m-i-1), i = -1..m) against its closed form."""
     if m < 1:
         raise DomainError(f"defined for m >= 1, got {m}")
-    lhs = sum(fib(i) * fib(m - i - 1) for i in range(-1, m + 1))
+    lhs, lo, lo_next, hi, hi_prev = 0, 1, 1, fib(m), fib(m - 1)
+    for _ in range(m + 2):  # lo = fib(i) and hi = fib(m-i-1), stepped as pairs
+        lhs += lo * hi
+        lo, lo_next = lo_next, lo + lo_next
+        hi, hi_prev = hi_prev, hi - hi_prev
     return lhs == _div5((m + 2) * fib(m + 2) + (m + 4) * fib(m))
 
 

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from . import fibword, singular
 from .errors import DomainError
-from .fibword import fib
+from .fibword import fib, fib_floor_index
 from .singular import kernel, singular_word
 
 CYLINDER_BY_MOD = {2: "a", 0: "b", 1: "aa"}
@@ -84,17 +84,16 @@ def pals_of_length(n: int) -> list[PalCoord]:
     """All palindrome coordinates of length n: two for odd n, one for even.
 
     A kernel index m realizes the lengths fib(m), fib(m)+2, ..., fib(m+3)-2,
-    so scanning m while fib(m) <= n is logarithmic in n.
+    so with M the largest index fib(M) <= n only m = M-2, M-1, M can realize n.
     """
     if n < 1:
         raise DomainError("palindrome lengths start at 1; the empty word is excluded")
     out = []
-    m = -1
-    while fib(m) <= n:
+    top = fib_floor_index(n)
+    for m in range(max(-1, top - 2), top + 1):
         num = fib(m + 3) - n
         if num >= 2 and num % 2 == 0 and num // 2 <= fib(m + 1):
             out.append(PalCoord(m, num // 2))
-        m += 1
     return out
 
 
@@ -118,11 +117,10 @@ def prefix_palindrome_lengths(max_n: int) -> list[int]:
     if max_n < 1:
         raise DomainError(f"need max_n >= 1, got {max_n}")
     out = []
-    m = 2
-    while fib(m) - 2 <= max_n:
-        if fib(m) - 2 >= 1:
-            out.append(fib(m) - 2)
-        m += 1
+    f, f_next = fib(2), fib(3)  # fib(2) - 2 = 1 is the first length
+    while f - 2 <= max_n:
+        out.append(f - 2)
+        f, f_next = f_next, f + f_next
     return out
 
 

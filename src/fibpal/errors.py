@@ -11,4 +11,4 @@ class NotAFactorError(DomainError):
 
 class ResourceError(RuntimeError):
     """The request would materialize more letters than the configured cap,
-    or need a Fibonacci number past the table limit."""
+    or need a Fibonacci number past the index limit."""

@@ -34,10 +34,13 @@ LETTER_B = "b"
 DEFAULT_MATERIALIZE_CAP = 10**8
 
 # Fibonacci numbers, index shifted by one: _fibs[i] holds fib(i - 1).  The
-# table keeps every value up to the largest index asked for, about 0.35 m^2
-# bits for index m (some 460 MB of peak RSS at m = 10**5), so indices past
-# FIB_INDEX_MAX are refused before it grows.  A position of 10**10000 has
-# block index ~47,850.
+# table grows on demand up to fib(FIB_TABLE_MAX) and no further (~1.1 MB):
+# a position below 1.1 * 10**1000 has block index ~4,790.  Past it, fib
+# values come from fast doubling and are not kept, so memory does not grow
+# with the largest index ever asked for.  FIB_INDEX_MAX bounds the size of
+# an answer: larger indices are refused.  A position of 10**10000 has block
+# index ~47,850.
+FIB_TABLE_MAX = 5000
 FIB_INDEX_MAX = 10**5
 _fibs = [1, 1]
 _fibs_lock = threading.Lock()
@@ -69,35 +72,102 @@ def check_cap(n: int, what: str = "word") -> None:
 def fib(m: int) -> int:
     """The m-th Fibonacci number with fib(-1) = fib(0) = 1.
 
-    Memoized and exact up to m = FIB_INDEX_MAX; a larger m raises
-    ResourceError before the table grows.  Growth of the shared table is
-    serialized, reads of already-cached entries are lock-free.
+    Exact up to m = FIB_INDEX_MAX; a larger m raises ResourceError.  Values up
+    to FIB_TABLE_MAX are memoized in a shared table, whose growth is serialized
+    and whose reads are lock-free; larger ones are computed by fast doubling
+    on every call.
     """
     if m < -1:
         raise DomainError(f"fib index must be >= -1, got {m}")
     idx = m + 1
     if idx >= len(_fibs):
-        if m > FIB_INDEX_MAX:
-            raise ResourceError(f"fib index {m} exceeds the table limit {FIB_INDEX_MAX}")
+        if m > FIB_TABLE_MAX:
+            return _fib_pair(m)[0]
         with _fibs_lock:
             while idx >= len(_fibs):
                 _fibs.append(_fibs[-1] + _fibs[-2])
     return _fibs[idx]
 
 
+def _fib_pair(m: int) -> tuple[int, int]:
+    """(fib(m), fib(m - 1)) by fast doubling, for 0 <= m <= FIB_INDEX_MAX."""
+    if m > FIB_INDEX_MAX:
+        raise ResourceError(f"fib index {m} exceeds the index limit {FIB_INDEX_MAX}")
+    a, b = 0, 1  # F(k), F(k + 1) in the standard indexing, where fib(m) = F(m + 2)
+    for bit in bin(m + 1)[2:]:
+        a, b = a * (2 * b - a), a * a + b * b
+        if bit == "1":
+            a, b = b, a + b
+    return b, a
+
+
+class _FibSteps:
+    """fib values by the table's index, [k + 1] -> fib(k), for k past the table.
+
+    Holds one pair (fib(k), fib(k - 1)) and moves it by one addition or
+    subtraction per index, so a walk that moves a few indices at a time pays
+    O(1) big-int operations per step; indices inside the table are read there.
+    """
+
+    __slots__ = ("idx", "hi", "lo")
+
+    def __init__(self, m: int):
+        self.idx = m + 1
+        self.hi, self.lo = _fib_pair(m)
+
+    def __getitem__(self, idx: int) -> int:
+        if idx < len(_fibs):
+            return _fibs[idx]
+        k, hi, lo = self.idx, self.hi, self.lo
+        while k > idx:
+            hi, lo = lo, hi - lo
+            k -= 1
+        while k < idx:
+            hi, lo = hi + lo, hi
+            k += 1
+        self.idx, self.hi, self.lo = k, hi, lo
+        return hi
+
+
+def fibs_through(m: int) -> list[int] | _FibSteps:
+    """Indexable fib(-1) .. fib(m), with [k + 1] holding fib(k) as in the table.
+
+    The table itself when m is within FIB_TABLE_MAX; past it, the table filled
+    to FIB_TABLE_MAX and a stepped pair from (fib(m), fib(m - 1)) above it.
+    """
+    if m + 1 < len(_fibs):
+        return _fibs
+    fib(min(m, FIB_TABLE_MAX))
+    return _fibs if m <= FIB_TABLE_MAX else _FibSteps(m)
+
+
 def fib_floor_index(x: int) -> int:
     """Largest m with fib(m) <= x, for x >= 1.
 
     Because fib(-1) == fib(0) == 1, the *largest* such m is returned
-    (so fib_floor_index(1) == 0).  Past the table limit of ``fib`` it raises
-    ResourceError, and the table does not grow.
+    (so fib_floor_index(1) == 0).  Below fib(FIB_TABLE_MAX) it is a search in
+    the table; past it, one fast doubling near the answer and a few steps, so
+    the table does not grow.  An answer that may exceed FIB_INDEX_MAX raises
+    ResourceError.
     """
     if x < 1:
         raise DomainError(f"fib_floor_index needs x >= 1, got {x}")
     if _fibs[-1] <= x:
         # with g = (1 + sqrt 5)/2, fib(m) >= g**m and log(2)/log(g) < 1.4405,
-        # so fib(m) > x here: one request grows the table past x, or is refused
-        fib(x.bit_length() * 14405 // 10000 + 1)
+        # so fib(top) > x
+        top = x.bit_length() * 14405 // 10000 + 1
+        if top > FIB_INDEX_MAX:
+            raise ResourceError(f"fib index {top} exceeds the index limit {FIB_INDEX_MAX}")
+        if top > FIB_TABLE_MAX:
+            # fib(m) <= g**(m + 1) <= 2**(bits - 1) <= x, as 1.4404 < 1/log2(g);
+            # the answer is at most top, a few steps up
+            m = (x.bit_length() - 1) * 14404 // 10000 - 1
+            hi, lo = _fib_pair(m)
+            while hi + lo <= x:
+                hi, lo = hi + lo, hi
+                m += 1
+            return m
+        fib(top)
     return bisect_right(_fibs, x) - 2
 
 

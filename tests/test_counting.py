@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from itertools import count
+from operator import mul
 from pathlib import Path
 from random import Random
 
@@ -31,7 +32,8 @@ from fibpal import (
     tail_sum,
 )
 from fibpal import counting, fibword, oracle
-from fibpal.fibword import fib_floor_index
+from fibpal.chain import singular_end_pos
+from fibpal.fibword import fib_floor_index, floor_phi
 
 # end-count vectors over the first six blocks
 BLOCK_VECTORS = {
@@ -151,6 +153,114 @@ def test_walk_matches_reference_walk():
             assert occurrence_count(n) == value == block_prefix_total(m) + tail, n
 
 
+def test_walk_matches_reference_walk_past_the_table():
+    # past fib(FIB_TABLE_MAX) the walk and its trace read a stepped pair
+    rng = Random(4790)
+    top = fibword.FIB_TABLE_MAX
+    ns = [fib(top) - 2, fib(top), fib(top + 1) - 2, fib(top + 1) - 1, fib(top + 3) + 5]
+    ns += [rng.randrange(fib(top), 10**1200) for _ in range(3)]
+    for n in ns:
+        end, tail, m, steps = reference_walk(n)
+        value, trace = occurrence_count_trace(n)
+        assert end_count(n) == end and tail_sum(n) == tail, n
+        assert trace == {"m": m, "before_block": block_prefix_total(m), "tail": tail, "tail_steps": steps}, n
+        assert value == occurrence_count(n) == block_prefix_total(m) + tail, n
+    assert len(fibword._fibs) <= top + 2
+
+
+def _dense_fib_dot(coef):
+    fibs = [1, 1]  # fib(-1), fib(0), ... stepped here, so no length is past reach
+    while len(fibs) < len(coef):
+        fibs.append(fibs[-1] + fibs[-2])
+    return sum(map(mul, coef, fibs))
+
+
+def test_fib_dot_matches_dense_dot():
+    rng = Random(1007)
+    leaf, split = counting._LEAF, counting._SPLIT_MIN
+    lengths = [1, 2, 3, leaf - 1, leaf, leaf + 1, 2 * leaf - 1, 2 * leaf, 2 * leaf + 1, 3 * leaf, 5 * leaf + 1]
+    lengths += [split - 1, split, split + 1, 4 * split - leaf + 1]
+    lengths += [fibword.FIB_TABLE_MAX + d for d in (1, 2, 3, 64)]
+    for size in lengths:
+        for bound in (5, 10**6):
+            coef = [rng.randrange(-bound, bound + 1) for _ in range(size)]
+            coef[rng.randrange(size)] = 0
+            expect = _dense_fib_dot(coef)
+            assert counting._split_dot(coef) == expect, size
+            if size < fibword.FIB_TABLE_MAX:  # past it the walk never takes the dense path
+                assert counting._fib_dot(coef) == expect, size
+    assert len(fibword._fibs) <= fibword.FIB_TABLE_MAX + 2
+
+
+def chain_counts(n):
+    """(end_count(n), occurrence_count(n)) from the chain intervals alone.
+
+    With lo(m, p) = singular_end_pos(m, p), the intervals K(m, p) = [lo(m, p),
+    lo(m, p) + fib(m+1) - 1] are disjoint in p, and each palindrome occurrence
+    ending at n is one (m, p) with n in K(m, p).  So with P the largest p with
+    lo(m, P) <= n, only K(m, P) can hold n, and K(m, 1) .. K(m, P) are the
+    intervals of m that reach into the length-n prefix.
+    """
+    scale = 1 << n.bit_length()
+    end = total = 0
+    m, f, f1 = -1, 1, 1  # f = fib(m), f1 = fib(m+1)
+    while f + f1 - 1 <= n:  # lo(m, 1) = fib(m+2) - 1
+        # pD - 1 < lo(m, p) <= pD + f - 1 with D = f1 + f (sqrt 5 - 1)/2; the
+        # denominator below exceeds scale * D, so p starts at most two below P
+        p = max(1, (n + 1 - f) * scale // (f1 * scale + floor_phi(f * scale) + 1))
+        while singular_end_pos(m, p + 1) <= n:
+            p += 1
+        lo = singular_end_pos(m, p)
+        end += n <= lo + f1 - 1
+        total += (p - 1) * f1 + min(f1, n - lo + 1)
+        m, f, f1 = m + 1, f1, f + f1
+    return end, total
+
+
+def test_counts_match_chain_interval_derivation():
+    rng = Random(2016)
+    ns = list(range(1, 3000))
+    for k in (6, 18, 100):
+        ns += [rng.randrange(10**k, 10 ** (k + 1)) for _ in range(5)]
+    ns.append(rng.randrange(10**1000, 10**1001))
+    for n in ns:
+        assert chain_counts(n) == (end_count(n), occurrence_count(n)), n
+
+
+def test_counting_memory_stays_bounded():
+    # a fresh process, so that no earlier query has filled the table
+    code = """if True:
+        import tracemalloc
+        from random import Random
+        from fibpal import counting, fibword
+        from fibpal.chain import new_pal_at
+        from fibpal.counting import end_count, fib_prefix_total, occurrence_count
+        from fibpal.cylinder import pals_of_length
+        from fibpal.fibword import fib
+
+        tracemalloc.start()
+        end_count(10**20000)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 20 * 2**20, peak
+        occurrence_count(10**10000 + 7)
+        new_pal_at(10**10000)
+        assert pals_of_length(10**10000)
+        top = fibword.FIB_TABLE_MAX
+        assert len(fibword._fibs) <= top + 2, len(fibword._fibs)
+        rng = Random(5002)
+        for _ in range(4):
+            n = rng.randrange(fib(top), 10**1500)
+            assert occurrence_count(n) - occurrence_count(n - 1) == end_count(n), n
+        for m in [top + 1, top + 2] + rng.sample(range(top + 3, 7000), 3):
+            assert occurrence_count(fib(m)) == fib_prefix_total(m), m
+        assert len(fibword._fibs) <= top + 2, len(fibword._fibs)
+        print("ok")
+    """
+    proc = _run(code)
+    assert proc.returncode == 0 and proc.stdout.strip() == "ok", proc.stderr
+
+
 @given(st.integers(min_value=1, max_value=10**12))
 @settings(max_examples=60)
 def test_occurrence_count_additivity(n):
@@ -242,10 +352,14 @@ def test_convolution_identity():
         assert convolution_identity_holds(m)
 
 
-def _run_optimized(code):
+def _run(code, *flags):
     src = str(Path(counting.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True, env=env)
+
+
+def _run_optimized(code):
+    return _run(code, "-O")
 
 
 def test_invariant_checks_survive_optimize_flag():

@@ -59,6 +59,27 @@ def test_fib_floor_index():
         assert fibword.fib_floor_index(fib(m + 1) - 1) == m
 
 
+def test_fib_past_the_table():
+    top = fibword.FIB_TABLE_MAX
+    fibs = [fib(top - 1), fib(top)]
+    for _ in range(40):  # stepped here, not read from fibword
+        fibs.append(fibs[-1] + fibs[-2])
+    for k, value in enumerate(fibs[2:], start=top + 1):
+        assert fib(k) == value
+        assert fibword.fib_floor_index(value) == k
+        assert fibword.fib_floor_index(value - 1) == k - 1
+        assert fibword.fib_floor_index(value + fibs[k - top] // 2) == k
+    assert fib(top + 1) == fib(top) + fib(top - 1)
+    f, g = fib(30000), fib(29999)
+    assert fib(30001) == f + g and fibword.fib_floor_index(f + g - 1) == 30000
+    steps = fibword.fibs_through(top + 40)
+    assert steps is not fibword._fibs
+    for idx in [top + 41, top + 3, top + 20, top + 19, top + 41, top - 7, top + 2, 5, top + 1]:
+        assert steps[idx] == fib(idx - 1), idx
+    assert fibword.fibs_through(top) is fibword._fibs
+    assert len(fibword._fibs) == top + 2
+
+
 def test_prefix_examples():
     assert prefix(0) == ""
     assert prefix(3) == "aba"
