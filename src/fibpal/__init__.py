@@ -6,8 +6,10 @@ in exact integer arithmetic, with a palindromic-tree oracle for independent
 verification at desk scale.
 
 The closed-form API loads without NumPy.  The oracle names (``scan_word``,
-``eertree_total``, ...) and the ``oracle`` and ``kernels`` modules need it,
-so they are imported on first access (PEP 562).
+``return_words``, ``ReturnWordSeq``) and the ``oracle`` and ``kernels``
+modules need it, so they are imported on first access (PEP 562).  Tree
+counts are fields of the ``PrefixScan`` that ``scan_word`` returns (and
+``oracle.scan_prefix``): ``end_counts``, ``distinct`` and ``nodes``.
 """
 
 import importlib
@@ -88,9 +90,6 @@ __all__ = [
     "cylinder_table",
     "cylinder_tag",
     "distinct_count",
-    "eertree_distinct",
-    "eertree_end_counts",
-    "eertree_total",
     "end_count",
     "end_count_block",
     "end_count_near_fib",
@@ -102,12 +101,10 @@ __all__ = [
     "floor_phi",
     "is_factor",
     "kernel",
-    "kernel_correspondence",
     "letter_at",
     "new_pal_at",
     "occurrence_count",
     "occurrence_count_trace",
-    "occurrences",
     "pal_end_pos",
     "pal_from_coord",
     "pal_span",
@@ -128,16 +125,7 @@ __all__ = [
     "__version__",
 ]
 
-_ORACLE_NAMES = frozenset({
-    "ReturnWordSeq",
-    "eertree_distinct",
-    "eertree_end_counts",
-    "eertree_total",
-    "kernel_correspondence",
-    "occurrences",
-    "return_words",
-    "scan_word",
-})
+_ORACLE_NAMES = frozenset({"ReturnWordSeq", "return_words", "scan_word"})
 _LAZY_MODULES = frozenset({"kernels", "oracle"})
 
 

@@ -6,7 +6,7 @@ import time
 from typing import NamedTuple
 
 from . import counting, oracle
-from .errors import DomainError
+from .errors import DomainError, show_int
 
 
 class BenchRow(NamedTuple):
@@ -24,7 +24,7 @@ class BenchRow(NamedTuple):
 def time_closed(n: int, repeat: int = 5) -> tuple[float, int]:
     """Median seconds for one occurrence_count(n) query."""
     if repeat < 1:
-        raise DomainError(f"repeat must be >= 1, got {repeat}")
+        raise DomainError(f"repeat must be >= 1, got {show_int(repeat)}")
     times = []
     value = 0
     for _ in range(repeat):

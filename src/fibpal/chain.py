@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .cylinder import PalCoord, validate_coord
-from .errors import DomainError
+from .errors import DomainError, show_int
 from .fibword import fib, fib_floor_index, floor_phi
 
 
@@ -56,9 +56,9 @@ def _end_pos(m: int, p: int, fib_next: int) -> int:
 def singular_end_pos(m: int, p: int) -> int:
     """Ending position of the p-th occurrence of the m-th singular word."""
     if m < -1:
-        raise DomainError(f"kernel index must be >= -1, got {m}")
+        raise DomainError(f"kernel index must be >= -1, got {show_int(m)}")
     if p < 1:
-        raise DomainError(f"occurrence index must be >= 1, got {p}")
+        raise DomainError(f"occurrence index must be >= 1, got {show_int(p)}")
     return _end_pos(m, p, fib(m + 1))
 
 
@@ -71,7 +71,7 @@ def pal_end_pos(c: PalCoord, p: int) -> int:
     """Ending position of the p-th occurrence of the palindrome (m, i)."""
     fib_next = validate_coord(c)  # the coordinate error wins over p's
     if p < 1:
-        raise DomainError(f"occurrence index must be >= 1, got {p}")
+        raise DomainError(f"occurrence index must be >= 1, got {show_int(p)}")
     return _end_pos(c.m, p, fib_next) + fib_next - c.i
 
 
@@ -101,7 +101,7 @@ def new_pal_at(n: int) -> PalCoord:
     (fib(m+2) - 1 <= n <= fib(m+3) - 2), and there i = fib(m+3) - 1 - n.
     """
     if n < 1:
-        raise DomainError(f"positions are 1-based, got {n}")
+        raise DomainError(f"positions are 1-based, got {show_int(n)}")
     m = fib_floor_index(n + 1) - 2
     c = PalCoord(m, fib(m + 3) - 1 - n)
     validate_coord(c)  # boundary check: i lands in [1, fib(m+1)]
@@ -116,5 +116,5 @@ def distinct_count(n: int) -> int:
     exercise the identity.
     """
     if n < 1:
-        raise DomainError(f"positions are 1-based, got {n}")
+        raise DomainError(f"positions are 1-based, got {show_int(n)}")
     return n

@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 from . import fibword
 from .chain import ChainInterval, chain_interval, singular_end_pos
-from .errors import DomainError
+from .errors import DomainError, show_int
 from .fibword import check_cap, fib, fib_floor_index
 
 # end_count(1) .. end_count(6); the walk bottoms out here.
@@ -185,14 +185,14 @@ def _walk(n: int, with_tail: bool, steps: list | None = None) -> tuple[int, int,
 def end_count(n: int) -> int:
     """Number of palindrome occurrences ending exactly at position n."""
     if n < 1:
-        raise DomainError(f"positions are 1-based, got {n}")
+        raise DomainError(f"positions are 1-based, got {show_int(n)}")
     return _walk(n, False)[0]
 
 
 def end_count_block(m: int) -> list[int]:
     """The end counts over positions fib(m)-1 .. fib(m+1)-2, for m >= 3."""
     if m < 3:
-        raise DomainError(f"blocks start at index 3, got {m}")
+        raise DomainError(f"blocks start at index 3, got {show_int(m)}")
     check_cap(fib(m - 1), "end-count block")
     blocks = {1: [1], 2: [1, 2]}
     for k in range(3, m + 1):
@@ -208,21 +208,21 @@ def tail_sum(n: int) -> int:
     [fib(m)-1, n]).
     """
     if n < 1:
-        raise DomainError(f"positions are 1-based, got {n}")
+        raise DomainError(f"positions are 1-based, got {show_int(n)}")
     return _walk(n, True)[1]
 
 
 def block_prefix_total(m: int) -> int:
     """Closed form of occurrence_count(fib(m) - 2), the total before block m."""
     if m < 2:
-        raise DomainError(f"defined for m >= 2, got {m}")
+        raise DomainError(f"defined for m >= 2, got {show_int(m)}")
     return _div5((m - 3) * fib(m + 2) + (m - 1) * fib(m)) + 2
 
 
 def fib_prefix_total(m: int) -> int:
     """Closed form of occurrence_count(fib(m)), for m >= 2."""
     if m < 2:
-        raise DomainError(f"defined for m >= 2, got {m}")
+        raise DomainError(f"defined for m >= 2, got {show_int(m)}")
     return _div5((m - 3) * fib(m + 2) + (m - 1) * fib(m)) + m + 3
 
 
@@ -232,7 +232,7 @@ def block_sum(m: int) -> int:
     Also satisfies block_sum(m) = block_sum(m-1) + block_sum(m-2) + fib(m-1).
     """
     if m < 1:
-        raise DomainError(f"defined for m >= 1, got {m}")
+        raise DomainError(f"defined for m >= 1, got {show_int(m)}")
     return _div5((m + 1) * fib(m + 1) + (m - 2) * fib(m - 1))
 
 
@@ -242,7 +242,7 @@ def end_count_near_fib(m: int) -> tuple[int, int, int]:
     The last two sum to m + 1.
     """
     if m < 2:
-        raise DomainError(f"defined for m >= 2, got {m}")
+        raise DomainError(f"defined for m >= 2, got {show_int(m)}")
     return (m - 1, (m + 1) // 2, (m + 2) // 2)
 
 
@@ -254,7 +254,7 @@ def occurrence_count(n: int) -> int:
     materialization.
     """
     if n < 0:
-        raise DomainError(f"prefix lengths are >= 0, got {n}")
+        raise DomainError(f"prefix lengths are >= 0, got {show_int(n)}")
     if n <= 3:
         return (0, 1, 2, 4)[n]
     _, tail, m = _walk(n, True)
@@ -264,7 +264,7 @@ def occurrence_count(n: int) -> int:
 def occurrence_count_trace(n: int) -> tuple[int, dict]:
     """occurrence_count(n) plus the walk taken; each step's value is tail_sum of its n."""
     if n < 0:
-        raise DomainError(f"prefix lengths are >= 0, got {n}")
+        raise DomainError(f"prefix lengths are >= 0, got {show_int(n)}")
     if n <= 3:
         return occurrence_count(n), {"base_table": True, "value": occurrence_count(n)}
     walked: list = []
@@ -280,7 +280,7 @@ def occurrence_count_trace(n: int) -> tuple[int, dict]:
 def convolution_identity_holds(m: int) -> bool:
     """Check sum(fib(i) * fib(m-i-1), i = -1..m) against its closed form."""
     if m < 1:
-        raise DomainError(f"defined for m >= 1, got {m}")
+        raise DomainError(f"defined for m >= 1, got {show_int(m)}")
     lhs, lo, lo_next, hi, hi_prev = 0, 1, 1, fib(m), fib(m - 1)
     for _ in range(m + 2):  # lo = fib(i) and hi = fib(m-i-1), stepped as pairs
         lhs += lo * hi
@@ -300,7 +300,7 @@ class CellSplit(NamedTuple):
 def split_cell(m: int, p: int) -> CellSplit:
     """Split cell (m, p), m >= 1, into its two children and verify the tiling."""
     if m < 1:
-        raise DomainError(f"splitting needs kernel index >= 1, got {m} (index 0 reduces)")
+        raise DomainError(f"splitting needs kernel index >= 1, got {show_int(m)} (index 0 reduces)")
     parent = chain_interval(m, p)
     left = chain_interval(m - 2, singular_end_pos(0, p) + 1)
     right = chain_interval(m - 1, singular_end_pos(-1, p) + 1)
@@ -312,7 +312,7 @@ def split_cell(m: int, p: int) -> CellSplit:
 def reduce_cell(p: int) -> ChainInterval:
     """Reduce cell (0, p) to the singleton cell holding its maximum."""
     if p < 1:
-        raise DomainError(f"occurrence index must be >= 1, got {p}")
+        raise DomainError(f"occurrence index must be >= 1, got {show_int(p)}")
     child = chain_interval(-1, singular_end_pos(-1, p) + 1)
     if child.lo != chain_interval(0, p).hi:
         raise AssertionError(f"cell reduction misaligned for p={p}")
@@ -329,7 +329,7 @@ def expand_cell(m: int, p: int, depth: int | None = None, include_reduce: bool =
     once: no subtree has more leaves than the whole tree.
     """
     if depth is not None and depth < 0:
-        raise DomainError(f"expansion depth must be >= 0, or None for the leaves, got {depth}")
+        raise DomainError(f"expansion depth must be >= 0, or None for the leaves, got {show_int(depth)}")
 
     def expand(iv: ChainInterval, depth: int | None) -> dict:
         node = iv._asdict()  # m, p, lo, hi

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import fibword, singular
-from .errors import DomainError
+from .errors import DomainError, show_int
 from .fibword import fib, fib_floor_index
 from .singular import kernel, singular_word
 
@@ -41,19 +41,18 @@ class PalCoord(NamedTuple):
 def validate_coord(c: PalCoord) -> int:
     """Raise DomainError unless i lies in [1, fib(m+1)]; return fib(m+1)."""
     if c.m < -1:
-        raise DomainError(f"kernel index must be >= -1, got {c.m}")
+        raise DomainError(f"kernel index must be >= -1, got {show_int(c.m)}")
     top = fib(c.m + 1)
     if not 1 <= c.i <= top:
-        raise DomainError(f"i must lie in [1, fib({c.m + 1})={top}], got {c.i}")
+        raise DomainError(f"i must lie in [1, fib({c.m + 1})={show_int(top)}], got {show_int(c.i)}")
     return top
 
 
-def cylinder_tag(c: PalCoord | int) -> str:
+def cylinder_tag(c: PalCoord) -> str:
     """Cylinder of a palindrome: 'a' / 'b' (odd length, middle letter) or 'aa'."""
-    m = c.m if isinstance(c, PalCoord) else c
-    if m < -1:
-        raise DomainError(f"kernel index must be >= -1, got {m}")
-    return CYLINDER_BY_MOD[m % 3]
+    if c.m < -1:
+        raise DomainError(f"kernel index must be >= -1, got {show_int(c.m)}")
+    return CYLINDER_BY_MOD[c.m % 3]
 
 
 def pal_from_coord(c: PalCoord) -> str:
@@ -97,28 +96,28 @@ def pals_of_length(n: int) -> list[PalCoord]:
     return out
 
 
-def conjugates(w: str) -> list[str]:
-    return [w[i:] + w[:i] for i in range(len(w))]
-
-
 def palindromic_conjugates(m: int) -> set[str]:
     """Palindromes among the rotations of the m-th morphism iterate.
 
     Empty exactly when m = 1 mod 3 (even iterate length), a singleton
-    otherwise.
+    otherwise.  The rotations are read off the doubled iterate one at a
+    time, so memory stays linear in its length.
     """
     if m < -1:
-        raise DomainError(f"iterate index must be >= -1, got {m}")
-    return {c for c in conjugates(fibword.iterate(m, "conjugate enumeration")) if c == c[::-1]}
+        raise DomainError(f"iterate index must be >= -1, got {show_int(m)}")
+    w = fibword.iterate(m, "conjugate enumeration")
+    n, ww = len(w), w + w
+    return {r for r in (ww[i:i + n] for i in range(n)) if r == r[::-1]}
 
 
 def prefix_palindrome_lengths(max_n: int) -> list[int]:
     """All n <= max_n whose length-n prefix is a palindrome: n = fib(m) - 2."""
     if max_n < 1:
-        raise DomainError(f"need max_n >= 1, got {max_n}")
+        raise DomainError(f"need max_n >= 1, got {show_int(max_n)}")
+    top = fib_floor_index(max_n + 2)  # refuses an index past FIB_INDEX_MAX
     out = []
     f, f_next = fib(2), fib(3)  # fib(2) - 2 = 1 is the first length
-    while f - 2 <= max_n:
+    for _ in range(top - 1):  # m = 2 .. top
         out.append(f - 2)
         f, f_next = f_next, f + f_next
     return out
@@ -128,10 +127,12 @@ def cylinder_table(rows: int) -> dict[str, list[tuple[str, bool]]]:
     """First ``rows`` palindromes per cylinder, each with its singular flag.
 
     Row r holds the length 2r-1 palindrome of the 'a' and 'b' cylinders and
-    the length 2r palindrome of the 'aa' cylinder.
+    the length 2r palindrome of the 'aa' cylinder, so the table holds
+    3 rows**2 + rows letters, checked against the cap once.
     """
     if rows < 1:
-        raise DomainError(f"need rows >= 1, got {rows}")
+        raise DomainError(f"need rows >= 1, got {show_int(rows)}")
+    fibword.check_cap(3 * rows * rows + rows, "cylinder table")
     table: dict[str, list[tuple[str, bool]]] = {"a": [], "b": [], "aa": []}
     for r in range(1, rows + 1):
         for n in (2 * r - 1, 2 * r):

@@ -23,7 +23,7 @@ import threading
 from bisect import bisect_right
 from typing import TYPE_CHECKING
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, show_int
 
 if TYPE_CHECKING:
     import numpy as np
@@ -57,7 +57,7 @@ def materialize_cap(raw: str | None) -> int:
     except ValueError as exc:
         raise ResourceError(f"FIBPAL_MAX_MATERIALIZE is not an integer: {raw!r}") from exc
     if cap < 1:
-        raise ResourceError(f"FIBPAL_MAX_MATERIALIZE must be positive, got {cap}")
+        raise ResourceError(f"FIBPAL_MAX_MATERIALIZE must be positive, got {show_int(cap)}")
     return cap
 
 
@@ -66,7 +66,7 @@ def check_cap(n: int, what: str = "word") -> None:
     read from the ``FIBPAL_MAX_MATERIALIZE`` environment variable on every call."""
     cap = materialize_cap(os.environ.get("FIBPAL_MAX_MATERIALIZE"))
     if n > cap:
-        raise ResourceError(f"{what} of length {n} exceeds materialization cap {cap}")
+        raise ResourceError(f"{what} of length {show_int(n)} exceeds materialization cap {show_int(cap)}")
 
 
 def fib(m: int) -> int:
@@ -78,7 +78,7 @@ def fib(m: int) -> int:
     on every call.
     """
     if m < -1:
-        raise DomainError(f"fib index must be >= -1, got {m}")
+        raise DomainError(f"fib index must be >= -1, got {show_int(m)}")
     idx = m + 1
     if idx >= len(_fibs):
         if m > FIB_TABLE_MAX:
@@ -92,7 +92,7 @@ def fib(m: int) -> int:
 def _fib_pair(m: int) -> tuple[int, int]:
     """(fib(m), fib(m - 1)) by fast doubling, for 0 <= m <= FIB_INDEX_MAX."""
     if m > FIB_INDEX_MAX:
-        raise ResourceError(f"fib index {m} exceeds the index limit {FIB_INDEX_MAX}")
+        raise ResourceError(f"fib index {show_int(m)} exceeds the index limit {FIB_INDEX_MAX}")
     a, b = 0, 1  # F(k), F(k + 1) in the standard indexing, where fib(m) = F(m + 2)
     for bit in bin(m + 1)[2:]:
         a, b = a * (2 * b - a), a * a + b * b
@@ -151,13 +151,13 @@ def fib_floor_index(x: int) -> int:
     ResourceError.
     """
     if x < 1:
-        raise DomainError(f"fib_floor_index needs x >= 1, got {x}")
+        raise DomainError(f"fib_floor_index needs x >= 1, got {show_int(x)}")
     if _fibs[-1] <= x:
         # with g = (1 + sqrt 5)/2, fib(m) >= g**m and log(2)/log(g) < 1.4405,
         # so fib(top) > x
         top = x.bit_length() * 14405 // 10000 + 1
         if top > FIB_INDEX_MAX:
-            raise ResourceError(f"fib index {top} exceeds the index limit {FIB_INDEX_MAX}")
+            raise ResourceError(f"fib index {show_int(top)} exceeds the index limit {FIB_INDEX_MAX}")
         if top > FIB_TABLE_MAX:
             # fib(m) <= g**(m + 1) <= 2**(bits - 1) <= x, as 1.4404 < 1/log2(g);
             # the answer is at most top, a few steps up
@@ -180,21 +180,21 @@ def floor_phi(p: int) -> int:
     prefix of length p - 1.
     """
     if p < 0:
-        raise DomainError(f"floor_phi needs p >= 0, got {p}")
+        raise DomainError(f"floor_phi needs p >= 0, got {show_int(p)}")
     return (math.isqrt(5 * p * p) - p) // 2
 
 
 def floor_inv_phi(p: int) -> int:
     """Exact floor(p / phi) = p + floor_phi(p), for p >= 1."""
     if p < 1:
-        raise DomainError(f"floor_inv_phi needs p >= 1, got {p}")
+        raise DomainError(f"floor_inv_phi needs p >= 1, got {show_int(p)}")
     return p + floor_phi(p)
 
 
 def count_a(n: int) -> int:
     """Number of ``a`` letters in the prefix of length n (exact)."""
     if n < 0:
-        raise DomainError(f"count_a needs n >= 0, got {n}")
+        raise DomainError(f"count_a needs n >= 0, got {show_int(n)}")
     return floor_phi(n + 1)
 
 
@@ -211,7 +211,7 @@ def letter_at(n: int) -> str:
     an ``a`` to the running letter count.
     """
     if n < 1:
-        raise DomainError(f"positions are 1-based, got {n}")
+        raise DomainError(f"positions are 1-based, got {show_int(n)}")
     return LETTER_A if floor_phi(n + 1) - floor_phi(n) == 1 else LETTER_B
 
 
@@ -240,7 +240,7 @@ def _prefix(n: int, what: str) -> str:
     """The prefix of length n: a slice of the table up to the table length;
     longer prefixes continue the doubling loop from the whole table."""
     if n < 0:
-        raise DomainError(f"prefix length must be >= 0, got {n}")
+        raise DomainError(f"prefix length must be >= 0, got {show_int(n)}")
     check_cap(n, what)
     if n <= len(_TABLE):
         return _TABLE[:n]
@@ -269,7 +269,7 @@ def prefix_array(n: int, what: str = "prefix") -> np.ndarray:
 def iterate(m: int, what: str = "prefix") -> str:
     """The m-th morphism iterate, of length fib(m); iterate(-1) is ``b``."""
     if m < -1:
-        raise DomainError(f"iterate index must be >= -1, got {m}")
+        raise DomainError(f"iterate index must be >= -1, got {show_int(m)}")
     if m == -1:
         return LETTER_B
     return prefix(fib(m), what)
@@ -290,7 +290,7 @@ def check_floor_identities(p: int) -> dict[str, bool]:
     violation pinpoints the failing identity.
     """
     if p < 1:
-        raise DomainError(f"check_floor_identities needs p >= 1, got {p}")
+        raise DomainError(f"check_floor_identities needs p >= 1, got {show_int(p)}")
     q = floor_phi(p)
     return {
         "at_a_end": floor_phi(p + q) == p - 1,

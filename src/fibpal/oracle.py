@@ -7,8 +7,11 @@ modules, so agreement between the two paths is meaningful evidence.
 
 There is one tree: ``kernels.eertree_fill``, filled over ``array.array``
 buffers.  ``scan_word`` runs it over any word over {a, b} and ``scan_prefix``
-over a prefix of the Fibonacci word; every per-position fact, the distinct
-factors and the palindromic suffixes are read off its arrays.
+over a prefix of the Fibonacci word.  Every count is a field of the one
+``PrefixScan`` a pass returns (``end_counts`` sums to the occurrence total,
+``nodes - 2`` is the distinct count); the distinct factors and palindromic
+suffixes are read off its arrays.  A factor's occurrences come from one
+substring scan, ``occurrence_starts``.
 """
 
 from __future__ import annotations
@@ -19,10 +22,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .chain import OccurrenceSpan
-from .errors import DomainError
+from .errors import DomainError, show_int
 from .fibword import prefix, prefix_array
-from .singular import kernel, singular_word
 
 
 _CODES = bytes.maketrans(b"ab", b"\x00\x01")
@@ -49,7 +50,7 @@ class PrefixScan(NamedTuple):
 
     def _check_pos(self, i: int) -> None:
         if not 1 <= i <= self.n:
-            raise DomainError(f"position must be in 1..{self.n}, got {i}")
+            raise DomainError(f"position must be in 1..{self.n}, got {show_int(i)}")
 
     def end_count(self, i: int) -> int:
         self._check_pos(i)
@@ -116,21 +117,6 @@ def scan_prefix(n: int) -> PrefixScan:
     return _scan(prefix_array(n, "prefix scan").tobytes())
 
 
-def eertree_end_counts(n_max: int) -> np.ndarray:
-    """Occurrence counts per ending position over the length-n_max prefix."""
-    return scan_prefix(n_max).end_counts
-
-
-def eertree_total(n: int) -> int:
-    """Total palindrome occurrences in the length-n prefix (tree-counted)."""
-    return int(scan_prefix(n).end_counts.sum())
-
-
-def eertree_distinct(n: int) -> int:
-    """Distinct palindromic factors of the length-n prefix (tree node count)."""
-    return scan_prefix(n).nodes - 2
-
-
 def occurrence_starts(s: str, w: str) -> list[int]:
     """0-based starts of every (possibly overlapping) occurrence of w in s, from one scan."""
     if not w:
@@ -141,11 +127,6 @@ def occurrence_starts(s: str, w: str) -> list[int]:
         out.append(idx)
         idx = s.find(w, idx + 1)
     return out
-
-
-def occurrences(w: str, n: int) -> list[OccurrenceSpan]:
-    """All (possibly overlapping) occurrence spans of w in the length-n prefix."""
-    return [OccurrenceSpan(i + 1, i + len(w)) for i in occurrence_starts(prefix(n), w)]
 
 
 class ReturnWordSeq(NamedTuple):
@@ -168,7 +149,7 @@ def return_words(w: str, n: int) -> ReturnWordSeq:
     s = prefix(n)
     starts = occurrence_starts(s, w)
     if len(starts) < 3:
-        raise DomainError(f"{w[:40]!r} occurs only {len(starts)} times in prefix({n})")
+        raise DomainError(f"{w[:40]!r} occurs only {len(starts)} times in prefix({show_int(n)})")
     rets = [s[i:j] for i, j in zip(starts, starts[1:])]
     first = rets[0]
     second = next((r for r in rets if r != first), None)
@@ -185,17 +166,6 @@ def starts_correspond(starts_w: list[int], starts_k: list[int], offset: int, p_m
     occurrence of the same rank (``starts_k``); a kernel with fewer does not."""
     shift = offset - 1
     return len(starts_k) >= p_max and [i + shift for i in starts_w[:p_max]] == starts_k[:p_max]
-
-
-def kernel_correspondence(w: str, p_max: int, n: int) -> bool:
-    """Check that the kernel inside the p-th occurrence of w is the p-th
-    occurrence of w's kernel, for every p <= p_max."""
-    ker = kernel(w)
-    s = prefix(n)
-    starts_w = occurrence_starts(s, w)
-    if len(starts_w) < p_max:
-        raise DomainError(f"{w[:40]!r} has only {len(starts_w)} occurrences in prefix({n})")
-    return starts_correspond(starts_w, occurrence_starts(s, singular_word(ker.m)), ker.offset, p_max)
 
 
 # --- naive scanners (second-level oracle, validate the tree itself) ---

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import fibword
-from .errors import DomainError, NotAFactorError
+from .errors import DomainError, NotAFactorError, show_int
 from .fibword import fib, prefix
 
 
@@ -34,14 +34,14 @@ class KernelResult(NamedTuple):
 def last_letter(m: int) -> str:
     """Last letter of the m-th morphism iterate: ``a`` iff m is even."""
     if m < -1:
-        raise DomainError(f"iterate index must be >= -1, got {m}")
+        raise DomainError(f"iterate index must be >= -1, got {show_int(m)}")
     return fibword.LETTER_A if m % 2 == 0 else fibword.LETTER_B
 
 
 def singular_word(m: int, what: str = "singular word") -> str:
     """The m-th singular word, a palindrome of length fib(m), for m >= -1."""
     if m < -1:
-        raise DomainError(f"singular index must be >= -1, got {m}")
+        raise DomainError(f"singular index must be >= -1, got {show_int(m)}")
     if m == -1:
         return "a"
     if m == 0:
@@ -88,21 +88,18 @@ def is_factor(w: str) -> bool:
     return found is not None and found[2]
 
 
-def kernel(w: str, require_factor: bool = True) -> KernelResult:
-    """The maximal singular word occurring in w, with its occurrence offset.
+def kernel(w: str) -> KernelResult:
+    """The maximal singular word occurring in a factor w, with its occurrence offset.
 
     Candidates are tested for decreasing index starting from the largest m
     with fib(m) <= len(w); the same search decides membership exactly, as
-    in ``is_factor``.  With ``require_factor`` (the default) a non-factor
-    raises NotAFactorError; without it a non-factor gets the search's
-    answer as a best effort.  A factor whose kernel occurs twice in it
-    raises AssertionError, since that would be a defect.
+    in ``is_factor``, and a non-factor raises NotAFactorError.  A factor
+    whose kernel occurs twice in it raises AssertionError, since that would
+    be a defect.
     """
     if not w:
         raise DomainError("kernel of the empty word is undefined")
     found = _largest_singular(w)
-    if require_factor and (found is None or not found[2]):
+    if found is None or not found[2]:
         raise NotAFactorError(f"{w[:40]!r} does not occur in the Fibonacci word")
-    if found is None:
-        raise DomainError(f"no singular word occurs in {w[:40]!r}")
     return KernelResult(found[0], found[1] + 1)

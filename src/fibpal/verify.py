@@ -3,7 +3,7 @@
 Each suite returns a VerifyResult with the first counterexample found (if
 any); the CLI maps failures to a nonzero exit code.  Bounds are caller
 supplied so the same suites serve quick smoke checks and the full acceptance
-runs.
+runs; the tau preimage bound and the return-word factors are fixed.
 """
 
 from __future__ import annotations
@@ -18,8 +18,10 @@ import numpy as np
 from . import counting, cylinder, kernels, oracle, singular
 from .chain import chain_interval, new_pal_at, pal_end_pos, pal_span
 from .cylinder import PalCoord, coord_from_pal, pal_from_coord, pals_of_length
-from .errors import DomainError, NotAFactorError
+from .errors import DomainError, NotAFactorError, show_int
 from .fibword import check_floor_identities, fib, fib_floor_index, prefix
+
+TAU_PREIMAGE_MAX = 10**5  # verify_tau checks the preimages of every q up to this
 
 
 class VerifyResult(NamedTuple):
@@ -44,8 +46,8 @@ def _require_prefix(prefix_n: int, max_len: int) -> None:
     """
     need = fib(fib_floor_index(max_len) + 1) + max_len
     if prefix_n < need:
-        raise DomainError(f"a prefix of {prefix_n} letters may miss factors of length {max_len}; "
-                          f"the prefix length (--max-n) must be >= {need}")
+        raise DomainError(f"a prefix of {show_int(prefix_n)} letters may miss factors of length {show_int(max_len)}; "
+                          f"the prefix length (--max-n) must be >= {show_int(need)}")
 
 
 def verify_floors(max_p: int = 10**6) -> VerifyResult:
@@ -152,8 +154,9 @@ def verify_chain(max_n: int = 10**6, max_m: int = 8, max_p: int = 30, prefix_n: 
     return _finish("chain", True, checked, t0)
 
 
-def verify_tau(max_m: int = 15, max_p: int = 500, preimage_max: int = 10**5) -> VerifyResult:
-    """Cell splitting/reduction invariants and the preimage tiling of p-values."""
+def verify_tau(max_m: int = 15, max_p: int = 500) -> VerifyResult:
+    """Cell splitting/reduction invariants and the preimage tiling of p-values
+    up to TAU_PREIMAGE_MAX."""
     t0 = time.perf_counter()
     checked = 0
     for m in range(1, max_m + 1):
@@ -166,17 +169,17 @@ def verify_tau(max_m: int = 15, max_p: int = 500, preimage_max: int = 10**5) -> 
             return _finish("tau", False, checked, t0, {"p": p})
         checked += 1
     # every q >= 2 is end_a(q') + 1 or end_b(q') + 1 for exactly one q'
-    qs = np.arange(1, preimage_max + 1, dtype=np.int64)
+    qs = np.arange(1, TAU_PREIMAGE_MAX + 1, dtype=np.int64)
     fq = kernels.floor_phi_block(qs)
-    after_a = (qs + fq + 1)[qs + fq + 1 <= preimage_max]
-    after_b = (2 * qs + fq + 1)[2 * qs + fq + 1 <= preimage_max]
-    hits = np.zeros(preimage_max + 1, dtype=np.int64)
+    after_a = (qs + fq + 1)[qs + fq + 1 <= TAU_PREIMAGE_MAX]
+    after_b = (2 * qs + fq + 1)[2 * qs + fq + 1 <= TAU_PREIMAGE_MAX]
+    hits = np.zeros(TAU_PREIMAGE_MAX + 1, dtype=np.int64)
     np.add.at(hits, after_a, 1)
     np.add.at(hits, after_b, 1)
     if not (hits[2:] == 1).all():
         q = int(np.nonzero(hits[2:] != 1)[0][0]) + 2
         return _finish("tau", False, checked, t0, {"q": q, "preimages": int(hits[q])})
-    return _finish("tau", True, checked + preimage_max, t0)
+    return _finish("tau", True, checked + TAU_PREIMAGE_MAX, t0)
 
 
 def verify_counts(max_n: int = 10**4) -> VerifyResult:
@@ -205,14 +208,12 @@ def verify_richness(max_n: int = 10**5) -> VerifyResult:
     return _finish("richness", True, max_n, t0)
 
 
-def verify_return_words(prefix_n: int = 10**4, factors: list[str] | None = None) -> VerifyResult:
+def verify_return_words(prefix_n: int = 10**4) -> VerifyResult:
     """Return-word sequences reduce to prefixes of the word itself."""
     t0 = time.perf_counter()
-    if factors is None:
-        factors = ["a", "b", "aa", "aba", "abaab", "ababa", singular.singular_word(3), singular.singular_word(4)]
     s = prefix(prefix_n)
     checked = 0
-    for w in factors:
+    for w in ("a", "b", "aa", "aba", "abaab", "ababa", singular.singular_word(3), singular.singular_word(4)):
         seq = oracle.return_words(w, prefix_n)
         # one letter per return word, so the reduced word is shorter than s
         if seq.reduced != s[:len(seq.reduced)]:
@@ -278,5 +279,5 @@ def run_suites(names: list[str], max_n: int, max_m: int, max_p: int) -> list[Ver
     """Run the named suites at the given bounds, each of which must be >= 1."""
     for flag, value in (("max_n", max_n), ("max_m", max_m), ("max_p", max_p)):
         if value < 1:
-            raise DomainError(f"{flag} must be >= 1, got {value}")
+            raise DomainError(f"{flag} must be >= 1, got {show_int(value)}")
     return [SUITES[name](max_n, max_m, max_p) for name in names]

@@ -32,10 +32,10 @@ def test_singular_end_pos_examples():
 
 def test_singular_positions_match_scans(prefix_10k):
     for m in range(-1, 9):
-        spans = oracle.occurrences(singular_word(m), 10**4)
-        for p in range(1, min(31, len(spans) + 1)):
-            assert singular_end_pos(m, p) == spans[p - 1].end
-            assert singular_start_pos(m, p) == spans[p - 1].start
+        starts = oracle.occurrence_starts(prefix_10k, singular_word(m))
+        for p in range(1, min(31, len(starts) + 1)):
+            assert singular_end_pos(m, p) == starts[p - 1] + fib(m)
+            assert singular_start_pos(m, p) == starts[p - 1] + 1
 
 
 def test_pal_end_pos_examples():
@@ -72,9 +72,8 @@ def test_pal_spans_match_scans(prefix_10k):
     for n in range(1, 41):
         for c in pals_of_length(n):
             w = pal_from_coord(c)
-            spans = oracle.occurrences(w, 10**4)
-            for p, sp in enumerate(spans, start=1):
-                assert pal_span(c, p) == sp
+            for p, i in enumerate(oracle.occurrence_starts(prefix_10k, w), start=1):
+                assert pal_span(c, p) == (i + 1, i + n)
 
 
 def test_chain_interval_examples():

@@ -454,9 +454,12 @@ def test_query_commands_do_not_import_numpy():
 def test_oracle_names_resolve_lazily():
     assert fibpal.scan_word is fibpal.oracle.scan_word
     assert not hasattr(fibpal, "Eertree") and not hasattr(fibpal.oracle, "Eertree")
-    assert fibpal.eertree_total(100) == fibpal.occurrence_count(100)
+    assert not {"eertree_total", "occurrences", "kernel_correspondence"} & set(dir(fibpal))
+    assert int(fibpal.scan_word(fibpal.prefix(100)).end_counts.sum()) == fibpal.occurrence_count(100)
     assert bytes(fibpal.prefix_array(8)) == bytes([0, 1, 0, 0, 1, 0, 1, 0])
-    assert {"scan_word", "eertree_total", "oracle", "kernels"} <= set(dir(fibpal))
+    assert {"scan_word", "return_words", "oracle", "kernels"} <= set(dir(fibpal))
+    for name in dir(fibpal):
+        getattr(fibpal, name)
     namespace: dict = {}
     exec("from fibpal import *", namespace)
     assert set(fibpal.__all__) <= set(namespace)

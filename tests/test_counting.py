@@ -530,7 +530,7 @@ def test_suffix_palindromes_repeat_across_cells():
         out = set()
         for length in tree.palindromic_suffix_lengths(pos):
             w = text[pos - length: pos]
-            if kernel(w, require_factor=False).m <= m:
+            if kernel(w).m <= m:
                 out.add(w)
         return out
 

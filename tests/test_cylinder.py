@@ -1,9 +1,12 @@
+import tracemalloc
+
 import pytest
 
 from fibpal import (
     DomainError,
     NotAFactorError,
     PalCoord,
+    ResourceError,
     coord_from_pal,
     cylinder_table,
     cylinder_tag,
@@ -103,6 +106,16 @@ def test_cylinder_table_rows():
         assert len(table["aa"][r][0]) == 2 * r + 2
 
 
+def test_cylinder_table_checks_its_total_once(monkeypatch):
+    # 3 rows**2 + rows letters in all: 3 * 10**10 + 10**5 is past the default cap
+    with pytest.raises(ResourceError, match="^cylinder table of length 30000100000 exceeds"):
+        cylinder_table(10**5)
+    monkeypatch.setenv("FIBPAL_MAX_MATERIALIZE", str(3 * 12 * 12 + 12))
+    assert sum(len(w) for col in cylinder_table(12).values() for w, _ in col) == 3 * 12 * 12 + 12
+    with pytest.raises(ResourceError):
+        cylinder_table(13)
+
+
 def test_palindromic_conjugates_examples():
     assert palindromic_conjugates(2) == {"aba"}
     assert palindromic_conjugates(1) == set()
@@ -115,10 +128,27 @@ def test_palindromic_conjugates_counts():
         assert len(palindromic_conjugates(m)) == expected
 
 
+def test_palindromic_conjugates_memory():
+    # one rotation at a time: a list of all fib(20) = 10,946 rotations held ~300 MB
+    tracemalloc.start()
+    try:
+        assert len(palindromic_conjugates(20)) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
 def test_prefix_palindrome_lengths_examples():
     assert prefix_palindrome_lengths(11) == [1, 3, 6, 11]
     assert prefix_palindrome_lengths(2) == [1]
     assert prefix_palindrome_lengths(100) == [1, 3, 6, 11, 19, 32, 53, 87]
+
+
+def test_prefix_palindrome_lengths_refuses_past_the_index_limit():
+    # fib(10**5) has ~20,900 digits; without the refusal this listed 100,483 lengths in ~450 MB
+    with pytest.raises(ResourceError, match="^fib index"):
+        prefix_palindrome_lengths(10**21000)
 
 
 def test_prefix_palindrome_lengths_by_reversal():

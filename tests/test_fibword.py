@@ -47,6 +47,13 @@ def test_fib_recurrence_and_monotone():
 def test_fib_domain():
     with pytest.raises(DomainError):
         fib(-2)
+    # an int past ~1,000 digits is named by its size: str() refuses it past 4,300
+    with pytest.raises(ResourceError, match=r"^fib index <int of ~21,001 digits> exceeds"):
+        fib(10**21000)
+    with pytest.raises(DomainError, match=r"got <negative int of ~21,001 digits>$"):
+        fib(-10**21000)
+    with pytest.raises(DomainError, match=r"got -10{1000}$"):
+        fib(-10**1000)
 
 
 def test_fib_floor_index():

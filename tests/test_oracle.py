@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from fibpal import DomainError, prefix
+from fibpal import DomainError, kernel, prefix, singular_word
 from fibpal import oracle
 
 
@@ -14,23 +14,22 @@ def naive_suffix_palindrome_count(s: str, pos: int) -> int:
 
 
 def test_eertree_end_count_examples():
-    counts = oracle.eertree_end_counts(3)
+    counts = oracle.scan_prefix(3).end_counts
     assert counts.tolist() == [1, 1, 2]
-    assert oracle.eertree_end_counts(8)[-1] == 3
-    assert oracle.eertree_end_counts(21)[-1] == 4
+    assert oracle.scan_prefix(8).end_counts[-1] == 3
+    assert oracle.scan_prefix(21).end_counts[-1] == 4
 
 
 def test_eertree_total_examples():
-    assert oracle.eertree_total(1) == 1
-    assert oracle.eertree_total(13) == 32
-    assert oracle.eertree_total(29) == 98
-    assert oracle.eertree_total(0) == 0
+    # the occurrence total is the sum of the per-position counts
+    for n, total in ((1, 1), (13, 32), (29, 98), (0, 0)):
+        assert int(oracle.scan_prefix(n).end_counts.sum()) == total
 
 
 def test_eertree_distinct_examples():
-    assert oracle.eertree_distinct(1) == 1
-    assert oracle.eertree_distinct(3) == 3
-    assert oracle.eertree_distinct(87) == 87
+    # every node but the two roots is a distinct palindromic factor
+    for n, distinct in ((1, 1), (3, 3), (87, 87)):
+        assert oracle.scan_prefix(n).nodes - 2 == distinct
 
 
 def test_eertree_rich_per_position(scan_10k):
@@ -116,11 +115,12 @@ def test_end_count_position_range():
 
 
 def test_occurrences_examples():
-    assert [sp.start for sp in oracle.occurrences("aba", 8)] == [1, 4, 6]
-    assert [sp.start for sp in oracle.occurrences("b", 7)] == [2, 5, 7]
-    assert oracle.occurrences("bab", 24)[2].end == 20
+    # 0-based starts; 1-based, "aba" starts at 1, 4 and 6
+    assert oracle.occurrence_starts(prefix(8), "aba") == [0, 3, 5]
+    assert oracle.occurrence_starts(prefix(7), "b") == [1, 4, 6]
+    assert oracle.occurrence_starts(prefix(24), "bab")[2] + len("bab") == 20  # the 1-based end
     with pytest.raises(DomainError):
-        oracle.occurrences("", 10)
+        oracle.occurrence_starts(prefix(10), "")
 
 
 def test_return_words_example():
@@ -143,13 +143,11 @@ def test_return_words_needs_occurrences():
 
 
 def test_kernel_correspondence_examples():
-    assert oracle.kernel_correspondence("aba", 3, 100)
-    from fibpal import singular_word
-
-    assert oracle.kernel_correspondence(singular_word(3), 5, 1000)
-    assert oracle.kernel_correspondence("abaab", 10, 1000)
-    with pytest.raises(DomainError):
-        oracle.kernel_correspondence("aba", 10**6, 100)
+    for w, p_max, n in (("aba", 3, 100), (singular_word(3), 5, 1000), ("abaab", 10, 1000)):
+        s, ker = prefix(n), kernel(w)
+        starts_w = oracle.occurrence_starts(s, w)
+        assert len(starts_w) >= p_max
+        assert oracle.starts_correspond(starts_w, oracle.occurrence_starts(s, singular_word(ker.m)), ker.offset, p_max)
 
 
 def test_max_suffix_matches_naive(prefix_2k, scan_2k):

@@ -54,9 +54,6 @@ def test_kernel_errors():
         kernel("bb")
     with pytest.raises(NotAFactorError):
         kernel("aaa")
-    # without the membership check a non-factor still gets a best-effort answer
-    res = kernel("bb", require_factor=False)
-    assert res.m == 0
 
 
 def test_is_factor():
@@ -112,7 +109,7 @@ def test_kernel_uniqueness_over_short_factors(prefix_10k):
         factors = {prefix_10k[i: i + length] for i in range(len(prefix_10k) - length + 1)}
         assert len(factors) == length + 1  # Sturmian complexity
         for w in factors:
-            res = kernel(w, require_factor=False)
+            res = kernel(w)
             assert w.count(singular_word(res.m)) == 1
             # no larger singular word occurs
             for bigger in range(res.m + 1, 12):
@@ -124,17 +121,20 @@ def test_kernel_uniqueness_over_short_factors(prefix_10k):
 def test_kernel_occurrence_correspondence(prefix_10k):
     # the kernel inside the p-th occurrence is the p-th kernel occurrence
     for w in ["a", "b", "aa", "aba", "abaab", "ababa", singular_word(4), "abaababaab"]:
-        spans = oracle.occurrences(w, 10**4)
-        assert oracle.kernel_correspondence(w, min(50, len(spans)), 10**4)
+        ker = kernel(w)
+        starts_w = oracle.occurrence_starts(prefix_10k, w)
+        starts_k = oracle.occurrence_starts(prefix_10k, singular_word(ker.m))
+        assert oracle.starts_correspond(starts_w, starts_k, ker.offset, min(50, len(starts_w)))
 
 
 def test_kernel_correspondence_example():
     # the third occurrence of aba sits at positions 6..8 around the third b
-    spans = oracle.occurrences("aba", 100)
-    assert (spans[2].start, spans[2].end) == (6, 8)
-    b_spans = oracle.occurrences("b", 100)
-    assert b_spans[2].start == 7
-    assert oracle.kernel_correspondence("aba", 3, 100)
+    s = prefix(100)
+    starts = oracle.occurrence_starts(s, "aba")
+    assert (starts[2] + 1, starts[2] + 3) == (6, 8)
+    b_starts = oracle.occurrence_starts(s, "b")
+    assert b_starts[2] + 1 == 7
+    assert oracle.starts_correspond(starts, b_starts, kernel("aba").offset, 3)
 
 
 def test_verify_kernels_checks_non_factors(monkeypatch):

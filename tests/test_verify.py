@@ -1,7 +1,7 @@
 """Guards on the verification suites themselves: how much they check, and
 that a planted fault in the kernel correspondence is reported, not raised."""
 
-from fibpal import oracle, singular, verify
+from fibpal import oracle, prefix, singular, verify
 
 # checks per suite at run_suites(all, 2000, 5, 15); a faster suite must not check less
 CHECKED_AT_2000 = {
@@ -59,10 +59,10 @@ def test_verify_kernels_short_kernel_list_is_a_failure(monkeypatch):
 def test_verify_kernels_reports_a_rejected_factor(monkeypatch):
     real = singular.kernel
 
-    def rejecting(w, require_factor=True):
-        if w == "aba" and require_factor:
+    def rejecting(w):
+        if w == "aba":
             raise singular.NotAFactorError(w)
-        return real(w, require_factor)
+        return real(w)
 
     monkeypatch.setattr(singular, "kernel", rejecting)
     res = verify.verify_kernels(prefix_n=1000, max_len=12)
@@ -70,8 +70,9 @@ def test_verify_kernels_reports_a_rejected_factor(monkeypatch):
 
 
 def test_kernel_correspondence_shares_the_suite_comparison(monkeypatch):
-    assert oracle.kernel_correspondence("abaab", 10, 1000)
+    s, ker = prefix(1000), singular.kernel("abaab")
+    starts_k = oracle.occurrence_starts(s, singular.singular_word(ker.m))
+    assert oracle.starts_correspond(oracle.occurrence_starts(s, "abaab"), starts_k, ker.offset, 10)
     monkeypatch.setattr(oracle, "starts_correspond", lambda *args: False)
-    assert not oracle.kernel_correspondence("abaab", 10, 1000)
     res = verify.verify_kernels(prefix_n=1000, max_len=12)
     assert not res.ok and res.counterexample == {"factor": "a"}
