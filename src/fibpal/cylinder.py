@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from . import fibword, singular
+from . import fibword
 from .errors import DomainError, show_int
 from .fibword import fib, fib_floor_index
 from .singular import kernel, singular_word
@@ -128,7 +128,7 @@ def cylinder_table(rows: int) -> dict[str, list[tuple[str, bool]]]:
 
     Row r holds the length 2r-1 palindrome of the 'a' and 'b' cylinders and
     the length 2r palindrome of the 'aa' cylinder, so the table holds
-    3 rows**2 + rows letters, checked against the cap once.
+    3 rows**2 + rows letters; that total is checked against the cap first.
     """
     if rows < 1:
         raise DomainError(f"need rows >= 1, got {show_int(rows)}")
