@@ -23,14 +23,16 @@ offset r = n - fib(m) + 1: a hop keeps r into block m-2 if r < fib(m-3), else
 subtracts fib(m-3) into block m-1 (the greedy Zeckendorf digits of r), so it
 costs one big-int comparison and at most one big-int subtraction.  The
 cumulative count is a closed form at the block boundary plus a tail sum whose
-every term is a small integer times a Fibonacci number: the walk collects the
-small coefficients per index and combines them once, by a dense dot product
-for short lists and by divide and conquer over Z[phi] for long ones, with one
-checked division by 5.  That each head's closed form is an integer depends on
-m mod 20 only, so it is checked once on small integers (fib mod 5) for all 20
-residues, not per hop.  Past the Fibonacci table the walk reads fib(m-3) from
-a pair stepped down by subtraction, so memory stays bounded.  Agreement with
-the block form and the tree oracle is enforced by the tests.
+every term is a small integer times a Fibonacci number: the walk folds those
+terms into a small element x + y phi of Z[phi] by Horner's rule, one
+multiplication by phi per block, and every few dozen blocks adds its value
+(two small-by-big products) to one big sum, with one checked division by 5;
+end_count runs the walk without the tail.  That each head's closed form is
+an integer depends on m mod 20 only, so it is checked once on small integers
+(fib mod 5) for all 20 residues, not per hop.  Past the Fibonacci table the
+walk reads fib(m-3) from a pair stepped down by subtraction, so memory stays
+bounded.  Agreement with the block form and the tree oracle is enforced by
+the tests.
 
 Interval splitting
 ------------------
@@ -46,7 +48,6 @@ first cells down to kernel indices {-1, 0} tiles every interval.
 
 from __future__ import annotations
 
-from operator import mul
 from typing import NamedTuple
 
 from . import fibword
@@ -61,15 +62,9 @@ _END_BASE = (1, 1, 2, 2, 2, 3)
 _FIB_MOD5 = (1, 2, 3, 0, 3, 3, 1, 4, 0, 4, 4, 3, 2, 0, 2, 2, 4, 1, 0, 1)
 _heads_checked = None  # the last _FIB_MOD5 table found to make every head exact
 
-# Coefficient lists at least this long are summed by _split_dot; below it the
-# dense dot product over the table is faster.
-_SPLIT_MIN = 2400
-_LEAF = 64
-_F = [1, 0]  # F(-1), F(0), ..., F(_LEAF) in the standard indexing
-for _ in range(_LEAF):
-    _F.append(_F[-1] + _F[-2])
-# F(i - 1) and F(i) for 0 <= i < _LEAF, and phi**_LEAF = F(_LEAF - 1) + F(_LEAF) phi
-_LEAF_X, _LEAF_Y, _LEAF_POW = tuple(_F[:_LEAF]), tuple(_F[1:_LEAF + 1]), (_F[_LEAF], _F[_LEAF + 1])
+# The tail's Horner element is flushed into the big sum every _SEG blocks, so
+# its small ints stay within a few machine words.
+_SEG = 40
 
 
 def _div5(x: int) -> int:
@@ -94,45 +89,9 @@ def _check_heads() -> None:
     _heads_checked = table
 
 
-def _split_dot(coef: list[int]) -> int:
-    """sum(c * fib(k - 1) for k, c in enumerate(coef)), by divide and conquer.
-
-    In the standard indexing fib(k - 1) = F(k + 1), and with phi**i = F(i-1) +
-    F(i) phi, a run of coefficients c_i is the element sum(c_i phi**i) = x +
-    y phi of Z[phi].  Leaves of _LEAF coefficients take x and y as dense dot
-    products with small Fibonacci numbers.  Two neighbouring runs, the lower
-    of length s, join as u_lo + phi**s u_hi: the split F(s+j) = F(s-1) F(j) +
-    F(s) F(j+1), multiplied out in three products.  For the whole list,
-    sum(c_k F(k+1)) = X + Y, as F(k+1) = F(k-1) + F(k).
-    """
-    xs, ys = [], []
-    for o in range(0, len(coef), _LEAF):
-        run = coef[o:o + _LEAF]
-        xs.append(sum(map(mul, run, _LEAF_X)))
-        ys.append(sum(map(mul, run, _LEAF_Y)))
-    a, b = _LEAF_POW  # phi**s = a + b phi for the run length s of this level
-    while len(xs) > 1:
-        nx, ny = [], []
-        for i in range(1, len(xs), 2):
-            x, y = xs[i], ys[i]
-            xa, yb = x * a, y * b
-            nx.append(xs[i - 1] + xa + yb)
-            ny.append(ys[i - 1] + (x + y) * (a + b) - xa)
-        if len(xs) % 2:
-            nx.append(xs[-1])
-            ny.append(ys[-1])
-        xs, ys = nx, ny
-        if len(xs) > 1:
-            a, b = a * a + b * b, b * (2 * a + b)  # phi**(2s)
-    return xs[0] + ys[0]
-
-
-def _fib_dot(coef: list[int]) -> int:
-    """sum(c * fib(k - 1) for k, c in enumerate(coef)): a dense dot product
-    with the table below _SPLIT_MIN coefficients, else _split_dot."""
-    if len(coef) < _SPLIT_MIN:
-        return sum(map(mul, coef, fibword.fibs_through(len(coef) - 2)))
-    return _split_dot(coef)
+def _flush(x: int, y: int, fibs, m: int) -> int:
+    """x fib(m-4) + y fib(m-3), the value of the tail element x + y phi at block m >= 2."""
+    return x * (fibs[m - 3] if m > 2 else 0) + y * fibs[m - 2]  # fib(-2) = 0
 
 
 def _walk(n: int, with_tail: bool, steps: list | None = None) -> tuple[int, int, int]:
@@ -141,45 +100,60 @@ def _walk(n: int, with_tail: bool, steps: list | None = None) -> tuple[int, int,
     A "copy" hop keeps the offset r; a "head+tail" hop (r >= fib(m-3)) takes
     r - fib(m-3).  With ``with_tail`` the tail adds r + 1 per hop, the closed
     form (5 fib(m) + (m-11) fib(m-1) + (m+1) fib(m-3)) / 5 of each copied
-    head, and the base table.  A ``steps`` list receives (m, n, case, part)
-    per hop and for the final "table" step, where part is what the step adds
-    to the tail.
+    head, and the base table.  The heads' Fibonacci terms are summed by
+    Horner's rule over Z[phi]: a small x + y phi stands for x fib(m-4) +
+    y fib(m-3) at the current block m, so stepping down one block multiplies
+    it by phi, and every _SEG blocks it is flushed into one big sum.  A
+    ``steps`` list receives (m, n, case, part) per hop and for the final
+    "table" step, where part is what the step adds to the tail.
     """
     m0 = m = fib_floor_index(n + 1)  # the block: fib(m) - 1 <= n <= fib(m+1) - 2
     fibs = fibword.fibs_through(m0)  # fibs[k + 1] is fib(k): the table, or a stepped pair past it
     r0 = r = n - fibs[m + 1] + 1
-    coef = None
-    if with_tail:
-        _check_heads()
-        coef = [0] * (m0 - 1)  # coef[k + 1] multiplies fib(k)
-    hops = 0
+    if not with_tail:
+        hops = 0
+        while m > 3:
+            g = fibs[m - 2]  # fib(m-3)
+            if r < g:
+                m -= 2
+            else:
+                r -= g
+                m -= 1
+            hops += 1
+        return _END_BASE[fibs[m + 1] - 2 + r] + hops, 0, m0
+    _check_heads()
+    # a head at block m adds (m-1) fib(m-4) + w fib(m-3), its closed form in the
+    # basis fib(m-3), fib(m-4) (fib(m) = 3 fib(m-3) + 2 fib(m-4), fib(m-1) =
+    # 2 fib(m-3) + fib(m-4)) plus 5 hops fib(m-3), as fib(m-3) is also in
+    # offsets 1 .. hops; with w = 5 hops + 3m - 6 from the start
+    total = x = y = 0
+    w = 3 * m - 6
     while m > 3:
-        g = fibs[m - 2]  # fib(m-3)
-        if steps is not None:
-            f = fibs[m + 1]
-            head = 0 if r < g else _div5(5 * f + (m - 11) * fibs[m] + (m + 1) * g)
-            steps.append((m, r + f - 1, "copy" if r < g else "head+tail", r + 1 + head))
-        if r < g:
-            m -= 2
-        else:
-            if coef is not None:
-                # the head in the basis fib(m-3), fib(m-4), where fib(m) = 3 fib(m-3) +
-                # 2 fib(m-4) and fib(m-1) = 2 fib(m-3) + fib(m-4), plus 5 hops fib(m-3):
-                # fib(m-3) is also in offsets 1 .. hops
-                coef[m - 2] += 5 * hops + 3 * m - 6
-                coef[m - 3] += m - 1
-            r -= g
-            m -= 1
-        hops += 1
+        stop = max(m - _SEG, 3)
+        while m > stop:
+            g = fibs[m - 2]  # fib(m-3)
+            if steps is not None:
+                f = fibs[m + 1]
+                head = 0 if r < g else _div5(5 * f + (m - 11) * fibs[m] + (m + 1) * g)
+                steps.append((m, r + f - 1, "copy" if r < g else "head+tail", r + 1 + head))
+            if r < g:  # down two blocks: times phi**2
+                x, y = x + y, x + 2 * y
+                w -= 1
+                m -= 2
+            else:  # add the head, then down one block: times phi
+                x, y = y + w, x + y + w + m - 1
+                w += 2
+                r -= g
+                m -= 1
+        total += _flush(x, y, fibs, m)
+        x = y = 0
+    hops = (w - 3 * m + 6) // 5
     base = fibs[m + 1] - 2  # _END_BASE index of the block's first position
-    tail = 0
-    if coef is not None:
-        # the offsets sum to r0 + (hops - 1) r plus the hop-weighted fib(m-3) in coef
-        tail = hops + r0 + (hops - 1) * r + _div5(_fib_dot(coef))
-        tail += sum(_END_BASE[base:base + r + 1])
+    part = sum(_END_BASE[base:base + r + 1])
     if steps is not None:
-        steps.append((m, base + r + 1, "table", sum(_END_BASE[base:base + r + 1])))
-    return _END_BASE[base + r] + hops, tail, m0
+        steps.append((m, base + r + 1, "table", part))
+    # the offsets sum to r0 + (hops - 1) r plus the hop-weighted fib(m-3) in total
+    return _END_BASE[base + r] + hops, hops + r0 + (hops - 1) * r + _div5(total) + part, m0
 
 
 def end_count(n: int) -> int:

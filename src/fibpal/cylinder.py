@@ -100,14 +100,23 @@ def palindromic_conjugates(m: int) -> set[str]:
     """Palindromes among the rotations of the m-th morphism iterate.
 
     Empty exactly when m = 1 mod 3 (even iterate length), a singleton
-    otherwise.  The rotations are read off the doubled iterate one at a
-    time, so memory stays linear in its length.
+    otherwise.  Rotation k of w reversed is rotation n - k of rev(w), so it
+    is a palindrome only if rev(w) occurs in ww at some j = 2k - n (mod n):
+    a linear substring search finds every such j, and the rotations that
+    solve it are tested.
     """
     if m < -1:
         raise DomainError(f"iterate index must be >= -1, got {show_int(m)}")
     w = fibword.iterate(m, "conjugate enumeration")
-    n, ww = len(w), w + w
-    return {r for r in (ww[i:i + n] for i in range(n)) if r == r[::-1]}
+    n, ww, rev = len(w), w + w, w[::-1]
+    out = set()
+    j = ww.find(rev)
+    while 0 <= j < n:
+        for k in (j // 2, (j + n) // 2):  # every solution of 2k = j (mod n) is one of these
+            if (r := ww[k:k + n]) == r[::-1]:
+                out.add(r)
+        j = ww.find(rev, j + 1)
+    return out
 
 
 def prefix_palindrome_lengths(max_n: int) -> list[int]:

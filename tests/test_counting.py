@@ -1,8 +1,8 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from itertools import count
-from operator import mul
 from pathlib import Path
 from random import Random
 
@@ -168,28 +168,33 @@ def test_walk_matches_reference_walk_past_the_table():
     assert len(fibword._fibs) <= top + 2
 
 
-def _dense_fib_dot(coef):
-    fibs = [1, 1]  # fib(-1), fib(0), ... stepped here, so no length is past reach
-    while len(fibs) < len(coef):
-        fibs.append(fibs[-1] + fibs[-2])
-    return sum(map(mul, coef, fibs))
-
-
-def test_fib_dot_matches_dense_dot():
+def test_horner_tail_matches_reference_walk_at_flush_boundaries():
+    # blocks within 2 of where a walk's last segment ends at block 3, for up to three flushes
     rng = Random(1007)
-    leaf, split = counting._LEAF, counting._SPLIT_MIN
-    lengths = [1, 2, 3, leaf - 1, leaf, leaf + 1, 2 * leaf - 1, 2 * leaf, 2 * leaf + 1, 3 * leaf, 5 * leaf + 1]
-    lengths += [split - 1, split, split + 1, 4 * split - leaf + 1]
-    lengths += [fibword.FIB_TABLE_MAX + d for d in (1, 2, 3, 64)]
-    for size in lengths:
-        for bound in (5, 10**6):
-            coef = [rng.randrange(-bound, bound + 1) for _ in range(size)]
-            coef[rng.randrange(size)] = 0
-            expect = _dense_fib_dot(coef)
-            assert counting._split_dot(coef) == expect, size
-            if size < fibword.FIB_TABLE_MAX:  # past it the walk never takes the dense path
-                assert counting._fib_dot(coef) == expect, size
-    assert len(fibword._fibs) <= fibword.FIB_TABLE_MAX + 2
+    seg = counting._SEG
+    blocks = sorted({k * seg + 3 + d for k in range(1, 4) for d in range(-2, 3)} | set(range(3, 9)))
+    for m in blocks:
+        lo, hi = fib(m) - 1, fib(m + 1) - 2
+        ns = {lo, lo + 1, hi - 1, hi, lo + fib(m - 2), lo + fib(m - 3) - 1} | {rng.randint(lo, hi) for _ in range(20)}
+        for n in sorted(k for k in ns if k >= 4):
+            end, tail, mm, steps = reference_walk(n)
+            value, trace = occurrence_count_trace(n)
+            assert mm == m and end_count(n) == end and tail_sum(n) == tail, n
+            assert trace == {"m": m, "before_block": block_prefix_total(m), "tail": tail, "tail_steps": steps}, n
+            assert value == occurrence_count(n) == block_prefix_total(m) + tail, n
+
+
+def test_horner_tail_memory():
+    # the tail is a few small ints and one big sum, not a list of coefficients per index
+    n = 10**1000 + 12345
+    occurrence_count(n)
+    tracemalloc.start()
+    try:
+        occurrence_count(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**10, peak
 
 
 def chain_counts(n):
@@ -379,9 +384,9 @@ def test_head_exactness_check_catches_faults(monkeypatch):
         mp.setattr(counting, "_FIB_MOD5", _corrupt_fib_mod5(counting._FIB_MOD5))
         with pytest.raises(AssertionError, match="head closed form"):
             occurrence_count(n)
-    calls = count()  # the first coefficient product comes out one too large
+    calls, flush = count(), counting._flush  # the first flushed product comes out one too large
     with monkeypatch.context() as mp:
-        mp.setattr(counting, "mul", lambda c, f: c * f + (next(calls) == 0))
+        mp.setattr(counting, "_flush", lambda *a: flush(*a) + (next(calls) == 0))
         with pytest.raises(AssertionError, match="not divisible by 5"):
             occurrence_count(n)
     assert occurrence_count(n) - occurrence_count(n - 1) == end_count(n)
@@ -394,6 +399,12 @@ def test_head_exactness_check_survives_optimize_flag():
         "counting.occurrence_count(10**1000 + 12345)"
     )
     assert proc.returncode != 0 and "AssertionError: head closed form" in proc.stderr
+    proc = _run_optimized(
+        "from itertools import count; from fibpal import counting; calls, flush = count(), counting._flush; "
+        "counting._flush = lambda *a: flush(*a) + (next(calls) == 0); "
+        "counting.occurrence_count(10**1000 + 12345)"
+    )
+    assert proc.returncode != 0 and "not divisible by 5" in proc.stderr
 
 
 def test_divisibility_assertions_pass_at_scale():

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import pytest
@@ -123,9 +124,21 @@ def test_palindromic_conjugates_examples():
 
 
 def test_palindromic_conjugates_counts():
-    for m in range(-1, 16):
+    for m in range(-1, 21):
         expected = 0 if m % 3 == 1 else 1
-        assert len(palindromic_conjugates(m)) == expected
+        w = "b" if m == -1 else prefix(fib(m))  # the m-th iterate is the length-fib(m) prefix
+        ww = w + w
+        rotations = (ww[k:k + len(w)] for k in range(len(w)))
+        found = palindromic_conjugates(m)
+        assert found == {r for r in rotations if r == r[::-1]}, m
+        assert len(found) == expected
+
+
+def test_palindromic_conjugates_linear_time():
+    # fib(30) = 1,346,269 letters; testing every rotation takes time quadratic in that
+    start = time.perf_counter()
+    assert len(palindromic_conjugates(30)) == 1
+    assert time.perf_counter() - start < 1.0
 
 
 def test_palindromic_conjugates_memory():
