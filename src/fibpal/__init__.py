@@ -63,7 +63,6 @@ from .fibword import (
     floor_phi,
     letter_at,
     prefix,
-    prefix_array,
 )
 from .singular import KernelResult, is_factor, kernel, singular_word
 
@@ -112,7 +111,6 @@ __all__ = [
     "palindromic_conjugates",
     "pals_of_length",
     "prefix",
-    "prefix_array",
     "prefix_palindrome_lengths",
     "reduce_cell",
     "return_words",

@@ -21,20 +21,6 @@ class BenchRow(NamedTuple):
         return self.tree_seconds / self.closed_seconds if self.closed_seconds else float("inf")
 
 
-def time_closed(n: int, repeat: int = 5) -> tuple[float, int]:
-    """Median seconds for one occurrence_count(n) query."""
-    if repeat < 1:
-        raise DomainError(f"repeat must be >= 1, got {show_int(repeat)}")
-    times = []
-    value = 0
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        value = counting.occurrence_count(n)
-        times.append(time.perf_counter() - t0)
-    times.sort()
-    return times[len(times) // 2], value
-
-
 def time_tree(n: int) -> tuple[float, int]:
     """Seconds for one full tree pass over the length-n prefix."""
     t0 = time.perf_counter()
@@ -44,10 +30,17 @@ def time_tree(n: int) -> tuple[float, int]:
 
 
 def run_bench(ns: list[int], repeat: int = 5) -> list[BenchRow]:
-    """Benchmark each n: one row with both timings and both totals."""
+    """Benchmark each n: the median of ``repeat`` occurrence_count(n) queries
+    against one tree pass, in one row with both totals."""
+    if repeat < 1:
+        raise DomainError(f"repeat must be >= 1, got {show_int(repeat)}")
     rows = []
     for n in ns:
-        closed_s, closed_v = time_closed(n, repeat)
+        times = []
+        for _ in range(repeat):
+            t0 = time.perf_counter()
+            closed_v = counting.occurrence_count(n)
+            times.append(time.perf_counter() - t0)
         tree_s, tree_v = time_tree(n)
-        rows.append(BenchRow(n, closed_s, tree_s, closed_v, tree_v))
+        rows.append(BenchRow(n, sorted(times)[repeat // 2], tree_s, closed_v, tree_v))
     return rows

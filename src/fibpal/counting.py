@@ -66,6 +66,12 @@ _heads_checked = None  # the last _FIB_MOD5 table found to make every head exact
 # its small ints stay within a few machine words.
 _SEG = 40
 
+# Bytes charged to the cap per unit held (tracemalloc peaks, m = 16..24, p = 1):
+# ~25 per end_count_block entry, ~185 per expand_leaves leaf, ~804 per
+# expand_cell leaf with its share of inner nodes and its reduction.  A leaf
+# also holds 3 or 8 ints as wide as the cell's last position, ~1 byte per 7 bits.
+_BLOCK_BYTES, _LEAF_BYTES, _NODE_BYTES = 32, 192, 832
+
 
 def _div5(x: int) -> int:
     if x % 5:
@@ -167,7 +173,7 @@ def end_count_block(m: int) -> list[int]:
     """The end counts over positions fib(m)-1 .. fib(m+1)-2, for m >= 3."""
     if m < 3:
         raise DomainError(f"blocks start at index 3, got {show_int(m)}")
-    check_cap(fib(m - 1), "end-count block")
+    check_cap(fib(m - 1), "end-count block", _BLOCK_BYTES)
     blocks = {1: [1], 2: [1, 2]}
     for k in range(3, m + 1):
         blocks[k] = [x + 1 for x in blocks[k - 2] + blocks[k - 1]]
@@ -299,8 +305,8 @@ def expand_cell(m: int, p: int, depth: int | None = None, include_reduce: bool =
     Cells with kernel index >= 1 split; indices -1 and 0 are leaves (with the
     optional singleton reduction attached to index-0 leaves).  ``depth``
     limits the number of splitting levels; None expands to the leaves.  The
-    leaf count, at most min(2**depth, fib(m)), is checked against the cap
-    once: no subtree has more leaves than the whole tree.
+    leaf count, at most min(2**depth, fib(m)), is charged to the cap once, at
+    the bytes a leaf holds: no subtree has more leaves than the whole tree.
     """
     if depth is not None and depth < 0:
         raise DomainError(f"expansion depth must be >= 0, or None for the leaves, got {show_int(depth)}")
@@ -318,18 +324,21 @@ def expand_cell(m: int, p: int, depth: int | None = None, include_reduce: bool =
     root = chain_interval(m, p)
     if m >= 1 and (depth is None or depth > 0):
         # every split lowers the kernel index, so depth m already expands fully
-        check_cap(fib(m) if depth is None else min(2 ** min(depth, m), fib(m)), "cell expansion")
+        check_cap(fib(m) if depth is None else min(2 ** min(depth, m), fib(m)), "cell expansion",
+                  _NODE_BYTES + 8 * (root.hi.bit_length() // 7))
     return expand(root, depth)
 
 
 def expand_leaves(m: int, p: int) -> list[ChainInterval]:
     """Leaf cells (kernel index in {-1, 0}) tiling cell (m, p), in order.
 
-    There are exactly fib(m) of them, checked against the cap once.
+    There are exactly fib(m) of them, charged to the cap once, at the bytes a
+    leaf holds.
     """
+    root = chain_interval(m, p)
     if m >= 1:
-        check_cap(fib(m), "cell expansion")
-    out, todo = [], [chain_interval(m, p)]
+        check_cap(fib(m), "cell expansion", _LEAF_BYTES + 3 * (root.hi.bit_length() // 7))
+    out, todo = [], [root]
     while todo:
         iv = todo.pop()
         if iv.m <= 0:

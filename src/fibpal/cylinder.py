@@ -120,10 +120,12 @@ def palindromic_conjugates(m: int) -> set[str]:
 
 
 def prefix_palindrome_lengths(max_n: int) -> list[int]:
-    """All n <= max_n whose length-n prefix is a palindrome: n = fib(m) - 2."""
+    """All n <= max_n whose length-n prefix is a palindrome: n = fib(m) - 2.
+    The cap is charged first, ~0.05 top + 40 bytes per length: fib(m) takes ~0.09 m."""
     if max_n < 1:
         raise DomainError(f"need max_n >= 1, got {show_int(max_n)}")
     top = fib_floor_index(max_n + 2)  # refuses an index past FIB_INDEX_MAX
+    fibword.check_cap(top, "prefix palindrome lengths", top // 20 + 40)
     out = []
     f, f_next = fib(2), fib(3)  # fib(2) - 2 = 1 is the first length
     for _ in range(top - 1):  # m = 2 .. top

@@ -12,6 +12,8 @@ Conventions used throughout the package:
 * ``floor_phi(p)`` is the floor of ``p * (sqrt(5)-1)/2``; it equals the number
   of letters ``a`` in the prefix of length ``p - 1``.
 * The prefix of length 0 is the empty word.
+* ``prefix(n)`` is the one builder of letters: a ``str`` over {a, b}, checked
+  against the cap.  Nothing here needs NumPy.
 """
 
 from __future__ import annotations
@@ -21,12 +23,8 @@ import math
 import os
 import threading
 from bisect import bisect_right
-from typing import TYPE_CHECKING
 
 from .errors import DomainError, ResourceError, show_int
-
-if TYPE_CHECKING:
-    import numpy as np
 
 LETTER_A = "a"
 LETTER_B = "b"
@@ -48,8 +46,8 @@ _fibs_lock = threading.Lock()
 
 @functools.lru_cache(maxsize=1)  # parsed again only when the value changes; a bad one raises each time
 def materialize_cap(raw: str | None) -> int:
-    """Maximum number of letters a single call may materialize, from the
-    raw ``FIBPAL_MAX_MATERIALIZE`` value (None when it is not set)."""
+    """Maximum number of bytes a single call may hold, a letter counting one,
+    from the raw ``FIBPAL_MAX_MATERIALIZE`` value (None when it is not set)."""
     if raw is None:
         return DEFAULT_MATERIALIZE_CAP
     try:
@@ -61,12 +59,14 @@ def materialize_cap(raw: str | None) -> int:
     return cap
 
 
-def check_cap(n: int, what: str = "word") -> None:
-    """Raise ResourceError if materializing ``n`` letters exceeds the cap,
-    read from the ``FIBPAL_MAX_MATERIALIZE`` environment variable on every call."""
+def check_cap(n: int, what: str = "word", unit: int = 1) -> None:
+    """Raise ResourceError if holding ``n`` items of ``unit`` bytes each (a
+    letter is one byte) exceeds the cap, read from the
+    ``FIBPAL_MAX_MATERIALIZE`` environment variable on every call."""
     cap = materialize_cap(os.environ.get("FIBPAL_MAX_MATERIALIZE"))
-    if n > cap:
-        raise ResourceError(f"{what} of length {show_int(n)} exceeds materialization cap {show_int(cap)}")
+    if n * unit > cap:
+        size = f"length {show_int(n)}" if unit == 1 else f"{show_int(n)} items of {show_int(unit)} bytes"
+        raise ResourceError(f"{what} of {size} exceeds materialization cap {show_int(cap)}")
 
 
 def fib(m: int) -> int:
@@ -236,9 +236,13 @@ PREFIX_TABLE_M = 20
 _TABLE = _grow(bytearray(b"ab") + bytearray(fib(PREFIX_TABLE_M) - 2), 2, 1).decode("ascii")
 
 
-def _prefix(n: int, what: str) -> str:
-    """The prefix of length n: a slice of the table up to the table length;
-    longer prefixes continue the doubling loop from the whole table."""
+def prefix(n: int, what: str = "prefix") -> str:
+    """The prefix of length n as a string over {a, b}; prefix(0) is empty.
+
+    Up to the table length it is a slice of the table; longer prefixes
+    continue the doubling loop from the whole table.  Its cap check names the
+    caller's request ``what``, so no caller checks again.
+    """
     if n < 0:
         raise DomainError(f"prefix length must be >= 0, got {show_int(n)}")
     check_cap(n, what)
@@ -247,23 +251,6 @@ def _prefix(n: int, what: str) -> str:
     buf = bytearray(n)
     buf[:len(_TABLE)] = _TABLE.encode("ascii")
     return _grow(buf, len(_TABLE), fib(PREFIX_TABLE_M - 1)).decode("ascii")
-
-
-def prefix(n: int, what: str = "prefix") -> str:
-    """The prefix of length n as a string over {a, b}; prefix(0) is empty.
-    Its cap check names the caller's request ``what``, so no caller checks again."""
-    return _prefix(n, what)
-
-
-def prefix_array(n: int, what: str = "prefix") -> np.ndarray:
-    """The prefix of length n as a writable uint8 array with a -> 0, b -> 1."""
-    import numpy as np  # here, so that the closed-form path never loads NumPy
-
-    # _prefix, not prefix: a wrapper around either public name (a profiler's,
-    # say) then sees each materialized prefix once
-    arr = np.frombuffer(bytearray(_prefix(n, what), "ascii"), dtype=np.uint8)
-    arr -= ord(LETTER_A)
-    return arr
 
 
 def iterate(m: int, what: str = "prefix") -> str:

@@ -23,6 +23,7 @@ def active_backend() -> str:
 # derived arguments up to ~2.62*p, hence its tighter input bound.
 FAST_FLOOR_MAX = 10**9
 FAST_SCAN_MAX = 3 * 10**8
+SCAN_CHUNK = 1 << 19  # values per floor_identity_scan block, ~29 MB of temporaries (tracemalloc)
 
 
 def eertree_fill(text, lens, link, trans, depth, node_out):
@@ -100,15 +101,15 @@ def floor_phi_block(p: np.ndarray) -> np.ndarray:
     return (s - p) >> 1
 
 
-def floor_identity_scan(lo: int, hi: int, chunk: int = 1 << 19) -> int:
+def floor_identity_scan(lo: int, hi: int) -> int:
     """First p in [lo, hi] violating any of the four floor identities, else 0.
 
     With q = floor(phi*p): floor(phi*(p+q)) = p-1, floor(phi*(2p+q)) = p+q,
     floor(phi*(p+q+1)) = p and floor(phi*(2p+q+1)) = p+q.  Swept in blocks
-    of ``chunk`` values through ``floor_phi_block``.
+    of ``SCAN_CHUNK`` values through ``floor_phi_block``.
     """
-    for start in range(lo, hi + 1, chunk):
-        stop = min(start + chunk - 1, hi)
+    for start in range(lo, hi + 1, SCAN_CHUNK):
+        stop = min(start + SCAN_CHUNK - 1, hi)
         p = np.arange(start, stop + 1, dtype=np.int64)
         q = floor_phi_block(p)
         bad = (

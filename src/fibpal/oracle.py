@@ -7,7 +7,8 @@ modules, so agreement between the two paths is meaningful evidence.
 
 There is one tree: ``kernels.eertree_fill``, filled over ``array.array``
 buffers.  ``scan_word`` runs it over any word over {a, b} and ``scan_prefix``
-over a prefix of the Fibonacci word.  Every count is a field of the one
+over a prefix of the Fibonacci word; both feed it the word's letters as bytes
+0 and 1 by one ``translate``.  Every count is a field of the one
 ``PrefixScan`` a pass returns (``end_counts`` sums to the occurrence total,
 ``nodes - 2`` is the distinct count); the distinct factors and palindromic
 suffixes are read off its arrays.  A factor's occurrences come from one
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DomainError, show_int
-from .fibword import prefix, prefix_array
+from .fibword import prefix
 
 
 _CODES = bytes.maketrans(b"ab", b"\x00\x01")
@@ -114,7 +115,7 @@ def scan_word(w: str) -> PrefixScan:
 
 def scan_prefix(n: int) -> PrefixScan:
     """Run the tree kernel over the length-n prefix."""
-    return _scan(prefix_array(n, "prefix scan").tobytes())
+    return _scan(prefix(n, "prefix scan").encode("ascii").translate(_CODES))
 
 
 def occurrence_starts(s: str, w: str) -> list[int]:

@@ -3,7 +3,7 @@
 Each suite returns a VerifyResult with the first counterexample found (if
 any); the CLI maps failures to a nonzero exit code.  Bounds are caller
 supplied so the same suites serve quick smoke checks and the full acceptance
-runs; the tau preimage bound and the return-word factors are fixed.
+runs; the tau preimage bound, the word lengths and the return-word factors are fixed.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from .errors import DomainError, NotAFactorError, show_int
 from .fibword import check_floor_identities, fib, fib_floor_index, prefix
 
 TAU_PREIMAGE_MAX = 10**5  # verify_tau checks the preimages of every q up to this
+# palindromes built (cylinder) and scanned (chain), and factors indexed (kernels), up to these lengths
+CYLINDER_LEN, SPAN_LEN, KERNEL_LEN = 100, 60, 50
 
 
 class VerifyResult(NamedTuple):
@@ -74,18 +76,18 @@ def verify_floors(max_p: int = 10**6) -> VerifyResult:
     return _finish("floors", True, max_p, t0)
 
 
-def verify_cylinder(prefix_n: int = 10**4, max_len: int = 100) -> VerifyResult:
+def verify_cylinder(prefix_n: int = 10**4) -> VerifyResult:
     """Coordinate enumeration vs. naive palindrome scan, plus classification.
 
     Each palindrome is built by ``pal_from_coord`` (the slice of S(m+3)) and
     checked against the concatenation S(m+1)[i+1 ..] + S(m) + S(m+1)[.. fib(m+1)-i].
     """
-    _require_prefix(prefix_n, max_len)
+    _require_prefix(prefix_n, CYLINDER_LEN)
     t0 = time.perf_counter()
-    scanned = oracle.center_palindrome_set(prefix(prefix_n), max_len)
+    scanned = oracle.center_palindrome_set(prefix(prefix_n), CYLINDER_LEN)
     generated = {}
     n_checked = 0
-    for n in range(1, max_len + 1):
+    for n in range(1, CYLINDER_LEN + 1):
         for c in pals_of_length(n):
             w = pal_from_coord(c)
             s_next = singular.singular_word(c.m + 1)
@@ -110,9 +112,10 @@ def verify_cylinder(prefix_n: int = 10**4, max_len: int = 100) -> VerifyResult:
     return _finish("cylinder", True, n_checked, t0)
 
 
-def verify_chain(max_n: int = 10**6, max_m: int = 8, max_p: int = 30, prefix_n: int = 10**5, span_len: int = 60) -> VerifyResult:
-    """Chain tiling, position formulas vs. scans, and first-ending inversion."""
+def verify_chain(max_n: int = 10**6, max_m: int = 8, max_p: int = 30) -> VerifyResult:
+    """Chain tiling, position formulas vs. scans, and first-ending inversion up to min(max_n, 10**5)."""
     t0 = time.perf_counter()
+    reach = min(max_n, 10**5)
     checked = 0
     # the p=1 intervals tile [1, max_n]
     expect = 1
@@ -129,8 +132,8 @@ def verify_chain(max_n: int = 10**6, max_m: int = 8, max_p: int = 30, prefix_n: 
             break
         m += 1
     # ending-position formulas vs. literal scans
-    s = prefix(prefix_n)
-    for n in range(1, span_len + 1):
+    s = prefix(reach)
+    for n in range(1, SPAN_LEN + 1):
         for c in pals_of_length(n):
             w = pal_from_coord(c)
             for p, idx in enumerate(oracle.occurrence_starts(s, w), 1):
@@ -147,7 +150,7 @@ def verify_chain(max_n: int = 10**6, max_m: int = 8, max_p: int = 30, prefix_n: 
                 return _finish("chain", False, checked, t0, {"m": m, "p": p})
             checked += 1
     # first occurrences invert the chain position
-    for n in range(1, min(max_n, 10**5) + 1):
+    for n in range(1, reach + 1):
         if pal_end_pos(new_pal_at(n), 1) != n:
             return _finish("chain", False, checked, t0, {"n": n})
         checked += 1
@@ -222,7 +225,7 @@ def verify_return_words(prefix_n: int = 10**4) -> VerifyResult:
     return _finish("return-words", True, checked, t0)
 
 
-def verify_kernels(prefix_n: int = 10**4, max_p: int = 50, max_len: int = 50) -> VerifyResult:
+def verify_kernels(prefix_n: int = 10**4, max_p: int = 50) -> VerifyResult:
     """Kernel uniqueness and occurrence correspondence over all short factors.
 
     One pass per length indexes every factor's starts in the prefix; the
@@ -230,12 +233,12 @@ def verify_kernels(prefix_n: int = 10**4, max_p: int = 50, max_len: int = 50) ->
     whose kernel it is.  For lengths up to 10 every word over {a, b} is
     also checked: ``is_factor`` must hold exactly on the factors scanned.
     """
-    _require_prefix(prefix_n, max_len)
+    _require_prefix(prefix_n, KERNEL_LEN)
     t0 = time.perf_counter()
     s = prefix(prefix_n)
     kernel_starts = {}  # m -> 0-based starts of S(m) in s
     checked = 0
-    for length in range(1, max_len + 1):
+    for length in range(1, KERNEL_LEN + 1):
         index = defaultdict(list)  # factor -> its 0-based starts, in first-occurrence order
         for i in range(len(s) - length + 1):
             index[s[i: i + length]].append(i)
@@ -265,8 +268,8 @@ def verify_kernels(prefix_n: int = 10**4, max_p: int = 50, max_len: int = 50) ->
 
 SUITES = {
     "floors": lambda max_n, max_m, max_p: verify_floors(max_p=max_n),
-    "cylinder": lambda max_n, max_m, max_p: verify_cylinder(prefix_n=max_n, max_len=100),
-    "chain": lambda max_n, max_m, max_p: verify_chain(max_n=max_n, max_m=max_m, max_p=max_p, prefix_n=min(max_n, 10**5)),
+    "cylinder": lambda max_n, max_m, max_p: verify_cylinder(prefix_n=max_n),
+    "chain": lambda max_n, max_m, max_p: verify_chain(max_n=max_n, max_m=max_m, max_p=max_p),
     "tau": lambda max_n, max_m, max_p: verify_tau(max_m=max_m, max_p=max_p),
     "counts": lambda max_n, max_m, max_p: verify_counts(max_n=max_n),
     "richness": lambda max_n, max_m, max_p: verify_richness(max_n=max_n),

@@ -145,7 +145,7 @@ def test_criterion_04_count_equivalence():
 
 
 def test_criterion_05_position_formulas():
-    r = verify.verify_chain(max_n=10**5, max_m=8, max_p=30, prefix_n=10**5, span_len=60)
+    r = verify.verify_chain(max_n=10**5, max_m=8, max_p=30)
     report(5, "position formulas match occurrence scans", r.ok,
            f"{r.checked} checks, {r.seconds:.2f}s")
 
@@ -233,17 +233,15 @@ def test_criterion_11_performance():
     # no prefix materialization on the closed path
     from fibpal import fibword
 
-    orig_prefix, orig_array = fibword.prefix, fibword.prefix_array
+    orig_prefix = fibword.prefix
     try:
         def _refuse(*a, **k):
             raise AssertionError("closed path must not materialize the word")
 
         fibword.prefix = _refuse
-        fibword.prefix_array = _refuse
         assert fp.occurrence_count(10**18) == value
     finally:
         fibword.prefix = orig_prefix
-        fibword.prefix_array = orig_array
     rows = run_bench([10**7], repeat=3)
     speedups = [row.speedup for row in rows]
     agree = all(row.closed_value == row.tree_value for row in rows)

@@ -244,6 +244,11 @@ def test_materialize_cap_respected(capsys, monkeypatch):
     monkeypatch.setenv("FIBPAL_MAX_MATERIALIZE", "1000")
     code, _, err = run_cli(capsys, "tau", "-m", "20", "-p", "1", "--expand-depth", "-1")
     assert code == 2 and "cap" in err
+    # fib(34) leaves number fewer than 1e8 but would hold ~9 GB: refused at once
+    monkeypatch.delenv("FIBPAL_MAX_MATERIALIZE")
+    t0 = time.perf_counter()
+    code, _, err = run_cli(capsys, "tau", "-m", "34", "-p", "1", "--expand-depth", "-1")
+    assert code == 2 and "cap" in err and time.perf_counter() - t0 < 1
 
 
 def test_internal_error_exit_3(capsys, monkeypatch):
@@ -456,7 +461,7 @@ def test_oracle_names_resolve_lazily():
     assert not hasattr(fibpal, "Eertree") and not hasattr(fibpal.oracle, "Eertree")
     assert not {"eertree_total", "occurrences", "kernel_correspondence"} & set(dir(fibpal))
     assert int(fibpal.scan_word(fibpal.prefix(100)).end_counts.sum()) == fibpal.occurrence_count(100)
-    assert bytes(fibpal.prefix_array(8)) == bytes([0, 1, 0, 0, 1, 0, 1, 0])
+    assert fibpal.oracle.scan_prefix(8).text == bytes([0, 1, 0, 0, 1, 0, 1, 0])
     assert {"scan_word", "return_words", "oracle", "kernels"} <= set(dir(fibpal))
     for name in dir(fibpal):
         getattr(fibpal, name)

@@ -463,15 +463,22 @@ def test_expand_leaves_tile_the_cell():
 
 
 def test_expansion_respects_materialize_cap(monkeypatch):
-    monkeypatch.setenv("FIBPAL_MAX_MATERIALIZE", "1000")
+    # a leaf is charged the bytes it holds: ~200 in expand_leaves, ~850 in
+    # expand_cell, more when its positions are wide
+    monkeypatch.setenv("FIBPAL_MAX_MATERIALIZE", str(1000 * 850))
     with pytest.raises(ResourceError):
-        expand_leaves(20, 1)  # fib(20) = 10946 leaves
+        expand_leaves(20, 1)  # fib(20) = 17,711 leaves
     with pytest.raises(ResourceError):
         expand_cell(20, 1, depth=None)
     with pytest.raises(ResourceError):
         expand_cell(20, 1, depth=10)  # 2**10 leaves
-    assert len(expand_leaves(14, 1)) == fib(14) == 987
     assert expand_cell(20, 1, depth=9)["m"] == 20
+    monkeypatch.setenv("FIBPAL_MAX_MATERIALIZE", str(1000 * 200))
+    assert len(expand_leaves(14, 1)) == fib(14) == 987
+    with pytest.raises(ResourceError, match="^cell expansion of 1597 items of"):
+        expand_leaves(15, 1)
+    with pytest.raises(ResourceError):
+        expand_leaves(14, 10**1000)  # ~1,000-digit positions
 
 
 def test_count_past_fib_table_limit():

@@ -16,7 +16,7 @@ from fibpal import (
     pal_from_coord,
     palindromic_conjugates,
     prefix,
-    prefix_array,
+    prefix_palindrome_lengths,
     singular_word,
 )
 from fibpal import counting, fibword, oracle
@@ -99,11 +99,9 @@ def test_prefix_is_morphism_fixed_point():
     assert len(prefix(fib(20))) == fib(20)
 
 
-def test_prefix_array_matches_prefix():
-    for n in list(range(6)) + [4000]:
-        arr = prefix_array(n)
-        assert arr.dtype == np.uint8 and arr.flags.writeable
-        assert arr.tolist() == [int(c == "b") for c in prefix(n)]
+def codes(n: int) -> np.ndarray:
+    """The length-n prefix as a uint8 array with a -> 0, b -> 1."""
+    return np.frombuffer(prefix(n).encode("ascii"), dtype=np.uint8) - ord("a")
 
 
 def test_prefix_table_boundary(monkeypatch):
@@ -113,20 +111,14 @@ def test_prefix_table_boundary(monkeypatch):
     assert len(built) >= 2 * t + 3
     for n in (0, 1, t - 1, t, t + 1, 2 * t + 3):
         assert prefix(n) == built[:n]
-        assert prefix_array(n).tolist() == [int(c == "b") for c in built[:n]]
-    # a returned array is the caller's own: writing to it changes no later prefix
-    for n in (t - 1, t + 1):
-        arr = prefix_array(n)
-        arr[:] = 1
-        assert prefix(n) == built[:n]
-        assert prefix_array(n).tolist() == [int(c == "b") for c in built[:n]]
+        assert codes(n).tolist() == [int(c == "b") for c in built[:n]]
     # the table does not bypass the cap
     monkeypatch.setenv("FIBPAL_MAX_MATERIALIZE", "1000")
     for n in (5000, t + 1):
         with pytest.raises(ResourceError):
             prefix(n)
         with pytest.raises(ResourceError):
-            prefix_array(n)
+            oracle.scan_prefix(n)
     assert prefix(1000) == built[:1000]
 
 
@@ -146,7 +138,7 @@ def test_letter_at_agrees_with_prefix_small():
 
 def test_letter_at_agrees_with_prefix_bulk():
     n = 10**5
-    arr = prefix_array(n)
+    arr = codes(n)
     ps = np.arange(1, n + 2, dtype=np.int64)
     floors = floor_phi_block(ps)
     letters = np.where(np.diff(floors) == 1, 0, 1).astype(np.uint8)
@@ -165,7 +157,7 @@ def test_count_a_examples_and_scan():
 
 def test_count_a_bulk():
     n = 10**5
-    arr = prefix_array(n)
+    arr = codes(n)
     scans = np.concatenate([[0], np.cumsum(arr == 0)])
     closed = floor_phi_block(np.arange(1, n + 2, dtype=np.int64))
     assert (closed == scans).all()
@@ -249,9 +241,10 @@ def test_each_call_reads_the_cap_once(monkeypatch):
 
     monkeypatch.setattr(fibword, "materialize_cap", counted)
     calls = [
-        (prefix, 50), (prefix_array, 50), (fibword.iterate, 9), (singular_word, 9),
+        (prefix, 50), (fibword.iterate, 9), (singular_word, 9),
         (pal_from_coord, PalCoord(5, 2)), (palindromic_conjugates, 6), (oracle.scan_prefix, 100),
         (counting.expand_leaves, 12, 1), (counting.expand_cell, 12, 1), (counting.expand_cell, 12, 1, 3, True),
+        (counting.end_count_block, 10), (prefix_palindrome_lengths, 10**5),
     ]
     for fn, *args in calls:
         reads.clear()

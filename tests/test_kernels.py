@@ -27,8 +27,8 @@ def test_floor_phi_block_overflow_guard():
 
 def test_floor_identity_scan_clean():
     assert kernels.floor_identity_scan(1, 3000) == 0
-    # small blocks, and near the sweep's machine-width bound
-    assert kernels.floor_identity_scan(1, 3000, chunk=7) == 0
+    # two blocks, the second partial, and near the sweep's machine-width bound
+    assert kernels.floor_identity_scan(1, kernels.SCAN_CHUNK + 3000) == 0
     hi = kernels.FAST_SCAN_MAX
     assert kernels.floor_identity_scan(hi - 200, hi) == 0
 
@@ -36,8 +36,11 @@ def test_floor_identity_scan_clean():
 def test_floor_identity_scan_catches_a_wrong_floor(monkeypatch):
     # floor(phi*x) made one too large at x = bad; the arguments p+q, 2p+q,
     # p+q+1 and 2p+q+1 of a smaller p can reach bad first, so the expected
-    # answer is the first p failing under the same fault, scalar-wise
-    bad = 1234
+    # answer is the first p failing under the same fault, scalar-wise.  Only a
+    # p with some argument equal to bad can fail: p = bad, or p near bad/phi**2
+    # or bad/phi.
+    chunk = kernels.SCAN_CHUNK
+    bad = 3 * chunk + 1234  # past phi**2 blocks, so that no failure falls in the first block
     true_block = kernels.floor_phi_block
 
     def wrong(x):
@@ -48,13 +51,18 @@ def test_floor_identity_scan_catches_a_wrong_floor(monkeypatch):
         return (wrong(p + q) == p - 1 and wrong(2 * p + q) == p + q
                 and wrong(p + q + 1) == p and wrong(2 * p + q + 1) == p + q)
 
-    first = next(p for p in range(1, 3001) if not holds(p))
-    assert 1 <= first <= bad
+    near = (bad - floor_phi(bad), floor_phi(bad), bad)  # bad/phi**2, bad/phi and bad, floored
+    first = min(p for c in near for p in range(c - 3, c + 4) if not holds(p))
+    # the first failure sits in the second block of a sweep from 1
+    assert chunk < first <= bad
     monkeypatch.setattr(kernels, "floor_phi_block", lambda x: true_block(x) + (x == bad))
-    assert kernels.floor_identity_scan(1, 3000) == first
-    assert kernels.floor_identity_scan(1, 3000, chunk=100) == first
-    assert kernels.floor_identity_scan(bad, 3000) == bad
-    r = verify.verify_floors(3000)
+    assert kernels.floor_identity_scan(1, bad + 3000) == first
+    # from past every smaller failure, the fault shows in the second block
+    lo = near[1] + 4
+    assert bad - lo >= chunk
+    assert kernels.floor_identity_scan(lo, bad + 3000) == bad
+    assert kernels.floor_identity_scan(bad, bad + 3000) == bad
+    r = verify.verify_floors(bad + 3000)
     assert not r.ok and r.counterexample["p"] == first
 
 

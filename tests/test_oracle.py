@@ -20,6 +20,18 @@ def test_eertree_end_count_examples():
     assert oracle.scan_prefix(21).end_counts[-1] == 4
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 17_710, 17_711, 17_712, 33_280, 10**5])
+def test_scan_prefix_equals_scan_word_of_prefix(n):
+    # the prefix table ends at 17,711 letters; every field, values and dtypes
+    by_prefix, by_word = oracle.scan_prefix(n), oracle.scan_word(prefix(n))
+    assert list(by_prefix._fields) == list(by_word._fields)
+    for name, a, b in zip(by_prefix._fields, by_prefix, by_word):
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        else:
+            assert type(a) is type(b) and a == b, name
+
+
 def test_eertree_total_examples():
     # the occurrence total is the sum of the per-position counts
     for n, total in ((1, 1), (13, 32), (29, 98), (0, 0)):

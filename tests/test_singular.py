@@ -138,9 +138,9 @@ def test_kernel_correspondence_example():
 
 
 def test_verify_kernels_checks_non_factors(monkeypatch):
-    res = verify.verify_kernels(prefix_n=1000, max_len=12)
+    res = verify.verify_kernels(prefix_n=1000)
     # length + 1 factors per length, plus every word of length <= 10
-    assert res.ok and res.checked == sum(length + 1 for length in range(1, 13)) + 2**11 - 2
+    assert res.ok and res.checked == sum(length + 1 for length in range(1, 51)) + 2**11 - 2 == 3371
     monkeypatch.setattr(singular, "is_factor", lambda w: True)
-    res = verify.verify_kernels(prefix_n=1000, max_len=12)
+    res = verify.verify_kernels(prefix_n=1000)
     assert not res.ok and res.counterexample == {"word": "bb", "is_factor": True}

@@ -36,7 +36,7 @@ def test_verify_kernels_reports_wrong_offset(monkeypatch):
         return singular.KernelResult(res.m, res.offset + 1) if w == "abaab" else res
 
     monkeypatch.setattr(singular, "kernel", shifted)
-    res = verify.verify_kernels(prefix_n=1000, max_len=12)
+    res = verify.verify_kernels(prefix_n=1000)
     assert not res.ok and res.counterexample == {"factor": "abaab"}
     # "abaab" is the first factor of length 5: 2 + 3 + 4 + 5 factors and the
     # 2 + 4 + 8 + 16 words of lengths 1..4 pass before it
@@ -51,7 +51,7 @@ def test_verify_kernels_short_kernel_list_is_a_failure(monkeypatch):
         return starts[:2] if w == singular.singular_word(0) else starts
 
     monkeypatch.setattr(oracle, "occurrence_starts", truncated)
-    res = verify.verify_kernels(prefix_n=1000, max_len=12)
+    res = verify.verify_kernels(prefix_n=1000)
     # "b" is its own kernel and occurs more than twice
     assert not res.ok and res.counterexample == {"factor": "b"} and res.checked == 1
 
@@ -65,7 +65,7 @@ def test_verify_kernels_reports_a_rejected_factor(monkeypatch):
         return real(w)
 
     monkeypatch.setattr(singular, "kernel", rejecting)
-    res = verify.verify_kernels(prefix_n=1000, max_len=12)
+    res = verify.verify_kernels(prefix_n=1000)
     assert not res.ok and res.counterexample == {"factor": "aba", "is_factor": False}
 
 
@@ -74,5 +74,5 @@ def test_kernel_correspondence_shares_the_suite_comparison(monkeypatch):
     starts_k = oracle.occurrence_starts(s, singular.singular_word(ker.m))
     assert oracle.starts_correspond(oracle.occurrence_starts(s, "abaab"), starts_k, ker.offset, 10)
     monkeypatch.setattr(oracle, "starts_correspond", lambda *args: False)
-    res = verify.verify_kernels(prefix_n=1000, max_len=12)
+    res = verify.verify_kernels(prefix_n=1000)
     assert not res.ok and res.counterexample == {"factor": "a"}
