@@ -22,7 +22,6 @@ from .chain import (
     new_pal_at,
     pal_end_pos,
     pal_span,
-    pal_start_pos,
     singular_end_pos,
     singular_start_pos,
 )
@@ -56,10 +55,7 @@ from .cylinder import (
 from .errors import DomainError, NotAFactorError, ResourceError
 from .fibword import (
     check_floor_identities,
-    count_a,
-    count_b,
     fib,
-    floor_inv_phi,
     floor_phi,
     letter_at,
     prefix,
@@ -84,8 +80,6 @@ __all__ = [
     "check_floor_identities",
     "convolution_identity_holds",
     "coord_from_pal",
-    "count_a",
-    "count_b",
     "cylinder_table",
     "cylinder_tag",
     "distinct_count",
@@ -96,7 +90,6 @@ __all__ = [
     "expand_leaves",
     "fib",
     "fib_prefix_total",
-    "floor_inv_phi",
     "floor_phi",
     "is_factor",
     "kernel",
@@ -107,7 +100,6 @@ __all__ = [
     "pal_end_pos",
     "pal_from_coord",
     "pal_span",
-    "pal_start_pos",
     "palindromic_conjugates",
     "pals_of_length",
     "prefix",

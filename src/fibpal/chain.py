@@ -27,6 +27,7 @@ class OccurrenceSpan(NamedTuple):
     end: int
 
     def length(self) -> int:
+        """Number of letters from start through end."""
         return self.end - self.start + 1
 
 
@@ -39,12 +40,11 @@ class ChainInterval(NamedTuple):
     hi: int
 
     def size(self) -> int:
+        """Number of ending positions, fib(m+1) for an interval from chain_interval."""
         return self.hi - self.lo + 1
 
-    def __contains__(self, n: int) -> bool:
-        return self.lo <= n <= self.hi
-
     def as_range(self) -> range:
+        """The ending positions lo .. hi as a range."""
         return range(self.lo, self.hi + 1)
 
 
@@ -75,11 +75,8 @@ def pal_end_pos(c: PalCoord, p: int) -> int:
     return _end_pos(c.m, p, fib_next) + fib_next - c.i
 
 
-def pal_start_pos(c: PalCoord, p: int) -> int:
-    return pal_end_pos(c, p) - c.length() + 1
-
-
 def pal_span(c: PalCoord, p: int) -> OccurrenceSpan:
+    """First and last letter positions of the p-th occurrence of the palindrome (m, i)."""
     end = pal_end_pos(c, p)
     return OccurrenceSpan(end - c.length() + 1, end)
 

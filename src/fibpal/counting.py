@@ -17,17 +17,18 @@ block(m), so the per-index form is the single-branch
 
     end_count(n) = end_count(n - fib(m-1)) + 1
 
-for every n in block m, after which n lies in block m-1 or m-2.  All four
-counting queries share one iterative O(log n) walk with no memo, on the block
-offset r = n - fib(m) + 1: a hop keeps r into block m-2 if r < fib(m-3), else
+for every n in block m, after which n lies in block m-1 or m-2.  The counts
+come from an iterative O(log n) walk with no memo, on the block offset
+r = n - fib(m) + 1: a hop keeps r into block m-2 if r < fib(m-3), else
 subtracts fib(m-3) into block m-1 (the greedy Zeckendorf digits of r), so it
-costs one big-int comparison and at most one big-int subtraction.  The
-cumulative count is a closed form at the block boundary plus a tail sum whose
-every term is a small integer times a Fibonacci number: the walk folds those
-terms into a small element x + y phi of Z[phi] by Horner's rule, one
-multiplication by phi per block, and every few dozen blocks adds its value
-(two small-by-big products) to one big sum, with one checked division by 5;
-end_count runs the walk without the tail.  That each head's closed form is
+costs one big-int comparison and at most one big-int subtraction.  end_count
+is that walk alone, ending in a base table.  The cumulative count is a closed
+form at the block boundary plus a tail sum whose every term is a small
+integer times a Fibonacci number: the tail walk, shared by tail_sum,
+occurrence_count and its trace, folds those terms into a small element
+x + y phi of Z[phi] by Horner's rule, one multiplication by phi per block,
+and every few dozen blocks adds its value (two small-by-big products) to one
+big sum, with one checked division by 5.  That each head's closed form is
 an integer depends on m mod 20 only, so it is checked once on small integers
 (fib mod 5) for all 20 residues, not per hop.  Past the Fibonacci table the
 walk reads fib(m-3) from a pair stepped down by subtraction, so memory stays
@@ -100,33 +101,22 @@ def _flush(x: int, y: int, fibs, m: int) -> int:
     return x * (fibs[m - 3] if m > 2 else 0) + y * fibs[m - 2]  # fib(-2) = 0
 
 
-def _walk(n: int, with_tail: bool, steps: list | None = None) -> tuple[int, int, int]:
-    """(end_count(n), tail_sum(n), block index of n) by walking the block offset.
+def _walk(n: int, steps: list | None = None) -> tuple[int, int]:
+    """(tail_sum(n), block index of n) by walking the block offset as end_count does.
 
     A "copy" hop keeps the offset r; a "head+tail" hop (r >= fib(m-3)) takes
-    r - fib(m-3).  With ``with_tail`` the tail adds r + 1 per hop, the closed
-    form (5 fib(m) + (m-11) fib(m-1) + (m+1) fib(m-3)) / 5 of each copied
-    head, and the base table.  The heads' Fibonacci terms are summed by
-    Horner's rule over Z[phi]: a small x + y phi stands for x fib(m-4) +
-    y fib(m-3) at the current block m, so stepping down one block multiplies
-    it by phi, and every _SEG blocks it is flushed into one big sum.  A
-    ``steps`` list receives (m, n, case, part) per hop and for the final
-    "table" step, where part is what the step adds to the tail.
+    r - fib(m-3).  The tail adds r + 1 per hop, the closed form
+    (5 fib(m) + (m-11) fib(m-1) + (m+1) fib(m-3)) / 5 of each copied head,
+    and the base table.  The heads' Fibonacci terms are summed by Horner's
+    rule over Z[phi]: a small x + y phi stands for x fib(m-4) + y fib(m-3) at
+    the current block m, so stepping down one block multiplies it by phi, and
+    every _SEG blocks it is flushed into one big sum.  A ``steps`` list
+    receives (m, n, case, part) per hop and for the final "table" step, where
+    part is what the step adds to the tail.
     """
     m0 = m = fib_floor_index(n + 1)  # the block: fib(m) - 1 <= n <= fib(m+1) - 2
     fibs = fibword.fibs_through(m0)  # fibs[k + 1] is fib(k): the table, or a stepped pair past it
     r0 = r = n - fibs[m + 1] + 1
-    if not with_tail:
-        hops = 0
-        while m > 3:
-            g = fibs[m - 2]  # fib(m-3)
-            if r < g:
-                m -= 2
-            else:
-                r -= g
-                m -= 1
-            hops += 1
-        return _END_BASE[fibs[m + 1] - 2 + r] + hops, 0, m0
     _check_heads()
     # a head at block m adds (m-1) fib(m-4) + w fib(m-3), its closed form in the
     # basis fib(m-3), fib(m-4) (fib(m) = 3 fib(m-3) + 2 fib(m-4), fib(m-1) =
@@ -159,14 +149,26 @@ def _walk(n: int, with_tail: bool, steps: list | None = None) -> tuple[int, int,
     if steps is not None:
         steps.append((m, base + r + 1, "table", part))
     # the offsets sum to r0 + (hops - 1) r plus the hop-weighted fib(m-3) in total
-    return _END_BASE[base + r] + hops, hops + r0 + (hops - 1) * r + _div5(total) + part, m0
+    return hops + r0 + (hops - 1) * r + _div5(total) + part, m0
 
 
 def end_count(n: int) -> int:
-    """Number of palindrome occurrences ending exactly at position n."""
+    """Number of palindrome occurrences ending exactly at position n: 1 per hop plus the base table."""
     if n < 1:
         raise DomainError(f"positions are 1-based, got {show_int(n)}")
-    return _walk(n, False)[0]
+    m = fib_floor_index(n + 1)  # the block: fib(m) - 1 <= n <= fib(m+1) - 2
+    fibs = fibword.fibs_through(m)  # fibs[k + 1] is fib(k)
+    r = n - fibs[m + 1] + 1
+    hops = 0
+    while m > 3:
+        g = fibs[m - 2]  # fib(m-3)
+        if r < g:
+            m -= 2
+        else:
+            r -= g
+            m -= 1
+        hops += 1
+    return _END_BASE[fibs[m + 1] - 2 + r] + hops
 
 
 def end_count_block(m: int) -> list[int]:
@@ -174,11 +176,10 @@ def end_count_block(m: int) -> list[int]:
     if m < 3:
         raise DomainError(f"blocks start at index 3, got {show_int(m)}")
     check_cap(fib(m - 1), "end-count block", _BLOCK_BYTES)
-    blocks = {1: [1], 2: [1, 2]}
-    for k in range(3, m + 1):
-        blocks[k] = [x + 1 for x in blocks[k - 2] + blocks[k - 1]]
-        del blocks[k - 2]
-    return blocks[m]
+    prev, block = [1], [1, 2]  # blocks 1 and 2
+    for _ in range(3, m + 1):
+        prev, block = block, [x + 1 for x in prev + block]
+    return block
 
 
 def tail_sum(n: int) -> int:
@@ -189,7 +190,7 @@ def tail_sum(n: int) -> int:
     """
     if n < 1:
         raise DomainError(f"positions are 1-based, got {show_int(n)}")
-    return _walk(n, True)[1]
+    return _walk(n)[0]
 
 
 def block_prefix_total(m: int) -> int:
@@ -201,9 +202,7 @@ def block_prefix_total(m: int) -> int:
 
 def fib_prefix_total(m: int) -> int:
     """Closed form of occurrence_count(fib(m)), for m >= 2."""
-    if m < 2:
-        raise DomainError(f"defined for m >= 2, got {show_int(m)}")
-    return _div5((m - 3) * fib(m + 2) + (m - 1) * fib(m)) + m + 3
+    return block_prefix_total(m) + m + 1  # plus end_count at fib(m) - 1 and fib(m)
 
 
 def block_sum(m: int) -> int:
@@ -237,7 +236,7 @@ def occurrence_count(n: int) -> int:
         raise DomainError(f"prefix lengths are >= 0, got {show_int(n)}")
     if n <= 3:
         return (0, 1, 2, 4)[n]
-    _, tail, m = _walk(n, True)
+    tail, m = _walk(n)
     return block_prefix_total(m) + tail
 
 
@@ -248,7 +247,7 @@ def occurrence_count_trace(n: int) -> tuple[int, dict]:
     if n <= 3:
         return occurrence_count(n), {"base_table": True, "value": occurrence_count(n)}
     walked: list = []
-    _, tail, m = _walk(n, True, walked)
+    tail, m = _walk(n, walked)
     steps, done = [], 0
     for mk, nk, case, part in walked:
         steps.append({"n": nk, "m": mk, "case": case, "value": tail - done})

@@ -32,9 +32,11 @@ class PalCoord(NamedTuple):
     i: int
 
     def length(self) -> int:
+        """Length of the palindrome, fib(m+3) - 2i."""
         return fib(self.m + 3) - 2 * self.i
 
     def is_singular(self) -> bool:
+        """Whether the palindrome is the singular word S(m), i.e. i = fib(m+1)."""
         return self.i == fib(self.m + 1)
 
 

@@ -18,7 +18,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import threading
@@ -44,7 +43,6 @@ _fibs = [1, 1]
 _fibs_lock = threading.Lock()
 
 
-@functools.lru_cache(maxsize=1)  # parsed again only when the value changes; a bad one raises each time
 def materialize_cap(raw: str | None) -> int:
     """Maximum number of bytes a single call may hold, a letter counting one,
     from the raw ``FIBPAL_MAX_MATERIALIZE`` value (None when it is not set)."""
@@ -182,25 +180,6 @@ def floor_phi(p: int) -> int:
     if p < 0:
         raise DomainError(f"floor_phi needs p >= 0, got {show_int(p)}")
     return (math.isqrt(5 * p * p) - p) // 2
-
-
-def floor_inv_phi(p: int) -> int:
-    """Exact floor(p / phi) = p + floor_phi(p), for p >= 1."""
-    if p < 1:
-        raise DomainError(f"floor_inv_phi needs p >= 1, got {show_int(p)}")
-    return p + floor_phi(p)
-
-
-def count_a(n: int) -> int:
-    """Number of ``a`` letters in the prefix of length n (exact)."""
-    if n < 0:
-        raise DomainError(f"count_a needs n >= 0, got {show_int(n)}")
-    return floor_phi(n + 1)
-
-
-def count_b(n: int) -> int:
-    """Number of ``b`` letters in the prefix of length n."""
-    return n - count_a(n)
 
 
 def letter_at(n: int) -> str:

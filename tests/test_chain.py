@@ -13,7 +13,6 @@ from fibpal import (
     pal_end_pos,
     pal_from_coord,
     pal_span,
-    pal_start_pos,
     pals_of_length,
     prefix_palindrome_lengths,
     singular_end_pos,
@@ -133,7 +132,7 @@ def test_new_pal_at_is_genuinely_new(scan_2k):
 def test_prefix_palindromes_start_at_one():
     lens = set(prefix_palindrome_lengths(3000))
     for n in range(1, 3001):
-        starts_at_one = pal_start_pos(new_pal_at(n), 1) == 1
+        starts_at_one = pal_span(new_pal_at(n), 1).start == 1
         assert starts_at_one == (n in lens)
 
 

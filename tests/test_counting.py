@@ -109,6 +109,14 @@ def test_occurrence_count_trace():
     assert trace["m"] == 6
     assert [s["n"] for s in trace["tail_steps"]] == [29, 16, 8, 3]
     assert trace["tail_steps"][-1]["case"] == "table"
+    # below 4 the count is read from a table; 4 is the first n that walks
+    for n, value in enumerate((0, 1, 2, 4)):
+        assert occurrence_count(n) == value
+        assert occurrence_count_trace(n) == (value, {"base_table": True, "value": value})
+    value, trace = occurrence_count_trace(4)
+    assert value == occurrence_count(4) and "base_table" not in trace and trace["tail_steps"]
+    with pytest.raises(DomainError):
+        occurrence_count_trace(-1)
 
 
 def reference_walk(n):

@@ -7,10 +7,7 @@ from fibpal import (
     PalCoord,
     ResourceError,
     check_floor_identities,
-    count_a,
-    count_b,
     fib,
-    floor_inv_phi,
     floor_phi,
     letter_at,
     pal_from_coord,
@@ -146,13 +143,13 @@ def test_letter_at_agrees_with_prefix_bulk():
 
 
 def test_count_a_examples_and_scan():
-    assert count_a(1) == 1
-    assert count_a(3) == 2
-    assert count_a(8) == 5
+    # floor_phi(n + 1) counts the a's of the length-n prefix, the fact letter_at relies on
+    assert floor_phi(2) == 1
+    assert floor_phi(4) == 2
+    assert floor_phi(9) == 5
     s = prefix(2000)
     for n in range(0, 2001):
-        assert count_a(n) == s[:n].count("a")
-        assert count_b(n) == s[:n].count("b")
+        assert floor_phi(n + 1) == s[:n].count("a")
 
 
 def test_count_a_bulk():
@@ -170,14 +167,6 @@ def test_floor_phi_examples():
     assert floor_phi(5) == 3
     with pytest.raises(DomainError):
         floor_phi(-1)
-
-
-def test_floor_inv_phi_examples():
-    assert floor_inv_phi(1) == 1
-    assert floor_inv_phi(3) == 4
-    assert floor_inv_phi(5) == 8
-    with pytest.raises(DomainError):
-        floor_inv_phi(0)
 
 
 @given(st.integers(min_value=1, max_value=10**30))
@@ -217,7 +206,7 @@ def test_materialize_cap(monkeypatch):
 
 
 def test_materialize_cap_follows_every_change(monkeypatch):
-    # the parsed value is kept per raw value, so each change must show on the next call
+    # the cap is parsed from the environment on every call, so each change shows on the next one
     for raw, ok_len in (("500", 500), ("1000", 1000), ("500", 500)):
         monkeypatch.setenv("FIBPAL_MAX_MATERIALIZE", raw)
         assert len(prefix(ok_len)) == ok_len

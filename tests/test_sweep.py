@@ -91,6 +91,38 @@ REFUSED = {
 }
 
 
+def width(m: int, p: int, per_7_bits: int) -> int:
+    """Bytes per 7 bits of the last position of cell (m, p)."""
+    return per_7_bits * (fibpal.chain_interval(m, p).hi.bit_length() // 7)
+
+
+P_WIDE = 10**300
+# each call with its charge written out as a formula: items held times bytes per item
+EXACT = {
+    "end_count_block(3)": ((fibpal.end_count_block, 3), 32 * fibpal.fib(2)),
+    "end_count_block(20)": ((fibpal.end_count_block, 20), 32 * fibpal.fib(19)),
+    "expand_leaves(1, 1)": ((fibpal.expand_leaves, 1, 1), fibpal.fib(1) * (192 + width(1, 1, 3))),
+    "expand_leaves(12, 1e300)": ((fibpal.expand_leaves, 12, P_WIDE), fibpal.fib(12) * (192 + width(12, P_WIDE, 3))),
+    "expand_cell(1, 1)": ((fibpal.expand_cell, 1, 1), fibpal.fib(1) * (832 + width(1, 1, 8))),
+    "expand_cell(12, 1e300, depth 1)": ((fibpal.expand_cell, 12, P_WIDE, 1), 2 * (832 + width(12, P_WIDE, 8))),
+    "expand_cell(12, 1e300, depth 7, reduce)": ((fibpal.expand_cell, 12, P_WIDE, 7, True), 2**7 * (832 + width(12, P_WIDE, 8))),
+    "expand_cell(6, 1, depth 9)": ((fibpal.expand_cell, 6, 1, 9), fibpal.fib(6) * (832 + width(6, 1, 8))),
+    # lengths fib(m) - 2 for m = 2 .. 4784, the largest m with fib(m) - 2 <= 10**1000
+    "prefix_palindrome_lengths(1e1000)": ((fibpal.prefix_palindrome_lengths, 10**1000), 4784 * (4784 // 20 + 40)),
+    "cylinder_table(10)": ((fibpal.cylinder_table, 10), 3 * 10**2 + 10),
+}
+
+
+@pytest.mark.parametrize("call,charge", EXACT.values(), ids=EXACT)
+def test_each_call_answers_at_exactly_its_charge(monkeypatch, call, charge):
+    fn, *args = call
+    monkeypatch.setenv("FIBPAL_MAX_MATERIALIZE", str(charge))
+    fn(*args)
+    monkeypatch.setenv("FIBPAL_MAX_MATERIALIZE", str(charge - 1))
+    with pytest.raises(ResourceError, match="exceeds materialization cap"):
+        fn(*args)
+
+
 @pytest.mark.parametrize("call", CHARGED.values(), ids=CHARGED)
 def test_cap_charges_the_bytes_a_call_holds(monkeypatch, call):
     charged = []
