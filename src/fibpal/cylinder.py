@@ -20,7 +20,7 @@ from typing import NamedTuple
 from . import fibword
 from .errors import DomainError, show_int
 from .fibword import fib, fib_floor_index
-from .singular import kernel, singular_word
+from .singular import kernel
 
 CYLINDER_BY_MOD = {2: "a", 0: "b", 1: "aa"}
 
@@ -58,12 +58,16 @@ def cylinder_tag(c: PalCoord) -> str:
 
 
 def pal_from_coord(c: PalCoord) -> str:
-    """Materialize the palindrome with coordinate c, as the slice of S(m+3).
+    """Materialize the palindrome with coordinate c, as one slice of the iterate.
 
+    S(m+3) is the (m+3)-th iterate with its last letter moved to the front,
+    so for i >= 1 the slice S(m+3)[i : fib(m+3)-i] is
+    iterate(m+3)[i-1 : fib(m+3)-i-1]; the cap is charged fib(m+3) letters.
     ``verify_cylinder`` checks this form against the concatenation form.
     """
     validate_coord(c)
-    return singular_word(c.m + 3, "palindrome construction")[c.i: fib(c.m + 3) - c.i]
+    n = fib(c.m + 3)
+    return fibword.prefix(n, "palindrome construction")[c.i - 1:n - c.i - 1]
 
 
 def coord_from_pal(w: str) -> PalCoord:

@@ -57,11 +57,21 @@ def materialize_cap(raw: str | None) -> int:
     return cap
 
 
+_CAP_KEY = os.environ.encodekey("FIBPAL_MAX_MATERIALIZE")
+
+
 def check_cap(n: int, what: str = "word", unit: int = 1) -> None:
     """Raise ResourceError if holding ``n`` items of ``unit`` bytes each (a
     letter is one byte) exceeds the cap, read from the
-    ``FIBPAL_MAX_MATERIALIZE`` environment variable on every call."""
-    cap = materialize_cap(os.environ.get("FIBPAL_MAX_MATERIALIZE"))
+    ``FIBPAL_MAX_MATERIALIZE`` environment variable on every call.
+
+    The read is one lookup in the dict behind ``os.environ``, under the key
+    encoded at import (``os.environ.get`` raises and catches two KeyErrors
+    when the variable is unset), so a change made through ``os.environ``
+    shows on the next call.
+    """
+    raw = os.environ._data.get(_CAP_KEY)
+    cap = materialize_cap(None if raw is None else os.environ.decodevalue(raw))
     if n * unit > cap:
         size = f"length {show_int(n)}" if unit == 1 else f"{show_int(n)} items of {show_int(unit)} bytes"
         raise ResourceError(f"{what} of {size} exceeds materialization cap {show_int(cap)}")

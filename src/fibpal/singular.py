@@ -52,9 +52,9 @@ def singular_word(m: int, what: str = "singular word") -> str:
 def _largest_singular(w: str) -> tuple[int, int, bool] | None:
     """The largest singular word in w: (m, its 0-based index in w, w occurs).
 
-    Every candidate S(m) is read off one prefix, which also holds the
-    slice that w must equal if it is a factor: the kernel's first
-    occurrence starts at singular_start_pos(m, 1) = fib(m+1).  None when w
+    Every candidate S(m) is the slice of one prefix at its first
+    occurrence, which starts at position fib(m+1); the same prefix holds
+    the slice that w must equal if it is a factor.  None when w
     holds neither letter.  A factor whose kernel occurs twice in it raises
     AssertionError: that contradicts the uniqueness of the kernel
     occurrence, so it is a defect, not bad input.
@@ -63,10 +63,11 @@ def _largest_singular(w: str) -> tuple[int, int, bool] | None:
     m = fibword.fib_floor_index(n)
     text = prefix(fib(m + 1) + n)
     while m >= -1:
-        s = last_letter(m + 1) + text[:fib(m) - 1]
+        first = fib(m + 1) - 1
+        s = text[first:first + fib(m)]
         idx = w.find(s)
         if idx >= 0:
-            start = fib(m + 1) - idx - 1
+            start = first - idx
             occurs = start >= 0 and text[start:start + n] == w
             if occurs and w.find(s, idx + 1) >= 0:
                 raise AssertionError(f"the kernel S({m}) occurs twice in the factor {w[:40]!r}")

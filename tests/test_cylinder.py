@@ -53,12 +53,12 @@ def test_coord_from_pal_errors():
 
 
 def test_roundtrip_all_coords():
-    for m in range(-1, 13):
+    for m in range(-1, 17):
+        s_m, s_next = singular_word(m), singular_word(m + 1)  # the other defining form
         for i in range(1, fib(m + 1) + 1):
             c = PalCoord(m, i)
             w = pal_from_coord(c)
-            s_next = singular_word(m + 1)  # the other defining form
-            assert w == s_next[i:] + singular_word(m) + s_next[: fib(m + 1) - i], c
+            assert w == s_next[i:] + s_m + s_next[: fib(m + 1) - i], c
             assert len(w) == c.length()
             assert w == w[::-1]
             assert coord_from_pal(w) == c

@@ -1,3 +1,6 @@
+import os
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -7,8 +10,11 @@ from fibpal import (
     PalCoord,
     ResourceError,
     check_floor_identities,
+    coord_from_pal,
     fib,
     floor_phi,
+    is_factor,
+    kernel,
     letter_at,
     pal_from_coord,
     palindromic_conjugates,
@@ -234,6 +240,7 @@ def test_each_call_reads_the_cap_once(monkeypatch):
         (pal_from_coord, PalCoord(5, 2)), (palindromic_conjugates, 6), (oracle.scan_prefix, 100),
         (counting.expand_leaves, 12, 1), (counting.expand_cell, 12, 1), (counting.expand_cell, 12, 1, 3, True),
         (counting.end_count_block, 10), (prefix_palindrome_lengths, 10**5),
+        (kernel, prefix(700)[5:]), (is_factor, "abaababb"), (coord_from_pal, pal_from_coord(PalCoord(9, 30))),
     ]
     for fn, *args in calls:
         reads.clear()
@@ -247,6 +254,75 @@ def test_each_call_reads_the_cap_once(monkeypatch):
         with pytest.raises(ResourceError, match=f"^{what} of length"):
             fn(arg)
     assert len(singular_word(5)) == 13 and len(prefix(20)) == 20
+
+
+CAP_VAR = "FIBPAL_MAX_MATERIALIZE"
+
+
+def assert_cap_follows_os_environ():
+    # check_cap answers or refuses exactly as materialize_cap(os.environ.get(...)) says
+    try:
+        cap = fibword.materialize_cap(os.environ.get(CAP_VAR))
+    except ResourceError as exc:
+        for n in (1, 10**9):
+            with pytest.raises(ResourceError) as refused:
+                fibword.check_cap(n)
+            assert str(refused.value) == str(exc)
+        return
+    fibword.check_cap(cap)
+    with pytest.raises(ResourceError, match="exceeds materialization cap"):
+        fibword.check_cap(cap + 1)
+
+
+def test_cap_read_follows_every_change_to_os_environ(monkeypatch):
+    monkeypatch.delenv(CAP_VAR, raising=False)  # restored after the test
+    assert_cap_follows_os_environ()
+    changes = [
+        lambda: monkeypatch.setenv(CAP_VAR, "700"),
+        lambda: monkeypatch.delenv(CAP_VAR),
+        lambda: os.environ.__setitem__(CAP_VAR, "800"),
+        lambda: os.environ.__delitem__(CAP_VAR),
+        lambda: os.environ.update({CAP_VAR: "junk"}),
+        lambda: os.environ.update({CAP_VAR: "900"}),
+        lambda: os.environ.pop(CAP_VAR),
+        lambda: os.environ.setdefault(CAP_VAR, "0"),
+        lambda: os.environ.setdefault(CAP_VAR, "1000"),  # already set: stays "0"
+        lambda: os.environ.pop(CAP_VAR),
+        lambda: os.environ.setdefault(CAP_VAR, "1000"),
+    ]
+    for change in changes:
+        change()
+        assert_cap_follows_os_environ()
+    assert os.environ[CAP_VAR] == "1000"
+
+
+@pytest.mark.skipif(not os.supports_bytes_environ, reason="os.environb is POSIX only")
+def test_undecodable_cap_is_refused_like_junk(monkeypatch):
+    monkeypatch.setitem(os.environb, os.fsencode(CAP_VAR), b"\xff12")
+    assert_cap_follows_os_environ()
+    with pytest.raises(ResourceError, match="is not an integer"):
+        prefix(10)
+
+
+def test_unset_cap_raises_no_exception_on_the_word_path(monkeypatch):
+    monkeypatch.delenv(CAP_VAR, raising=False)
+    w, c = prefix(300)[7:], PalCoord(8, 11)
+    raised = []
+
+    def local(frame, event, arg):
+        if event == "exception":
+            raised.append((frame.f_code.co_name, arg[0].__name__))
+        return local
+
+    old = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local)
+    try:
+        prefix(10)
+        kernel(w)
+        pal_from_coord(c)
+    finally:
+        sys.settrace(old)
+    assert raised == []
 
 
 def test_prefix_domain():

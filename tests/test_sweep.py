@@ -110,6 +110,11 @@ EXACT = {
     # lengths fib(m) - 2 for m = 2 .. 4784, the largest m with fib(m) - 2 <= 10**1000
     "prefix_palindrome_lengths(1e1000)": ((fibpal.prefix_palindrome_lengths, 10**1000), 4784 * (4784 // 20 + 40)),
     "cylinder_table(10)": ((fibpal.cylinder_table, 10), 3 * 10**2 + 10),
+    # the (m+3)-th iterate, inside the prefix table and past it
+    "pal_from_coord(12, 100)": ((fibpal.pal_from_coord, fibpal.PalCoord(12, 100)), fibpal.fib(15)),
+    "pal_from_coord(19, 5)": ((fibpal.pal_from_coord, fibpal.PalCoord(19, 5)), fibpal.fib(22)),
+    # fib(M + 1) + len(w) letters, with fib(M) = fib(13) = 610 <= 700 < fib(14)
+    "kernel(700 letters)": ((fibpal.kernel, fibpal.prefix(1000)[200:900]), fibpal.fib(14) + 700),
 }
 
 
