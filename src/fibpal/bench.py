@@ -21,14 +21,6 @@ class BenchRow(NamedTuple):
         return self.tree_seconds / self.closed_seconds if self.closed_seconds else float("inf")
 
 
-def time_tree(n: int) -> tuple[float, int]:
-    """Seconds for one full tree pass over the length-n prefix."""
-    t0 = time.perf_counter()
-    scan = oracle.scan_prefix(n)
-    elapsed = time.perf_counter() - t0
-    return elapsed, int(scan.end_counts.sum())
-
-
 def run_bench(ns: list[int], repeat: int = 5) -> list[BenchRow]:
     """Benchmark each n: the median of ``repeat`` occurrence_count(n) queries
     against one tree pass, in one row with both totals."""
@@ -41,6 +33,7 @@ def run_bench(ns: list[int], repeat: int = 5) -> list[BenchRow]:
             t0 = time.perf_counter()
             closed_v = counting.occurrence_count(n)
             times.append(time.perf_counter() - t0)
-        tree_s, tree_v = time_tree(n)
-        rows.append(BenchRow(n, sorted(times)[repeat // 2], tree_s, closed_v, tree_v))
+        t0 = time.perf_counter()
+        tree_v = int(oracle.scan_prefix(n).end_counts.sum())  # the scan is freed before the next n
+        rows.append(BenchRow(n, sorted(times)[repeat // 2], time.perf_counter() - t0, closed_v, tree_v))
     return rows

@@ -113,7 +113,7 @@ def palindromic_conjugates(m: int) -> set[str]:
     """
     if m < -1:
         raise DomainError(f"iterate index must be >= -1, got {show_int(m)}")
-    w = fibword.iterate(m, "conjugate enumeration")
+    w = "b" if m == -1 else fibword.prefix(fib(m), "conjugate enumeration")  # iterate(-1) is b
     n, ww, rev = len(w), w + w, w[::-1]
     out = set()
     j = ww.find(rev)

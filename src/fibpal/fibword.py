@@ -242,15 +242,6 @@ def prefix(n: int, what: str = "prefix") -> str:
     return _grow(buf, len(_TABLE), fib(PREFIX_TABLE_M - 1)).decode("ascii")
 
 
-def iterate(m: int, what: str = "prefix") -> str:
-    """The m-th morphism iterate, of length fib(m); iterate(-1) is ``b``."""
-    if m < -1:
-        raise DomainError(f"iterate index must be >= -1, got {show_int(m)}")
-    if m == -1:
-        return LETTER_B
-    return prefix(fib(m), what)
-
-
 def check_floor_identities(p: int) -> dict[str, bool]:
     """Evaluate the four golden-floor identities at p >= 1.
 

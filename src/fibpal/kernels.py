@@ -1,12 +1,14 @@
 """Hot inner loops: the palindromic-tree fill and the bulk floor-identity sweep.
 
-The tree fill, ``eertree_fill``, is plain Python over ``bytes`` and
-``array.array`` buffers; the floor sweep is one vectorized NumPy pass.
-Both work on machine-width integers only; callers guard the input ranges and
-escalate to exact big-int arithmetic beyond them.
+The tree fill, ``eertree_fill``, is plain Python over ``bytes`` and the
+``array.array`` buffers it allocates; the floor sweep is one vectorized
+NumPy pass.  Both work on machine-width integers only; callers guard the
+input ranges and escalate to exact big-int arithmetic beyond them.
 """
 
 from __future__ import annotations
+
+from array import array
 
 import numpy as np
 
@@ -26,29 +28,27 @@ FAST_SCAN_MAX = 3 * 10**8
 SCAN_CHUNK = 1 << 19  # values per floor_identity_scan block, ~29 MB of temporaries (tracemalloc)
 
 
-def eertree_fill(text, lens, link, trans, depth, node_out):
-    """Feed ``text`` (letters 0 and 1) into a palindromic tree.
+def eertree_fill(text):
+    """Feed ``text`` (``bytes`` of letters 0 and 1) into a palindromic tree.
 
-    ``text`` is ``bytes`` and the other buffers ``array.array`` (NumPy
-    uint8 elements would make ``2*v + c`` wrap).
-
-    Buffers are preallocated by the caller: one node per distinct palindrome
-    plus the two roots (node 0 of virtual length -1, node 1 of length 0), and
-    ``trans`` zeroed, with the edge of node v on letter c at ``2*v + c``.
-    Nodes are numbered in creation order.  Writes the node of the longest
-    palindromic suffix at each position to ``node_out``; ``depth`` is the
-    suffix-link chain length, i.e. the number of palindromic suffixes.
-    Returns the node count.
+    Returns the node count and the buffers ``lens``, ``link``, ``depth`` and
+    ``node``, ``array.array``s (NumPy uint8 would make ``2*v + c`` wrap)
+    sized for the n + 2 nodes that n letters can make: the two roots (node 0
+    of virtual length -1, node 1 of length 0), then one node per distinct
+    palindrome in creation order.  ``depth`` is the suffix-link chain
+    length, i.e. the number of palindromic suffixes; ``node`` holds the node
+    of the longest palindromic suffix at each position.
     """
+    n = len(text)
+    lens = array("q", bytes(8 * (n + 2)))  # zeroed, so only the root of length -1 is written
+    link = array("i", bytes(4 * (n + 2)))
+    depth = array("i", bytes(4 * (n + 2)))
+    trans = array("i", bytes(8 * (n + 2)))
+    node = array("i", bytes(4 * n))
     lens[0] = -1
-    link[0] = 0
-    lens[1] = 0
-    link[1] = 0
-    depth[0] = 0
-    depth[1] = 0
     num = 2
     last = 1
-    for pos in range(len(text)):
+    for pos in range(n):
         c = text[pos]
         v = last
         while True:
@@ -74,8 +74,8 @@ def eertree_fill(text, lens, link, trans, depth, node_out):
                 link[last] = trans[2 * u + c]
             depth[last] = depth[link[last]] + 1
             trans[edge] = last
-        node_out[pos] = last
-    return num
+        node[pos] = last
+    return num, lens, link, depth, node
 
 
 def floor_phi_block(p: np.ndarray) -> np.ndarray:

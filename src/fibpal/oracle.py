@@ -5,19 +5,18 @@ scanners (center expansion, substring slicing, plain substring search) that
 validate the tree itself.  Nothing here shares code with the closed-form
 modules, so agreement between the two paths is meaningful evidence.
 
-There is one tree: ``kernels.eertree_fill``, filled over ``array.array``
-buffers.  ``scan_word`` runs it over any word over {a, b} and ``scan_prefix``
-over a prefix of the Fibonacci word; both feed it the word's letters as bytes
-0 and 1 by one ``translate``.  Every count is a field of the one
-``PrefixScan`` a pass returns (``end_counts`` sums to the occurrence total,
-``nodes - 2`` is the distinct count); the distinct factors and palindromic
-suffixes are read off its arrays.  A factor's occurrences come from one
-substring scan, ``occurrence_starts``.
+There is one tree: ``kernels.eertree_fill``, which allocates its own
+buffers.  ``scan_word`` runs it over any word over {a, b} and
+``scan_prefix`` over a prefix of the Fibonacci word; both feed it the word's
+letters as bytes 0 and 1 by one ``translate``.  Every count is a field of
+the one ``PrefixScan`` a pass returns (``end_counts`` sums to the occurrence
+total, ``nodes - 2`` is the distinct count); the distinct factors and
+palindromic suffixes are read off its arrays.  A factor's occurrences come
+from one substring scan, ``occurrence_starts``.
 """
 
 from __future__ import annotations
 
-from array import array
 from typing import NamedTuple
 
 import numpy as np
@@ -77,15 +76,8 @@ class PrefixScan(NamedTuple):
 
 def _scan(text: bytes) -> PrefixScan:
     """One tree pass over ``text`` (letters 0 and 1)."""
-    n = len(text)
-    cap = n + 3
-    lens = array("q", bytes(8 * cap))
-    link = array("i", bytes(4 * cap))
-    depth = array("i", bytes(4 * cap))
-    node = array("i", bytes(4 * n))
-    # looked up at call time, so a wrapper on the module attribute sees every
-    # fill; the edge table is a temporary, freed before the arrays are built
-    nodes = kernels.eertree_fill(text, lens, link, array("i", bytes(8 * cap)), depth, node)
+    # looked up at call time, so a wrapper on the module attribute sees every fill
+    nodes, lens, link, depth, node = kernels.eertree_fill(text)
     lens_a = np.asarray(lens)[:nodes]
     link_a = np.asarray(link)[:nodes]
     node_a = np.asarray(node)
@@ -94,7 +86,7 @@ def _scan(text: bytes) -> PrefixScan:
     distinct = np.maximum.accumulate(node_a, dtype=np.int64)
     distinct -= 1
     return PrefixScan(
-        n,
+        len(text),
         end_counts=np.asarray(depth)[node_a],
         max_suffix=lens_a[node_a],
         distinct=distinct,
@@ -135,17 +127,18 @@ class ReturnWordSeq(NamedTuple):
 
     factor: str
     returns: list[str]
-    alphabet: tuple[str, str]  # (first return word, first differing one)
-    reduced: str  # returns rewritten over {a, b}
+    alphabet: tuple[str, str | None]  # (first return word, first differing one, if any)
+    reduced: str  # returns rewritten over {a, b}: the first word -> a, any other -> b
 
 
 def return_words(w: str, n: int) -> ReturnWordSeq:
     """Return words of w within the length-n prefix (needs >= 3 occurrences).
 
     The p-th return word stretches from the start of the p-th occurrence up
-    to just before the (p+1)-th.  Exactly two distinct return words occur,
-    and rewriting the sequence over {a, b} (first word -> a) again yields a
-    prefix of the Fibonacci word; both facts are enforced here.
+    to just before the (p+1)-th.  Nothing about them is checked here:
+    ``verify_return_words`` checks that exactly two distinct return words
+    occur and that the reduced sequence is again a prefix of the Fibonacci
+    word.
     """
     s = prefix(n)
     starts = occurrence_starts(s, w)
@@ -154,9 +147,6 @@ def return_words(w: str, n: int) -> ReturnWordSeq:
     rets = [s[i:j] for i, j in zip(starts, starts[1:])]
     first = rets[0]
     second = next((r for r in rets if r != first), None)
-    distinct = set(rets)
-    if second is None or len(distinct) != 2:
-        raise DomainError(f"expected exactly two distinct return words, got {len(distinct)}")
     reduced = "".join("a" if r == first else "b" for r in rets)
     return ReturnWordSeq(w, rets, (first, second), reduced)
 

@@ -1,9 +1,9 @@
 """Singular words, kernel extraction and exact factor membership.
 
-The m-th singular word is the m-th morphism iterate with its last letter
-moved to the front, i.e. last-letter-of-iterate(m+1) + iterate(m) minus its
-final letter.  Singular words are palindromes of length fib(m) and satisfy
-the three-part recursion S(m) = S(m-2) S(m-3) S(m-2) for m >= 2.
+The m-th singular word is the last letter of the (m+1)-th morphism iterate
+followed by the m-th iterate minus its last letter.  Singular words are
+palindromes of length fib(m) and satisfy the three-part recursion
+S(m) = S(m-2) S(m-3) S(m-2) for m >= 2.
 
 The kernel of a factor w is the largest singular word occurring in w; it
 occurs there exactly once, and the p-th occurrence of w in the infinite word
@@ -31,22 +31,14 @@ class KernelResult(NamedTuple):
     offset: int
 
 
-def last_letter(m: int) -> str:
-    """Last letter of the m-th morphism iterate: ``a`` iff m is even."""
-    if m < -1:
-        raise DomainError(f"iterate index must be >= -1, got {show_int(m)}")
-    return fibword.LETTER_A if m % 2 == 0 else fibword.LETTER_B
-
-
-def singular_word(m: int, what: str = "singular word") -> str:
+def singular_word(m: int) -> str:
     """The m-th singular word, a palindrome of length fib(m), for m >= -1."""
     if m < -1:
         raise DomainError(f"singular index must be >= -1, got {show_int(m)}")
-    if m == -1:
-        return "a"
-    if m == 0:
-        return "b"
-    return last_letter(m + 1) + fibword.iterate(m, what)[:-1]
+    if m < 1:
+        return "ab"[m + 1]
+    # the last letter of iterate(m + 1) is a iff m is odd
+    return "ba"[m % 2] + prefix(fib(m), "singular word")[:-1]
 
 
 def _largest_singular(w: str) -> tuple[int, int, bool] | None:

@@ -1,9 +1,10 @@
 """Verification suites: every closed form against an independent check.
 
 Each suite returns a VerifyResult with the first counterexample found (if
-any); the CLI maps failures to a nonzero exit code.  Bounds are caller
-supplied so the same suites serve quick smoke checks and the full acceptance
-runs; the tau preimage bound, the word lengths and the return-word factors are fixed.
+any), also where a closed form raises AssertionError on its own invariant;
+the CLI exits 1 on a failure.  Bounds are caller supplied so the same suites
+serve quick smoke checks and the full acceptance runs; the tau preimage
+bound, the word lengths and the return-word factors are fixed.
 """
 
 from __future__ import annotations
@@ -164,10 +165,16 @@ def verify_tau(max_m: int = 15, max_p: int = 500) -> VerifyResult:
     checked = 0
     for m in range(1, max_m + 1):
         for p in range(1, max_p + 1):
-            counting.split_cell(m, p)  # asserts the exact tiling internally
+            try:
+                counting.split_cell(m, p)
+            except AssertionError:
+                return _finish("tau", False, checked, t0, {"m": m, "p": p})
             checked += 1
     for p in range(1, max_p + 1):
-        child = counting.reduce_cell(p)
+        try:
+            child = counting.reduce_cell(p)
+        except AssertionError:
+            return _finish("tau", False, checked, t0, {"p": p})
         if child.size() != 1 or child.lo != chain_interval(0, p).hi:
             return _finish("tau", False, checked, t0, {"p": p})
         checked += 1
@@ -212,12 +219,15 @@ def verify_richness(max_n: int = 10**5) -> VerifyResult:
 
 
 def verify_return_words(prefix_n: int = 10**4) -> VerifyResult:
-    """Return-word sequences reduce to prefixes of the word itself."""
+    """Each factor has exactly two distinct return words (Vuillon 2001), and
+    their sequence reduces to a prefix of the word itself."""
     t0 = time.perf_counter()
     s = prefix(prefix_n)
     checked = 0
     for w in ("a", "b", "aa", "aba", "abaab", "ababa", singular.singular_word(3), singular.singular_word(4)):
         seq = oracle.return_words(w, prefix_n)
+        if (distinct := len(set(seq.returns))) != 2:
+            return _finish("return-words", False, checked, t0, {"factor": w, "distinct": distinct})
         # one letter per return word, so the reduced word is shorter than s
         if seq.reduced != s[:len(seq.reduced)]:
             return _finish("return-words", False, checked, t0, {"factor": w, "reduced": seq.reduced[:40]})
@@ -247,6 +257,8 @@ def verify_kernels(prefix_n: int = 10**4, max_p: int = 50) -> VerifyResult:
                 ker = singular.kernel(w)
             except NotAFactorError:
                 return _finish("kernels", False, checked, t0, {"factor": w, "is_factor": False})
+            except AssertionError:  # the kernel occurs twice in w
+                return _finish("kernels", False, checked, t0, {"factor": w, "kernel_unique": False})
             kw = singular.singular_word(ker.m)
             if w.count(kw) != 1:
                 return _finish("kernels", False, checked, t0, {"factor": w, "kernel": kw})

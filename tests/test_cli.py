@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import fibpal
-from fibpal import cli, occurrence_count, verify
+from fibpal import cli, counting, occurrence_count, oracle, prefix, verify
 from fibpal.cli import main
 from fibpal.verify import VerifyResult
 
@@ -111,6 +111,8 @@ def test_count_usage_errors(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "count", "--occurrences")
     assert code == 2
+    code, out, err = run_cli(capsys, "count", "special")
+    assert code == 2 and out == "" and "count special requires --m" in err
 
 
 @pytest.mark.parametrize("argv, flags", [
@@ -190,6 +192,32 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert code == 1 and out == "floors: FAIL {'p': 1} (1 checks, 0.00s)\n"
 
 
+def test_verify_planted_faults_exit_1(capsys, monkeypatch):
+    # a third return word: the word flipped at its 3rd letter, "abbab..."
+    flipped = prefix(10**4)[:2] + "b" + prefix(10**4)[3:]
+    monkeypatch.setattr(oracle, "prefix", lambda n, *what: flipped[:n])
+    code, out, err = run_cli(capsys, "verify", "return-words")
+    (rec,) = records(out)
+    assert code == 1 and err == "" and rec["counterexample"] == {"factor": "a", "distinct": 3}
+    monkeypatch.undo()
+    # the cell (3, 7) one position too wide: split_cell's alignment check fails
+    real = counting.chain_interval
+
+    def widened(m, p):
+        iv = real(m, p)
+        return iv._replace(hi=iv.hi + 1) if (m, p) == (3, 7) else iv
+
+    monkeypatch.setattr(counting, "chain_interval", widened)
+    code, out, err = run_cli(capsys, "verify", "tau")
+    (rec,) = records(out)
+    assert code == 1 and err == "" and rec["counterexample"] == {"m": 3, "p": 7}
+
+
+def test_verify_return_words_too_few_occurrences_exit_2(capsys):
+    code, out, err = run_cli(capsys, "verify", "return-words", "--max-n", "5")
+    assert code == 2 and out == "" and "occurs only" in err
+
+
 def test_bench_records(capsys):
     code, out, _ = run_cli(capsys, "bench", "--n-list", "2000,4000", "--repeat", "2")
     assert code == 0
@@ -212,6 +240,11 @@ def test_bench_repeat_zero_exit_2(capsys):
 def test_bench_n_list_not_integer_exit_2(capsys):
     code, out, err = run_cli(capsys, "bench", "--n-list", "1,x", "--repeat", "1")
     assert code == 2 and out == "" and "'x'" in err and "internal error" not in err
+
+
+def test_bench_n_list_empty_exit_2(capsys):
+    code, out, err = run_cli(capsys, "bench", "--n-list", ",")
+    assert code == 2 and out == "" and "--n-list must name at least one prefix length" in err
 
 
 def test_tau_depth_below_minus_one_exit_2(capsys):

@@ -236,7 +236,7 @@ def test_each_call_reads_the_cap_once(monkeypatch):
 
     monkeypatch.setattr(fibword, "materialize_cap", counted)
     calls = [
-        (prefix, 50), (fibword.iterate, 9), (singular_word, 9),
+        (prefix, 50), (singular_word, 9),
         (pal_from_coord, PalCoord(5, 2)), (palindromic_conjugates, 6), (oracle.scan_prefix, 100),
         (counting.expand_leaves, 12, 1), (counting.expand_cell, 12, 1), (counting.expand_cell, 12, 1, 3, True),
         (counting.end_count_block, 10), (prefix_palindrome_lengths, 10**5),
@@ -250,7 +250,7 @@ def test_each_call_reads_the_cap_once(monkeypatch):
     monkeypatch.setenv("FIBPAL_MAX_MATERIALIZE", "20")
     for fn, arg, what in ((singular_word, 8, "singular word"), (pal_from_coord, PalCoord(5, 2), "palindrome construction"),
                           (palindromic_conjugates, 6, "conjugate enumeration"), (oracle.scan_prefix, 21, "prefix scan"),
-                          (prefix, 21, "prefix"), (fibword.iterate, 7, "prefix")):
+                          (prefix, 21, "prefix")):
         with pytest.raises(ResourceError, match=f"^{what} of length"):
             fn(arg)
     assert len(singular_word(5)) == 13 and len(prefix(20)) == 20

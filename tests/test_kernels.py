@@ -1,5 +1,3 @@
-from array import array
-
 import numpy as np
 import pytest
 
@@ -69,11 +67,7 @@ def test_floor_identity_scan_catches_a_wrong_floor(monkeypatch):
 def test_eertree_fill_arbitrary_text():
     # the kernel is not Fibonacci-specific; richness can fail, sizes cannot
     text = bytes([0, 0, 1, 1, 0, 1, 0, 0, 1, 1, 1])
-    n = len(text)
-    cap = n + 3
-    lens, link, depth = array("q", [0]) * cap, array("i", [0]) * cap, array("i", [0]) * cap
-    node = array("i", [0]) * n
-    nodes = kernels.eertree_fill(text, lens, link, array("i", [0]) * (2 * cap), depth, node)
+    nodes, lens, link, depth, node = kernels.eertree_fill(text)
     s = "".join("ab"[c] for c in text)
     assert nodes - 2 == len(oracle.naive_palindrome_set(s))
     assert [depth[v] for v in node] == oracle.center_end_counts(s)

@@ -30,9 +30,9 @@ def test_singular_palindrome_of_fib_length():
 
 
 def test_last_letter():
-    assert singular.last_letter(-1) == "b"  # iterate(-1) is the letter b
-    for m in range(0, 15):
-        assert singular.last_letter(m) == prefix(fib(m))[-1]
+    # S(m) opens with the last letter of the (m+1)-th iterate
+    for m in range(-1, 15):
+        assert singular_word(m)[0] == prefix(fib(m + 1))[-1]
 
 
 def test_kernel_examples():
