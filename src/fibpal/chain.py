@@ -100,9 +100,10 @@ def new_pal_at(n: int) -> PalCoord:
     if n < 1:
         raise DomainError(f"positions are 1-based, got {show_int(n)}")
     m = fib_floor_index(n + 1) - 2
-    c = PalCoord(m, fib(m + 3) - 1 - n)
-    validate_coord(c)  # boundary check: i lands in [1, fib(m+1)]
-    return c
+    i = fib(m + 3) - 1 - n
+    if not 1 <= i <= fib(m + 1):  # a defect: every n >= 1 lands in [1, fib(m+1)]
+        raise AssertionError(f"position {show_int(n)} gets i = {show_int(i)} outside [1, fib({m + 1})]")
+    return PalCoord(m, i)
 
 
 def distinct_count(n: int) -> int:

@@ -23,17 +23,16 @@ r = n - fib(m) + 1: a hop keeps r into block m-2 if r < fib(m-3), else
 subtracts fib(m-3) into block m-1 (the greedy Zeckendorf digits of r), so it
 costs one big-int comparison and at most one big-int subtraction.  end_count
 is that walk alone, ending in a base table.  The cumulative count is a closed
-form at the block boundary plus a tail sum whose every term is a small
-integer times a Fibonacci number: the tail walk, shared by tail_sum,
-occurrence_count and its trace, folds those terms into a small element
-x + y phi of Z[phi] by Horner's rule, one multiplication by phi per block,
-and every few dozen blocks adds its value (two small-by-big products) to one
-big sum, with one checked division by 5.  That each head's closed form is
-an integer depends on m mod 20 only, so it is checked once on small integers
-(fib mod 5) for all 20 residues, not per hop.  Past the Fibonacci table the
-walk reads fib(m-3) from a pair stepped down by subtraction, so memory stays
-bounded.  Agreement with the block form and the tree oracle is enforced by
-the tests.
+form at the block boundary plus a tail sum: r + 1 per hop, the base table,
+and per "head+tail" hop the block m-2 it copies as its head, summing to
+block_sum(m-2) = ((m-1) fib(m-1) + (m-4) fib(m-3)) / 5.  The tail loop
+(tail_sum, occurrence_count) computes that sum only, folding the heads'
+Fibonacci terms into a small x + y phi in Z[phi] by Horner's rule and
+flushing it into one big sum every few dozen blocks; the trace is its own
+exact walk by the same hop rule.  That each head is an integer depends on
+m mod 20 only, so it is checked once, on fib mod 5.  Past the Fibonacci table
+the walks step a pair down by subtraction, so memory stays bounded.
+Agreement with the block form and the tree oracle is enforced by the tests.
 
 Interval splitting
 ------------------
@@ -49,6 +48,7 @@ first cells down to kernel indices {-1, 0} tiles every interval.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import NamedTuple
 
 from . import fibword
@@ -83,15 +83,15 @@ def _div5(x: int) -> int:
 def _check_heads() -> None:
     """Raise unless every head closed form is an integer.
 
-    The numerator (m-11) fib(m-1) + (m+1) fib(m-3) mod 5 depends on m mod 20
-    only, so the 20 residues cover every block; a table is checked once.
+    The numerator (m-1) fib(m-1) + (m-4) fib(m-3) of block_sum(m-2) mod 5 depends
+    on m mod 20 only, so the 20 residues cover every block; a table is checked once.
     """
     global _heads_checked
     table = _FIB_MOD5
     if table is _heads_checked:
         return
     for m in range(20):
-        if ((m - 11) * table[(m - 1) % 20] + (m + 1) * table[(m - 3) % 20]) % 5:
+        if ((m - 1) * table[(m - 1) % 20] + (m - 4) * table[(m - 3) % 20]) % 5:
             raise AssertionError(f"head closed form at blocks m = {m} mod 20 is not divisible by 5")
     _heads_checked = table
 
@@ -101,26 +101,20 @@ def _flush(x: int, y: int, fibs, m: int) -> int:
     return x * (fibs[m - 3] if m > 2 else 0) + y * fibs[m - 2]  # fib(-2) = 0
 
 
-def _walk(n: int, steps: list | None = None) -> tuple[int, int]:
-    """(tail_sum(n), block index of n) by walking the block offset as end_count does.
+def _walk(n: int) -> tuple[int, int]:
+    """(tail_sum(n), block index of n): the tail sum only, on end_count's hop rule.
 
-    A "copy" hop keeps the offset r; a "head+tail" hop (r >= fib(m-3)) takes
-    r - fib(m-3).  The tail adds r + 1 per hop, the closed form
-    (5 fib(m) + (m-11) fib(m-1) + (m+1) fib(m-3)) / 5 of each copied head,
-    and the base table.  The heads' Fibonacci terms are summed by Horner's
-    rule over Z[phi]: a small x + y phi stands for x fib(m-4) + y fib(m-3) at
-    the current block m, so stepping down one block multiplies it by phi, and
-    every _SEG blocks it is flushed into one big sum.  A ``steps`` list
-    receives (m, n, case, part) per hop and for the final "table" step, where
-    part is what the step adds to the tail.
-    """
+    The copied heads, block_sum(m-2) each, are summed by Horner's rule over Z[phi]:
+    a small x + y phi stands for x fib(m-4) + y fib(m-3) at the current block m,
+    so stepping down one block multiplies it by phi; every _SEG blocks it is
+    flushed into one big sum."""
     m0 = m = fib_floor_index(n + 1)  # the block: fib(m) - 1 <= n <= fib(m+1) - 2
     fibs = fibword.fibs_through(m0)  # fibs[k + 1] is fib(k): the table, or a stepped pair past it
     r0 = r = n - fibs[m + 1] + 1
     _check_heads()
-    # a head at block m adds (m-1) fib(m-4) + w fib(m-3), its closed form in the
-    # basis fib(m-3), fib(m-4) (fib(m) = 3 fib(m-3) + 2 fib(m-4), fib(m-1) =
-    # 2 fib(m-3) + fib(m-4)) plus 5 hops fib(m-3), as fib(m-3) is also in
+    # a head at block m adds (m-1) fib(m-4) + w fib(m-3): 5 block_sum(m-2) is
+    # (m-1) fib(m-4) + (3m-6) fib(m-3) in the basis fib(m-3), fib(m-4) (fib(m-1) =
+    # 2 fib(m-3) + fib(m-4)), plus 5 hops fib(m-3), as fib(m-3) is also in
     # offsets 1 .. hops; with w = 5 hops + 3m - 6 from the start
     total = x = y = 0
     w = 3 * m - 6
@@ -128,10 +122,6 @@ def _walk(n: int, steps: list | None = None) -> tuple[int, int]:
         stop = max(m - _SEG, 3)
         while m > stop:
             g = fibs[m - 2]  # fib(m-3)
-            if steps is not None:
-                f = fibs[m + 1]
-                head = 0 if r < g else _div5(5 * f + (m - 11) * fibs[m] + (m + 1) * g)
-                steps.append((m, r + f - 1, "copy" if r < g else "head+tail", r + 1 + head))
             if r < g:  # down two blocks: times phi**2
                 x, y = x + y, x + 2 * y
                 w -= 1
@@ -145,11 +135,8 @@ def _walk(n: int, steps: list | None = None) -> tuple[int, int]:
         x = y = 0
     hops = (w - 3 * m + 6) // 5
     base = fibs[m + 1] - 2  # _END_BASE index of the block's first position
-    part = sum(_END_BASE[base:base + r + 1])
-    if steps is not None:
-        steps.append((m, base + r + 1, "table", part))
     # the offsets sum to r0 + (hops - 1) r plus the hop-weighted fib(m-3) in total
-    return hops + r0 + (hops - 1) * r + _div5(total) + part, m0
+    return hops + r0 + (hops - 1) * r + _div5(total) + sum(_END_BASE[base:base + r + 1]), m0
 
 
 def end_count(n: int) -> int:
@@ -241,19 +228,31 @@ def occurrence_count(n: int) -> int:
 
 
 def occurrence_count_trace(n: int) -> tuple[int, dict]:
-    """occurrence_count(n) plus the walk taken; each step's value is tail_sum of its n."""
+    """occurrence_count(n) plus the walk taken, by its own exact walk on _walk's hop
+    rule: each step adds its part as one big int, and its value is tail_sum of its n."""
     if n < 0:
         raise DomainError(f"prefix lengths are >= 0, got {show_int(n)}")
     if n <= 3:
         return occurrence_count(n), {"base_table": True, "value": occurrence_count(n)}
-    walked: list = []
-    tail, m = _walk(n, walked)
-    steps, done = [], 0
-    for mk, nk, case, part in walked:
-        steps.append({"n": nk, "m": mk, "case": case, "value": tail - done})
-        done += part
-    before = block_prefix_total(m)
-    return before + tail, {"m": m, "before_block": before, "tail": tail, "tail_steps": steps}
+    m0 = m = fib_floor_index(n + 1)
+    fibs = fibword.fibs_through(m0)  # fibs[k + 1] is fib(k)
+    r = n - fibs[m + 1] + 1
+    walked = []  # (m, n, case, part): part is what the step adds to the tail
+    while m > 3:
+        f, g = fibs[m + 1], fibs[m - 2]  # fib(m), fib(m-3)
+        if r < g:
+            walked.append((m, r + f - 1, "copy", r + 1))
+            m -= 2
+        else:  # the head is block m-2: block_sum(m-2) = ((m-1) fib(m-1) + (m-4) fib(m-3)) / 5
+            walked.append((m, r + f - 1, "head+tail", r + 1 + _div5((m - 1) * fibs[m] + (m - 4) * g)))
+            r -= g
+            m -= 1
+    base = fibs[m + 1] - 2  # _END_BASE index of the block's first position
+    walked.append((m, base + r + 1, "table", sum(_END_BASE[base:base + r + 1])))
+    values = list(accumulate(part for *_, part in reversed(walked)))[::-1]  # tail_sum at each step's n
+    steps = [{"n": k, "m": mk, "case": case, "value": v} for (mk, k, case, _), v in zip(walked, values)]
+    before = block_prefix_total(m0)
+    return before + values[0], {"m": m0, "before_block": before, "tail": values[0], "tail_steps": steps}
 
 
 def convolution_identity_holds(m: int) -> bool:

@@ -78,11 +78,9 @@ def coord_from_pal(w: str) -> PalCoord:
         raise DomainError(f"{w[:40]!r} is not a palindrome")
     m = kernel(w).m  # raises NotAFactorError for non-factors
     num = fib(m + 3) - len(w)
-    if num <= 0 or num % 2:
-        raise DomainError(f"{w[:40]!r} has no valid coordinate")
-    c = PalCoord(m, num // 2)
-    validate_coord(c)
-    return c
+    if num <= 0 or num % 2 or num // 2 > fib(m + 1):  # a defect: every palindromic factor has a coordinate
+        raise AssertionError(f"the palindrome {w[:40]!r} gets no coordinate at kernel index {m}")
+    return PalCoord(m, num // 2)
 
 
 def pals_of_length(n: int) -> list[PalCoord]:

@@ -2,8 +2,8 @@
 
 The tree fill, ``eertree_fill``, is plain Python over ``bytes`` and the
 ``array.array`` buffers it allocates; the floor sweep is one vectorized
-NumPy pass.  Both work on machine-width integers only; callers guard the
-input ranges and escalate to exact big-int arithmetic beyond them.
+NumPy pass.  Both work on machine-width integers only; callers refuse input
+past the guards below, and nothing escalates to big-int arithmetic.
 """
 
 from __future__ import annotations

@@ -54,24 +54,17 @@ def _require_prefix(prefix_n: int, max_len: int) -> None:
 
 
 def verify_floors(max_p: int = 10**6) -> VerifyResult:
-    """The four golden-floor identities for every 1 <= p <= max_p."""
+    """The four golden-floor identities for every 1 <= p <= max_p, in one machine-width
+    sweep guarded by exact spot checks; max_p past kernels.FAST_SCAN_MAX is refused."""
+    if max_p > kernels.FAST_SCAN_MAX:
+        raise DomainError(f"the floor sweep reaches p = {kernels.FAST_SCAN_MAX:,}; "
+                          f"the bound (--max-n) must be <= that, got {show_int(max_p)}")
     t0 = time.perf_counter()
-    # exact scalar spot checks guard the machine-width sweep itself
-    for p in [1, 2, 3, 7, 10, 10**6, max_p]:
-        if p < 1 or p > max_p:
-            continue
+    for p in (q for q in (1, 2, 3, 7, 10, 10**6, max_p) if 1 <= q <= max_p):
         rep = check_floor_identities(p)
         if not all(rep.values()):
             return _finish("floors", False, p, t0, {"p": p, "identities": rep})
-    if max_p <= kernels.FAST_SCAN_MAX:
-        bad = kernels.floor_identity_scan(1, max_p)
-    else:
-        bad = kernels.floor_identity_scan(1, kernels.FAST_SCAN_MAX)
-        if bad == 0:  # escalate the remainder to exact big-int arithmetic
-            for p in range(kernels.FAST_SCAN_MAX + 1, max_p + 1):
-                if not all(check_floor_identities(p).values()):
-                    bad = p
-                    break
+    bad = kernels.floor_identity_scan(1, max_p)
     if bad:
         return _finish("floors", False, max_p, t0, {"p": bad, "identities": check_floor_identities(bad)})
     return _finish("floors", True, max_p, t0)
@@ -114,7 +107,10 @@ def verify_cylinder(prefix_n: int = 10**4) -> VerifyResult:
 
 
 def verify_chain(max_n: int = 10**6, max_m: int = 8, max_p: int = 30) -> VerifyResult:
-    """Chain tiling, position formulas vs. scans, and first-ending inversion up to min(max_n, 10**5)."""
+    """Chain tiling, position formulas vs. scans, and first-ending inversion up to min(max_n, 10**5).
+
+    Each interval (m <= max_m, p <= max_p) is checked pointwise, in constant
+    memory, to be the p-th endings hi + 1 - i of the coordinates (m, i)."""
     t0 = time.perf_counter()
     reach = min(max_n, 10**5)
     checked = 0
@@ -142,13 +138,17 @@ def verify_chain(max_n: int = 10**6, max_m: int = 8, max_p: int = 30) -> VerifyR
                 if (sp.start, sp.end) != (idx + 1, idx + n):
                     return _finish("chain", False, checked, t0, {"word": w, "p": p, "formula": (sp.start, sp.end), "scan": (idx + 1, idx + n)})
                 checked += 1
-    # interval elements enumerate the ending positions bijectively
+    # i -> hi + 1 - i maps the coordinates of kernel index m onto the interval
     for m in range(-1, max_m + 1):
+        size = fib(m + 1)
         for p in range(1, max_p + 1):
             iv = chain_interval(m, p)
-            ends = {pal_end_pos(PalCoord(m, i), p) for i in range(1, fib(m + 1) + 1)}
-            if ends != set(iv.as_range()):
-                return _finish("chain", False, checked, t0, {"m": m, "p": p})
+            top = iv.hi + 1
+            for i in range(1, size + 1):
+                if pal_end_pos(PalCoord(m, i), p) != top - i:
+                    return _finish("chain", False, checked, t0, {"m": m, "p": p, "i": i})
+            if iv.size() != size:
+                return _finish("chain", False, checked, t0, {"m": m, "p": p, "size": iv.size()})
             checked += 1
     # first occurrences invert the chain position
     for n in range(1, reach + 1):

@@ -297,6 +297,30 @@ def test_internal_error_exit_3(capsys, monkeypatch):
         assert "fibpal: internal error: RuntimeError: boom" in err, argv
 
 
+def test_impossible_coordinate_exit_3(capsys, monkeypatch):
+    # only a wrong closed form gives a palindrome or a position no coordinate: a defect, not a usage error
+    kernel, index = fibpal.cylinder.kernel, fibpal.chain.fib_floor_index
+    with monkeypatch.context() as patch:
+        patch.setattr(fibpal.cylinder, "kernel", lambda w: kernel(w)._replace(m=1) if w == "aba" else kernel(w))
+        code, out, err = run_cli(capsys, "pal", "coord", "-w", "aba")
+    assert code == 3 and out == "" and "internal error: AssertionError: the palindrome 'aba'" in err
+    with monkeypatch.context() as patch:
+        patch.setattr(fibpal.chain, "fib_floor_index", lambda x: index(x) + (x == 11))
+        code, out, err = run_cli(capsys, "pal", "at", "-n", "10")
+    assert code == 3 and out == "" and "internal error: AssertionError: position 10 gets i" in err
+
+
+def test_verify_floors_past_the_sweep_exit_2(capsys):
+    # refused before any sweep; the timeout turns a run of the 3e8 sweep into a failure, not a hang
+    argv = ["verify", "floors", "--max-n", "300000001"]
+    proc = subprocess.run([sys.executable, "-m", "fibpal.cli", *argv],
+                          capture_output=True, text=True, env=_env_with_src(), timeout=10)
+    assert proc.returncode == 2 and proc.stdout == "" and "300,000,000" in proc.stderr, proc.stderr
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and "(--max-n) must be <= that" in err and time.perf_counter() - t0 < 1
+
+
 def test_fib_past_table_limit_exit_2(capsys):
     size = len(fibpal.fibword._fibs)
     t0 = time.perf_counter()

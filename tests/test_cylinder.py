@@ -35,6 +35,11 @@ def test_pal_from_coord_domain():
         pal_from_coord(PalCoord(2, fib(3) + 1))
     with pytest.raises(DomainError):
         pal_from_coord(PalCoord(-2, 1))
+    # kernel indices 0 and -1 are the least; one below, or any below, is refused
+    assert (cylinder_tag(PalCoord(0, 1)), cylinder_tag(PalCoord(-1, 1))) == ("b", "a")
+    for m in (-2, -3, -10**21000):
+        with pytest.raises(DomainError, match="kernel index must be >= -1"):
+            cylinder_tag(PalCoord(m, 1))
 
 
 def test_coord_from_pal_examples():

@@ -67,6 +67,9 @@ def test_fib_floor_index():
     for m in range(1, 30):
         assert fibword.fib_floor_index(fib(m)) == m
         assert fibword.fib_floor_index(fib(m + 1) - 1) == m
+    for x in (0, -1, -10**21000):
+        with pytest.raises(DomainError, match="fib_floor_index needs x >= 1"):
+            fibword.fib_floor_index(x)
 
 
 def test_fib_past_the_table():

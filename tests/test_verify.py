@@ -2,9 +2,11 @@
 that a fault planted in any layer is reported as the suite's first
 counterexample, not raised."""
 
+import tracemalloc
+
 import pytest
 
-from fibpal import chain, counting, cylinder, fib, floor_phi, kernels, oracle, prefix, singular, verify
+from fibpal import DomainError, chain, counting, cylinder, fib, floor_phi, kernels, oracle, prefix, singular, verify
 from fibpal.chain import ChainInterval, OccurrenceSpan
 from fibpal.cylinder import PalCoord
 
@@ -126,6 +128,25 @@ def test_verify_floors_reports_a_spot_check(monkeypatch):
     assert not res.ok and res.counterexample == {"p": 7, "identities": {**real(7), "at_a_end": False}}
 
 
+def test_verify_floors_refuses_past_the_sweep(monkeypatch):
+    monkeypatch.setattr(kernels, "FAST_SCAN_MAX", 1000)
+    assert verify.verify_floors(1000).ok
+    with pytest.raises(DomainError, match=r"reaches p = 1,000; the bound \(--max-n\) must be <= that, got 1001$"):
+        verify.verify_floors(1001)
+
+
+def test_verify_chain_memory():
+    # one coordinate at a time: at --max-m 20 the sets of endings held 6.3 MB
+    verify.verify_chain(max_n=100, max_m=3, max_p=1)  # tables and prefix built before the measurement
+    tracemalloc.start()
+    try:
+        res = verify.verify_chain(max_n=100, max_m=20, max_p=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.ok and peak < 2**20
+
+
 @pytest.mark.parametrize("plant, counterexample", [
     # "ababa" built with its middle letter flipped
     (lambda mp: replace_at(mp, verify, "pal_from_coord", (PalCoord(2, 4),), lambda w: flip(w, 2)),
@@ -153,7 +174,10 @@ def test_verify_cylinder_reports_a_planted_fault(monkeypatch, plant, counterexam
     (lambda mp: replace_at(mp, verify, "pal_span", (PalCoord(0, 1), 2),
                            lambda sp: OccurrenceSpan(sp.start + 1, sp.end + 1)),
      {"word": "aba", "p": 2, "formula": (5, 7), "scan": (4, 6)}),
-    (lambda mp: replace_at(mp, verify, "chain_interval", (3, 7), widen), {"m": 3, "p": 7}),
+    # the bijection is checked pointwise: the p-th ending of (m, i) is hi + 1 - i
+    (lambda mp: replace_at(mp, verify, "chain_interval", (3, 7), widen), {"m": 3, "p": 7, "i": 1}),
+    (lambda mp: replace_at(mp, verify, "chain_interval", (3, 7), lambda iv: iv._replace(lo=iv.lo - 1)),
+     {"m": 3, "p": 7, "size": fib(4) + 1}),
     (lambda mp: replace_at(mp, verify, "new_pal_at", (10,), lambda c: chain.new_pal_at(11)), {"n": 10}),
 ])
 def test_verify_chain_reports_a_planted_fault(monkeypatch, plant, counterexample):
