@@ -5,11 +5,11 @@ and cumulative occurrence counts, and canonical palindrome coordinates, all
 in exact integer arithmetic, with a palindromic-tree oracle for independent
 verification at desk scale.
 
-The closed-form API loads without NumPy.  The oracle names (``scan_word``,
-``return_words``, ``ReturnWordSeq``) and the ``oracle`` and ``kernels``
-modules need it, so they are imported on first access (PEP 562).  Tree
-counts are fields of the ``PrefixScan`` that ``scan_word`` returns (and
-``oracle.scan_prefix``): ``end_counts``, ``distinct`` and ``nodes``.
+The closed-form API loads without NumPy.  The one oracle name
+(``scan_word``) and the ``oracle`` and ``kernels`` modules need it, so they
+are imported on first access (PEP 562).  Tree counts are fields of the
+``PrefixScan`` that ``scan_word`` returns (and ``oracle.scan_prefix``):
+``end_counts``, ``distinct`` and ``nodes``.
 """
 
 import importlib
@@ -73,7 +73,6 @@ __all__ = [
     "OccurrenceSpan",
     "PalCoord",
     "ResourceError",
-    "ReturnWordSeq",
     "block_prefix_total",
     "block_sum",
     "chain_interval",
@@ -105,7 +104,6 @@ __all__ = [
     "prefix",
     "prefix_palindrome_lengths",
     "reduce_cell",
-    "return_words",
     "scan_word",
     "singular_end_pos",
     "singular_start_pos",
@@ -115,7 +113,7 @@ __all__ = [
     "__version__",
 ]
 
-_ORACLE_NAMES = frozenset({"ReturnWordSeq", "return_words", "scan_word"})
+_ORACLE_NAMES = frozenset({"scan_word"})
 _LAZY_MODULES = frozenset({"kernels", "oracle"})
 
 

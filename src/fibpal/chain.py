@@ -43,10 +43,6 @@ class ChainInterval(NamedTuple):
         """Number of ending positions, fib(m+1) for an interval from chain_interval."""
         return self.hi - self.lo + 1
 
-    def as_range(self) -> range:
-        """The ending positions lo .. hi as a range."""
-        return range(self.lo, self.hi + 1)
-
 
 def _end_pos(m: int, p: int, fib_next: int) -> int:
     """singular_end_pos(m, p) for checked arguments, given fib_next = fib(m+1)."""

@@ -3,7 +3,9 @@
 Two tiers: a palindromic tree (eertree) built letter by letter, and naive
 scanners (center expansion, substring slicing, plain substring search) that
 validate the tree itself.  Nothing here shares code with the closed-form
-modules, so agreement between the two paths is meaningful evidence.
+modules, so agreement between the two paths is meaningful evidence.  This
+module holds the ground truth only; each verify suite makes its own
+comparison against it.
 
 There is one tree: ``kernels.eertree_fill``, which allocates its own
 buffers.  ``scan_word`` runs it over any word over {a, b} and
@@ -120,43 +122,6 @@ def occurrence_starts(s: str, w: str) -> list[int]:
         out.append(idx)
         idx = s.find(w, idx + 1)
     return out
-
-
-class ReturnWordSeq(NamedTuple):
-    """Consecutive-occurrence gap words of a factor, over its two-word alphabet."""
-
-    factor: str
-    returns: list[str]
-    alphabet: tuple[str, str | None]  # (first return word, first differing one, if any)
-    reduced: str  # returns rewritten over {a, b}: the first word -> a, any other -> b
-
-
-def return_words(w: str, n: int) -> ReturnWordSeq:
-    """Return words of w within the length-n prefix (needs >= 3 occurrences).
-
-    The p-th return word stretches from the start of the p-th occurrence up
-    to just before the (p+1)-th.  Nothing about them is checked here:
-    ``verify_return_words`` checks that exactly two distinct return words
-    occur and that the reduced sequence is again a prefix of the Fibonacci
-    word.
-    """
-    s = prefix(n)
-    starts = occurrence_starts(s, w)
-    if len(starts) < 3:
-        raise DomainError(f"{w[:40]!r} occurs only {len(starts)} times in prefix({show_int(n)})")
-    rets = [s[i:j] for i, j in zip(starts, starts[1:])]
-    first = rets[0]
-    second = next((r for r in rets if r != first), None)
-    reduced = "".join("a" if r == first else "b" for r in rets)
-    return ReturnWordSeq(w, rets, (first, second), reduced)
-
-
-def starts_correspond(starts_w: list[int], starts_k: list[int], offset: int, p_max: int) -> bool:
-    """Whether the kernel at 1-based ``offset`` in each of the first ``p_max``
-    occurrences of a factor (0-based starts ``starts_w``) is the kernel
-    occurrence of the same rank (``starts_k``); a kernel with fewer does not."""
-    shift = offset - 1
-    return len(starts_k) >= p_max and [i + shift for i in starts_w[:p_max]] == starts_k[:p_max]
 
 
 # --- naive scanners (second-level oracle, validate the tree itself) ---

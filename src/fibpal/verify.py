@@ -91,7 +91,10 @@ def verify_cylinder(prefix_n: int = 10**4) -> VerifyResult:
                                {"coord": (c.m, c.i), "slice": w, "concatenation": concatenated})
             generated[w] = c
             n_checked += 1
-            back = coord_from_pal(w)
+            try:
+                back = coord_from_pal(w)
+            except AssertionError:
+                return _finish("cylinder", False, n_checked, t0, {"coord": (c.m, c.i), "roundtrip": None})
             if back != c:
                 return _finish("cylinder", False, n_checked, t0, {"coord": (c.m, c.i), "roundtrip": (back.m, back.i)})
             tag = cylinder.cylinder_tag(c)
@@ -152,7 +155,11 @@ def verify_chain(max_n: int = 10**6, max_m: int = 8, max_p: int = 30) -> VerifyR
             checked += 1
     # first occurrences invert the chain position
     for n in range(1, reach + 1):
-        if pal_end_pos(new_pal_at(n), 1) != n:
+        try:
+            c = new_pal_at(n)
+        except AssertionError:
+            return _finish("chain", False, checked, t0, {"n": n})
+        if pal_end_pos(c, 1) != n:
             return _finish("chain", False, checked, t0, {"n": n})
         checked += 1
     return _finish("chain", True, checked, t0)
@@ -202,8 +209,12 @@ def verify_counts(max_n: int = 10**4) -> VerifyResult:
         if a != scan.end_count(n):
             return _finish("counts", False, n, t0, {"n": n, "closed": a, "oracle": scan.end_count(n)})
         total += a
-        if counting.occurrence_count(n) != total:
-            return _finish("counts", False, n, t0, {"n": n, "closed_total": counting.occurrence_count(n), "oracle_total": total})
+        try:
+            closed_total = counting.occurrence_count(n)
+        except AssertionError:  # a head or block total is not an integer
+            return _finish("counts", False, n, t0, {"n": n})
+        if closed_total != total:
+            return _finish("counts", False, n, t0, {"n": n, "closed_total": closed_total, "oracle_total": total})
     return _finish("counts", True, max_n, t0)
 
 
@@ -220,17 +231,25 @@ def verify_richness(max_n: int = 10**5) -> VerifyResult:
 
 def verify_return_words(prefix_n: int = 10**4) -> VerifyResult:
     """Each factor has exactly two distinct return words (Vuillon 2001), and
-    their sequence reduces to a prefix of the word itself."""
+    their sequence reduces to a prefix of the word itself.
+
+    The p-th return word runs from the p-th occurrence up to the (p+1)-th; the
+    reduced word writes the first one as a and any other as b.  A factor with
+    fewer than 3 occurrences in the prefix is refused."""
     t0 = time.perf_counter()
     s = prefix(prefix_n)
     checked = 0
     for w in ("a", "b", "aa", "aba", "abaab", "ababa", singular.singular_word(3), singular.singular_word(4)):
-        seq = oracle.return_words(w, prefix_n)
-        if (distinct := len(set(seq.returns))) != 2:
+        starts = oracle.occurrence_starts(s, w)
+        if len(starts) < 3:
+            raise DomainError(f"{w[:40]!r} occurs only {len(starts)} times in prefix({show_int(prefix_n)})")
+        rets = [s[i:j] for i, j in zip(starts, starts[1:])]
+        if (distinct := len(set(rets))) != 2:
             return _finish("return-words", False, checked, t0, {"factor": w, "distinct": distinct})
         # one letter per return word, so the reduced word is shorter than s
-        if seq.reduced != s[:len(seq.reduced)]:
-            return _finish("return-words", False, checked, t0, {"factor": w, "reduced": seq.reduced[:40]})
+        reduced = "".join("a" if r == rets[0] else "b" for r in rets)
+        if reduced != s[:len(reduced)]:
+            return _finish("return-words", False, checked, t0, {"factor": w, "reduced": reduced[:40]})
         checked += 1
     return _finish("return-words", True, checked, t0)
 
@@ -238,20 +257,24 @@ def verify_return_words(prefix_n: int = 10**4) -> VerifyResult:
 def verify_kernels(prefix_n: int = 10**4, max_p: int = 50) -> VerifyResult:
     """Kernel uniqueness and occurrence correspondence over all short factors.
 
-    One pass per length indexes every factor's starts in the prefix; the
-    starts of each kernel S(m) are scanned once and shared by every factor
-    whose kernel it is.  For lengths up to 10 every word over {a, b} is
+    One pass per length indexes the first max_p starts of every factor in
+    the prefix, so memory is bounded by the bounds, not the prefix.  A
+    factor whose kernel is as long as itself is the singular word S(m), and
+    its starts are kept for every longer factor with kernel S(m), which a
+    later length reaches.  For lengths up to 10 every word over {a, b} is
     also checked: ``is_factor`` must hold exactly on the factors scanned.
     """
     _require_prefix(prefix_n, KERNEL_LEN)
     t0 = time.perf_counter()
     s = prefix(prefix_n)
-    kernel_starts = {}  # m -> 0-based starts of S(m) in s
+    kernel_starts = {}  # m -> the first max_p 0-based starts of S(m) in s
     checked = 0
     for length in range(1, KERNEL_LEN + 1):
-        index = defaultdict(list)  # factor -> its 0-based starts, in first-occurrence order
+        index = defaultdict(list)  # factor -> its first max_p 0-based starts, in first-occurrence order
         for i in range(len(s) - length + 1):
-            index[s[i: i + length]].append(i)
+            starts = index[s[i: i + length]]
+            if len(starts) < max_p:
+                starts.append(i)
         for w, starts_w in index.items():
             try:
                 ker = singular.kernel(w)
@@ -262,9 +285,10 @@ def verify_kernels(prefix_n: int = 10**4, max_p: int = 50) -> VerifyResult:
             kw = singular.singular_word(ker.m)
             if w.count(kw) != 1:
                 return _finish("kernels", False, checked, t0, {"factor": w, "kernel": kw})
-            if ker.m not in kernel_starts:
-                kernel_starts[ker.m] = oracle.occurrence_starts(s, kw)
-            if not oracle.starts_correspond(starts_w, kernel_starts[ker.m], ker.offset, min(max_p, len(starts_w))):
+            if len(kw) == length:
+                kernel_starts[ker.m] = starts_w
+            # the kernel inside the p-th occurrence of w is the p-th occurrence of the kernel
+            if kernel_starts.get(ker.m, [])[:len(starts_w)] != [i + ker.offset - 1 for i in starts_w]:
                 return _finish("kernels", False, checked, t0, {"factor": w})
             checked += 1
         if len(index) != length + 1:

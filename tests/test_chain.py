@@ -98,7 +98,7 @@ def test_chain_interval_bijection():
         for p in range(1, 21):
             iv = chain_interval(m, p)
             ends = {pal_end_pos(PalCoord(m, i), p) for i in range(1, fib(m + 1) + 1)}
-            assert ends == set(iv.as_range())
+            assert ends == set(range(iv.lo, iv.hi + 1))
 
 
 def test_new_pal_at_examples():

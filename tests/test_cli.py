@@ -195,7 +195,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 def test_verify_planted_faults_exit_1(capsys, monkeypatch):
     # a third return word: the word flipped at its 3rd letter, "abbab..."
     flipped = prefix(10**4)[:2] + "b" + prefix(10**4)[3:]
-    monkeypatch.setattr(oracle, "prefix", lambda n, *what: flipped[:n])
+    monkeypatch.setattr(verify, "prefix", lambda n, *what: flipped[:n])
     code, out, err = run_cli(capsys, "verify", "return-words")
     (rec,) = records(out)
     assert code == 1 and err == "" and rec["counterexample"] == {"factor": "a", "distinct": 3}
@@ -308,6 +308,34 @@ def test_impossible_coordinate_exit_3(capsys, monkeypatch):
         patch.setattr(fibpal.chain, "fib_floor_index", lambda x: index(x) + (x == 11))
         code, out, err = run_cli(capsys, "pal", "at", "-n", "10")
     assert code == 3 and out == "" and "internal error: AssertionError: position 10 gets i" in err
+
+
+@pytest.mark.parametrize("plant, argv, counterexample", [
+    # the planted faults of test_impossible_coordinate_exit_3, and a Pisano table with its last entry wrong
+    (lambda patch: patch.setattr(fibpal.cylinder, "kernel", lambda w, real=fibpal.cylinder.kernel:
+                                 real(w)._replace(m=1) if w == "aba" else real(w)),
+     ("cylinder",), {"coord": [0, 1], "roundtrip": None}),
+    (lambda patch: patch.setattr(fibpal.chain, "fib_floor_index", lambda x, real=fibpal.chain.fib_floor_index:
+                                 real(x) + (x == 11)),
+     ("chain", "--max-n", "100"), {"n": 10}),
+    (lambda patch: patch.setattr(counting, "_FIB_MOD5", counting._FIB_MOD5[:-1] + (2,)),
+     ("counts", "--max-n", "100"), {"n": 4}),
+], ids=["cylinder", "chain", "counts"])
+def test_verify_closed_form_assertion_exit_1(capsys, monkeypatch, plant, argv, counterexample):
+    # a closed form that trips its own invariant fails the suite; it is not an internal error
+    plant(monkeypatch)
+    code, out, err = run_cli(capsys, "verify", *argv)
+    (rec,) = records(out)
+    assert code == 1 and err == "" and rec["ok"] is False and rec["counterexample"] == counterexample
+
+
+def test_verify_all_reports_every_suite_past_a_closed_form_assertion(capsys, monkeypatch):
+    kernel = fibpal.cylinder.kernel
+    monkeypatch.setattr(fibpal.cylinder, "kernel", lambda w: kernel(w)._replace(m=1) if w == "aba" else kernel(w))
+    code, out, err = run_cli(capsys, "verify", "all", "--max-n", "2000", "--max-m", "5", "--max-p", "15")
+    recs = records(out)
+    assert code == 1 and err == "" and len(recs) == 8
+    assert [r["suite"] for r in recs if not r["ok"]] == ["cylinder"]
 
 
 def test_verify_floors_past_the_sweep_exit_2(capsys):
@@ -519,7 +547,8 @@ def test_oracle_names_resolve_lazily():
     assert not {"eertree_total", "occurrences", "kernel_correspondence"} & set(dir(fibpal))
     assert int(fibpal.scan_word(fibpal.prefix(100)).end_counts.sum()) == fibpal.occurrence_count(100)
     assert fibpal.oracle.scan_prefix(8).text == bytes([0, 1, 0, 0, 1, 0, 1, 0])
-    assert {"scan_word", "return_words", "oracle", "kernels"} <= set(dir(fibpal))
+    assert {"scan_word", "oracle", "kernels"} <= set(dir(fibpal))
+    assert not {"return_words", "ReturnWordSeq"} & set(dir(fibpal)) and len(fibpal.__all__) == 46
     for name in dir(fibpal):
         getattr(fibpal, name)
     namespace: dict = {}

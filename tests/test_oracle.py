@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fibpal import DomainError, kernel, prefix, singular_word
-from fibpal import oracle
+from fibpal import oracle, verify
 
 
 def naive_suffix_palindrome_count(s: str, pos: int) -> int:
@@ -135,31 +135,41 @@ def test_occurrences_examples():
         oracle.occurrence_starts(prefix(10), "")
 
 
+def return_words(w: str, n: int) -> tuple[list[str], str]:
+    """The gaps between consecutive starts of w in the length-n prefix, and
+    their reduced word: the first gap -> a, any other -> b."""
+    s = prefix(n)
+    starts = oracle.occurrence_starts(s, w)
+    rets = [s[i:j] for i, j in zip(starts, starts[1:])]
+    return rets, "".join("a" if r == rets[0] else "b" for r in rets)
+
+
 def test_return_words_example():
-    seq = oracle.return_words("a", 13)
-    assert seq.returns == ["ab", "a", "ab", "ab", "a", "ab", "a"]
-    assert seq.alphabet == ("ab", "a")
-    assert seq.reduced == prefix(len(seq.reduced))
+    rets, reduced = return_words("a", 13)
+    assert rets == ["ab", "a", "ab", "ab", "a", "ab", "a"]
+    assert reduced == prefix(len(reduced))
 
 
 def test_return_words_reduce_to_prefixes():
     for w, n in [("b", 20), ("aba", 30), ("aa", 200), ("abaab", 500), ("ababa", 2000)]:
-        seq = oracle.return_words(w, n)
-        assert len(set(seq.returns)) == 2
-        assert seq.reduced == prefix(len(seq.reduced))
+        rets, reduced = return_words(w, n)
+        assert len(set(rets)) == 2
+        assert reduced == prefix(len(reduced))
 
 
 def test_return_words_needs_occurrences():
-    with pytest.raises(DomainError):
-        oracle.return_words("a", 2)
+    # "aa" first occurs at 3..4 and again at 8..9, so a prefix of 10 holds it twice
+    with pytest.raises(DomainError, match="'aa' occurs only 2 times"):
+        verify.verify_return_words(prefix_n=10)
 
 
 def test_kernel_correspondence_examples():
     for w, p_max, n in (("aba", 3, 100), (singular_word(3), 5, 1000), ("abaab", 10, 1000)):
         s, ker = prefix(n), kernel(w)
-        starts_w = oracle.occurrence_starts(s, w)
-        assert len(starts_w) >= p_max
-        assert oracle.starts_correspond(starts_w, oracle.occurrence_starts(s, singular_word(ker.m)), ker.offset, p_max)
+        starts_w = oracle.occurrence_starts(s, w)[:p_max]
+        assert len(starts_w) == p_max
+        starts_k = oracle.occurrence_starts(s, singular_word(ker.m))
+        assert starts_k[:p_max] == [i + ker.offset - 1 for i in starts_w]
 
 
 def test_max_suffix_matches_naive(prefix_2k, scan_2k):

@@ -9,7 +9,7 @@ from fibpal.bench import BenchRow
 from fibpal.chain import ChainInterval, OccurrenceSpan
 from fibpal.counting import CellSplit, split_cell
 from fibpal.cylinder import PalCoord
-from fibpal.oracle import PrefixScan, ReturnWordSeq, return_words, scan_word
+from fibpal.oracle import PrefixScan, scan_word
 from fibpal.singular import KernelResult
 from fibpal.verify import VerifyResult
 
@@ -26,7 +26,6 @@ FROZEN = [
 ]
 WERE_MUTABLE = [  # plain dataclasses before the records became named tuples
     (VerifyResult, ("name", "ok", "checked", "counterexample", "seconds"), ("floors", False, 7, {"p": 7}, 0.5)),
-    (ReturnWordSeq, ("factor", "returns", "alphabet", "reduced"), ("a", ["ab", "a"], ("ab", "a"), "ab")),
     (BenchRow, ("n", "closed_seconds", "tree_seconds", "closed_value", "tree_value"), (100, 0.5, 2.0, 7, 7)),
 ]
 
@@ -77,8 +76,7 @@ def test_pal_coord_sorts_by_m_then_i():
 def test_record_methods():
     assert OccurrenceSpan(4, 9).length() == 6
     iv = ChainInterval(2, 3, 10, 12)
-    assert iv.size() == 3 and iv.as_range() == range(10, 13)
-    assert [n in iv.as_range() for n in (9, 10, 12, 13)] == [False, True, True, False]
+    assert iv.size() == 3 == len(range(iv.lo, iv.hi + 1))
     # i = fib(m + 1) = 3 is the singular word S(1) = "aa"; the length is fib(m + 3) - 2i
     assert PalCoord(1, 3).length() == 2 and PalCoord(1, 3).is_singular()
     assert PalCoord(1, 1).length() == 6 and not PalCoord(1, 1).is_singular()
@@ -98,12 +96,6 @@ def test_prefix_scan_fields_and_end_count():
     assert repr(copy) == "PrefixScan(" + ", ".join(f"{k}={v!r}" for k, v in zip(SCAN_FIELDS, values)) + ")"
     with pytest.raises(TypeError):
         PrefixScan(*values, 0)
-
-
-def test_return_words_record():
-    seq = return_words("a", 20)
-    assert seq == ReturnWordSeq("a", seq.returns, ("ab", "a"), seq.reduced)
-    assert seq.factor == "a" and seq.alphabet == ("ab", "a")
 
 
 @pytest.mark.parametrize("cls, names, values", FROZEN + WERE_MUTABLE, ids=lambda x: getattr(x, "__name__", ""))

@@ -42,7 +42,7 @@ def test_sweep_covers_the_int_api():
     names = set(int_functions())
     assert {"fib", "prefix", "chain_interval", "singular_word", "split_cell", "cylinder_table",
             "prefix_palindrome_lengths", "palindromic_conjugates", "occurrence_count"} <= names
-    assert not names & {"kernel", "pal_end_pos", "scan_word", "return_words"}
+    assert not names & {"kernel", "pal_end_pos", "scan_word"}
 
 
 @pytest.mark.parametrize("name,args", list(sweep_calls()))
