@@ -15,9 +15,33 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .cylinder import PalCoord, validate_coord
 from .errors import DomainError, show_int
 from .fibword import fib, fib_floor_index, floor_phi
+
+
+class PalCoord(NamedTuple):
+    """Coordinate (m, i) of a palindromic factor; i in [1, fib(m+1)]."""
+
+    m: int
+    i: int
+
+    def length(self) -> int:
+        """Length of the palindrome, fib(m+3) - 2i."""
+        return fib(self.m + 3) - 2 * self.i
+
+    def is_singular(self) -> bool:
+        """Whether the palindrome is the singular word S(m), i.e. i = fib(m+1)."""
+        return self.i == fib(self.m + 1)
+
+
+def validate_coord(c: PalCoord) -> int:
+    """Raise DomainError unless i lies in [1, fib(m+1)]; return fib(m+1)."""
+    if c.m < -1:
+        raise DomainError(f"kernel index must be >= -1, got {show_int(c.m)}")
+    top = fib(c.m + 1)
+    if not 1 <= c.i <= top:
+        raise DomainError(f"i must lie in [1, fib({c.m + 1})={show_int(top)}], got {show_int(c.i)}")
+    return top
 
 
 class OccurrenceSpan(NamedTuple):

@@ -8,8 +8,16 @@ Each command is declared once, in ``COMMANDS``; the parser, every record and
 every ``--plain`` line are built from that table, so adding a command means
 adding one entry.
 
-The query commands never load NumPy: ``verify`` and ``bench`` import the
-oracle side, which needs it, only when they run.
+A process loads only what its command needs.  ``main`` builds the subparser of
+the one command its argv names (the full tree for ``--help``, a group name
+alone, an unknown name or a parse error, so every message stays the same),
+and each answer reaches the package as ``fibpal.<module>``, which imports
+the module on first access.  So ``fib``, ``letters`` and ``prefix`` load
+``fibword`` only; ``pos`` and ``chain`` add ``chain``; ``count`` and ``tau``
+add ``counting``; ``pal`` commands load ``cylinder`` and ``chain``, and only
+``pal coord``, ``kernel`` and ``singular`` load ``singular``.  No query
+command loads NumPy: ``verify`` and ``bench`` import the oracle side, which
+needs it, only when they run.
 """
 
 from __future__ import annotations
@@ -20,13 +28,14 @@ import json
 import sys
 from typing import TYPE_CHECKING
 
-from . import counting, cylinder, fibword, singular
-from .chain import chain_interval, distinct_count, new_pal_at, pal_span, singular_end_pos, singular_start_pos
-from .cylinder import PalCoord, coord_from_pal, pal_from_coord, pals_of_length
+import fibpal
+
 from .errors import DomainError, ResourceError
 
 if TYPE_CHECKING:
     from collections.abc import Callable, Iterable
+
+    from .chain import PalCoord
 
 # words longer than this are reported by coordinates only
 INLINE_WORD_MAX = 10**4
@@ -78,11 +87,11 @@ def _coord_info(c: PalCoord) -> dict:
         "m": c.m,
         "i": c.i,
         "length": c.length(),
-        "cylinder": cylinder.cylinder_tag(c),
+        "cylinder": fibpal.cylinder.cylinder_tag(c),
         "singular": c.is_singular(),
     }
     if c.length() <= INLINE_WORD_MAX:
-        info["word"] = pal_from_coord(c)
+        info["word"] = fibpal.cylinder.pal_from_coord(c)
     return info
 
 
@@ -98,8 +107,8 @@ def _cell_lines(node: dict, depth: int = 0) -> list[str]:
 
 
 def _kernel(a) -> dict:
-    res = singular.kernel(a.word)
-    return {"word": a.word, "m": res.m, "offset": res.offset, "kernel": singular.singular_word(res.m)}
+    res = fibpal.singular.kernel(a.word)
+    return {"word": a.word, "m": res.m, "offset": res.offset, "kernel": fibpal.singular.singular_word(res.m)}
 
 
 def _pal_list_lines(r: dict) -> Iterable[str]:
@@ -109,26 +118,27 @@ def _pal_list_lines(r: dict) -> Iterable[str]:
 
 
 def _pal_at(a) -> dict:
-    c = new_pal_at(a.n)
+    c = fibpal.chain.new_pal_at(a.n)
     return {"n": a.n, **_coord_info(c), "start": a.n - c.length() + 1, "end": a.n}
 
 
 def _pal_conjugates(a) -> dict:
-    words = sorted(cylinder.palindromic_conjugates(a.m))
+    words = sorted(fibpal.cylinder.palindromic_conjugates(a.m))
     return {"m": a.m, "words": words, "count": len(words)}
 
 
 def _pos_pal(a) -> dict:
-    span = pal_span(PalCoord(a.m, a.i), a.p)
+    span = fibpal.chain.pal_span(fibpal.chain.PalCoord(a.m, a.i), a.p)
     return {"m": a.m, "i": a.i, "p": a.p, "start": span.start, "end": span.end, "length": span.length()}
 
 
 def _chain(a) -> dict:
-    iv = chain_interval(a.m, a.p)
+    iv = fibpal.chain.chain_interval(a.m, a.p)
     return {"m": a.m, "p": a.p, "lo": iv.lo, "hi": iv.hi, "size": iv.size()}
 
 
 def _count(a) -> dict:
+    counting = fibpal.counting
     if a.count_cmd == "special":
         stray = [flag for flag, given in (("-n", a.n is not None), ("--distinct", a.distinct),
                                           ("--occurrences", a.occurrences), ("--trace", a.trace)) if given]
@@ -150,7 +160,7 @@ def _count(a) -> dict:
     if a.n is None:
         raise DomainError("count requires -n")
     if a.distinct:
-        return {"mode": "distinct", "n": a.n, "value": distinct_count(a.n)}
+        return {"mode": "distinct", "n": a.n, "value": fibpal.chain.distinct_count(a.n)}
     if not a.trace:
         return {"mode": "occurrences", "n": a.n, "value": counting.occurrence_count(a.n)}
     value, trace = counting.occurrence_count_trace(a.n)
@@ -220,33 +230,33 @@ GROUPS = {"pal": "palindrome queries", "pos": "occurrence positions"}
 # each; plain(record) gives the --plain lines of a finished record.
 COMMANDS: dict[str, tuple[str, dict[str, dict], Callable, Callable]] = {
     "fib": ("Fibonacci number of the given index", {"-m": _INT},
-        lambda a: {"m": a.m, "value": fibword.fib(a.m)}, lambda r: [str(r["value"])]),
+        lambda a: {"m": a.m, "value": fibpal.fibword.fib(a.m)}, lambda r: [str(r["value"])]),
     "letters": ("letter at a 1-based position", {"-n": _INT},
-        lambda a: {"n": a.n, "letter": fibword.letter_at(a.n)}, lambda r: [r["letter"]]),
+        lambda a: {"n": a.n, "letter": fibpal.fibword.letter_at(a.n)}, lambda r: [r["letter"]]),
     "prefix": ("the length-n prefix", {"-n": _INT},
-        lambda a: {"n": a.n, "word": fibword.prefix(a.n)}, lambda r: [r["word"]]),
+        lambda a: {"n": a.n, "word": fibpal.fibword.prefix(a.n)}, lambda r: [r["word"]]),
     "singular": ("the m-th singular word", {"-m": _INT},
-        lambda a: {"m": a.m, "word": singular.singular_word(a.m), "length": fibword.fib(a.m)},
+        lambda a: {"m": a.m, "word": fibpal.singular.singular_word(a.m), "length": fibpal.fibword.fib(a.m)},
         lambda r: [r["word"]]),
     "kernel": ("maximal singular word inside a factor", {"-w": _WORD}, _kernel,
         lambda r: [f"kernel index {r['m']} ({r['kernel']}) at offset {r['offset']}"]),
     "pal list": ("all palindromes of a given length", {"--length": _INT},
         lambda a: {"length": a.length,
-                   "palindromes": [_coord_info(c) for c in pals_of_length(a.length)]},
+                   "palindromes": [_coord_info(c) for c in fibpal.cylinder.pals_of_length(a.length)]},
         _pal_list_lines),
     "pal coord": ("coordinates of a palindromic factor", {"-w": _WORD},
-        lambda a: {"word": a.word, **_coord_info(coord_from_pal(a.word))},
+        lambda a: {"word": a.word, **_coord_info(fibpal.cylinder.coord_from_pal(a.word))},
         lambda r: [f"m={r['m']} i={r['i']}"]),
     "pal at": ("the palindrome whose first occurrence ends at n", {"-n": _INT}, _pal_at,
         lambda r: [f"m={r['m']} i={r['i']} length={r['length']} span=[{r['start']},{r['end']}]"]),
     "pal conjugates": ("palindromic rotations of the m-th iterate", {"-m": _INT}, _pal_conjugates,
         lambda r: r["words"] or ["(none)"]),
     "pal prefix-lengths": ("prefix lengths that are palindromes", {"--max": _INT},
-        lambda a: {"max": a.max, "lengths": cylinder.prefix_palindrome_lengths(a.max)},
+        lambda a: {"max": a.max, "lengths": fibpal.cylinder.prefix_palindrome_lengths(a.max)},
         lambda r: [" ".join(map(str, r["lengths"]))]),
     "pos kernel": ("span of the p-th singular-word occurrence", {"-m": _INT, "-p": _INT},
-        lambda a: {"m": a.m, "p": a.p, "start": singular_start_pos(a.m, a.p),
-                   "end": singular_end_pos(a.m, a.p)},
+        lambda a: {"m": a.m, "p": a.p, "start": fibpal.chain.singular_start_pos(a.m, a.p),
+                   "end": fibpal.chain.singular_end_pos(a.m, a.p)},
         lambda r: [f"[{r['start']},{r['end']}]"]),
     "pos pal": ("span of the p-th occurrence of palindrome (m, i)", {"-m": _INT, "-i": _INT, "-p": _INT},
         _pos_pal, lambda r: [f"[{r['start']},{r['end']}]"]),
@@ -256,7 +266,7 @@ COMMANDS: dict[str, tuple[str, dict[str, dict], Callable, Callable]] = {
         "-m": _INT, "-p": _INT,
         "--expand-depth": {"type": int, "default": 1, "help": "splitting levels; -1 expands to the leaves"},
         "--reduce": {"action": "store_true", "help": "attach the singleton reduction to index-0 leaves"},
-    }, lambda a: {"m": a.m, "p": a.p, "tree": counting.expand_cell(
+    }, lambda a: {"m": a.m, "p": a.p, "tree": fibpal.counting.expand_cell(
         a.m, a.p, depth=None if a.expand_depth == -1 else a.expand_depth, include_reduce=a.reduce)},
         lambda r: _cell_lines(r["tree"])),
     "count": ("distinct / repeated occurrence counts", {
@@ -281,9 +291,21 @@ COMMANDS: dict[str, tuple[str, dict[str, dict], Callable, Callable]] = {
 }
 
 
+class _Reparse(Exception):
+    """A usage error met by a one-command tree, whose usage names that command only."""
+
+
+def _reparse(message: str):
+    raise _Reparse(message)
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argparse tree of ``COMMANDS``, built once per process."""
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argparse tree of ``COMMANDS``, or of its one entry ``command``, built once per process.
+
+    Every parser of a one-command tree raises ``_Reparse`` where it would
+    print a usage error, so that ``main`` parses again with the full tree.
+    """
     parser = argparse.ArgumentParser(
         prog="fibpal",
         description="Exact palindrome queries on prefixes of the infinite Fibonacci word",
@@ -291,6 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--plain", action="store_true", help="human-readable output instead of JSON records")
     groups = {"": parser.add_subparsers(dest="cmd", required=True, parser_class=_SubParser)}
     for name, (help_, arguments, _, _) in COMMANDS.items():
+        if command not in (None, name):
+            continue
         group, _, leaf = name.rpartition(" ")
         if group not in groups:
             groups[group] = groups[""].add_parser(group, help=GROUPS[group]).add_subparsers(
@@ -299,11 +323,27 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, keywords in arguments.items():
             p.add_argument(flag, **keywords)
         p.set_defaults(command=name)
+    if command is not None:
+        for p in (parser, *(sub for action in groups.values() for sub in action.choices.values())):
+            p.error = _reparse
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse with the tree of the command that the first one or two words of argv
+    name, --plain aside; with the full tree if they name none or that parse fails."""
+    words = [arg for arg in argv if arg != "--plain"][:2]
+    command = next((name for name in (" ".join(words), *words[:1]) if name in COMMANDS), None)
+    if command is not None:
+        try:
+            return build_parser(command).parse_args(argv)
+        except _Reparse:
+            pass
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     _, _, answer, plain_lines = COMMANDS[args.command]
     try:
         fields = answer(args)

@@ -10,44 +10,22 @@ that the palindrome equals
 where S(k) is the k-th singular word.  The pair (m, i) is the palindrome's
 coordinate; its length is fib(m+3) - 2i.  Palindromes split into three
 cylinders by kernel index mod 3, equivalently by length parity and middle
-letter.
+letter.  ``PalCoord`` and ``validate_coord`` live in ``chain``, which places
+occurrences by coordinate, and are re-exported here.  Only ``coord_from_pal``
+needs ``singular``: it reaches it as ``fibpal.singular``, which the package
+imports on first access, so the other functions here never load it.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import fibpal
 
 from . import fibword
+from .chain import PalCoord, validate_coord
 from .errors import DomainError, show_int
 from .fibword import fib, fib_floor_index
-from .singular import kernel
 
 CYLINDER_BY_MOD = {2: "a", 0: "b", 1: "aa"}
-
-
-class PalCoord(NamedTuple):
-    """Coordinate (m, i) of a palindromic factor; i in [1, fib(m+1)]."""
-
-    m: int
-    i: int
-
-    def length(self) -> int:
-        """Length of the palindrome, fib(m+3) - 2i."""
-        return fib(self.m + 3) - 2 * self.i
-
-    def is_singular(self) -> bool:
-        """Whether the palindrome is the singular word S(m), i.e. i = fib(m+1)."""
-        return self.i == fib(self.m + 1)
-
-
-def validate_coord(c: PalCoord) -> int:
-    """Raise DomainError unless i lies in [1, fib(m+1)]; return fib(m+1)."""
-    if c.m < -1:
-        raise DomainError(f"kernel index must be >= -1, got {show_int(c.m)}")
-    top = fib(c.m + 1)
-    if not 1 <= c.i <= top:
-        raise DomainError(f"i must lie in [1, fib({c.m + 1})={show_int(top)}], got {show_int(c.i)}")
-    return top
 
 
 def cylinder_tag(c: PalCoord) -> str:
@@ -76,7 +54,7 @@ def coord_from_pal(w: str) -> PalCoord:
         raise DomainError("the empty word has no coordinates")
     if w != w[::-1]:
         raise DomainError(f"{w[:40]!r} is not a palindrome")
-    m = kernel(w).m  # raises NotAFactorError for non-factors
+    m = fibpal.singular.kernel(w).m  # raises NotAFactorError for non-factors
     num = fib(m + 3) - len(w)
     if num <= 0 or num % 2 or num // 2 > fib(m + 1):  # a defect: every palindromic factor has a coordinate
         raise AssertionError(f"the palindrome {w[:40]!r} gets no coordinate at kernel index {m}")

@@ -234,22 +234,43 @@ def verify_return_words(prefix_n: int = 10**4) -> VerifyResult:
     their sequence reduces to a prefix of the word itself.
 
     The p-th return word runs from the p-th occurrence up to the (p+1)-th; the
-    reduced word writes the first one as a and any other as b.  A factor with
-    fewer than 3 occurrences in the prefix is refused."""
+    reduced word writes the first one as a and any other as b.  Occurrences
+    are streamed with ``str.find``, and each return word is one slice compared
+    with the two kept, the first one and the first other one, so memory does
+    not grow with the prefix; a third distinct one is reported at once.  A
+    factor with fewer than 3 occurrences in the prefix is refused."""
     t0 = time.perf_counter()
     s = prefix(prefix_n)
     checked = 0
     for w in ("a", "b", "aa", "aba", "abaab", "ababa", singular.singular_word(3), singular.singular_word(4)):
-        starts = oracle.occurrence_starts(s, w)
-        if len(starts) < 3:
-            raise DomainError(f"{w[:40]!r} occurs only {len(starts)} times in prefix({show_int(prefix_n)})")
-        rets = [s[i:j] for i, j in zip(starts, starts[1:])]
-        if (distinct := len(set(rets))) != 2:
-            return _finish("return-words", False, checked, t0, {"factor": w, "distinct": distinct})
-        # one letter per return word, so the reduced word is shorter than s
-        reduced = "".join("a" if r == rets[0] else "b" for r in rets)
-        if reduced != s[:len(reduced)]:
-            return _finish("return-words", False, checked, t0, {"factor": w, "reduced": reduced[:40]})
+        first = other = ""  # the first return word and the first other one, once read
+        head = []  # the reduced word's first 40 letters, for a counterexample
+        mismatch = False  # whether the reduced word leaves the prefix of s
+        i, count = s.find(w), 0  # the latest occurrence; return words read so far
+        while i >= 0 and (j := s.find(w, i + 1)) >= 0:
+            ret = s[i:j]
+            if ret == first:
+                letter = "a"
+            elif ret == other:
+                letter = "b"
+            elif not first:
+                first, letter = ret, "a"
+            elif not other:
+                other, letter = ret, "b"
+            else:
+                return _finish("return-words", False, checked, t0, {"factor": w, "distinct": 3})
+            if letter != s[count]:  # one letter per return word, so the reduced word is shorter than s
+                mismatch = True
+            if count < 40:
+                head.append(letter)
+            count += 1
+            i = j
+        if (occurs := count + (i >= 0)) < 3:
+            raise DomainError(f"{w[:40]!r} occurs only {occurs} times in prefix({show_int(prefix_n)})")
+        if not other:
+            return _finish("return-words", False, checked, t0, {"factor": w, "distinct": 1})
+        if mismatch:
+            return _finish("return-words", False, checked, t0, {"factor": w, "reduced": "".join(head)})
         checked += 1
     return _finish("return-words", True, checked, t0)
 

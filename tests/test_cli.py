@@ -289,7 +289,8 @@ def test_internal_error_exit_3(capsys, monkeypatch):
         raise RuntimeError("boom")
 
     # what the `fib` entry and the grouped `pal at` entry call
-    for module, name, argv in ((fibpal.fibword, "fib", ["fib", "-m", "6"]), (cli, "new_pal_at", ["pal", "at", "-n", "21"])):
+    for module, name, argv in ((fibpal.fibword, "fib", ["fib", "-m", "6"]),
+                               (fibpal.chain, "new_pal_at", ["pal", "at", "-n", "21"])):
         with monkeypatch.context() as patch:
             patch.setattr(module, name, broken)
             code, out, err = run_cli(capsys, *argv)
@@ -299,9 +300,9 @@ def test_internal_error_exit_3(capsys, monkeypatch):
 
 def test_impossible_coordinate_exit_3(capsys, monkeypatch):
     # only a wrong closed form gives a palindrome or a position no coordinate: a defect, not a usage error
-    kernel, index = fibpal.cylinder.kernel, fibpal.chain.fib_floor_index
+    kernel, index = fibpal.singular.kernel, fibpal.chain.fib_floor_index
     with monkeypatch.context() as patch:
-        patch.setattr(fibpal.cylinder, "kernel", lambda w: kernel(w)._replace(m=1) if w == "aba" else kernel(w))
+        patch.setattr(fibpal.singular, "kernel", lambda w: kernel(w)._replace(m=1) if w == "aba" else kernel(w))
         code, out, err = run_cli(capsys, "pal", "coord", "-w", "aba")
     assert code == 3 and out == "" and "internal error: AssertionError: the palindrome 'aba'" in err
     with monkeypatch.context() as patch:
@@ -312,7 +313,7 @@ def test_impossible_coordinate_exit_3(capsys, monkeypatch):
 
 @pytest.mark.parametrize("plant, argv, counterexample", [
     # the planted faults of test_impossible_coordinate_exit_3, and a Pisano table with its last entry wrong
-    (lambda patch: patch.setattr(fibpal.cylinder, "kernel", lambda w, real=fibpal.cylinder.kernel:
+    (lambda patch: patch.setattr(fibpal.singular, "kernel", lambda w, real=fibpal.singular.kernel:
                                  real(w)._replace(m=1) if w == "aba" else real(w)),
      ("cylinder",), {"coord": [0, 1], "roundtrip": None}),
     (lambda patch: patch.setattr(fibpal.chain, "fib_floor_index", lambda x, real=fibpal.chain.fib_floor_index:
@@ -330,12 +331,14 @@ def test_verify_closed_form_assertion_exit_1(capsys, monkeypatch, plant, argv, c
 
 
 def test_verify_all_reports_every_suite_past_a_closed_form_assertion(capsys, monkeypatch):
-    kernel = fibpal.cylinder.kernel
-    monkeypatch.setattr(fibpal.cylinder, "kernel", lambda w: kernel(w)._replace(m=1) if w == "aba" else kernel(w))
+    # coord_from_pal asserts on the wrong kernel; the kernels suite, which reads it too, finds it by comparison
+    kernel = fibpal.singular.kernel
+    monkeypatch.setattr(fibpal.singular, "kernel", lambda w: kernel(w)._replace(m=1) if w == "aba" else kernel(w))
     code, out, err = run_cli(capsys, "verify", "all", "--max-n", "2000", "--max-m", "5", "--max-p", "15")
     recs = records(out)
     assert code == 1 and err == "" and len(recs) == 8
-    assert [r["suite"] for r in recs if not r["ok"]] == ["cylinder"]
+    assert [r["suite"] for r in recs if not r["ok"]] == ["cylinder", "kernels"]
+    assert recs[1]["counterexample"] == {"coord": [0, 1], "roundtrip": None}
 
 
 def test_verify_floors_past_the_sweep_exit_2(capsys):
@@ -512,18 +515,130 @@ def test_parser_built_once_and_flags_reset_per_call(capsys):
                                      '"m": 0, "p": 8}, {"hi": 24, "lo": 22, "m": 1, "p": 5}], "hi": 24, "lo": 20, '
                                      '"m": 2, "p": 3}}\n')
 
+ROOT_USAGE = ("usage: fibpal [-h] [--plain]\n"
+              "              {fib,letters,prefix,singular,kernel,pal,pos,chain,tau,count,verify,bench}\n"
+              "              ...\n")
+PAL_USAGE = "usage: fibpal pal [-h] [--plain] {list,coord,at,conjugates,prefix-lengths} ...\n"
+COUNT_USAGE = ("usage: fibpal count [-h] [--plain] [--distinct] [--occurrences] [-n N] [--m M]\n"
+               "                    [--trace]\n"
+               "                    [{special}]\n")
+
+# argv, exit code, stdout and stderr of the help texts and usage errors, as
+# Python 3.10 and 3.11 print them at 80 columns
+PARSER_TEXT = [
+    (["--help"], 0, ROOT_USAGE + """
+Exact palindrome queries on prefixes of the infinite Fibonacci word
+
+positional arguments:
+  {fib,letters,prefix,singular,kernel,pal,pos,chain,tau,count,verify,bench}
+    fib                 Fibonacci number of the given index
+    letters             letter at a 1-based position
+    prefix              the length-n prefix
+    singular            the m-th singular word
+    kernel              maximal singular word inside a factor
+    pal                 palindrome queries
+    pos                 occurrence positions
+    chain               interval of p-th ending positions for kernel index m
+    tau                 recursive interval splitting
+    count               distinct / repeated occurrence counts
+    verify              run verification suites
+    bench               closed forms vs. tree oracle timings
+
+options:
+  -h, --help            show this help message and exit
+  --plain               human-readable output instead of JSON records
+""", ""),
+    (["pal", "--help"], 0, PAL_USAGE + """
+positional arguments:
+  {list,coord,at,conjugates,prefix-lengths}
+    list                all palindromes of a given length
+    coord               coordinates of a palindromic factor
+    at                  the palindrome whose first occurrence ends at n
+    conjugates          palindromic rotations of the m-th iterate
+    prefix-lengths      prefix lengths that are palindromes
+
+options:
+  -h, --help            show this help message and exit
+  --plain
+""", ""),
+    (["count", "--help"], 0, COUNT_USAGE + """
+positional arguments:
+  {special}
+
+options:
+  -h, --help     show this help message and exit
+  --plain
+  --distinct
+  --occurrences
+  -n N
+  --m M
+  --trace
+""", ""),
+    (["pal", "at", "-n", "5", "--bogus"], 2, "", ROOT_USAGE + "fibpal: error: unrecognized arguments: --bogus\n"),
+    (["count", "--occurrences", "-n", "5", "extra"], 2, "",
+     COUNT_USAGE + "fibpal count: error: argument count_cmd: invalid choice: 'extra' (choose from 'special')\n"),
+    (["letters", "-n", "x"], 2, "",
+     "usage: fibpal letters [-h] [--plain] -n N\nfibpal letters: error: argument -n: invalid int value: 'x'\n"),
+    (["pal"], 2, "", PAL_USAGE + "fibpal pal: error: the following arguments are required: pal_cmd\n"),
+    (["nosuch"], 2, "", ROOT_USAGE + "fibpal: error: argument cmd: invalid choice: 'nosuch' (choose from 'fib', "
+     "'letters', 'prefix', 'singular', 'kernel', 'pal', 'pos', 'chain', 'tau', 'count', 'verify', 'bench')\n"),
+    (["--plain"], 2, "", ROOT_USAGE + "fibpal: error: the following arguments are required: cmd\n"),
+]
+
+
+def run_parser(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+# later releases wrap the root usage differently (3.13) or print choices unquoted;
+# test_parser_text_is_the_full_trees holds on every version
+@pytest.mark.skipif(sys.version_info[:2] not in ((3, 10), (3, 11)), reason="text pinned as 3.10 and 3.11 print it")
+@pytest.mark.parametrize("argv, code, out, err", PARSER_TEXT, ids=[" ".join(row[0]) for row in PARSER_TEXT])
+def test_parser_text_pinned(capsys, monkeypatch, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_parser(capsys, main, argv) == (code, out, err)
+
+
+@pytest.mark.parametrize("argv", [row[0] for row in PARSER_TEXT] + [
+    [], ["pal", "at", "--help"], ["--plain", "pos", "--plain", "pal", "-h"], ["pal", "at"], ["pal", "at", "-n"],
+    ["--plain", "chain", "-m", "1", "-p", "2", "3"], ["pos", "nosuch"], ["tau", "-m", "1", "-p", "1", "--reduce=1"],
+    ["verify"], ["bench", "--n-list"], ["--pla", "fib", "-m", "x"], ["fib", "-m", "1", "--plain=x"],
+])
+def test_parser_text_is_the_full_trees(capsys, monkeypatch, argv):
+    # main parses with the one command's tree; whatever argparse prints is what the full tree prints
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_parser(capsys, main, argv) == run_parser(capsys, cli.build_parser().parse_args, argv)
+
+
+def test_a_query_builds_only_its_own_parser(capsys):
+    cli.build_parser.cache_clear()
+    code, _, _ = run_cli(capsys, "--plain", "pal", "at", "-n", "21")
+    assert code == 0 and cli.build_parser.cache_info().currsize == 1
+    assert cli.build_parser("pal at").format_usage() == "usage: fibpal [-h] [--plain] {pal} ...\n"
+    assert cli.build_parser.cache_info().hits == 1  # main built the tree of `pal at`, and no other
+
+
 IMPORT_SPLIT = """
 import contextlib, io, json, sys
-import fibpal, fibpal.cli
-for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = fibpal.cli.main(argv)
-    assert code == 0, (argv, code)
-    assert "dataclasses" not in sys.modules and "inspect" not in sys.modules, (argv, "loaded dataclasses or inspect")
-assert "numpy" not in sys.modules, "a query command loaded numpy"
-assert fibpal.scan_word is fibpal.oracle.scan_word and "numpy" in sys.modules
-print("ok")
+import fibpal.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = fibpal.cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.partition(".")[0] in ("fibpal", "numpy") or m in
+                               ("dataclasses", "inspect"))]))
 """
+
+# the modules each query command loads, beyond fibpal, fibpal.cli, fibpal.errors and fibpal.fibword
+LOADS = {
+    ("fib", "letters", "prefix"): set(),
+    ("singular", "kernel"): {"singular"},
+    ("pos kernel", "pos pal", "chain"): {"chain"},
+    ("count", "tau"): {"chain", "counting"},
+    ("pal list", "pal at", "pal conjugates", "pal prefix-lengths"): {"chain", "cylinder"},
+    ("pal coord",): {"chain", "cylinder", "singular"},
+}
 
 
 def _env_with_src(*paths):
@@ -532,13 +647,22 @@ def _env_with_src(*paths):
 
 
 def test_query_commands_do_not_import_numpy():
-    env = _env_with_src()
-    proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_SPLIT, json.dumps(QUERY_ARGVS)],
-        capture_output=True, text=True, env=env,
-    )
+    # each command in a fresh process: only the modules its answer calls, and never
+    # NumPy, dataclasses or inspect
+    env, parser = _env_with_src(), cli.build_parser()
+    loads = {name: modules for names, modules in LOADS.items() for name in names}
+    assert set(loads) == set(cli.COMMANDS) - {"verify", "bench"}
+    for argv in QUERY_ARGVS:
+        proc = subprocess.run([sys.executable, "-c", IMPORT_SPLIT, json.dumps(argv)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        code, loaded = json.loads(proc.stdout)
+        base = {"fibpal", "fibpal.cli", "fibpal.errors", "fibpal.fibword"}
+        assert code == 0 and loaded == sorted(base | {f"fibpal.{m}" for m in loads[parser.parse_args(argv).command]})
+    proc = subprocess.run([sys.executable, "-c", "import sys, fibpal; assert 'numpy' not in sys.modules; "
+                           "assert fibpal.scan_word is fibpal.oracle.scan_word and 'numpy' in sys.modules"],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "ok"
 
 
 def test_oracle_names_resolve_lazily():
@@ -556,6 +680,28 @@ def test_oracle_names_resolve_lazily():
     assert set(fibpal.__all__) <= set(namespace)
     with pytest.raises(AttributeError):
         fibpal.no_such_name
+
+
+def test_package_names_resolve_lazily():
+    # a fresh `import fibpal` loads no submodule, yet lists and resolves every name the eager imports gave
+    proc = subprocess.run([sys.executable, "-c", "import sys, fibpal; print(*dir(fibpal)); "
+                           "print(*sorted(m for m in sys.modules if m.startswith('fibpal')))"],
+                          capture_output=True, text=True, env=_env_with_src())
+    assert proc.returncode == 0, proc.stderr
+    names, loaded = proc.stdout.splitlines()
+    assert [n for n in names.split() if not n.startswith("_")] == """CellSplit ChainInterval DomainError KernelResult
+        NotAFactorError OccurrenceSpan PalCoord ResourceError block_prefix_total block_sum chain chain_interval
+        check_floor_identities convolution_identity_holds coord_from_pal counting cylinder cylinder_table cylinder_tag
+        distinct_count end_count end_count_block end_count_near_fib errors expand_cell expand_leaves fib
+        fib_prefix_total fibword floor_phi importlib is_factor kernel kernels letter_at new_pal_at occurrence_count
+        occurrence_count_trace oracle pal_end_pos pal_from_coord pal_span palindromic_conjugates pals_of_length prefix
+        prefix_palindrome_lengths reduce_cell scan_word singular singular_end_pos singular_start_pos singular_word
+        split_cell tail_sum""".split()
+    assert loaded == "fibpal"
+    assert fibpal.PalCoord is fibpal.chain.PalCoord is fibpal.cylinder.PalCoord
+    assert fibpal.cylinder.validate_coord is fibpal.chain.validate_coord
+    for module in ("chain", "counting", "cylinder", "errors", "fibword", "singular"):
+        assert getattr(fibpal, module) is sys.modules[f"fibpal.{module}"]
 
 
 def test_stale_backend_setting_is_ignored(tmp_path):

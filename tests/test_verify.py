@@ -55,6 +55,19 @@ def test_verify_kernels_memory():
     assert res.ok and peak < 512 * 1024
 
 
+def test_verify_return_words_memory():
+    # occurrences are streamed and two return words kept; keeping every start
+    # and every return word peaked at 1.33 MB here
+    verify.verify_return_words(prefix_n=200)
+    tracemalloc.start()
+    try:
+        res = verify.verify_return_words(prefix_n=20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.ok and res.checked == 8 and peak < 128 * 1024
+
+
 def test_verify_kernels_reports_wrong_offset(monkeypatch):
     real = singular.kernel
 
