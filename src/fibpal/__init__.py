@@ -13,8 +13,6 @@ counts are fields of the ``PrefixScan`` that ``scan_word`` returns (and
 ``oracle.scan_prefix``): ``end_counts``, ``distinct`` and ``nodes``.
 """
 
-import importlib
-
 __version__ = "0.1.0"
 
 # submodule -> the public names it defines; each is imported on first access
@@ -36,11 +34,13 @@ __all__ = [*sorted(name for names in _LAZY_MODULES.values() for name in names), 
 
 
 def __getattr__(name):
+    # __import__ with a fromlist returns the submodule itself, and takes the
+    # path that -X importtime times, which importlib.import_module does not
     if name in _LAZY_MODULES:
-        return importlib.import_module(f"{__name__}.{name}")
+        return __import__(f"{__name__}.{name}", fromlist=["_"])
     for module, names in _LAZY_MODULES.items():
         if name in names:
-            value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+            value = globals()[name] = getattr(__import__(f"{__name__}.{module}", fromlist=["_"]), name)
             return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 

@@ -1,9 +1,10 @@
 """Hot inner loops: the palindromic-tree fill and the bulk floor-identity sweep.
 
-The tree fill, ``eertree_fill``, is plain Python over ``bytes`` and the
-``array.array`` buffers it allocates; the floor sweep is one vectorized
-NumPy pass.  Both work on machine-width integers only; callers refuse input
-past the guards below, and nothing escalates to big-int arithmetic.
+The tree fill, ``eertree_fill``, is plain Python over ``list`` buffers,
+each converted to a compact ``array.array`` as it returns; the floor sweep
+is one vectorized NumPy pass.  Both work on machine-width integers only;
+callers refuse input past the guards below, and nothing escalates to big-int
+arithmetic.
 """
 
 from __future__ import annotations
@@ -32,49 +33,59 @@ def eertree_fill(text):
     """Feed ``text`` (``bytes`` of letters 0 and 1) into a palindromic tree.
 
     Returns the node count and the buffers ``lens``, ``link``, ``depth`` and
-    ``node``, ``array.array``s (NumPy uint8 would make ``2*v + c`` wrap)
-    sized for the n + 2 nodes that n letters can make: the two roots (node 0
-    of virtual length -1, node 1 of length 0), then one node per distinct
-    palindrome in creation order.  ``depth`` is the suffix-link chain
-    length, i.e. the number of palindromic suffixes; ``node`` holds the node
-    of the longest palindromic suffix at each position.
+    ``node``, ``array.array``s sized for the n + 2 nodes that n letters can
+    make: the two roots (node 0 of virtual length -1, node 1 of length 0),
+    then one node per distinct palindrome in creation order.  ``depth`` is
+    the suffix-link chain length, i.e. the number of palindromic suffixes;
+    ``node`` holds the node of the longest palindromic suffix at each
+    position.
+
+    The loop fills ``list``s, because a list read returns a stored int where
+    an ``array.array`` read makes a new one; each list becomes its array only
+    on return.  The lists and their ints peak at ~120 B per letter
+    (``tracemalloc``), against the 20 B per letter the arrays hold.
     """
     n = len(text)
-    lens = array("q", bytes(8 * (n + 2)))  # zeroed, so only the root of length -1 is written
-    link = array("i", bytes(4 * (n + 2)))
-    depth = array("i", bytes(4 * (n + 2)))
-    trans = array("i", bytes(8 * (n + 2)))
-    node = array("i", bytes(4 * n))
+    # s[pos + 1] is text[pos]; the sentinel 2 in front matches no letter, so
+    # a suffix-link walk stops there without a bounds test (a list, because
+    # its reads are faster than those of bytes)
+    s = [2, *text]
+    lens = [0] * (n + 2)
+    link = [0] * (n + 2)
+    depth = [0] * (n + 2)
+    trans = ([0] * (n + 2), [0] * (n + 2))  # the child of each node by letter 0, by letter 1
+    node = [0] * n
     lens[0] = -1
     num = 2
     last = 1
-    for pos in range(n):
-        c = text[pos]
+    for pos, c in enumerate(text):
+        # s[pos - lens[v]] is the letter before suffix v (c itself at root 0)
         v = last
-        while True:
-            i = pos - lens[v] - 1
-            if i >= 0 and text[i] == c:
-                break
+        while s[pos - lens[v]] != c:
             v = link[v]
-        edge = 2 * v + c
-        last = trans[edge]
-        if last == 0:
+        child = trans[c]
+        last = child[v]
+        if not last:
             last = num
             num += 1
             lens[last] = lens[v] + 2
-            if lens[last] == 1:
-                link[last] = 1
-            else:
+            if v:
                 u = link[v]
-                while True:
-                    i = pos - lens[u] - 1
-                    if i >= 0 and text[i] == c:
-                        break
+                while s[pos - lens[u]] != c:
                     u = link[u]
-                link[last] = trans[2 * u + c]
-            depth[last] = depth[link[last]] + 1
-            trans[edge] = last
+                w = child[u]
+            else:  # a single letter links to the empty word
+                w = 1
+            link[last] = w
+            depth[last] = depth[w] + 1
+            child[v] = last
         node[pos] = last
+    s = trans = child = None  # freed before the conversions
+    # rebinding frees each list before the next is converted
+    lens = array("q", lens)
+    link = array("i", link)
+    depth = array("i", depth)
+    node = array("i", node)
     return num, lens, link, depth, node
 
 

@@ -693,7 +693,7 @@ def test_package_names_resolve_lazily():
         NotAFactorError OccurrenceSpan PalCoord ResourceError block_prefix_total block_sum chain chain_interval
         check_floor_identities convolution_identity_holds coord_from_pal counting cylinder cylinder_table cylinder_tag
         distinct_count end_count end_count_block end_count_near_fib errors expand_cell expand_leaves fib
-        fib_prefix_total fibword floor_phi importlib is_factor kernel kernels letter_at new_pal_at occurrence_count
+        fib_prefix_total fibword floor_phi is_factor kernel kernels letter_at new_pal_at occurrence_count
         occurrence_count_trace oracle pal_end_pos pal_from_coord pal_span palindromic_conjugates pals_of_length prefix
         prefix_palindrome_lengths reduce_cell scan_word singular singular_end_pos singular_start_pos singular_word
         split_cell tail_sum""".split()
@@ -702,6 +702,15 @@ def test_package_names_resolve_lazily():
     assert fibpal.cylinder.validate_coord is fibpal.chain.validate_coord
     for module in ("chain", "counting", "cylinder", "errors", "fibword", "singular"):
         assert getattr(fibpal, module) is sys.modules[f"fibpal.{module}"]
+
+
+def test_lazy_imports_show_in_importtime():
+    # a module the package loads on first access gets its own -X importtime row
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "fibpal.cli", "letters", "-n", "5"],
+                          capture_output=True, text=True, env=_env_with_src())
+    assert proc.returncode == 0, proc.stderr
+    rows = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    assert {"fibpal", "fibpal.errors", "fibpal.fibword"} <= rows
 
 
 def test_stale_backend_setting_is_ignored(tmp_path):

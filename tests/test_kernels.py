@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -64,11 +66,35 @@ def test_floor_identity_scan_catches_a_wrong_floor(monkeypatch):
     assert not r.ok and r.counterexample["p"] == first
 
 
+def _fill_words():
+    # the kernel is not Fibonacci-specific, and the Fibonacci prefix almost
+    # never follows a suffix link: these words reach both walks and the
+    # sentinel before the text
+    yield from ("", "a", "b", "ab", "ba", "aab", "abb", "aabbabaabbb")
+    for k in (2, 3, 7, 60):
+        yield from ("a" * k, "b" * k, "ab" * k, "ba" * k + "b", "a" * k + "b" + "a" * k, "aab" * k)
+    rng = random.Random(22)
+    for _ in range(300):
+        yield "".join(rng.choice("ab") for _ in range(rng.randint(0, 300)))
+
+
+def _longest_pal_suffix(t):
+    return next(k for k in range(len(t), -1, -1) if t[len(t) - k:] == t[len(t) - k:][::-1])
+
+
 def test_eertree_fill_arbitrary_text():
-    # the kernel is not Fibonacci-specific; richness can fail, sizes cannot
-    text = bytes([0, 0, 1, 1, 0, 1, 0, 0, 1, 1, 1])
-    nodes, lens, link, depth, node = kernels.eertree_fill(text)
-    s = "".join("ab"[c] for c in text)
-    assert nodes - 2 == len(oracle.naive_palindrome_set(s))
-    assert [depth[v] for v in node] == oracle.center_end_counts(s)
-    assert max(node) == nodes - 1
+    # richness can fail, sizes cannot
+    for s in _fill_words():
+        nodes, lens, link, depth, node = kernels.eertree_fill(bytes(map("ab".index, s)))
+        assert nodes - 2 == len(oracle.naive_palindrome_set(s)), s
+        assert [depth[v] for v in node] == oracle.center_end_counts(s), s
+        longest = [0] * len(s)  # the longest palindrome ending at each position
+        for i, j in oracle.center_palindrome_spans(s):
+            longest[j] = max(longest[j], j - i + 1)
+        assert [lens[v] for v in node] == longest, s
+        word = {}  # each node's palindrome, from a position where it is the longest suffix
+        for p, v in enumerate(node):
+            word.setdefault(v, s[p + 1 - lens[v]: p + 1])
+        assert sorted(word) == list(range(2, nodes)), s
+        for v, w in word.items():
+            assert lens[link[v]] == _longest_pal_suffix(w[1:]), (s, w)

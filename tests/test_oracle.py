@@ -57,6 +57,18 @@ def test_eertree_vs_naive_sets_small():
         assert words == oracle.center_palindrome_set(s)
 
 
+@pytest.mark.parametrize("cap", [1, 2, 3, 4, 100, None])
+def test_capped_center_spans_are_the_short_uncapped_ones(cap, prefix_2k):
+    # the cap stops each expansion early; it yields the same spans in the same order
+    rng = random.Random(cap or 0)
+    words = [prefix_2k, "", "a", "aa", "a" * 150, "ab" * 75] + [
+        "".join(rng.choice("ab") for _ in range(rng.randint(0, 120))) for _ in range(50)]
+    for s in words:
+        spans = oracle.center_palindrome_spans(s)
+        assert list(oracle.center_palindrome_spans(s, cap)) == [
+            (i, j) for i, j in spans if cap is None or j - i + 1 <= cap]
+
+
 def test_eertree_counts_vs_naive_scans(prefix_2k, scan_2k):
     end_counts = scan_2k.end_counts.tolist()
     assert end_counts == oracle.center_end_counts(prefix_2k)
