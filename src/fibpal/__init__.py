@@ -8,9 +8,10 @@ verification at desk scale.
 Every public name and submodule is imported on first access (PEP 562), so
 ``import fibpal`` loads no submodule and a caller pays only for the modules
 it reads.  The closed-form API loads without NumPy; the one oracle name
-(``scan_word``) and the ``oracle`` and ``kernels`` modules need it.  Tree
-counts are fields of the ``PrefixScan`` that ``scan_word`` returns (and
-``oracle.scan_prefix``): ``end_counts``, ``distinct`` and ``nodes``.
+(``scan_word``) and the ``oracle`` and ``kernels`` modules need it.  A
+tree pass, ``scan_word`` (or ``oracle.scan_prefix``), returns a
+``PrefixScan`` of its counts and nothing else: ``end_counts``,
+``max_suffix`` and ``distinct`` per position, and ``nodes``.
 """
 
 __version__ = "0.1.0"

@@ -1,15 +1,12 @@
 """Hot inner loops: the palindromic-tree fill and the bulk floor-identity sweep.
 
 The tree fill, ``eertree_fill``, is plain Python over ``list`` buffers,
-each converted to a compact ``array.array`` as it returns; the floor sweep
-is one vectorized NumPy pass.  Both work on machine-width integers only;
-callers refuse input past the guards below, and nothing escalates to big-int
-arithmetic.
+which it returns as they are; the floor sweep is one vectorized NumPy pass.
+Both work on machine-width integers only; callers refuse input past the
+guards below, and nothing escalates to big-int arithmetic.
 """
 
 from __future__ import annotations
-
-from array import array
 
 import numpy as np
 
@@ -32,18 +29,17 @@ SCAN_CHUNK = 1 << 19  # values per floor_identity_scan block, ~29 MB of temporar
 def eertree_fill(text):
     """Feed ``text`` (``bytes`` of letters 0 and 1) into a palindromic tree.
 
-    Returns the node count and the buffers ``lens``, ``link``, ``depth`` and
-    ``node``, ``array.array``s sized for the n + 2 nodes that n letters can
-    make: the two roots (node 0 of virtual length -1, node 1 of length 0),
-    then one node per distinct palindrome in creation order.  ``depth`` is
-    the suffix-link chain length, i.e. the number of palindromic suffixes;
-    ``node`` holds the node of the longest palindromic suffix at each
-    position.
+    Returns the node count and the ``list`` buffers ``lens``, ``link``,
+    ``depth`` and ``node``.  The first three are sized for the n + 2 nodes
+    that n letters can make: the two roots (node 0 of virtual length -1,
+    node 1 of length 0), then one node per distinct palindrome in creation
+    order.  ``depth`` is the suffix-link chain length, i.e. the number of
+    palindromic suffixes; ``node`` holds the node of the longest palindromic
+    suffix at each position.
 
-    The loop fills ``list``s, because a list read returns a stored int where
-    an ``array.array`` read makes a new one; each list becomes its array only
-    on return.  The lists and their ints peak at ~120 B per letter
-    (``tracemalloc``), against the 20 B per letter the arrays hold.
+    The buffers are ``list``s because a list read returns a stored int where
+    an ``array.array`` read makes a new one.  The lists and their ints peak
+    at ~120 B per letter (``tracemalloc``); a caller converts what it keeps.
     """
     n = len(text)
     # s[pos + 1] is text[pos]; the sentinel 2 in front matches no letter, so
@@ -80,12 +76,6 @@ def eertree_fill(text):
             depth[last] = depth[w] + 1
             child[v] = last
         node[pos] = last
-    s = trans = child = None  # freed before the conversions
-    # rebinding frees each list before the next is converted
-    lens = array("q", lens)
-    link = array("i", link)
-    depth = array("i", depth)
-    node = array("i", node)
     return num, lens, link, depth, node
 
 

@@ -1,20 +1,19 @@
 """Independent ground truth at desk scale.
 
-Two tiers: a palindromic tree (eertree) built letter by letter, and naive
-scanners (center expansion, substring slicing, plain substring search) that
-validate the tree itself.  Nothing here shares code with the closed-form
-modules, so agreement between the two paths is meaningful evidence.  This
-module holds the ground truth only; each verify suite makes its own
-comparison against it.
+A palindromic tree (eertree) built letter by letter, a center-expansion
+palindrome scan and plain substring search.  Nothing here shares code with
+the closed-form modules, so agreement between the two paths is meaningful
+evidence.  This module holds the ground truth only; each verify suite makes
+its own comparison against it.
 
 There is one tree: ``kernels.eertree_fill``, which allocates its own
 buffers.  ``scan_word`` runs it over any word over {a, b} and
 ``scan_prefix`` over a prefix of the Fibonacci word; both feed it the word's
-letters as bytes 0 and 1 by one ``translate``.  Every count is a field of
-the one ``PrefixScan`` a pass returns (``end_counts`` sums to the occurrence
-total, ``nodes - 2`` is the distinct count); the distinct factors and
-palindromic suffixes are read off its arrays.  A factor's occurrences come
-from one substring scan, ``occurrence_starts``.
+letters as bytes 0 and 1 by one ``translate``.  A pass converts three
+per-position facts from the fill's lists into the one ``PrefixScan`` it
+returns (``end_counts`` sums to the occurrence total, ``nodes - 2`` is the
+distinct count) and keeps nothing else.  A factor's occurrences come from
+one substring scan, ``occurrence_starts``.
 """
 
 from __future__ import annotations
@@ -29,75 +28,40 @@ from .fibword import prefix
 
 
 _CODES = bytes.maketrans(b"ab", b"\x00\x01")
-_LETTERS = bytes.maketrans(b"\x00\x01", b"ab")
 
 
 class PrefixScan(NamedTuple):
-    """Per-position facts from one palindromic-tree pass over a word.
-
-    ``node`` is the tree node of the longest palindromic suffix at each
-    position; ``lens`` and ``link`` are the tree's node lengths and suffix
-    links (node 0 is the root of virtual length -1, node 1 the empty word).
-    """
+    """Per-position facts from one palindromic-tree pass over a word."""
 
     n: int
     end_counts: np.ndarray  # occurrences ending at each position (1-based shift)
     max_suffix: np.ndarray  # longest palindromic suffix length per position
     distinct: np.ndarray  # distinct palindromic factors so far per position
     nodes: int
-    text: bytes  # the letters fed, a -> 0, b -> 1
-    lens: np.ndarray
-    link: np.ndarray
-    node: np.ndarray
-
-    def _check_pos(self, i: int) -> None:
-        if not 1 <= i <= self.n:
-            raise DomainError(f"position must be in 1..{self.n}, got {show_int(i)}")
 
     def end_count(self, i: int) -> int:
-        self._check_pos(i)
+        if not 1 <= i <= self.n:
+            raise DomainError(f"position must be in 1..{self.n}, got {show_int(i)}")
         return int(self.end_counts[i - 1])
-
-    def palindromic_suffix_lengths(self, pos: int) -> list[int]:
-        """Lengths of all palindromic suffixes of the prefix ending at 1-based pos."""
-        self._check_pos(pos)
-        v = int(self.node[pos - 1])
-        out = []
-        while self.lens[v] > 0:
-            out.append(int(self.lens[v]))
-            v = int(self.link[v])
-        return out
-
-    def words(self) -> set[str]:
-        """Every distinct palindromic factor of the scanned word."""
-        # every node was the longest palindromic suffix at its creation
-        # position, so collecting those suffixes covers all distinct factors
-        s = self.text.translate(_LETTERS).decode("ascii")
-        return {s[pos + 1 - l: pos + 1] for pos, l in enumerate(self.max_suffix.tolist())}
 
 
 def _scan(text: bytes) -> PrefixScan:
     """One tree pass over ``text`` (letters 0 and 1)."""
     # looked up at call time, so a wrapper on the module attribute sees every fill
     nodes, lens, link, depth, node = kernels.eertree_fill(text)
-    lens_a = np.asarray(lens)[:nodes]
-    link_a = np.asarray(link)[:nodes]
-    node_a = np.asarray(node)
+    # each list is freed once read (the suffix links at once: no field reads
+    # them), so the arrays fit in the memory the fill has already used
+    del link
+    node = np.fromiter(node, np.int64, len(text))
+    end_counts = np.fromiter(depth, np.int32, len(depth))[node]
+    del depth
+    max_suffix = np.fromiter(lens, np.int64, len(lens))[node]
+    del lens
     # nodes are numbered in creation order, so the largest node seen so far
     # counts the distinct palindromes (the two roots are nodes 0 and 1)
-    distinct = np.maximum.accumulate(node_a, dtype=np.int64)
+    distinct = np.maximum.accumulate(node, out=node)
     distinct -= 1
-    return PrefixScan(
-        len(text),
-        end_counts=np.asarray(depth)[node_a],
-        max_suffix=lens_a[node_a],
-        distinct=distinct,
-        nodes=nodes,
-        text=text,
-        lens=lens_a,
-        link=link_a,
-        node=node_a,
-    )
+    return PrefixScan(len(text), end_counts, max_suffix, distinct, nodes)
 
 
 def scan_word(w: str) -> PrefixScan:
@@ -124,7 +88,7 @@ def occurrence_starts(s: str, w: str) -> list[int]:
     return out
 
 
-# --- naive scanners (second-level oracle, validate the tree itself) ---
+# --- center expansion (a tree-free scanner) ---
 
 
 def center_palindrome_spans(s: str, max_len: int | None = None):
@@ -157,30 +121,3 @@ def center_palindrome_spans(s: str, max_len: int | None = None):
 def center_palindrome_set(s: str, max_len: int | None = None) -> set[str]:
     """Distinct palindromic substrings of s (optionally length-capped)."""
     return {s[i: j + 1] for i, j in center_palindrome_spans(s, max_len)}
-
-
-def center_end_counts(s: str) -> list[int]:
-    """Palindromic-substring occurrences ending at each 1-based position."""
-    counts = [0] * (len(s) + 1)
-    for _, j in center_palindrome_spans(s):
-        counts[j + 1] += 1
-    return counts[1:]
-
-
-def naive_palindrome_set(s: str) -> set[str]:
-    """Distinct palindromic substrings by checking every substring slice.
-
-    Quadratic in len(s) with a first-letter/last-letter prefilter; meant for
-    validating the other scanners, not for production sizes.
-    """
-    n = len(s)
-    out = set()
-    for i in range(n):
-        ci = s[i]
-        for j in range(i, n):
-            if s[j] != ci:
-                continue
-            t = s[i: j + 1]
-            if t == t[::-1]:
-                out.add(t)
-    return out

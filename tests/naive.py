@@ -1,0 +1,68 @@
+"""Reference scanners and tree readers that only the tests use.
+
+The two scanners share no code with the palindromic tree, so they check it.
+The readers recover from a scan's per-position counts, or from the buffers
+of ``kernels.eertree_fill``, what a ``PrefixScan`` does not keep: every
+distinct palindrome, each node's palindrome and the suffix-link chain.
+"""
+
+from fibpal import kernels
+from fibpal.oracle import center_palindrome_spans
+
+
+def center_end_counts(s: str) -> list[int]:
+    """Palindromic-substring occurrences ending at each 1-based position."""
+    counts = [0] * (len(s) + 1)
+    for _, j in center_palindrome_spans(s):
+        counts[j + 1] += 1
+    return counts[1:]
+
+
+def naive_palindrome_set(s: str) -> set[str]:
+    """Distinct palindromic substrings by checking every substring slice.
+
+    Quadratic in len(s) with a first-letter/last-letter prefilter; meant for
+    validating the other scanners, not for production sizes.
+    """
+    n = len(s)
+    out = set()
+    for i in range(n):
+        ci = s[i]
+        for j in range(i, n):
+            if s[j] != ci:
+                continue
+            t = s[i: j + 1]
+            if t == t[::-1]:
+                out.add(t)
+    return out
+
+
+def fill(s: str):
+    """``kernels.eertree_fill`` over a word over {a, b}."""
+    return kernels.eertree_fill(bytes(map("ab".index, s)))
+
+
+def palindromes(s: str, longest) -> set[str]:
+    """Every distinct palindromic factor of s, from the length of the longest
+    palindromic suffix at each position (a scan's ``max_suffix``)."""
+    # every node was the longest palindromic suffix at its creation
+    # position, so collecting those suffixes covers all distinct factors
+    return {s[pos + 1 - k: pos + 1] for pos, k in enumerate(longest)}
+
+
+def node_words(s: str, lens, node) -> dict[int, str]:
+    """Each node's palindrome, read where it is first the longest palindromic suffix."""
+    words = {}
+    for pos, v in enumerate(node):
+        words.setdefault(v, s[pos + 1 - lens[v]: pos + 1])
+    return words
+
+
+def suffix_lengths(lens, link, v) -> list[int]:
+    """Lengths along the suffix-link chain from node v, longest first: at
+    ``v = node[pos - 1]``, every palindromic suffix of the first pos letters."""
+    out = []
+    while lens[v] > 0:
+        out.append(lens[v])
+        v = link[v]
+    return out

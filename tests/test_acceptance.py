@@ -9,6 +9,7 @@ import time
 import fibpal as fp
 from fibpal import counting, kernels, oracle, verify
 from fibpal.bench import run_bench
+from naive import naive_palindrome_set, palindromes
 
 # Golden cylinder table: first 12 rows per cylinder, singular entries flagged.
 TAB1 = {
@@ -254,6 +255,6 @@ def test_criterion_12_oracle_self_check():
     ok = True
     for n in list(range(1, 65)) + [500, 2000]:
         s = fp.prefix(n)
-        words = oracle.scan_word(s).words()
-        ok = ok and words == oracle.scan_prefix(n).words() == oracle.naive_palindrome_set(s)
+        words = palindromes(s, oracle.scan_word(s).max_suffix)
+        ok = ok and words == palindromes(s, oracle.scan_prefix(n).max_suffix) == naive_palindrome_set(s)
     report(12, "tree oracle agrees with naive substring enumeration", ok)

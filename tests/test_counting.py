@@ -31,9 +31,10 @@ from fibpal import (
     split_cell,
     tail_sum,
 )
-from fibpal import counting, fibword, oracle
+from fibpal import counting, fibword
 from fibpal.chain import singular_end_pos
 from fibpal.fibword import fib_floor_index, floor_phi
+from naive import center_end_counts, fill, suffix_lengths
 
 # end-count vectors over the first six blocks
 BLOCK_VECTORS = {
@@ -71,7 +72,7 @@ def test_block_consistency():
 
 
 def test_end_count_matches_naive_scan(prefix_2k):
-    naive = oracle.center_end_counts(prefix_2k)
+    naive = center_end_counts(prefix_2k)
     total = 0
     for n in range(1, 2001):
         a = end_count(n)
@@ -550,11 +551,11 @@ def test_suffix_palindromes_repeat_across_cells():
     # palindromic suffixes with kernel index <= m agree between the i-th
     # element of cell (m, p) and the i-th element of cell (m, 1)
     text = prefix(1100)
-    tree = oracle.scan_word(text)
+    _, lens, link, _, node = fill(text)
 
     def kernel_bounded_suffixes(pos, m):
         out = set()
-        for length in tree.palindromic_suffix_lengths(pos):
+        for length in suffix_lengths(lens, link, node[pos - 1]):
             w = text[pos - length: pos]
             if kernel(w).m <= m:
                 out.add(w)

@@ -5,6 +5,7 @@ import pytest
 
 from fibpal import floor_phi
 from fibpal import kernels, oracle, verify
+from naive import center_end_counts, fill, naive_palindrome_set, node_words
 
 
 def test_backend_reported():
@@ -85,16 +86,14 @@ def _longest_pal_suffix(t):
 def test_eertree_fill_arbitrary_text():
     # richness can fail, sizes cannot
     for s in _fill_words():
-        nodes, lens, link, depth, node = kernels.eertree_fill(bytes(map("ab".index, s)))
-        assert nodes - 2 == len(oracle.naive_palindrome_set(s)), s
-        assert [depth[v] for v in node] == oracle.center_end_counts(s), s
+        nodes, lens, link, depth, node = fill(s)
+        assert nodes - 2 == len(naive_palindrome_set(s)), s
+        assert [depth[v] for v in node] == center_end_counts(s), s
         longest = [0] * len(s)  # the longest palindrome ending at each position
         for i, j in oracle.center_palindrome_spans(s):
             longest[j] = max(longest[j], j - i + 1)
         assert [lens[v] for v in node] == longest, s
-        word = {}  # each node's palindrome, from a position where it is the longest suffix
-        for p, v in enumerate(node):
-            word.setdefault(v, s[p + 1 - lens[v]: p + 1])
+        word = node_words(s, lens, node)
         assert sorted(word) == list(range(2, nodes)), s
         for v, w in word.items():
             assert lens[link[v]] == _longest_pal_suffix(w[1:]), (s, w)

@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fibpal import DomainError, kernel, prefix, singular_word
 from fibpal import oracle, verify
+from naive import center_end_counts, fill, naive_palindrome_set, palindromes, suffix_lengths
 
 
 def naive_suffix_palindrome_count(s: str, pos: int) -> int:
@@ -51,9 +53,9 @@ def test_eertree_rich_per_position(scan_10k):
 def test_eertree_vs_naive_sets_small():
     for n in list(range(1, 65)) + [257, 500, 1000]:
         s = prefix(n)
-        words = oracle.scan_word(s).words()
-        assert words == oracle.scan_prefix(n).words()
-        assert words == oracle.naive_palindrome_set(s)
+        words = palindromes(s, oracle.scan_word(s).max_suffix)
+        assert words == palindromes(s, oracle.scan_prefix(n).max_suffix)
+        assert words == naive_palindrome_set(s)
         assert words == oracle.center_palindrome_set(s)
 
 
@@ -71,22 +73,23 @@ def test_capped_center_spans_are_the_short_uncapped_ones(cap, prefix_2k):
 
 def test_eertree_counts_vs_naive_scans(prefix_2k, scan_2k):
     end_counts = scan_2k.end_counts.tolist()
-    assert end_counts == oracle.center_end_counts(prefix_2k)
+    assert end_counts == center_end_counts(prefix_2k)
     for pos in range(1, 301):
         assert end_counts[pos - 1] == naive_suffix_palindrome_count(prefix_2k, pos)
 
 
-def test_eertree_suffix_links_shorten(scan_2k):
-    for v in range(2, scan_2k.nodes):
-        assert scan_2k.lens[scan_2k.link[v]] < scan_2k.lens[v]
+def test_eertree_suffix_links_shorten(prefix_2k):
+    nodes, lens, link, _, _ = fill(prefix_2k)
+    for v in range(2, nodes):
+        assert lens[link[v]] < lens[v]
 
 
 def test_eertree_on_non_fibonacci_words():
     # sanity on arbitrary words: counts match the naive scanners
     for s in ["aaaa", "abab", "abba", "aabbaabb", "babab", "a", "ab"]:
         scan = oracle.scan_word(s)
-        assert scan.words() == oracle.naive_palindrome_set(s)
-        assert scan.end_counts.tolist() == oracle.center_end_counts(s)
+        assert palindromes(s, scan.max_suffix) == naive_palindrome_set(s)
+        assert scan.end_counts.tolist() == center_end_counts(s)
 
 
 def naive_longest_suffix(t: str) -> int:
@@ -99,22 +102,24 @@ def test_scan_word_random_words():
     for _ in range(300):
         s = "".join(rng.choice("ab") for _ in range(rng.randint(1, 40)))
         scan = oracle.scan_word(s)
+        _, lens, link, _, node = fill(s)
         assert scan.n == len(s)
-        assert scan.words() == oracle.naive_palindrome_set(s)
-        assert scan.nodes - 2 == len(scan.words())
-        assert scan.end_counts.tolist() == oracle.center_end_counts(s)
+        words = palindromes(s, scan.max_suffix)
+        assert words == naive_palindrome_set(s)
+        assert scan.nodes - 2 == len(words)
+        assert scan.end_counts.tolist() == center_end_counts(s)
         for pos in range(1, len(s) + 1):
             t = s[:pos]
             assert scan.max_suffix[pos - 1] == naive_longest_suffix(t)
-            assert scan.distinct[pos - 1] == len(oracle.naive_palindrome_set(t))
-            assert scan.palindromic_suffix_lengths(pos) == [
+            assert scan.distinct[pos - 1] == len(naive_palindrome_set(t))
+            assert suffix_lengths(lens, link, node[pos - 1]) == [
                 k for k in range(pos, 0, -1) if t[-k:] == t[-k:][::-1]
             ]
 
 
 def test_scan_word_edges():
     empty = oracle.scan_word("")
-    assert empty.n == 0 and empty.nodes == 2 and empty.words() == set()
+    assert empty.n == 0 and empty.nodes == 2 and palindromes("", empty.max_suffix) == set()
     assert empty.end_counts.size == empty.max_suffix.size == empty.distinct.size == 0
     for bad in ["abc", "c", "ab a", "aXb"]:
         with pytest.raises(DomainError):
@@ -128,14 +133,26 @@ def test_scan_dtypes():
     assert scan.distinct.dtype == np.int64
 
 
+def test_scan_prefix_memory():
+    # a pass keeps its three per-position arrays, 20 B per letter; also
+    # keeping the text and the tree's node, length and link arrays held 37
+    n = 10**5
+    oracle.scan_prefix(200)  # modules loaded before the measurement
+    tracemalloc.start()
+    try:
+        scan = oracle.scan_prefix(n)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert scan.n == n and held <= 24 * n
+
+
 def test_end_count_position_range():
     scan = oracle.scan_prefix(10)
     assert scan.end_count(1) == 1 and scan.end_count(10) == int(scan.end_counts[-1])
     for bad in (0, -1, 11):
         with pytest.raises(DomainError):
             scan.end_count(bad)
-        with pytest.raises(DomainError):
-            scan.palindromic_suffix_lengths(bad)
 
 
 def test_occurrences_examples():

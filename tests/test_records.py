@@ -13,7 +13,7 @@ from fibpal.oracle import PrefixScan, scan_word
 from fibpal.singular import KernelResult
 from fibpal.verify import VerifyResult
 
-SCAN_FIELDS = ("n", "end_counts", "max_suffix", "distinct", "nodes", "text", "lens", "link", "node")
+SCAN_FIELDS = ("n", "end_counts", "max_suffix", "distinct", "nodes")
 
 # (type, field names in order, one value per field)
 FROZEN = [
@@ -91,7 +91,7 @@ def test_prefix_scan_fields_and_end_count():
     values = tuple(getattr(scan, name) for name in SCAN_FIELDS)
     copy = PrefixScan(*values)
     assert copy == scan and copy is not scan  # equal field by field (same array objects)
-    assert copy.n == 5 and copy.nodes == scan.nodes and copy.text == b"\x00\x01\x00\x00\x01"
+    assert copy.n == 5 and copy.nodes == scan.nodes and copy.max_suffix.tolist() == [1, 1, 3, 2, 4]
     assert [copy.end_count(i) for i in range(1, 6)] == [1, 1, 2, 2, 2]
     assert repr(copy) == "PrefixScan(" + ", ".join(f"{k}={v!r}" for k, v in zip(SCAN_FIELDS, values)) + ")"
     with pytest.raises(TypeError):

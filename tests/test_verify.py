@@ -9,6 +9,7 @@ import pytest
 from fibpal import DomainError, chain, counting, cylinder, fib, floor_phi, kernels, oracle, prefix, singular, verify
 from fibpal.chain import ChainInterval, OccurrenceSpan
 from fibpal.cylinder import PalCoord
+from naive import naive_palindrome_set
 
 # checks per suite at run_suites(all, 2000, 5, 15); a faster suite must not check less
 CHECKED_AT_2000 = {
@@ -244,8 +245,8 @@ def test_verify_counts_reports_an_answer_off_by_one(monkeypatch, name, counterex
 def test_verify_richness_reports_a_flipped_letter(monkeypatch):
     # with its 9th letter flipped, the prefix of length 12 holds 11 distinct palindromes
     flipped = flip(prefix(200), 8)
-    assert len(oracle.naive_palindrome_set(flipped[:12])) == 11
-    assert all(len(oracle.naive_palindrome_set(flipped[:n])) == n for n in range(1, 12))
+    assert len(naive_palindrome_set(flipped[:12])) == 11
+    assert all(len(naive_palindrome_set(flipped[:n])) == n for n in range(1, 12))
     monkeypatch.setattr(oracle, "prefix", lambda n, *what: flipped[:n])
     res = verify.verify_richness(max_n=200)
     assert not res.ok and res.counterexample == {"n": 12, "distinct": 11}
