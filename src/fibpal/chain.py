@@ -98,7 +98,8 @@ def pal_end_pos(c: PalCoord, p: int) -> int:
 def pal_span(c: PalCoord, p: int) -> OccurrenceSpan:
     """First and last letter positions of the p-th occurrence of the palindrome (m, i)."""
     end = pal_end_pos(c, p)
-    return OccurrenceSpan(end - c.length() + 1, end)
+    # tuple.__new__ builds the record as OccurrenceSpan._make does, without its frame
+    return tuple.__new__(OccurrenceSpan, (end - c.length() + 1, end))
 
 
 def chain_interval(m: int, p: int) -> ChainInterval:
@@ -108,7 +109,7 @@ def chain_interval(m: int, p: int) -> ChainInterval:
     so it is never materialized as an element set.
     """
     lo = singular_end_pos(m, p)  # checks m, then p
-    return ChainInterval(m, p, lo, lo + fib(m + 1) - 1)
+    return tuple.__new__(ChainInterval, (m, p, lo, lo + fib(m + 1) - 1))
 
 
 def new_pal_at(n: int) -> PalCoord:
@@ -123,7 +124,7 @@ def new_pal_at(n: int) -> PalCoord:
     i = fib(m + 3) - 1 - n
     if not 1 <= i <= fib(m + 1):  # a defect: every n >= 1 lands in [1, fib(m+1)]
         raise AssertionError(f"position {show_int(n)} gets i = {show_int(i)} outside [1, fib({m + 1})]")
-    return PalCoord(m, i)
+    return tuple.__new__(PalCoord, (m, i))
 
 
 def distinct_count(n: int) -> int:

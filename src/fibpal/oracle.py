@@ -1,7 +1,7 @@
 """Independent ground truth at desk scale.
 
 A palindromic tree (eertree) built letter by letter, a center-expansion
-palindrome scan and plain substring search.  Nothing here shares code with
+palindrome set and plain substring search.  Nothing here shares code with
 the closed-form modules, so agreement between the two paths is meaningful
 evidence.  This module holds the ground truth only; each verify suite makes
 its own comparison against it.
@@ -13,7 +13,8 @@ letters as bytes 0 and 1 by one ``translate``.  A pass converts three
 per-position facts from the fill's lists into the one ``PrefixScan`` it
 returns (``end_counts`` sums to the occurrence total, ``nodes - 2`` is the
 distinct count) and keeps nothing else.  A factor's occurrences come from
-one substring scan, ``occurrence_starts``.
+one substring scan, ``occurrence_starts``.  ``center_palindrome_set``
+expands each center once and adds only the palindromes it has not yet seen.
 """
 
 from __future__ import annotations
@@ -91,33 +92,32 @@ def occurrence_starts(s: str, w: str) -> list[int]:
 # --- center expansion (a tree-free scanner) ---
 
 
-def center_palindrome_spans(s: str, max_len: int | None = None):
-    """Yield the span of every palindromic substring, by center expansion.
+def center_palindrome_set(s: str, max_len: int | None = None) -> set[str]:
+    """Distinct palindromic substrings of s (optionally length-capped), by center expansion.
 
-    With ``max_len``, spans longer than it are neither yielded nor expanded.
+    Each center is expanded to its largest radius within the cap.  Its
+    palindromes are then added longest first, up to the first one already in
+    the set: the set stays closed under removing one letter from each end, so
+    every shorter palindrome about that center is in it too.
     """
     n = len(s)
     cap = n if max_len is None else max_len
-    # the largest radius k of a span within the cap: 2k + 1 letters about an
-    # odd center, 2k + 2 about an even one (-1 when no span fits)
-    odd_r = (cap - 1) // 2
-    even_r = cap // 2 - 1
-    for c in range(n):  # odd lengths, center c
-        r = 0
-        while r < odd_r and c - r - 1 >= 0 and c + r + 1 < n and s[c - r - 1] == s[c + r + 1]:
-            r += 1
-        for k in range(min(r, odd_r) + 1):
-            yield (c - k, c + k)
-    for c in range(n - 1):  # even lengths, center between c and c+1
-        if s[c] != s[c + 1]:
+    out = set()
+    for width in (1, 2):  # odd lengths about one letter, even ones about two equal letters
+        top = (cap - width) // 2  # the largest radius of a palindrome within the cap
+        if top < 0:  # none of this parity fits
             continue
-        r = 0
-        while r < even_r and c - r - 1 >= 0 and c + r + 2 < n and s[c - r - 1] == s[c + r + 2]:
-            r += 1
-        for k in range(min(r, even_r) + 1):
-            yield (c - k, c + k + 1)
-
-
-def center_palindrome_set(s: str, max_len: int | None = None) -> set[str]:
-    """Distinct palindromic substrings of s (optionally length-capped)."""
-    return {s[i: j + 1] for i, j in center_palindrome_spans(s, max_len)}
+        for lo in range(n - width + 1):
+            hi = lo + width - 1  # s[lo: hi + 1] is the center
+            if s[lo] != s[hi]:
+                continue
+            reach = min(top, lo, n - 1 - hi)
+            r = 0
+            while r < reach and s[lo - r - 1] == s[hi + r + 1]:
+                r += 1
+            for k in range(r, -1, -1):
+                w = s[lo - k: hi + k + 1]
+                if w in out:
+                    break
+                out.add(w)
+    return out

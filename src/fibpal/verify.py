@@ -25,6 +25,7 @@ from .fibword import check_floor_identities, fib, fib_floor_index, prefix
 TAU_PREIMAGE_MAX = 10**5  # verify_tau checks the preimages of every q up to this
 # palindromes built (cylinder) and scanned (chain), and factors indexed (kernels), up to these lengths
 CYLINDER_LEN, SPAN_LEN, KERNEL_LEN = 100, 60, 50
+CHAIN_BLOCK = 256  # chain intervals verify_chain holds at once, whatever max_p is
 
 
 class VerifyResult(NamedTuple):
@@ -112,8 +113,11 @@ def verify_cylinder(prefix_n: int = 10**4) -> VerifyResult:
 def verify_chain(max_n: int = 10**6, max_m: int = 8, max_p: int = 30) -> VerifyResult:
     """Chain tiling, position formulas vs. scans, and first-ending inversion up to min(max_n, 10**5).
 
-    Each interval (m <= max_m, p <= max_p) is checked pointwise, in constant
-    memory, to be the p-th endings hi + 1 - i of the coordinates (m, i)."""
+    Each interval (m <= max_m, p <= max_p) is checked pointwise to be the
+    p-th endings hi + 1 - i of the coordinates (m, i), in the order m, block
+    of p, i, p: a block holds at most CHAIN_BLOCK intervals, so each
+    coordinate is built once per block, each interval once, and memory stays
+    bounded whatever max_p is."""
     t0 = time.perf_counter()
     reach = min(max_n, 10**5)
     checked = 0
@@ -138,21 +142,25 @@ def verify_chain(max_n: int = 10**6, max_m: int = 8, max_p: int = 30) -> VerifyR
             w = pal_from_coord(c)
             for p, idx in enumerate(oracle.occurrence_starts(s, w), 1):
                 sp = pal_span(c, p)
-                if (sp.start, sp.end) != (idx + 1, idx + n):
-                    return _finish("chain", False, checked, t0, {"word": w, "p": p, "formula": (sp.start, sp.end), "scan": (idx + 1, idx + n)})
+                if sp != (idx + 1, idx + n):
+                    return _finish("chain", False, checked, t0, {"word": w, "p": p, "formula": tuple(sp), "scan": (idx + 1, idx + n)})
                 checked += 1
     # i -> hi + 1 - i maps the coordinates of kernel index m onto the interval
     for m in range(-1, max_m + 1):
         size = fib(m + 1)
-        for p in range(1, max_p + 1):
-            iv = chain_interval(m, p)
-            top = iv.hi + 1
+        for first in range(1, max_p + 1, CHAIN_BLOCK):
+            block = range(first, min(first + CHAIN_BLOCK, max_p + 1))
+            ivs = [chain_interval(m, p) for p in block]
+            tops = [(p, iv.hi + 1) for p, iv in zip(block, ivs)]
             for i in range(1, size + 1):
-                if pal_end_pos(PalCoord(m, i), p) != top - i:
-                    return _finish("chain", False, checked, t0, {"m": m, "p": p, "i": i})
-            if iv.size() != size:
-                return _finish("chain", False, checked, t0, {"m": m, "p": p, "size": iv.size()})
-            checked += 1
+                c = PalCoord(m, i)
+                for p, top in tops:
+                    if pal_end_pos(c, p) != top - i:
+                        return _finish("chain", False, checked, t0, {"m": m, "p": p, "i": i})
+            for p, iv in zip(block, ivs):
+                if iv.size() != size:
+                    return _finish("chain", False, checked, t0, {"m": m, "p": p, "size": iv.size()})
+                checked += 1
     # first occurrences invert the chain position
     for n in range(1, reach + 1):
         try:

@@ -1,13 +1,42 @@
 """Reference scanners and tree readers that only the tests use.
 
-The two scanners share no code with the palindromic tree, so they check it.
-The readers recover from a scan's per-position counts, or from the buffers
-of ``kernels.eertree_fill``, what a ``PrefixScan`` does not keep: every
-distinct palindrome, each node's palindrome and the suffix-link chain.
+The three scanners (every center-expansion span, the occurrences ending at
+each position, and every substring slice) share no code with the
+palindromic tree, so they check it; the spans also check the early-stopping
+``oracle.center_palindrome_set``.  The readers recover from a scan's
+per-position counts, or from the buffers of ``kernels.eertree_fill``, what a
+``PrefixScan`` does not keep: every distinct palindrome, each node's
+palindrome and the suffix-link chain.
 """
 
 from fibpal import kernels
-from fibpal.oracle import center_palindrome_spans
+
+
+def center_palindrome_spans(s: str, max_len: int | None = None):
+    """Yield the span of every palindromic substring, by center expansion.
+
+    With ``max_len``, spans longer than it are neither yielded nor expanded.
+    """
+    n = len(s)
+    cap = n if max_len is None else max_len
+    # the largest radius k of a span within the cap: 2k + 1 letters about an
+    # odd center, 2k + 2 about an even one (-1 when no span fits)
+    odd_r = (cap - 1) // 2
+    even_r = cap // 2 - 1
+    for c in range(n):  # odd lengths, center c
+        r = 0
+        while r < odd_r and c - r - 1 >= 0 and c + r + 1 < n and s[c - r - 1] == s[c + r + 1]:
+            r += 1
+        for k in range(min(r, odd_r) + 1):
+            yield (c - k, c + k)
+    for c in range(n - 1):  # even lengths, center between c and c+1
+        if s[c] != s[c + 1]:
+            continue
+        r = 0
+        while r < even_r and c - r - 1 >= 0 and c + r + 2 < n and s[c - r - 1] == s[c + r + 2]:
+            r += 1
+        for k in range(min(r, even_r) + 1):
+            yield (c - k, c + k + 1)
 
 
 def center_end_counts(s: str) -> list[int]:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from fibpal import floor_phi
-from fibpal import kernels, oracle, verify
-from naive import center_end_counts, fill, naive_palindrome_set, node_words
+from fibpal import kernels, verify
+from naive import center_end_counts, center_palindrome_spans, fill, naive_palindrome_set, node_words
 
 
 def test_backend_reported():
@@ -90,7 +90,7 @@ def test_eertree_fill_arbitrary_text():
         assert nodes - 2 == len(naive_palindrome_set(s)), s
         assert [depth[v] for v in node] == center_end_counts(s), s
         longest = [0] * len(s)  # the longest palindrome ending at each position
-        for i, j in oracle.center_palindrome_spans(s):
+        for i, j in center_palindrome_spans(s):
             longest[j] = max(longest[j], j - i + 1)
         assert [lens[v] for v in node] == longest, s
         word = node_words(s, lens, node)

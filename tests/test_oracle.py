@@ -6,7 +6,7 @@ import pytest
 
 from fibpal import DomainError, kernel, prefix, singular_word
 from fibpal import oracle, verify
-from naive import center_end_counts, fill, naive_palindrome_set, palindromes, suffix_lengths
+from naive import center_end_counts, center_palindrome_spans, fill, naive_palindrome_set, palindromes, suffix_lengths
 
 
 def naive_suffix_palindrome_count(s: str, pos: int) -> int:
@@ -61,14 +61,14 @@ def test_eertree_vs_naive_sets_small():
 
 @pytest.mark.parametrize("cap", [1, 2, 3, 4, 100, None])
 def test_capped_center_spans_are_the_short_uncapped_ones(cap, prefix_2k):
-    # the cap stops each expansion early; it yields the same spans in the same order
+    # the cap and the early stop at a palindrome already held keep exactly
+    # the uncapped spans' words of length <= cap
     rng = random.Random(cap or 0)
     words = [prefix_2k, "", "a", "aa", "a" * 150, "ab" * 75] + [
         "".join(rng.choice("ab") for _ in range(rng.randint(0, 120))) for _ in range(50)]
     for s in words:
-        spans = oracle.center_palindrome_spans(s)
-        assert list(oracle.center_palindrome_spans(s, cap)) == [
-            (i, j) for i, j in spans if cap is None or j - i + 1 <= cap]
+        assert oracle.center_palindrome_set(s, cap) == {
+            s[i: j + 1] for i, j in center_palindrome_spans(s) if cap is None or j - i + 1 <= cap}
 
 
 def test_eertree_counts_vs_naive_scans(prefix_2k, scan_2k):
@@ -204,7 +204,7 @@ def test_kernel_correspondence_examples():
 def test_max_suffix_matches_naive(prefix_2k, scan_2k):
     # the longest palindrome ending at each position, from center-expansion spans
     longest = [0] * len(prefix_2k)
-    for i, j in oracle.center_palindrome_spans(prefix_2k):
+    for i, j in center_palindrome_spans(prefix_2k):
         longest[j] = max(longest[j], j - i + 1)
     assert scan_2k.max_suffix.tolist() == longest
     for pos in range(1, 501):

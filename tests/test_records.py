@@ -6,7 +6,7 @@ import math
 import pytest
 
 from fibpal.bench import BenchRow
-from fibpal.chain import ChainInterval, OccurrenceSpan
+from fibpal.chain import ChainInterval, OccurrenceSpan, chain_interval, new_pal_at, pal_span
 from fibpal.counting import CellSplit, split_cell
 from fibpal.cylinder import PalCoord
 from fibpal.oracle import PrefixScan, scan_word
@@ -24,15 +24,22 @@ FROZEN = [
     (CellSplit, ("parent", "left", "right"),
      (ChainInterval(2, 1, 4, 6), ChainInterval(0, 2, 4, 4), ChainInterval(1, 2, 5, 6))),
 ]
+RETURNED = [  # records the per-point paths build with tuple.__new__, not the generated constructor
+    (OccurrenceSpan, ("start", "end"), pal_span(PalCoord(0, 1), 2)),
+    (ChainInterval, ("m", "p", "lo", "hi"), chain_interval(3, 7)),
+    (PalCoord, ("m", "i"), new_pal_at(10)),
+]
 WERE_MUTABLE = [  # plain dataclasses before the records became named tuples
     (VerifyResult, ("name", "ok", "checked", "counterexample", "seconds"), ("floors", False, 7, {"p": 7}, 0.5)),
     (BenchRow, ("n", "closed_seconds", "tree_seconds", "closed_value", "tree_value"), (100, 0.5, 2.0, 7, 7)),
 ]
 
 
-@pytest.mark.parametrize("cls, names, values", FROZEN + WERE_MUTABLE, ids=lambda x: getattr(x, "__name__", ""))
+@pytest.mark.parametrize("cls, names, values", FROZEN + WERE_MUTABLE + RETURNED,
+                         ids=lambda x: getattr(x, "__name__", "returned" if hasattr(x, "_fields") else ""))
 def test_fields_equality_and_repr(cls, names, values):
-    rec = cls(*values)
+    rec = values if isinstance(values, cls) else cls(*values)
+    assert type(rec) is cls and rec._fields == names
     assert tuple(getattr(rec, name) for name in names) == values
     assert cls(**dict(zip(names, values))) == rec
     with pytest.raises(TypeError):

@@ -148,15 +148,17 @@ def test_verify_floors_refuses_past_the_sweep(monkeypatch):
 
 
 def test_verify_chain_memory():
-    # one coordinate at a time: at --max-m 20 the sets of endings held 6.3 MB
+    # one coordinate at a time: at --max-m 20 the sets of endings held 6.3 MB;
+    # one block of intervals at a time: a list of all 20,000 holds over 1 MiB
     verify.verify_chain(max_n=100, max_m=3, max_p=1)  # tables and prefix built before the measurement
-    tracemalloc.start()
-    try:
-        res = verify.verify_chain(max_n=100, max_m=20, max_p=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert res.ok and peak < 2**20
+    for max_m, max_p in ((20, 1), (0, 20000)):
+        tracemalloc.start()
+        try:
+            res = verify.verify_chain(max_n=100, max_m=max_m, max_p=max_p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.ok and peak < 2**20, (max_m, max_p)
 
 
 @pytest.mark.parametrize("plant, counterexample", [
@@ -177,6 +179,7 @@ def test_verify_cylinder_reports_a_planted_fault(monkeypatch, plant, counterexam
     assert not res.ok and res.counterexample == counterexample
 
 
+# a plant returns the bounds its fault needs, if not verify_chain's defaults
 @pytest.mark.parametrize("plant, counterexample", [
     # the p = 1 intervals tile from 1: (2, 1) is [7, 11]
     (lambda mp: replace_at(mp, verify, "chain_interval", (2, 1), lambda iv: iv._replace(lo=iv.lo + 1)),
@@ -191,10 +194,15 @@ def test_verify_cylinder_reports_a_planted_fault(monkeypatch, plant, counterexam
     (lambda mp: replace_at(mp, verify, "chain_interval", (3, 7), lambda iv: iv._replace(lo=iv.lo - 1)),
      {"m": 3, "p": 7, "size": fib(4) + 1}),
     (lambda mp: replace_at(mp, verify, "new_pal_at", (10,), lambda c: chain.new_pal_at(11)), {"n": 10}),
+    # one ending off by one, in the first block of p and past it
+    (lambda mp: replace_at(mp, verify, "pal_end_pos", (PalCoord(4, 3), 20), lambda end: end + 1),
+     {"m": 4, "p": 20, "i": 3}),
+    (lambda mp: replace_at(mp, verify, "pal_end_pos", (PalCoord(1, 2), verify.CHAIN_BLOCK + 5), lambda end: end - 1)
+     or {"max_m": 1, "max_p": verify.CHAIN_BLOCK + 10}, {"m": 1, "p": verify.CHAIN_BLOCK + 5, "i": 2}),
 ])
 def test_verify_chain_reports_a_planted_fault(monkeypatch, plant, counterexample):
-    plant(monkeypatch)
-    res = verify.verify_chain(max_n=1000)
+    bounds = plant(monkeypatch) or {}
+    res = verify.verify_chain(max_n=1000, **bounds)
     assert not res.ok and res.counterexample == counterexample
 
 
