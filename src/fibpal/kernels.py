@@ -1,9 +1,11 @@
 """Hot inner loops: the palindromic-tree fill and the bulk floor-identity sweep.
 
 The tree fill, ``eertree_fill``, is plain Python over ``list`` buffers,
-which it returns as they are; the floor sweep is one vectorized NumPy pass.
-Both work on machine-width integers only; callers refuse input past the
-guards below, and nothing escalates to big-int arithmetic.
+which it returns as they are; the floor sweep is vectorized NumPy over
+blocks of at most ``SCAN_CHUNK`` values, so that its temporaries stay small
+whatever its bound.  Both work on machine-width integers only; callers
+refuse input past the guards below, and nothing escalates to big-int
+arithmetic.
 """
 
 from __future__ import annotations
@@ -23,7 +25,13 @@ def active_backend() -> str:
 # derived arguments up to ~2.62*p, hence its tighter input bound.
 FAST_FLOOR_MAX = 10**9
 FAST_SCAN_MAX = 3 * 10**8
-SCAN_CHUNK = 1 << 19  # values per floor_identity_scan block, ~29 MB of temporaries (tracemalloc)
+# Values per block of a NumPy sweep (floor_identity_scan and the preimage
+# tiling of verify_tau): each int64 temporary is 64 KiB, and a sweep peaks
+# at ~0.5 MB (tracemalloc).  Under glibc malloc, temporaries of 96 KiB and
+# more were paged in afresh block after block (~34,000 minor faults per
+# 10**6 sweep at 2**14 values, ~400 at 2**13), and 2**19 values peaked at
+# ~30 MB; CHANGES.md has the block-size table.
+SCAN_CHUNK = 1 << 13
 
 
 def eertree_fill(text):
@@ -83,23 +91,27 @@ def floor_phi_block(p: np.ndarray) -> np.ndarray:
     """Vectorized exact floor(phi * p) for an int64 array with p <= FAST_FLOOR_MAX.
 
     float64 square roots seed the integer root; the correction loops make the
-    result exact.
+    result exact.  ``p`` itself is never written.
     """
     if p.size and int(p.max()) > FAST_FLOOR_MAX:
         raise OverflowError("floor_phi_block input exceeds machine-width guard")
-    n = 5 * p.astype(np.int64) * p
-    s = np.sqrt(n.astype(np.float64)).astype(np.int64)
+    p = np.asarray(p, dtype=np.int64)
+    n = p * p
+    n *= 5
+    s = np.sqrt(n).astype(np.int64)
     while True:
         over = s * s > n
         if not over.any():
             break
-        s[over] -= 1
+        s -= over
     while True:
         under = (s + 1) * (s + 1) <= n
         if not under.any():
             break
-        s[under] += 1
-    return (s - p) >> 1
+        s += under
+    s -= p
+    s >>= 1
+    return s
 
 
 def floor_identity_scan(lo: int, hi: int) -> int:
@@ -110,15 +122,12 @@ def floor_identity_scan(lo: int, hi: int) -> int:
     of ``SCAN_CHUNK`` values through ``floor_phi_block``.
     """
     for start in range(lo, hi + 1, SCAN_CHUNK):
-        stop = min(start + SCAN_CHUNK - 1, hi)
-        p = np.arange(start, stop + 1, dtype=np.int64)
-        q = floor_phi_block(p)
-        bad = (
-            (floor_phi_block(p + q) != p - 1)
-            | (floor_phi_block(2 * p + q) != p + q)
-            | (floor_phi_block(p + q + 1) != p)
-            | (floor_phi_block(2 * p + q + 1) != p + q)
-        )
+        p = np.arange(start, min(start + SCAN_CHUNK, hi + 1), dtype=np.int64)
+        pq = p + floor_phi_block(p)
+        bad = floor_phi_block(pq) != p - 1
+        bad |= floor_phi_block(pq + p) != pq
+        bad |= floor_phi_block(pq + 1) != p
+        bad |= floor_phi_block(pq + p + 1) != pq
         if bad.any():
-            return int(p[bad][0])
+            return start + int(bad.argmax())
     return 0

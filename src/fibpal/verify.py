@@ -193,24 +193,35 @@ def verify_tau(max_m: int = 15, max_p: int = 500) -> VerifyResult:
         if child.size() != 1 or child.lo != chain_interval(0, p).hi:
             return _finish("tau", False, checked, t0, {"p": p})
         checked += 1
-    # every q >= 2 is end_a(q') + 1 or end_b(q') + 1 for exactly one q'
-    qs = np.arange(1, TAU_PREIMAGE_MAX + 1, dtype=np.int64)
-    fq = kernels.floor_phi_block(qs)
-    after_a = (qs + fq + 1)[qs + fq + 1 <= TAU_PREIMAGE_MAX]
-    after_b = (2 * qs + fq + 1)[2 * qs + fq + 1 <= TAU_PREIMAGE_MAX]
-    hits = np.zeros(TAU_PREIMAGE_MAX + 1, dtype=np.int64)
-    np.add.at(hits, after_a, 1)
-    np.add.at(hits, after_b, 1)
+    # every q >= 2 is end_a(q') + 1 or end_b(q') + 1 for exactly one q',
+    # walked in blocks of q'.  While a block's floors do not fall, its a-ends
+    # and its b-ends each rise strictly, so no index repeats within one add;
+    # np.add.at counts the repeats that falling (wrong) floors make.
+    hits = np.zeros(TAU_PREIMAGE_MAX + 1, dtype=np.uint8)
+    for start in range(1, TAU_PREIMAGE_MAX + 1, kernels.SCAN_CHUNK):
+        qs = np.arange(start, min(start + kernels.SCAN_CHUNK, TAU_PREIMAGE_MAX + 1), dtype=np.int64)
+        fq = kernels.floor_phi_block(qs)
+        rising = bool((fq[1:] >= fq[:-1]).all())
+        after_a = qs + fq
+        after_a += 1
+        for after in (after_a, after_a + qs):
+            idx = after[after <= TAU_PREIMAGE_MAX]
+            if rising:
+                hits[idx] += 1
+            else:
+                np.add.at(hits, idx, 1)
     if not (hits[2:] == 1).all():
         q = int(np.nonzero(hits[2:] != 1)[0][0]) + 2
         return _finish("tau", False, checked, t0, {"q": q, "preimages": int(hits[q])})
     return _finish("tau", True, checked + TAU_PREIMAGE_MAX, t0)
 
 
-def verify_counts(max_n: int = 10**4) -> VerifyResult:
-    """Closed-form per-position and cumulative counts vs. the tree oracle."""
+def verify_counts(max_n: int = 10**4, scan: oracle.PrefixScan | None = None) -> VerifyResult:
+    """Closed-form per-position and cumulative counts vs. the tree oracle;
+    ``scan``, a tree pass over the first max_n letters, is made when not given."""
     t0 = time.perf_counter()
-    scan = oracle.scan_prefix(max_n)
+    if scan is None:
+        scan = oracle.scan_prefix(max_n)
     total = 0
     for n in range(1, max_n + 1):
         a = counting.end_count(n)
@@ -226,10 +237,12 @@ def verify_counts(max_n: int = 10**4) -> VerifyResult:
     return _finish("counts", True, max_n, t0)
 
 
-def verify_richness(max_n: int = 10**5) -> VerifyResult:
-    """Distinct palindromic factors of every prefix length n equal n."""
+def verify_richness(max_n: int = 10**5, scan: oracle.PrefixScan | None = None) -> VerifyResult:
+    """Distinct palindromic factors of every prefix length n equal n; ``scan``
+    as for verify_counts."""
     t0 = time.perf_counter()
-    scan = oracle.scan_prefix(max_n)
+    if scan is None:
+        scan = oracle.scan_prefix(max_n)
     want = np.arange(1, max_n + 1, dtype=scan.distinct.dtype)
     if not np.array_equal(scan.distinct, want):
         n = int(np.nonzero(scan.distinct != want)[0][0]) + 1
@@ -343,9 +356,27 @@ SUITES = {
 }
 
 
+_TREE_SUITES = {"counts": verify_counts, "richness": verify_richness}
+
+
 def run_suites(names: list[str], max_n: int, max_m: int, max_p: int) -> list[VerifyResult]:
-    """Run the named suites at the given bounds, each of which must be >= 1."""
+    """Run the named suites at the given bounds, each of which must be >= 1.
+
+    When both tree suites run, one tree pass over max_n letters serves them:
+    the first of them makes it, and its seconds include the pass."""
     for flag, value in (("max_n", max_n), ("max_m", max_m), ("max_p", max_p)):
         if value < 1:
             raise DomainError(f"{flag} must be >= 1, got {show_int(value)}")
-    return [SUITES[name](max_n, max_m, max_p) for name in names]
+    share = _TREE_SUITES.keys() <= set(names)
+    scan = None
+    results = []
+    for name in names:
+        if share and name in _TREE_SUITES:
+            t0 = time.perf_counter()
+            if scan is None:
+                scan = oracle.scan_prefix(max_n)
+            res = _TREE_SUITES[name](max_n, scan)
+            results.append(res._replace(seconds=time.perf_counter() - t0))
+        else:
+            results.append(SUITES[name](max_n, max_m, max_p))
+    return results

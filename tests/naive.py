@@ -12,30 +12,22 @@ palindrome and the suffix-link chain.
 from fibpal import kernels
 
 
-def center_palindrome_spans(s: str, max_len: int | None = None):
-    """Yield the span of every palindromic substring, by center expansion.
-
-    With ``max_len``, spans longer than it are neither yielded nor expanded.
-    """
+def center_palindrome_spans(s: str):
+    """Yield the span of every palindromic substring, by center expansion."""
     n = len(s)
-    cap = n if max_len is None else max_len
-    # the largest radius k of a span within the cap: 2k + 1 letters about an
-    # odd center, 2k + 2 about an even one (-1 when no span fits)
-    odd_r = (cap - 1) // 2
-    even_r = cap // 2 - 1
     for c in range(n):  # odd lengths, center c
         r = 0
-        while r < odd_r and c - r - 1 >= 0 and c + r + 1 < n and s[c - r - 1] == s[c + r + 1]:
+        while c - r - 1 >= 0 and c + r + 1 < n and s[c - r - 1] == s[c + r + 1]:
             r += 1
-        for k in range(min(r, odd_r) + 1):
+        for k in range(r + 1):
             yield (c - k, c + k)
     for c in range(n - 1):  # even lengths, center between c and c+1
         if s[c] != s[c + 1]:
             continue
         r = 0
-        while r < even_r and c - r - 1 >= 0 and c + r + 2 < n and s[c - r - 1] == s[c + r + 2]:
+        while c - r - 1 >= 0 and c + r + 2 < n and s[c - r - 1] == s[c + r + 2]:
             r += 1
-        for k in range(min(r, even_r) + 1):
+        for k in range(r + 1):
             yield (c - k, c + k + 1)
 
 

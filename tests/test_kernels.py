@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,16 @@ def test_floor_phi_block_matches_scalar():
     block = kernels.floor_phi_block(ps)
     for p, v in zip(ps.tolist(), block.tolist()):
         assert v == floor_phi(p)
+
+
+def test_floor_phi_block_leaves_its_input_unchanged():
+    # a read-only array, which any write into the input would trip
+    ps = np.arange(kernels.FAST_FLOOR_MAX - 3000, kernels.FAST_FLOOR_MAX + 1, dtype=np.int64)
+    ps.flags.writeable = False
+    before = ps.copy()
+    block = kernels.floor_phi_block(ps)
+    assert np.array_equal(ps, before)
+    assert block[-1] == floor_phi(kernels.FAST_FLOOR_MAX)
 
 
 def test_floor_phi_block_overflow_guard():
@@ -65,6 +76,33 @@ def test_floor_identity_scan_catches_a_wrong_floor(monkeypatch):
     assert kernels.floor_identity_scan(bad, bad + 3000) == bad
     r = verify.verify_floors(bad + 3000)
     assert not r.ok and r.counterexample["p"] == first
+
+
+@pytest.mark.parametrize("offset", [-1, 0])
+def test_floor_identity_scan_wrong_floor_at_a_block_edge(monkeypatch, offset):
+    # a sweep from lo puts bad last in its first block (offset -1) or first in
+    # its second (offset 0); every other p failing under the fault lies near
+    # bad/phi**2 or bad/phi (see above), below lo
+    chunk = kernels.SCAN_CHUNK
+    lo = 3 * chunk + 1
+    bad = lo + chunk + offset
+    assert floor_phi(bad) + 4 < lo
+    true_block = kernels.floor_phi_block
+    monkeypatch.setattr(kernels, "floor_phi_block", lambda x: true_block(x) + (x == bad))
+    assert kernels.floor_identity_scan(lo, bad + 3000) == bad
+    assert kernels.floor_identity_scan(lo, bad) == bad
+
+
+def test_floor_identity_scan_memory():
+    # blocks of SCAN_CHUNK values; at 2**19 values a block peaked at 30.4 MB here
+    kernels.floor_identity_scan(1, 100)
+    tracemalloc.start()
+    try:
+        bad = kernels.floor_identity_scan(1, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bad == 0 and peak < 4 * 2**20
 
 
 def _fill_words():

@@ -239,6 +239,55 @@ def test_verify_tau_reports_a_preimage_gap(monkeypatch):
     assert not res.ok and res.counterexample == {"q": 17, "preimages": 0}
 
 
+# the last q of the first block of the preimage tiling, and three past it
+TAU_FAULTS = [kernels.SCAN_CHUNK + k for k in (0, 1, 10, 11)]
+
+
+@pytest.mark.parametrize("q_bad", TAU_FAULTS)
+@pytest.mark.parametrize("shift", [1, -1])
+def test_verify_tau_reports_a_preimage_fault_past_the_first_block(monkeypatch, q_bad, shift):
+    # floor(phi * q_bad) one too large leaves q = end_a(q_bad) + 1 without a
+    # preimage; one too small moves that end onto q - 1, which keeps its own
+    # preimage: a b-end where floor(phi * q) steps by 1 at q_bad, else the
+    # a-end of q_bad - 1, so that one block repeats an end
+    real = kernels.floor_phi_block
+    monkeypatch.setattr(kernels, "floor_phi_block", lambda q: real(q) + shift * (q == q_bad))
+    res = verify.verify_tau(max_m=2, max_p=5)
+    q = q_bad + floor_phi(q_bad) + 1
+    want = {"q": q, "preimages": 0} if shift > 0 else {"q": q - 1, "preimages": 2}
+    assert not res.ok and res.counterexample == want
+
+
+def test_verify_tau_faults_cover_both_steps():
+    # so the faults above plant both a repeated a-end and an a-end on a b-end
+    assert {floor_phi(q) - floor_phi(q - 1) for q in TAU_FAULTS} == {0, 1}
+
+
+def test_verify_tau_memory():
+    # the preimage tiling walks q in blocks of SCAN_CHUNK into one byte per q;
+    # one int64 pass over every q peaked at 4.1 MB here
+    verify.verify_tau(max_m=1, max_p=1)
+    tracemalloc.start()
+    try:
+        res = verify.verify_tau(max_m=15, max_p=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.ok and peak < 2 * 2**20
+
+
+def test_one_tree_pass_serves_counts_and_richness(monkeypatch):
+    fills = []
+    real = kernels.eertree_fill
+    monkeypatch.setattr(kernels, "eertree_fill", lambda text: fills.append(len(text)) or real(text))
+    both = verify.run_suites(["counts", "richness"], 2000, 5, 15)
+    assert fills == [2000]
+    alone = [verify.verify_counts(2000), verify.verify_richness(2000)]
+    assert fills == [2000] * 3
+    assert [r._replace(seconds=0) for r in both] == [r._replace(seconds=0) for r in alone]
+    assert all(r.ok for r in both)
+
+
 @pytest.mark.parametrize("name, counterexample", [
     ("end_count", {"n": 50, "closed": counting.end_count(50) + 1, "oracle": counting.end_count(50)}),
     ("occurrence_count", {"n": 50, "closed_total": counting.occurrence_count(50) + 1,
