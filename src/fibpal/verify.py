@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import time
 from collections import defaultdict
+from collections.abc import Callable
 from typing import NamedTuple
 
 import numpy as np
@@ -194,34 +195,26 @@ def verify_tau(max_m: int = 15, max_p: int = 500) -> VerifyResult:
             return _finish("tau", False, checked, t0, {"p": p})
         checked += 1
     # every q >= 2 is end_a(q') + 1 or end_b(q') + 1 for exactly one q',
-    # walked in blocks of q'.  While a block's floors do not fall, its a-ends
-    # and its b-ends each rise strictly, so no index repeats within one add;
-    # np.add.at counts the repeats that falling (wrong) floors make.
-    hits = np.zeros(TAU_PREIMAGE_MAX + 1, dtype=np.uint8)
+    # walked in blocks of q'
+    hits = np.zeros(TAU_PREIMAGE_MAX + 1, dtype=np.int64)
     for start in range(1, TAU_PREIMAGE_MAX + 1, kernels.SCAN_CHUNK):
         qs = np.arange(start, min(start + kernels.SCAN_CHUNK, TAU_PREIMAGE_MAX + 1), dtype=np.int64)
-        fq = kernels.floor_phi_block(qs)
-        rising = bool((fq[1:] >= fq[:-1]).all())
-        after_a = qs + fq
+        after_a = qs + kernels.floor_phi_block(qs)
         after_a += 1
         for after in (after_a, after_a + qs):
-            idx = after[after <= TAU_PREIMAGE_MAX]
-            if rising:
-                hits[idx] += 1
-            else:
-                np.add.at(hits, idx, 1)
+            np.add.at(hits, after[after <= TAU_PREIMAGE_MAX], 1)
     if not (hits[2:] == 1).all():
         q = int(np.nonzero(hits[2:] != 1)[0][0]) + 2
         return _finish("tau", False, checked, t0, {"q": q, "preimages": int(hits[q])})
     return _finish("tau", True, checked + TAU_PREIMAGE_MAX, t0)
 
 
-def verify_counts(max_n: int = 10**4, scan: oracle.PrefixScan | None = None) -> VerifyResult:
+def verify_counts(max_n: int = 10**4, tree_pass: Callable[[], oracle.PrefixScan] | None = None) -> VerifyResult:
     """Closed-form per-position and cumulative counts vs. the tree oracle;
-    ``scan``, a tree pass over the first max_n letters, is made when not given."""
+    ``tree_pass``, when given, returns a tree pass over the first max_n
+    letters, and one is made otherwise."""
     t0 = time.perf_counter()
-    if scan is None:
-        scan = oracle.scan_prefix(max_n)
+    scan = tree_pass() if tree_pass else oracle.scan_prefix(max_n)
     total = 0
     for n in range(1, max_n + 1):
         a = counting.end_count(n)
@@ -237,12 +230,11 @@ def verify_counts(max_n: int = 10**4, scan: oracle.PrefixScan | None = None) -> 
     return _finish("counts", True, max_n, t0)
 
 
-def verify_richness(max_n: int = 10**5, scan: oracle.PrefixScan | None = None) -> VerifyResult:
-    """Distinct palindromic factors of every prefix length n equal n; ``scan``
-    as for verify_counts."""
+def verify_richness(max_n: int = 10**5, tree_pass: Callable[[], oracle.PrefixScan] | None = None) -> VerifyResult:
+    """Distinct palindromic factors of every prefix length n equal n;
+    ``tree_pass`` as for verify_counts."""
     t0 = time.perf_counter()
-    if scan is None:
-        scan = oracle.scan_prefix(max_n)
+    scan = tree_pass() if tree_pass else oracle.scan_prefix(max_n)
     want = np.arange(1, max_n + 1, dtype=scan.distinct.dtype)
     if not np.array_equal(scan.distinct, want):
         n = int(np.nonzero(scan.distinct != want)[0][0]) + 1
@@ -344,39 +336,38 @@ def verify_kernels(prefix_n: int = 10**4, max_p: int = 50) -> VerifyResult:
     return _finish("kernels", True, checked, t0)
 
 
-SUITES = {
-    "floors": lambda max_n, max_m, max_p: verify_floors(max_p=max_n),
-    "cylinder": lambda max_n, max_m, max_p: verify_cylinder(prefix_n=max_n),
-    "chain": lambda max_n, max_m, max_p: verify_chain(max_n=max_n, max_m=max_m, max_p=max_p),
-    "tau": lambda max_n, max_m, max_p: verify_tau(max_m=max_m, max_p=max_p),
-    "counts": lambda max_n, max_m, max_p: verify_counts(max_n=max_n),
-    "richness": lambda max_n, max_m, max_p: verify_richness(max_n=max_n),
-    "return-words": lambda max_n, max_m, max_p: verify_return_words(prefix_n=max_n),
-    "kernels": lambda max_n, max_m, max_p: verify_kernels(prefix_n=max_n, max_p=max_p),
+SUITES = {  # each takes max_n, max_m, max_p and the getter of run_suites' one tree pass
+    "floors": lambda max_n, max_m, max_p, tree_pass: verify_floors(max_p=max_n),
+    "cylinder": lambda max_n, max_m, max_p, tree_pass: verify_cylinder(prefix_n=max_n),
+    "chain": lambda max_n, max_m, max_p, tree_pass: verify_chain(max_n=max_n, max_m=max_m, max_p=max_p),
+    "tau": lambda max_n, max_m, max_p, tree_pass: verify_tau(max_m=max_m, max_p=max_p),
+    "counts": lambda max_n, max_m, max_p, tree_pass: verify_counts(max_n=max_n, tree_pass=tree_pass),
+    "richness": lambda max_n, max_m, max_p, tree_pass: verify_richness(max_n=max_n, tree_pass=tree_pass),
+    "return-words": lambda max_n, max_m, max_p, tree_pass: verify_return_words(prefix_n=max_n),
+    "kernels": lambda max_n, max_m, max_p, tree_pass: verify_kernels(prefix_n=max_n, max_p=max_p),
 }
-
-
-_TREE_SUITES = {"counts": verify_counts, "richness": verify_richness}
 
 
 def run_suites(names: list[str], max_n: int, max_m: int, max_p: int) -> list[VerifyResult]:
     """Run the named suites at the given bounds, each of which must be >= 1.
 
-    When both tree suites run, one tree pass over max_n letters serves them:
-    the first of them makes it, and its seconds include the pass."""
+    One tree pass over max_n letters serves counts and richness: the first
+    of them to run makes it, and its seconds include the pass, which is let
+    go once the last of them has run."""
     for flag, value in (("max_n", max_n), ("max_m", max_m), ("max_p", max_p)):
         if value < 1:
             raise DomainError(f"{flag} must be >= 1, got {show_int(value)}")
-    share = _TREE_SUITES.keys() <= set(names)
-    scan = None
+    scans = []
+
+    def tree_pass() -> oracle.PrefixScan:
+        if not scans:
+            scans.append(oracle.scan_prefix(max_n))
+        return scans[0]
+
+    last_tree = max((i for i, name in enumerate(names) if name in ("counts", "richness")), default=-1)
     results = []
-    for name in names:
-        if share and name in _TREE_SUITES:
-            t0 = time.perf_counter()
-            if scan is None:
-                scan = oracle.scan_prefix(max_n)
-            res = _TREE_SUITES[name](max_n, scan)
-            results.append(res._replace(seconds=time.perf_counter() - t0))
-        else:
-            results.append(SUITES[name](max_n, max_m, max_p))
+    for i, name in enumerate(names):
+        results.append(SUITES[name](max_n, max_m, max_p, tree_pass))
+        if i == last_tree:
+            scans.clear()
     return results

@@ -180,7 +180,7 @@ def test_verify_prefix_too_short_exit_2(capsys):
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
     broken = dict(verify.SUITES)
-    broken["floors"] = lambda max_n, max_m, max_p: VerifyResult(
+    broken["floors"] = lambda max_n, max_m, max_p, tree_pass: VerifyResult(
         "floors", False, 1, {"p": 1}
     )
     monkeypatch.setattr(verify, "SUITES", broken)

@@ -258,14 +258,28 @@ def test_verify_tau_reports_a_preimage_fault_past_the_first_block(monkeypatch, q
     assert not res.ok and res.counterexample == want
 
 
+def test_verify_tau_counts_every_end_piled_on_one_q(monkeypatch):
+    # floors that fall by one per q over the second block send all of its
+    # a-ends to one q, which must report every one of them
+    real = kernels.floor_phi_block
+    q0 = kernels.SCAN_CHUNK + 1
+
+    def piled(q):
+        return real(q) if q[0] != q0 else floor_phi(q0) + q0 - q
+
+    monkeypatch.setattr(kernels, "floor_phi_block", piled)
+    res = verify.verify_tau(max_m=2, max_p=5)
+    assert not res.ok and res.counterexample == {"q": q0 + floor_phi(q0) + 1, "preimages": kernels.SCAN_CHUNK}
+
+
 def test_verify_tau_faults_cover_both_steps():
     # so the faults above plant both a repeated a-end and an a-end on a b-end
     assert {floor_phi(q) - floor_phi(q - 1) for q in TAU_FAULTS} == {0, 1}
 
 
 def test_verify_tau_memory():
-    # the preimage tiling walks q in blocks of SCAN_CHUNK into one byte per q;
-    # one int64 pass over every q peaked at 4.1 MB here
+    # the preimage tiling walks q in blocks of SCAN_CHUNK, so only its count
+    # per q spans every q; one pass over every q at once peaked at 4.1 MB
     verify.verify_tau(max_m=1, max_p=1)
     tracemalloc.start()
     try:
@@ -286,6 +300,23 @@ def test_one_tree_pass_serves_counts_and_richness(monkeypatch):
     assert fills == [2000] * 3
     assert [r._replace(seconds=0) for r in both] == [r._replace(seconds=0) for r in alone]
     assert all(r.ok for r in both)
+
+
+def test_run_suites_reads_the_suites_table_and_lets_the_pass_go(monkeypatch):
+    # a replaced tree suite is the one that runs, and a suite after the last
+    # tree suite gets a fresh pass, since the shared one has been let go
+    fills = []
+    real = kernels.eertree_fill
+    monkeypatch.setattr(kernels, "eertree_fill", lambda text: fills.append(len(text)) or real(text))
+    suites = dict(verify.SUITES)
+    suites["counts"] = lambda max_n, max_m, max_p, tree_pass: verify.VerifyResult(
+        "counts", False, tree_pass().n, {"n": 1})
+    suites["floors"] = lambda max_n, max_m, max_p, tree_pass: verify.VerifyResult(
+        "floors", True, tree_pass().n)
+    monkeypatch.setattr(verify, "SUITES", suites)
+    counts, richness, floors = verify.run_suites(["counts", "richness", "floors"], 2000, 5, 15)
+    assert counts.counterexample == {"n": 1} and richness.ok and floors.checked == 2000
+    assert fills == [2000, 2000]
 
 
 @pytest.mark.parametrize("name, counterexample", [
