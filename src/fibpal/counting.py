@@ -36,14 +36,18 @@ Agreement with the block form and the tree oracle is enforced by the tests.
 
 Interval splitting
 ------------------
-The interval of p-th-occurrence ending positions for kernel index m >= 1
-splits exactly into the intervals of its two child cells,
+With q = floor_phi(p), the p-th letters a and b end at end_a(p) = p + q
+and end_b(p) = 2p + q.  For m >= 1 the interval of p-th-occurrence ending
+positions for kernel index m splits exactly into those of two child cells,
 
     cell(m, p) = cell(m-2, end_b(p) + 1)  |_|  cell(m-1, end_a(p) + 1)
 
-where end_a/end_b are the ending positions of the p-th single letters, and
-the m = 0 cell reduces to the singleton holding its maximum.  Expanding the
-first cells down to kernel indices {-1, 0} tiles every interval.
+and the m = 0 cell reduces to its maximum, cell(-1, end_a(p) + 1); expanding
+down to kernel indices {-1, 0} tiles every cell.  The children's floors are
+p + q and p (the identities after_b_end and after_a_end), so one split rule
+carries (m, p, q, lo), lo the first position, with no isqrt below the root.
+The children start at lo and lo + fib(m-1), so they tile the cell by
+construction; verify_tau checks the rule against the closed forms.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from typing import NamedTuple
 from . import fibword
 from .chain import ChainInterval, chain_interval, singular_end_pos
 from .errors import DomainError, show_int
-from .fibword import check_cap, fib, fib_floor_index
+from .fibword import check_cap, fib, fib_floor_index, floor_phi
 
 # end_count(1) .. end_count(6); the walk bottoms out here.
 _END_BASE = (1, 1, 2, 2, 2, 3)
@@ -68,7 +72,7 @@ _heads_checked = None  # the last _FIB_MOD5 table found to make every head exact
 _SEG = 40
 
 # Bytes charged to the cap per unit held (tracemalloc peaks, m = 16..24, p = 1):
-# ~25 per end_count_block entry, ~185 per expand_leaves leaf, ~804 per
+# ~25 per end_count_block entry, ~185 per expand_leaves leaf, ~790 per
 # expand_cell leaf with its share of inner nodes and its reduction.  A leaf
 # also holds 3 or 8 ints as wide as the cell's last position, ~1 byte per 7 bits.
 _BLOCK_BYTES, _LEAF_BYTES, _NODE_BYTES = 32, 192, 832
@@ -275,26 +279,27 @@ class CellSplit(NamedTuple):
     right: ChainInterval
 
 
+def _split(m: int, p: int, q: int, lo: int) -> tuple[tuple, tuple]:
+    """The children of the carried cell (m, p, q = floor_phi(p), lo); at m = 0 the right one is its reduction."""
+    return (m - 2, 2 * p + q + 1, p + q, lo), (m - 1, p + q + 1, p, lo + fib(m - 1))
+
+
+def _interval(m: int, p: int, q: int, lo: int) -> ChainInterval:
+    return tuple.__new__(ChainInterval, (m, p, lo, lo + fib(m + 1) - 1))
+
+
 def split_cell(m: int, p: int) -> CellSplit:
-    """Split cell (m, p), m >= 1, into its two children and verify the tiling."""
+    """Split cell (m, p), m >= 1, into the two children that tile it."""
     if m < 1:
         raise DomainError(f"splitting needs kernel index >= 1, got {show_int(m)} (index 0 reduces)")
     parent = chain_interval(m, p)
-    left = chain_interval(m - 2, singular_end_pos(0, p) + 1)
-    right = chain_interval(m - 1, singular_end_pos(-1, p) + 1)
-    if not (left.lo == parent.lo and right.hi == parent.hi and left.hi + 1 == right.lo):
-        raise AssertionError(f"cell split misaligned for (m={m}, p={p})")
-    return CellSplit(parent, left, right)
+    return CellSplit(parent, *(_interval(*child) for child in _split(m, p, floor_phi(p), parent.lo)))
 
 
 def reduce_cell(p: int) -> ChainInterval:
-    """Reduce cell (0, p) to the singleton cell holding its maximum."""
-    if p < 1:
-        raise DomainError(f"occurrence index must be >= 1, got {show_int(p)}")
-    child = chain_interval(-1, singular_end_pos(-1, p) + 1)
-    if child.lo != chain_interval(0, p).hi:
-        raise AssertionError(f"cell reduction misaligned for p={p}")
-    return child
+    """Reduce cell (0, p) to the singleton cell (-1, end_a(p) + 1) holding its maximum."""
+    lo = singular_end_pos(0, p)  # checks p
+    return _interval(*_split(0, p, floor_phi(p), lo)[1])
 
 
 def expand_cell(m: int, p: int, depth: int | None = None, include_reduce: bool = False) -> dict:
@@ -307,16 +312,14 @@ def expand_cell(m: int, p: int, depth: int | None = None, include_reduce: bool =
     the bytes a leaf holds: no subtree has more leaves than the whole tree.
     """
     if depth is not None and depth < 0:
-        raise DomainError(f"expansion depth must be >= 0, or None for the leaves, got {show_int(depth)}")
+        raise DomainError(f"expansion depth must be >= 0, or None (CLI: -1) for the leaves, got {show_int(depth)}")
 
-    def expand(iv: ChainInterval, depth: int | None) -> dict:
-        node = iv._asdict()  # m, p, lo, hi
-        if iv.m >= 1 and (depth is None or depth > 0):
-            step = split_cell(iv.m, iv.p)
-            nxt = None if depth is None else depth - 1
-            node["children"] = [expand(step.left, nxt), expand(step.right, nxt)]
-        elif iv.m == 0 and include_reduce:
-            node["reduces_to"] = reduce_cell(iv.p)._asdict()
+    def expand(cell: tuple, depth: int | None) -> dict:
+        node = _interval(*cell)._asdict()  # m, p, lo, hi
+        if cell[0] >= 1 and (depth is None or depth > 0):
+            node["children"] = [expand(child, None if depth is None else depth - 1) for child in _split(*cell)]
+        elif cell[0] == 0 and include_reduce:
+            node["reduces_to"] = _interval(*_split(*cell)[1])._asdict()
         return node
 
     root = chain_interval(m, p)
@@ -324,7 +327,7 @@ def expand_cell(m: int, p: int, depth: int | None = None, include_reduce: bool =
         # every split lowers the kernel index, so depth m already expands fully
         check_cap(fib(m) if depth is None else min(2 ** min(depth, m), fib(m)), "cell expansion",
                   _NODE_BYTES + 8 * (root.hi.bit_length() // 7))
-    return expand(root, depth)
+    return expand((m, p, floor_phi(p), root.lo), depth)
 
 
 def expand_leaves(m: int, p: int) -> list[ChainInterval]:
@@ -336,12 +339,11 @@ def expand_leaves(m: int, p: int) -> list[ChainInterval]:
     root = chain_interval(m, p)
     if m >= 1:
         check_cap(fib(m), "cell expansion", _LEAF_BYTES + 3 * (root.hi.bit_length() // 7))
-    out, todo = [], [root]
+    out, todo = [], [(m, p, floor_phi(p), root.lo)]
     while todo:
-        iv = todo.pop()
-        if iv.m <= 0:
-            out.append(iv)
+        cell = todo.pop()
+        if cell[0] <= 0:
+            out.append(_interval(*cell))
         else:
-            step = split_cell(iv.m, iv.p)
-            todo += (step.right, step.left)  # the left child comes out first
+            todo += _split(*cell)[::-1]  # the left child comes out first
     return out

@@ -18,10 +18,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import counting, cylinder, kernels, oracle, singular
-from .chain import chain_interval, new_pal_at, pal_end_pos, pal_span
+from .chain import chain_interval, new_pal_at, pal_end_pos, pal_span, singular_end_pos
 from .cylinder import PalCoord, coord_from_pal, pal_from_coord, pals_of_length
 from .errors import DomainError, NotAFactorError, show_int
-from .fibword import check_floor_identities, fib, fib_floor_index, prefix
+from .fibword import check_floor_identities, fib, fib_floor_index, floor_phi, prefix
 
 TAU_PREIMAGE_MAX = 10**5  # verify_tau checks the preimages of every q up to this
 # palindromes built (cylinder) and scanned (chain), and factors indexed (kernels), up to these lengths
@@ -175,25 +175,22 @@ def verify_chain(max_n: int = 10**6, max_m: int = 8, max_p: int = 30) -> VerifyR
 
 
 def verify_tau(max_m: int = 15, max_p: int = 500) -> VerifyResult:
-    """Cell splitting/reduction invariants and the preimage tiling of p-values
-    up to TAU_PREIMAGE_MAX."""
+    """The split step, which tiles a cell by construction, against the closed forms of the children
+    (m - 2, end_b(p) + 1) and (m - 1, end_a(p) + 1) of each cell (m <= max_m, p <= max_p) and their
+    floors (index 0 has only the right one, its reduction); the preimage tiling up to TAU_PREIMAGE_MAX."""
     t0 = time.perf_counter()
     checked = 0
-    for m in range(1, max_m + 1):
+
+    def cell(m: int, p: int) -> tuple:  # a cell as the step carries it, from the closed forms
+        return m, p, floor_phi(p), singular_end_pos(m, p)
+
+    for m in range(max_m + 1):
         for p in range(1, max_p + 1):
-            try:
-                counting.split_cell(m, p)
-            except AssertionError:
-                return _finish("tau", False, checked, t0, {"m": m, "p": p})
+            left, right = counting._split(*cell(m, p))
+            if (right != cell(m - 1, singular_end_pos(-1, p) + 1)
+                    or m and left != cell(m - 2, singular_end_pos(0, p) + 1)):  # index 0 has no left child
+                return _finish("tau", False, checked, t0, {"m": m, "p": p} if m else {"p": p})
             checked += 1
-    for p in range(1, max_p + 1):
-        try:
-            child = counting.reduce_cell(p)
-        except AssertionError:
-            return _finish("tau", False, checked, t0, {"p": p})
-        if child.size() != 1 or child.lo != chain_interval(0, p).hi:
-            return _finish("tau", False, checked, t0, {"p": p})
-        checked += 1
     # every q >= 2 is end_a(q') + 1 or end_b(q') + 1 for exactly one q',
     # walked in blocks of q'
     hits = np.zeros(TAU_PREIMAGE_MAX + 1, dtype=np.int64)

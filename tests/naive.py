@@ -6,10 +6,13 @@ palindromic tree, so they check it; the spans also check the early-stopping
 ``oracle.center_palindrome_set``.  The readers recover from a scan's
 per-position counts, or from the buffers of ``kernels.eertree_fill``, what a
 ``PrefixScan`` does not keep: every distinct palindrome, each node's
-palindrome and the suffix-link chain.
+palindrome and the suffix-link chain.  The split tree is rebuilt as
+``split_cell`` once built it, each cell from ``chain_interval`` at its tau
+image, so it checks the split step that carries the golden floors.
 """
 
 from fibpal import kernels
+from fibpal.chain import chain_interval, singular_end_pos
 
 
 def center_palindrome_spans(s: str):
@@ -87,3 +90,33 @@ def suffix_lengths(lens, link, v) -> list[int]:
         out.append(lens[v])
         v = link[v]
     return out
+
+
+def split_children(m: int, p: int):
+    """The children of cell (m, p), m >= 1: the chain intervals at the tau
+    images (m - 2, end_b(p) + 1) and (m - 1, end_a(p) + 1)."""
+    return chain_interval(m - 2, singular_end_pos(0, p) + 1), chain_interval(m - 1, singular_end_pos(-1, p) + 1)
+
+
+def reduction(p: int):
+    """The singleton cell (-1, end_a(p) + 1) that cell (0, p) reduces to."""
+    return chain_interval(-1, singular_end_pos(-1, p) + 1)
+
+
+def split_tree(m: int, p: int, depth=None, include_reduce=False) -> dict:
+    """``expand_cell`` by recursion over split_children and reduction."""
+    node = chain_interval(m, p)._asdict()
+    if m >= 1 and (depth is None or depth > 0):
+        node["children"] = [split_tree(c.m, c.p, None if depth is None else depth - 1, include_reduce)
+                            for c in split_children(m, p)]
+    elif m == 0 and include_reduce:
+        node["reduces_to"] = reduction(p)._asdict()
+    return node
+
+
+def split_leaves(m: int, p: int) -> list:
+    """``expand_leaves`` by recursion over split_children."""
+    if m <= 0:
+        return [chain_interval(m, p)]
+    left, right = split_children(m, p)
+    return split_leaves(left.m, left.p) + split_leaves(right.m, right.p)

@@ -200,14 +200,14 @@ def test_verify_planted_faults_exit_1(capsys, monkeypatch):
     (rec,) = records(out)
     assert code == 1 and err == "" and rec["counterexample"] == {"factor": "a", "distinct": 3}
     monkeypatch.undo()
-    # the cell (3, 7) one position too wide: split_cell's alignment check fails
-    real = counting.chain_interval
+    # the split step starts the right child of (3, 7) one position late
+    real = counting._split
 
-    def widened(m, p):
-        iv = real(m, p)
-        return iv._replace(hi=iv.hi + 1) if (m, p) == (3, 7) else iv
+    def late(m, p, q, lo):
+        left, right = real(m, p, q, lo)
+        return (left, right[:3] + (right[3] + 1,)) if (m, p) == (3, 7) else (left, right)
 
-    monkeypatch.setattr(counting, "chain_interval", widened)
+    monkeypatch.setattr(counting, "_split", late)
     code, out, err = run_cli(capsys, "verify", "tau")
     (rec,) = records(out)
     assert code == 1 and err == "" and rec["counterexample"] == {"m": 3, "p": 7}

@@ -34,7 +34,7 @@ from fibpal import (
 from fibpal import counting, fibword
 from fibpal.chain import singular_end_pos
 from fibpal.fibword import fib_floor_index, floor_phi
-from naive import center_end_counts, fill, suffix_lengths
+from naive import center_end_counts, fill, reduction, split_children, split_leaves, split_tree, suffix_lengths
 
 # end-count vectors over the first six blocks
 BLOCK_VECTORS = {
@@ -443,8 +443,66 @@ def test_split_cell_examples():
 def test_split_cell_partitions():
     for m in range(1, 13):
         for p in range(1, 101):
-            step = split_cell(m, p)  # tiling asserted inside
-            assert step.left.size() + step.right.size() == step.parent.size()
+            parent, left, right = split_cell(m, p)
+            assert (left.lo, left.hi + 1, right.hi) == (parent.lo, right.lo, parent.hi)
+
+
+# p from 1 up to 10**1000, where the carried floors reach ~1,000 digits
+SPLIT_PS = [1, 2, 3, 7, 10, 199, 10**9 + 7, 10**18, 10**18 + 7, 10**100 + 3, 10**1000, 10**1000 + 1]
+SPLIT_PS += [Random(26).randrange(10**k, 10**(k + 1)) for k in (12, 60, 300, 1000)]
+
+
+def test_split_and_reduce_match_the_tau_images():
+    for p in SPLIT_PS:
+        for m in range(1, 16):
+            assert split_cell(m, p) == (chain_interval(m, p), *split_children(m, p))
+        assert reduce_cell(p) == reduction(p)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 10])
+def test_expansions_match_the_tau_images(m):
+    for p in SPLIT_PS:
+        assert expand_leaves(m, p) == split_leaves(m, p)
+        for depth in (None, 0, 1, 3):
+            assert expand_cell(m, p, depth, include_reduce=True) == split_tree(m, p, depth, include_reduce=True)
+    assert expand_cell(200, 10**50, 4, include_reduce=True) == split_tree(200, 10**50, 4, include_reduce=True)
+
+
+def leaf_off_its_cell(m: int, p: int):
+    """The first leaf of expand_leaves(m, p) that is not chain_interval at its own (m, p), or None."""
+    return next((leaf for leaf in expand_leaves(m, p) if leaf != chain_interval(leaf.m, leaf.p)), None)
+
+
+@pytest.mark.parametrize("m, p", [(14, 10**18), (12, 10**100), (10, 10**1000)]
+                         + [(12, Random(7).randrange(10**k, 10**(k + 1))) for k in (20, 50, 200, 999)])
+def test_carried_floors_at_big_p(m, p):
+    # every leaf's position comes from floors carried down from the root's one
+    # isqrt; chain_interval pays an isqrt of its own p, ~p wide
+    assert leaf_off_its_cell(m, p) is None
+
+
+def carry_a_wrong_floor(monkeypatch, at: int):
+    """Make the split step carry the left child's floor off by one out of every cell with p = at."""
+    real = counting._split
+
+    def split(m, p, q, lo):
+        (lm, lp, lq, llo), right = real(m, p, q, lo)
+        return (lm, lp, lq + (p == at), llo), right
+
+    monkeypatch.setattr(counting, "_split", split)
+
+
+def test_a_wrong_carried_floor_is_caught(monkeypatch):
+    from fibpal import verify
+
+    carry_a_wrong_floor(monkeypatch, 10**1000)
+    # the children of the root still start where they should; their own splits do not
+    assert split_cell(10, 10**1000) == (chain_interval(10, 10**1000), *split_children(10, 10**1000))
+    assert leaf_off_its_cell(10, 10**1000) is not None
+    monkeypatch.undo()
+    carry_a_wrong_floor(monkeypatch, 7)
+    res = verify.verify_tau(max_m=5, max_p=20)
+    assert not res.ok and res.counterexample == {"m": 1, "p": 7}
 
 
 def test_reduce_cell_examples():

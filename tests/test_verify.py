@@ -206,27 +206,36 @@ def test_verify_chain_reports_a_planted_fault(monkeypatch, plant, counterexample
     assert not res.ok and res.counterexample == counterexample
 
 
+def right_late(children):
+    """The children of a split step with the right one starting one position late."""
+    left, (m, p, q, lo) = children
+    return left, (m, p, q, lo + 1)
+
+
 def test_verify_tau_reports_a_misaligned_split(monkeypatch):
-    # split_cell raises AssertionError on the misaligned cell; the suite reports it
-    replace_at(monkeypatch, counting, "chain_interval", (3, 7), widen)
-    with pytest.raises(AssertionError, match=r"cell split misaligned for \(m=3, p=7\)"):
-        counting.split_cell(3, 7)
+    # the split step starts the right child of (3, 7) one position late, so
+    # split_cell's children no longer tile the cell
+    replace_at(monkeypatch, counting, "_split", (3, 7, floor_phi(7), chain.singular_end_pos(3, 7)), right_late)
+    step = counting.split_cell(3, 7)
+    assert step.left.hi + 1 < step.right.lo
     res = verify.verify_tau(max_m=5, max_p=20)
     assert not res.ok and res.counterexample == {"m": 3, "p": 7}
 
 
 def test_verify_tau_reports_a_misaligned_reduction(monkeypatch):
-    # only reduce_cell(1) reads the cell (0, 1); no split at these bounds does
-    replace_at(monkeypatch, counting, "chain_interval", (0, 1), widen)
-    with pytest.raises(AssertionError, match="cell reduction misaligned for p=1"):
-        counting.reduce_cell(1)
+    # only the reduction of (0, 1) takes this step; no split does
+    replace_at(monkeypatch, counting, "_split", (0, 1, floor_phi(1), chain.singular_end_pos(0, 1)), right_late)
+    assert counting.reduce_cell(1).lo == chain.chain_interval(0, 1).hi + 1
     res = verify.verify_tau(max_m=5, max_p=20)
     assert not res.ok and res.counterexample == {"p": 1}
 
 
 def test_verify_tau_reports_a_wrong_reduction(monkeypatch):
-    replace_at(monkeypatch, verify, "chain_interval", (0, 4), widen)
-    res = verify.verify_tau(max_m=5, max_p=20)
+    # the closed form of the reduction of (0, 4), the cell (-1, end_a(4) + 1) = (-1, 7),
+    # one position late; below p = 7 nothing else reads it
+    assert chain.singular_end_pos(-1, 4) + 1 == 7
+    replace_at(monkeypatch, verify, "singular_end_pos", (-1, 7), lambda end: end + 1)
+    res = verify.verify_tau(max_m=5, max_p=6)
     assert not res.ok and res.counterexample == {"p": 4}
 
 
