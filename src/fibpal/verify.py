@@ -72,15 +72,16 @@ def verify_floors(max_p: int = 10**6) -> VerifyResult:
     return _finish("floors", True, max_p, t0)
 
 
-def verify_cylinder(prefix_n: int = 10**4) -> VerifyResult:
-    """Coordinate enumeration vs. naive palindrome scan, plus classification.
+def verify_cylinder(prefix_n: int = 10**4, tree_pass: Callable[[], oracle.PrefixScan] | None = None) -> VerifyResult:
+    """Coordinate enumeration vs. a tree pass (``tree_pass`` as for verify_counts), plus classification.
 
     Each palindrome is built by ``pal_from_coord`` (the slice of S(m+3)) and
     checked against the concatenation S(m+1)[i+1 ..] + S(m) + S(m+1)[.. fib(m+1)-i].
     """
     _require_prefix(prefix_n, CYLINDER_LEN)
     t0 = time.perf_counter()
-    scanned = oracle.center_palindrome_set(prefix(prefix_n), CYLINDER_LEN)
+    scan = tree_pass() if tree_pass else oracle.scan_prefix(prefix_n)
+    scanned = oracle.palindrome_set(prefix(prefix_n), scan, CYLINDER_LEN)
     generated = {}
     n_checked = 0
     for n in range(1, CYLINDER_LEN + 1):
@@ -175,20 +176,23 @@ def verify_chain(max_n: int = 10**6, max_m: int = 8, max_p: int = 30) -> VerifyR
 
 
 def verify_tau(max_m: int = 15, max_p: int = 500) -> VerifyResult:
-    """The split step, which tiles a cell by construction, against the closed forms of the children
-    (m - 2, end_b(p) + 1) and (m - 1, end_a(p) + 1) of each cell (m <= max_m, p <= max_p) and their
-    floors (index 0 has only the right one, its reduction); the preimage tiling up to TAU_PREIMAGE_MAX."""
+    """The split step against the closed forms of the children (m - 2, end_b(p) + 1) and (m - 1, end_a(p) + 1)
+    of each cell (m <= max_m, p <= max_p), their floors and the tiling of their intervals (index 0 has only
+    the right one, its reduction, a singleton at the cell's hi); the preimage tiling up to TAU_PREIMAGE_MAX."""
     t0 = time.perf_counter()
     checked = 0
-
-    def cell(m: int, p: int) -> tuple:  # a cell as the step carries it, from the closed forms
-        return m, p, floor_phi(p), singular_end_pos(m, p)
-
-    for m in range(max_m + 1):
-        for p in range(1, max_p + 1):
-            left, right = counting._split(*cell(m, p))
-            if (right != cell(m - 1, singular_end_pos(-1, p) + 1)
-                    or m and left != cell(m - 2, singular_end_pos(0, p) + 1)):  # index 0 has no left child
+    for p in range(1, max_p + 1):
+        # the cells as the step carries them, from the closed forms: p fixes each floor and the children's p
+        q, after_a, after_b = floor_phi(p), singular_end_pos(-1, p) + 1, singular_end_pos(0, p) + 1
+        q_a, q_b = floor_phi(after_a), floor_phi(after_b)
+        for m in range(max_m + 1):
+            parent = m, p, q, singular_end_pos(m, p)
+            left, right = counting._split(*parent)
+            # the intervals of the carried cells: the children's tile the parent's, index 0 reduces to its hi
+            iv, right_iv = counting._interval(*parent), counting._interval(*right)
+            tiled = counting._interval(*left)[2:] == (iv.lo, right_iv.lo - 1) if m else right_iv.lo == iv.hi
+            if (right != (m - 1, after_a, q_a, singular_end_pos(m - 1, after_a)) or not tiled or right_iv.hi != iv.hi
+                    or m and left != (m - 2, after_b, q_b, singular_end_pos(m - 2, after_b))):  # index 0: no left
                 return _finish("tau", False, checked, t0, {"m": m, "p": p} if m else {"p": p})
             checked += 1
     # every q >= 2 is end_a(q') + 1 or end_b(q') + 1 for exactly one q',
@@ -213,10 +217,10 @@ def verify_counts(max_n: int = 10**4, tree_pass: Callable[[], oracle.PrefixScan]
     t0 = time.perf_counter()
     scan = tree_pass() if tree_pass else oracle.scan_prefix(max_n)
     total = 0
-    for n in range(1, max_n + 1):
+    for n, want in enumerate(scan.end_counts.tolist(), 1):
         a = counting.end_count(n)
-        if a != scan.end_count(n):
-            return _finish("counts", False, n, t0, {"n": n, "closed": a, "oracle": scan.end_count(n)})
+        if a != want:
+            return _finish("counts", False, n, t0, {"n": n, "closed": a, "oracle": want})
         total += a
         try:
             closed_total = counting.occurrence_count(n)
@@ -335,7 +339,7 @@ def verify_kernels(prefix_n: int = 10**4, max_p: int = 50) -> VerifyResult:
 
 SUITES = {  # each takes max_n, max_m, max_p and the getter of run_suites' one tree pass
     "floors": lambda max_n, max_m, max_p, tree_pass: verify_floors(max_p=max_n),
-    "cylinder": lambda max_n, max_m, max_p, tree_pass: verify_cylinder(prefix_n=max_n),
+    "cylinder": lambda max_n, max_m, max_p, tree_pass: verify_cylinder(prefix_n=max_n, tree_pass=tree_pass),
     "chain": lambda max_n, max_m, max_p, tree_pass: verify_chain(max_n=max_n, max_m=max_m, max_p=max_p),
     "tau": lambda max_n, max_m, max_p, tree_pass: verify_tau(max_m=max_m, max_p=max_p),
     "counts": lambda max_n, max_m, max_p, tree_pass: verify_counts(max_n=max_n, tree_pass=tree_pass),
@@ -348,9 +352,9 @@ SUITES = {  # each takes max_n, max_m, max_p and the getter of run_suites' one t
 def run_suites(names: list[str], max_n: int, max_m: int, max_p: int) -> list[VerifyResult]:
     """Run the named suites at the given bounds, each of which must be >= 1.
 
-    One tree pass over max_n letters serves counts and richness: the first
-    of them to run makes it, and its seconds include the pass, which is let
-    go once the last of them has run."""
+    One tree pass over max_n letters serves cylinder, counts and richness:
+    the first of them to run makes it, and its seconds include the pass,
+    which is let go once the last of them has run."""
     for flag, value in (("max_n", max_n), ("max_m", max_m), ("max_p", max_p)):
         if value < 1:
             raise DomainError(f"{flag} must be >= 1, got {show_int(value)}")
@@ -361,7 +365,7 @@ def run_suites(names: list[str], max_n: int, max_m: int, max_p: int) -> list[Ver
             scans.append(oracle.scan_prefix(max_n))
         return scans[0]
 
-    last_tree = max((i for i, name in enumerate(names) if name in ("counts", "richness")), default=-1)
+    last_tree = max((i for i, name in enumerate(names) if name in ("cylinder", "counts", "richness")), default=-1)
     results = []
     for i, name in enumerate(names):
         results.append(SUITES[name](max_n, max_m, max_p, tree_pass))

@@ -2,8 +2,8 @@
 
 The three scanners (every center-expansion span, the occurrences ending at
 each position, and every substring slice) share no code with the
-palindromic tree, so they check it; the spans also check the early-stopping
-``oracle.center_palindrome_set``.  The readers recover from a scan's
+palindromic tree, so they check it, and the spans capped at a length check
+the coordinate enumeration without a tree.  The readers recover from a scan's
 per-position counts, or from the buffers of ``kernels.eertree_fill``, what a
 ``PrefixScan`` does not keep: every distinct palindrome, each node's
 palindrome and the suffix-link chain.  The split tree is rebuilt as

@@ -211,6 +211,18 @@ def test_verify_planted_faults_exit_1(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verify", "tau")
     (rec,) = records(out)
     assert code == 1 and err == "" and rec["counterexample"] == {"m": 3, "p": 7}
+    monkeypatch.undo()
+    # the interval of (3, 1) one position too wide, so its children do not tile it
+    real_interval = counting._interval
+
+    def wide(m, p, q, lo):
+        iv = real_interval(m, p, q, lo)
+        return iv._replace(hi=iv.hi + 1) if (m, p) == (3, 1) else iv
+
+    monkeypatch.setattr(counting, "_interval", wide)
+    code, out, err = run_cli(capsys, "verify", "tau")
+    (rec,) = records(out)
+    assert code == 1 and err == "" and rec["counterexample"] == {"m": 3, "p": 1}
 
 
 def test_verify_return_words_too_few_occurrences_exit_2(capsys):

@@ -19,7 +19,8 @@ from fibpal import (
     prefix_palindrome_lengths,
     singular_word,
 )
-from fibpal import oracle, verify
+from fibpal import verify
+from naive import center_palindrome_spans
 
 
 def test_pal_from_coord_examples():
@@ -83,7 +84,8 @@ def test_pals_of_length_cardinality():
 
 
 def test_enumeration_matches_naive_scan(prefix_10k):
-    scanned = oracle.center_palindrome_set(prefix_10k, 100)
+    # tree-free: every center-expansion span of length <= 100
+    scanned = {prefix_10k[i: j + 1] for i, j in center_palindrome_spans(prefix_10k) if j - i < 100}
     generated = {pal_from_coord(c) for n in range(1, 101) for c in pals_of_length(n)}
     assert generated == scanned
 

@@ -56,18 +56,17 @@ def test_eertree_vs_naive_sets_small():
         words = palindromes(s, oracle.scan_word(s).max_suffix)
         assert words == palindromes(s, oracle.scan_prefix(n).max_suffix)
         assert words == naive_palindrome_set(s)
-        assert words == oracle.center_palindrome_set(s)
 
 
 @pytest.mark.parametrize("cap", [1, 2, 3, 4, 100, None])
 def test_capped_center_spans_are_the_short_uncapped_ones(cap, prefix_2k):
-    # the cap and the early stop at a palindrome already held keep exactly
-    # the uncapped spans' words of length <= cap
+    # the capped read of a tree pass keeps exactly the uncapped spans' words
+    # of length <= cap, on rich words and others
     rng = random.Random(cap or 0)
     words = [prefix_2k, "", "a", "aa", "a" * 150, "ab" * 75] + [
         "".join(rng.choice("ab") for _ in range(rng.randint(0, 120))) for _ in range(50)]
     for s in words:
-        assert oracle.center_palindrome_set(s, cap) == {
+        assert oracle.palindrome_set(s, oracle.scan_word(s), len(s) if cap is None else cap) == {
             s[i: j + 1] for i, j in center_palindrome_spans(s) if cap is None or j - i + 1 <= cap}
 
 
@@ -145,14 +144,6 @@ def test_scan_prefix_memory():
     finally:
         tracemalloc.stop()
     assert scan.n == n and held <= 24 * n
-
-
-def test_end_count_position_range():
-    scan = oracle.scan_prefix(10)
-    assert scan.end_count(1) == 1 and scan.end_count(10) == int(scan.end_counts[-1])
-    for bad in (0, -1, 11):
-        with pytest.raises(DomainError):
-            scan.end_count(bad)
 
 
 def test_occurrences_examples():

@@ -99,7 +99,7 @@ def test_prefix_scan_fields_and_end_count():
     copy = PrefixScan(*values)
     assert copy == scan and copy is not scan  # equal field by field (same array objects)
     assert copy.n == 5 and copy.nodes == scan.nodes and copy.max_suffix.tolist() == [1, 1, 3, 2, 4]
-    assert [copy.end_count(i) for i in range(1, 6)] == [1, 1, 2, 2, 2]
+    assert copy.end_counts.tolist() == [1, 1, 2, 2, 2]
     assert repr(copy) == "PrefixScan(" + ", ".join(f"{k}={v!r}" for k, v in zip(SCAN_FIELDS, values)) + ")"
     with pytest.raises(TypeError):
         PrefixScan(*values, 0)

@@ -230,6 +230,20 @@ def test_verify_tau_reports_a_misaligned_reduction(monkeypatch):
     assert not res.ok and res.counterexample == {"p": 1}
 
 
+@pytest.mark.parametrize("key, counterexample", [
+    # the interval of (3, 1) one too wide: its children no longer tile it (p = 1
+    # is no cell's child, so no earlier cell reads this interval)
+    ((3, 1, floor_phi(1), chain.singular_end_pos(3, 1)), {"m": 3, "p": 1}),
+    # every interval one too wide: the reduction of (0, 1) is no singleton
+    (None, {"p": 1}),
+])
+def test_verify_tau_reports_a_wide_interval(monkeypatch, key, counterexample):
+    real = counting._interval
+    monkeypatch.setattr(counting, "_interval", lambda *cell: widen(real(*cell)) if key in (None, cell) else real(*cell))
+    res = verify.verify_tau(max_m=15, max_p=100)
+    assert not res.ok and res.counterexample == counterexample
+
+
 def test_verify_tau_reports_a_wrong_reduction(monkeypatch):
     # the closed form of the reduction of (0, 4), the cell (-1, end_a(4) + 1) = (-1, 7),
     # one position late; below p = 7 nothing else reads it
@@ -300,15 +314,17 @@ def test_verify_tau_memory():
 
 
 def test_one_tree_pass_serves_counts_and_richness(monkeypatch):
+    # one pass serves cylinder, counts and richness; each suite alone makes its own
     fills = []
     real = kernels.eertree_fill
     monkeypatch.setattr(kernels, "eertree_fill", lambda text: fills.append(len(text)) or real(text))
-    both = verify.run_suites(["counts", "richness"], 2000, 5, 15)
+    shared = verify.run_suites(["cylinder", "counts", "richness"], 2000, 5, 15)
     assert fills == [2000]
-    alone = [verify.verify_counts(2000), verify.verify_richness(2000)]
-    assert fills == [2000] * 3
-    assert [r._replace(seconds=0) for r in both] == [r._replace(seconds=0) for r in alone]
-    assert all(r.ok for r in both)
+    alone = [verify.verify_cylinder(2000), verify.verify_counts(2000), verify.verify_richness(2000)]
+    assert fills == [2000] * 4
+    assert [r._replace(seconds=0) for r in shared] == [r._replace(seconds=0) for r in alone]
+    assert all(r.ok for r in shared)
+    assert all(r.ok for r in verify.run_suites(list(verify.SUITES), 2000, 5, 15)) and fills == [2000] * 5
 
 
 def test_run_suites_reads_the_suites_table_and_lets_the_pass_go(monkeypatch):
@@ -347,6 +363,18 @@ def test_verify_richness_reports_a_flipped_letter(monkeypatch):
     monkeypatch.setattr(oracle, "prefix", lambda n, *what: flipped[:n])
     res = verify.verify_richness(max_n=200)
     assert not res.ok and res.counterexample == {"n": 12, "distinct": 11}
+
+
+def test_verify_cylinder_reports_a_flipped_letter(monkeypatch):
+    # the 237th letter flipped: the text gains "bb", "abba", ... and loses the
+    # one occurrence in its first 300 letters of a length-99 palindrome, which
+    # ends at that letter; the tree pass reads the flipped text
+    flipped = flip(prefix(300), 236)
+    monkeypatch.setattr(verify, "prefix", lambda n, *what: flipped[:n])
+    monkeypatch.setattr(oracle, "prefix", lambda n, *what: flipped[:n])
+    res = verify.verify_cylinder(prefix_n=300)
+    assert not res.ok and res.checked == 150
+    assert res.counterexample == {"missing": ["bb", "abba", "babab"], "extra": [prefix(237)[138:]]}
 
 
 def test_verify_return_words_reports_a_third_return_word(monkeypatch):
