@@ -11,7 +11,8 @@ buffers.  ``scan_word`` runs it over any word over {a, b} and
 1 by one ``translate``.  A pass converts three per-position facts from the
 fill's lists into the one ``PrefixScan`` it returns and keeps nothing else:
 ``end_counts`` sums to the occurrence total, ``nodes - 2`` is the distinct
-count, and ``palindrome_set`` reads the palindromes from ``max_suffix``.  A
+count, and ``palindrome_set`` reads the palindromes from ``max_suffix``.  The
+fill sets a pass's peak (~121 B per letter); the ``PrefixScan`` holds ~20.  A
 factor's occurrences come from one substring scan, ``occurrence_starts``.
 """
 
@@ -42,15 +43,10 @@ class PrefixScan(NamedTuple):
 def _scan(text: bytes) -> PrefixScan:
     """One tree pass over ``text`` (letters 0 and 1)."""
     # looked up at call time, so a wrapper on the module attribute sees every fill
-    nodes, lens, link, depth, node = kernels.eertree_fill(text)
-    # each list is freed once read (the suffix links at once: no field reads
-    # them), so the arrays fit in the memory the fill has already used
-    del link
+    nodes, lens, _, depth, node = kernels.eertree_fill(text)
     node = np.fromiter(node, np.int64, len(text))
     end_counts = np.fromiter(depth, np.int32, len(depth))[node]
-    del depth
     max_suffix = np.fromiter(lens, np.int64, len(lens))[node]
-    del lens
     # nodes are numbered in creation order, so the largest node seen so far
     # counts the distinct palindromes (the two roots are nodes 0 and 1)
     distinct = np.maximum.accumulate(node, out=node)

@@ -4,15 +4,16 @@ Each suite returns a VerifyResult with the first counterexample found (if
 any), also where a closed form raises AssertionError on its own invariant;
 the CLI exits 1 on a failure.  Bounds are caller supplied so the same suites
 serve quick smoke checks and the full acceptance runs; the tau preimage
-bound, the word lengths and the return-word factors are fixed.
+bound, the word lengths and the return-word factors are fixed.  The cylinder,
+counts and richness suites check the tree pass they are handed, up to its n.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from collections import defaultdict
-from collections.abc import Callable
 from typing import NamedTuple
 
 import numpy as np
@@ -72,16 +73,15 @@ def verify_floors(max_p: int = 10**6) -> VerifyResult:
     return _finish("floors", True, max_p, t0)
 
 
-def verify_cylinder(prefix_n: int = 10**4, tree_pass: Callable[[], oracle.PrefixScan] | None = None) -> VerifyResult:
-    """Coordinate enumeration vs. a tree pass (``tree_pass`` as for verify_counts), plus classification.
+def verify_cylinder(scan: oracle.PrefixScan) -> VerifyResult:
+    """Coordinate enumeration vs. a tree pass over the first scan.n letters, plus classification.
 
     Each palindrome is built by ``pal_from_coord`` (the slice of S(m+3)) and
     checked against the concatenation S(m+1)[i+1 ..] + S(m) + S(m+1)[.. fib(m+1)-i].
     """
-    _require_prefix(prefix_n, CYLINDER_LEN)
+    _require_prefix(scan.n, CYLINDER_LEN)
     t0 = time.perf_counter()
-    scan = tree_pass() if tree_pass else oracle.scan_prefix(prefix_n)
-    scanned = oracle.palindrome_set(prefix(prefix_n), scan, CYLINDER_LEN)
+    scanned = oracle.palindrome_set(prefix(scan.n), scan, CYLINDER_LEN)
     generated = {}
     n_checked = 0
     for n in range(1, CYLINDER_LEN + 1):
@@ -106,8 +106,8 @@ def verify_cylinder(prefix_n: int = 10**4, tree_pass: Callable[[], oracle.Prefix
             if tag != want:
                 return _finish("cylinder", False, n_checked, t0, {"word": w, "tag": tag, "expected": want})
     if set(generated) != scanned:
-        missing = sorted(scanned - set(generated), key=len)[:3]
-        extra = sorted(set(generated) - scanned, key=len)[:3]
+        missing = sorted(scanned - set(generated), key=lambda w: (len(w), w))[:3]
+        extra = sorted(set(generated) - scanned, key=lambda w: (len(w), w))[:3]
         return _finish("cylinder", False, n_checked, t0, {"missing": missing, "extra": extra})
     return _finish("cylinder", True, n_checked, t0)
 
@@ -210,12 +210,9 @@ def verify_tau(max_m: int = 15, max_p: int = 500) -> VerifyResult:
     return _finish("tau", True, checked + TAU_PREIMAGE_MAX, t0)
 
 
-def verify_counts(max_n: int = 10**4, tree_pass: Callable[[], oracle.PrefixScan] | None = None) -> VerifyResult:
-    """Closed-form per-position and cumulative counts vs. the tree oracle;
-    ``tree_pass``, when given, returns a tree pass over the first max_n
-    letters, and one is made otherwise."""
+def verify_counts(scan: oracle.PrefixScan) -> VerifyResult:
+    """Closed-form per-position and cumulative counts vs. a tree pass over the first scan.n letters."""
     t0 = time.perf_counter()
-    scan = tree_pass() if tree_pass else oracle.scan_prefix(max_n)
     total = 0
     for n, want in enumerate(scan.end_counts.tolist(), 1):
         a = counting.end_count(n)
@@ -228,19 +225,17 @@ def verify_counts(max_n: int = 10**4, tree_pass: Callable[[], oracle.PrefixScan]
             return _finish("counts", False, n, t0, {"n": n})
         if closed_total != total:
             return _finish("counts", False, n, t0, {"n": n, "closed_total": closed_total, "oracle_total": total})
-    return _finish("counts", True, max_n, t0)
+    return _finish("counts", True, scan.n, t0)
 
 
-def verify_richness(max_n: int = 10**5, tree_pass: Callable[[], oracle.PrefixScan] | None = None) -> VerifyResult:
-    """Distinct palindromic factors of every prefix length n equal n;
-    ``tree_pass`` as for verify_counts."""
+def verify_richness(scan: oracle.PrefixScan) -> VerifyResult:
+    """Distinct palindromic factors of every prefix length n <= scan.n equal n, by a tree pass."""
     t0 = time.perf_counter()
-    scan = tree_pass() if tree_pass else oracle.scan_prefix(max_n)
-    want = np.arange(1, max_n + 1, dtype=scan.distinct.dtype)
+    want = np.arange(1, scan.n + 1, dtype=scan.distinct.dtype)
     if not np.array_equal(scan.distinct, want):
         n = int(np.nonzero(scan.distinct != want)[0][0]) + 1
-        return _finish("richness", False, max_n, t0, {"n": n, "distinct": int(scan.distinct[n - 1])})
-    return _finish("richness", True, max_n, t0)
+        return _finish("richness", False, scan.n, t0, {"n": n, "distinct": int(scan.distinct[n - 1])})
+    return _finish("richness", True, scan.n, t0)
 
 
 def verify_return_words(prefix_n: int = 10**4) -> VerifyResult:
@@ -337,13 +332,13 @@ def verify_kernels(prefix_n: int = 10**4, max_p: int = 50) -> VerifyResult:
     return _finish("kernels", True, checked, t0)
 
 
-SUITES = {  # each takes max_n, max_m, max_p and the getter of run_suites' one tree pass
+SUITES = {  # each takes max_n, max_m, max_p and the getter of run_suites' one tree pass over max_n letters
     "floors": lambda max_n, max_m, max_p, tree_pass: verify_floors(max_p=max_n),
-    "cylinder": lambda max_n, max_m, max_p, tree_pass: verify_cylinder(prefix_n=max_n, tree_pass=tree_pass),
+    "cylinder": lambda max_n, max_m, max_p, tree_pass: verify_cylinder(tree_pass()),
     "chain": lambda max_n, max_m, max_p, tree_pass: verify_chain(max_n=max_n, max_m=max_m, max_p=max_p),
     "tau": lambda max_n, max_m, max_p, tree_pass: verify_tau(max_m=max_m, max_p=max_p),
-    "counts": lambda max_n, max_m, max_p, tree_pass: verify_counts(max_n=max_n, tree_pass=tree_pass),
-    "richness": lambda max_n, max_m, max_p, tree_pass: verify_richness(max_n=max_n, tree_pass=tree_pass),
+    "counts": lambda max_n, max_m, max_p, tree_pass: verify_counts(tree_pass()),
+    "richness": lambda max_n, max_m, max_p, tree_pass: verify_richness(tree_pass()),
     "return-words": lambda max_n, max_m, max_p, tree_pass: verify_return_words(prefix_n=max_n),
     "kernels": lambda max_n, max_m, max_p, tree_pass: verify_kernels(prefix_n=max_n, max_p=max_p),
 }
@@ -352,23 +347,11 @@ SUITES = {  # each takes max_n, max_m, max_p and the getter of run_suites' one t
 def run_suites(names: list[str], max_n: int, max_m: int, max_p: int) -> list[VerifyResult]:
     """Run the named suites at the given bounds, each of which must be >= 1.
 
-    One tree pass over max_n letters serves cylinder, counts and richness:
-    the first of them to run makes it, and its seconds include the pass,
-    which is let go once the last of them has run."""
+    The suites that check a tree pass share one over max_n letters: the
+    first of them to ask makes it, outside any suite's seconds, and it is
+    kept until the call returns."""
     for flag, value in (("max_n", max_n), ("max_m", max_m), ("max_p", max_p)):
         if value < 1:
             raise DomainError(f"{flag} must be >= 1, got {show_int(value)}")
-    scans = []
-
-    def tree_pass() -> oracle.PrefixScan:
-        if not scans:
-            scans.append(oracle.scan_prefix(max_n))
-        return scans[0]
-
-    last_tree = max((i for i, name in enumerate(names) if name in ("cylinder", "counts", "richness")), default=-1)
-    results = []
-    for i, name in enumerate(names):
-        results.append(SUITES[name](max_n, max_m, max_p, tree_pass))
-        if i == last_tree:
-            scans.clear()
-    return results
+    tree_pass = functools.cache(lambda: oracle.scan_prefix(max_n))
+    return [SUITES[name](max_n, max_m, max_p, tree_pass) for name in names]

@@ -19,7 +19,7 @@ from fibpal import (
     prefix_palindrome_lengths,
     singular_word,
 )
-from fibpal import verify
+from fibpal import oracle, verify
 from naive import center_palindrome_spans
 
 
@@ -178,10 +178,10 @@ def test_prefix_palindrome_lengths_by_reversal():
 
 
 def test_verify_cylinder_checks_both_forms(monkeypatch):
-    assert verify.verify_cylinder(prefix_n=300).ok
+    assert verify.verify_cylinder(oracle.scan_prefix(300)).ok
     real, swap = verify.pal_from_coord, str.maketrans("ab", "ba")
     monkeypatch.setattr(verify, "pal_from_coord", lambda c: real(c).translate(swap) if c == PalCoord(1, 1) else real(c))
-    res = verify.verify_cylinder(prefix_n=300)
+    res = verify.verify_cylinder(oracle.scan_prefix(300))
     word = real(PalCoord(1, 1))
     assert not res.ok
     assert res.counterexample == {"coord": (1, 1), "slice": word.translate(swap), "concatenation": word}

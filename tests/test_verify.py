@@ -2,7 +2,11 @@
 that a fault planted in any layer is reported as the suite's first
 counterexample, not raised."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -175,7 +179,7 @@ def test_verify_chain_memory():
 ])
 def test_verify_cylinder_reports_a_planted_fault(monkeypatch, plant, counterexample):
     plant(monkeypatch)
-    res = verify.verify_cylinder(prefix_n=1000)
+    res = verify.verify_cylinder(oracle.scan_prefix(1000))
     assert not res.ok and res.counterexample == counterexample
 
 
@@ -320,16 +324,17 @@ def test_one_tree_pass_serves_counts_and_richness(monkeypatch):
     monkeypatch.setattr(kernels, "eertree_fill", lambda text: fills.append(len(text)) or real(text))
     shared = verify.run_suites(["cylinder", "counts", "richness"], 2000, 5, 15)
     assert fills == [2000]
-    alone = [verify.verify_cylinder(2000), verify.verify_counts(2000), verify.verify_richness(2000)]
+    alone = [suite(oracle.scan_prefix(2000)) for suite in (verify.verify_cylinder, verify.verify_counts,
+                                                          verify.verify_richness)]
     assert fills == [2000] * 4
     assert [r._replace(seconds=0) for r in shared] == [r._replace(seconds=0) for r in alone]
     assert all(r.ok for r in shared)
     assert all(r.ok for r in verify.run_suites(list(verify.SUITES), 2000, 5, 15)) and fills == [2000] * 5
 
 
-def test_run_suites_reads_the_suites_table_and_lets_the_pass_go(monkeypatch):
+def test_run_suites_reads_the_suites_table_and_keeps_the_pass(monkeypatch):
     # a replaced tree suite is the one that runs, and a suite after the last
-    # tree suite gets a fresh pass, since the shared one has been let go
+    # tree suite gets the same pass, which is kept until the call returns
     fills = []
     real = kernels.eertree_fill
     monkeypatch.setattr(kernels, "eertree_fill", lambda text: fills.append(len(text)) or real(text))
@@ -341,7 +346,37 @@ def test_run_suites_reads_the_suites_table_and_lets_the_pass_go(monkeypatch):
     monkeypatch.setattr(verify, "SUITES", suites)
     counts, richness, floors = verify.run_suites(["counts", "richness", "floors"], 2000, 5, 15)
     assert counts.counterexample == {"n": 1} and richness.ok and floors.checked == 2000
-    assert fills == [2000, 2000]
+    assert fills == [2000]
+
+
+def test_run_suites_keeps_the_pass_within_the_fill_peak():
+    # the fill peaks at ~121 B per letter and a finished pass holds ~20, so
+    # a suite run while the pass is kept stays under the fill's own peak
+    verify.run_suites(["richness", "return-words"], 200, 5, 15)  # tables built before the measurement
+    peaks = []
+    for run in (lambda: oracle.scan_prefix(20_000),
+                lambda: verify.run_suites(["richness", "return-words"], 20_000, 5, 15)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    alone, shared = peaks
+    assert shared <= 1.05 * alone, peaks
+
+
+def test_verify_cylinder_reports_equal_lengths_in_word_order():
+    # both length-5 coordinates dropped: the two missing words tie on length,
+    # and come out in word order whatever the string hash seed
+    code = ("from fibpal import oracle, verify; real = verify.pals_of_length; "
+            "verify.pals_of_length = lambda n: [] if n == 5 else real(n); "
+            "print(verify.verify_cylinder(oracle.scan_prefix(1000)).counterexample)")
+    src = str(Path(verify.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONHASHSEED": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.stdout == "{'missing': ['aabaa', 'ababa'], 'extra': []}\n", proc.stderr
 
 
 @pytest.mark.parametrize("name, counterexample", [
@@ -351,7 +386,7 @@ def test_run_suites_reads_the_suites_table_and_lets_the_pass_go(monkeypatch):
 ])
 def test_verify_counts_reports_an_answer_off_by_one(monkeypatch, name, counterexample):
     replace_at(monkeypatch, counting, name, (50,), lambda v: v + 1)
-    res = verify.verify_counts(max_n=100)
+    res = verify.verify_counts(oracle.scan_prefix(100))
     assert not res.ok and res.counterexample == counterexample and res.checked == 50
 
 
@@ -361,7 +396,7 @@ def test_verify_richness_reports_a_flipped_letter(monkeypatch):
     assert len(naive_palindrome_set(flipped[:12])) == 11
     assert all(len(naive_palindrome_set(flipped[:n])) == n for n in range(1, 12))
     monkeypatch.setattr(oracle, "prefix", lambda n, *what: flipped[:n])
-    res = verify.verify_richness(max_n=200)
+    res = verify.verify_richness(oracle.scan_prefix(200))
     assert not res.ok and res.counterexample == {"n": 12, "distinct": 11}
 
 
@@ -372,7 +407,7 @@ def test_verify_cylinder_reports_a_flipped_letter(monkeypatch):
     flipped = flip(prefix(300), 236)
     monkeypatch.setattr(verify, "prefix", lambda n, *what: flipped[:n])
     monkeypatch.setattr(oracle, "prefix", lambda n, *what: flipped[:n])
-    res = verify.verify_cylinder(prefix_n=300)
+    res = verify.verify_cylinder(oracle.scan_prefix(300))
     assert not res.ok and res.checked == 150
     assert res.counterexample == {"missing": ["bb", "abba", "babab"], "extra": [prefix(237)[138:]]}
 
