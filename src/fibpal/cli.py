@@ -10,7 +10,7 @@ adding one entry.
 
 A process loads only what its command needs.  ``main`` builds the subparser of
 the one command its argv names (the full tree for ``--help``, a group name
-alone, an unknown name or a parse error, so every message stays the same),
+alone, an unknown name or words left over, so every message stays the same),
 and each answer reaches the package as ``fibpal.<module>``, which imports
 the module on first access.  So ``fib``, ``letters`` and ``prefix`` load
 ``fibword`` only; ``pos`` and ``chain`` add ``chain``; ``count`` and ``tau``
@@ -291,21 +291,9 @@ COMMANDS: dict[str, tuple[str, dict[str, dict], Callable, Callable]] = {
 }
 
 
-class _Reparse(Exception):
-    """A usage error met by a one-command tree, whose usage names that command only."""
-
-
-def _reparse(message: str):
-    raise _Reparse(message)
-
-
 @functools.cache
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argparse tree of ``COMMANDS``, or of its one entry ``command``, built once per process.
-
-    Every parser of a one-command tree raises ``_Reparse`` where it would
-    print a usage error, so that ``main`` parses again with the full tree.
-    """
+    """The full argparse tree of ``COMMANDS``, or the tree of its one entry ``command``, built once per process."""
     parser = argparse.ArgumentParser(
         prog="fibpal",
         description="Exact palindrome queries on prefixes of the infinite Fibonacci word",
@@ -323,22 +311,19 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         for flag, keywords in arguments.items():
             p.add_argument(flag, **keywords)
         p.set_defaults(command=name)
-    if command is not None:
-        for p in (parser, *(sub for action in groups.values() for sub in action.choices.values())):
-            p.error = _reparse
     return parser
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
     """Parse with the tree of the command that the first one or two words of argv
-    name, --plain aside; with the full tree if they name none or that parse fails."""
+    name, --plain aside, whose own parser prints its usage errors as the full tree
+    does; with the full tree if they name none, as for --help, or words are left over."""
     words = [arg for arg in argv if arg != "--plain"][:2]
     command = next((name for name in (" ".join(words), *words[:1]) if name in COMMANDS), None)
     if command is not None:
-        try:
-            return build_parser(command).parse_args(argv)
-        except _Reparse:
-            pass
+        args, extra = build_parser(command).parse_known_args(argv)
+        if not extra:
+            return args
     return build_parser().parse_args(argv)
 
 

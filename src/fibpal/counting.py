@@ -314,19 +314,18 @@ def expand_cell(m: int, p: int, depth: int | None = None, include_reduce: bool =
     if depth is not None and depth < 0:
         raise DomainError(f"expansion depth must be >= 0, or None (CLI: -1) for the leaves, got {show_int(depth)}")
 
-    def expand(cell: tuple, depth: int | None) -> dict:
+    def expand(cell: tuple, depth: int) -> dict:
         node = _interval(*cell)._asdict()  # m, p, lo, hi
-        if cell[0] >= 1 and (depth is None or depth > 0):
-            node["children"] = [expand(child, None if depth is None else depth - 1) for child in _split(*cell)]
+        if cell[0] >= 1 and depth > 0:
+            node["children"] = [expand(child, depth - 1) for child in _split(*cell)]
         elif cell[0] == 0 and include_reduce:
             node["reduces_to"] = _interval(*_split(*cell)[1])._asdict()
         return node
 
     root = chain_interval(m, p)
-    if m >= 1 and (depth is None or depth > 0):
-        # every split lowers the kernel index, so depth m already expands fully
-        check_cap(fib(m) if depth is None else min(2 ** min(depth, m), fib(m)), "cell expansion",
-                  _NODE_BYTES + 8 * (root.hi.bit_length() // 7))
+    depth = m if depth is None else min(depth, m)  # every split lowers the kernel index, so depth m expands fully
+    if depth > 0:  # so m >= 1
+        check_cap(min(2**depth, fib(m)), "cell expansion", _NODE_BYTES + 8 * (root.hi.bit_length() // 7))
     return expand((m, p, floor_phi(p), root.lo), depth)
 
 

@@ -618,6 +618,11 @@ def test_parser_text_pinned(capsys, monkeypatch, argv, code, out, err):
     [], ["pal", "at", "--help"], ["--plain", "pos", "--plain", "pal", "-h"], ["pal", "at"], ["pal", "at", "-n"],
     ["--plain", "chain", "-m", "1", "-p", "2", "3"], ["pos", "nosuch"], ["tau", "-m", "1", "-p", "1", "--reduce=1"],
     ["verify"], ["bench", "--n-list"], ["--pla", "fib", "-m", "x"], ["fib", "-m", "1", "--plain=x"],
+    # errors that the command's own parser prints
+    ["pal", "at", "-n", "x"], ["pos", "pal", "-m", "1", "-i", "1"], ["count", "special", "--m", "x"],
+    ["tau", "-m", "1", "-p", "1", "--expand-depth"],
+    # words left over, which the full tree reports
+    ["pal", "at", "-n", "21", "extra"], ["chain", "--bogus", "-m", "1", "-p", "1"],
 ])
 def test_parser_text_is_the_full_trees(capsys, monkeypatch, argv):
     # main parses with the one command's tree; whatever argparse prints is what the full tree prints
@@ -631,6 +636,14 @@ def test_a_query_builds_only_its_own_parser(capsys):
     assert code == 0 and cli.build_parser.cache_info().currsize == 1
     assert cli.build_parser("pal at").format_usage() == "usage: fibpal [-h] [--plain] {pal} ...\n"
     assert cli.build_parser.cache_info().hits == 1  # main built the tree of `pal at`, and no other
+
+
+@pytest.mark.parametrize("argv, trees", [(["fib", "-m", "x"], 1), (["chain", "-m", "1", "-p", "2", "3"], 2)])
+def test_only_words_left_over_build_the_full_tree(capsys, argv, trees):
+    # the command's own parser reports an error inside the command; a word left over takes the full tree
+    cli.build_parser.cache_clear()
+    assert run_parser(capsys, main, argv)[0] == 2
+    assert cli.build_parser.cache_info().currsize == trees
 
 
 IMPORT_SPLIT = """

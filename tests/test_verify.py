@@ -88,6 +88,15 @@ def test_verify_kernels_reports_wrong_offset(monkeypatch):
     assert res.checked == 14 + 30
 
 
+def test_verify_kernels_reports_a_length_short_of_its_factors(monkeypatch):
+    # a 60-letter text has 33 windows of length 28, but they hold only 28 of the
+    # word's 29 factors of that length; every shorter length is complete
+    short = prefix(60)
+    monkeypatch.setattr(verify, "prefix", lambda n, *what: short)
+    res = verify.verify_kernels(10**4, 50)
+    assert not res.ok and res.counterexample == {"length": 28, "distinct": 28}
+
+
 def test_verify_kernels_reports_a_rejected_factor(monkeypatch):
     real = singular.kernel
 
@@ -430,3 +439,10 @@ def test_verify_return_words_reports_a_wrong_reduction(monkeypatch):
     res = verify.verify_return_words()
     reduced = "aaabbababbabbababbababbabbababbabbababba"
     assert not res.ok and res.counterexample == {"factor": "a", "reduced": reduced} and reduced != flipped[:40]
+
+
+def test_verify_return_words_reports_a_single_return_word(monkeypatch):
+    # in "abab...", every return word of "a" is "ab"
+    monkeypatch.setattr(verify, "prefix", lambda n, *what: ("ab" * n)[:n])
+    res = verify.verify_return_words(100)
+    assert not res.ok and res.counterexample == {"factor": "a", "distinct": 1} and res.checked == 0
