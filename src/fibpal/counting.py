@@ -30,7 +30,8 @@ block_sum(m-2) = ((m-1) fib(m-1) + (m-4) fib(m-3)) / 5.  The tail loop
 Fibonacci terms into a small x + y phi in Z[phi] by Horner's rule and
 flushing it into one big sum every few dozen blocks; the trace is its own
 exact walk by the same hop rule.  That each head is an integer depends on
-m mod 20 only, so it is checked once, on fib mod 5.  Past the Fibonacci table
+m mod 20 only (fib mod 5 has Pisano period 20), so it is checked once, at
+import, on the heads of twenty consecutive blocks.  Past the Fibonacci table
 the walks step a pair down by subtraction, so memory stays bounded.
 Agreement with the block form and the tree oracle is enforced by the tests.
 
@@ -63,10 +64,6 @@ from .fibword import check_cap, fib, fib_floor_index, floor_phi
 # end_count(1) .. end_count(6); the walk bottoms out here.
 _END_BASE = (1, 1, 2, 2, 2, 3)
 
-# fib(k) % 5 at index k % 20, for k >= -1: fib mod 5 has period 20 (Pisano).
-_FIB_MOD5 = (1, 2, 3, 0, 3, 3, 1, 4, 0, 4, 4, 3, 2, 0, 2, 2, 4, 1, 0, 1)
-_heads_checked = None  # the last _FIB_MOD5 table found to make every head exact
-
 # The tail's Horner element is flushed into the big sum every _SEG blocks, so
 # its small ints stay within a few machine words.
 _SEG = 40
@@ -84,20 +81,12 @@ def _div5(x: int) -> int:
     return x // 5
 
 
-def _check_heads() -> None:
-    """Raise unless every head closed form is an integer.
-
-    The numerator (m-1) fib(m-1) + (m-4) fib(m-3) of block_sum(m-2) mod 5 depends
-    on m mod 20 only, so the 20 residues cover every block; a table is checked once.
-    """
-    global _heads_checked
-    table = _FIB_MOD5
-    if table is _heads_checked:
-        return
-    for m in range(20):
-        if ((m - 1) * table[(m - 1) % 20] + (m - 4) * table[(m - 3) % 20]) % 5:
-            raise AssertionError(f"head closed form at blocks m = {m} mod 20 is not divisible by 5")
-    _heads_checked = table
+# Every head block_sum(m-2) is an integer: its numerator mod 5 depends on m mod 20
+# only, as fib mod 5 has period 20 (Pisano), so blocks m = 4 .. 23 cover every m.
+for _m in range(4, 24):
+    if ((_m - 1) * fib(_m - 1) + (_m - 4) * fib(_m - 3)) % 5:
+        raise AssertionError(f"head closed form at blocks m = {_m} mod 20 is not divisible by 5")
+del _m
 
 
 def _flush(x: int, y: int, fibs, m: int) -> int:
@@ -115,7 +104,6 @@ def _walk(n: int) -> tuple[int, int]:
     m0 = m = fib_floor_index(n + 1)  # the block: fib(m) - 1 <= n <= fib(m+1) - 2
     fibs = fibword.fibs_through(m0)  # fibs[k + 1] is fib(k): the table, or a stepped pair past it
     r0 = r = n - fibs[m + 1] + 1
-    _check_heads()
     # a head at block m adds (m-1) fib(m-4) + w fib(m-3): 5 block_sum(m-2) is
     # (m-1) fib(m-4) + (3m-6) fib(m-3) in the basis fib(m-3), fib(m-4) (fib(m-1) =
     # 2 fib(m-3) + fib(m-4)), plus 5 hops fib(m-3), as fib(m-3) is also in

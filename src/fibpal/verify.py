@@ -221,7 +221,7 @@ def verify_counts(scan: oracle.PrefixScan) -> VerifyResult:
         total += a
         try:
             closed_total = counting.occurrence_count(n)
-        except AssertionError:  # a head or block total is not an integer
+        except AssertionError:  # a block total is not an integer
             return _finish("counts", False, n, t0, {"n": n})
         if closed_total != total:
             return _finish("counts", False, n, t0, {"n": n, "closed_total": closed_total, "oracle_total": total})

@@ -324,15 +324,15 @@ def test_impossible_coordinate_exit_3(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("plant, argv, counterexample", [
-    # the planted faults of test_impossible_coordinate_exit_3, and a Pisano table with its last entry wrong
+    # the planted faults of test_impossible_coordinate_exit_3, and a flushed head sum one too large
     (lambda patch: patch.setattr(fibpal.singular, "kernel", lambda w, real=fibpal.singular.kernel:
                                  real(w)._replace(m=1) if w == "aba" else real(w)),
      ("cylinder",), {"coord": [0, 1], "roundtrip": None}),
     (lambda patch: patch.setattr(fibpal.chain, "fib_floor_index", lambda x, real=fibpal.chain.fib_floor_index:
                                  real(x) + (x == 11)),
      ("chain", "--max-n", "100"), {"n": 10}),
-    (lambda patch: patch.setattr(counting, "_FIB_MOD5", counting._FIB_MOD5[:-1] + (2,)),
-     ("counts", "--max-n", "100"), {"n": 4}),
+    (lambda patch: patch.setattr(counting, "_flush", lambda *a, real=counting._flush: real(*a) + 1),
+     ("counts", "--max-n", "100"), {"n": 7}),
 ], ids=["cylinder", "chain", "counts"])
 def test_verify_closed_form_assertion_exit_1(capsys, monkeypatch, plant, argv, counterexample):
     # a closed form that trips its own invariant fails the suite; it is not an internal error

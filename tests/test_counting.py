@@ -381,18 +381,14 @@ def test_invariant_checks_survive_optimize_flag():
     assert proc.returncode != 0 and "AssertionError" in proc.stderr
 
 
-def _corrupt_fib_mod5(table, k=7):
-    """The fib-mod-5 table with entry k off by one."""
-    return table[:k] + ((table[k] + 1) % 5,) + table[k + 1:]
+# fib(8) one too large before counting is imported: the numerator of block m = 9's head
+_CORRUPT_FIB = "from fibpal import fibword; fibword.fib(40); fibword._fibs[9] += 1; import fibpal.counting"
 
 
 def test_head_exactness_check_catches_faults(monkeypatch):
-    assert all(counting._FIB_MOD5[k % 20] == fib(k) % 5 for k in range(-1, 200))
+    proc = _run(_CORRUPT_FIB)
+    assert proc.returncode != 0 and "AssertionError: head closed form at blocks m = 9 " in proc.stderr
     n = 10**1000 + 12345
-    with monkeypatch.context() as mp:
-        mp.setattr(counting, "_FIB_MOD5", _corrupt_fib_mod5(counting._FIB_MOD5))
-        with pytest.raises(AssertionError, match="head closed form"):
-            occurrence_count(n)
     calls, flush = count(), counting._flush  # the first flushed product comes out one too large
     with monkeypatch.context() as mp:
         mp.setattr(counting, "_flush", lambda *a: flush(*a) + (next(calls) == 0))
@@ -402,12 +398,8 @@ def test_head_exactness_check_catches_faults(monkeypatch):
 
 
 def test_head_exactness_check_survives_optimize_flag():
-    proc = _run_optimized(
-        "from fibpal import counting; t = counting._FIB_MOD5; "
-        "counting._FIB_MOD5 = t[:7] + ((t[7] + 1) % 5,) + t[8:]; "
-        "counting.occurrence_count(10**1000 + 12345)"
-    )
-    assert proc.returncode != 0 and "AssertionError: head closed form" in proc.stderr
+    proc = _run_optimized(_CORRUPT_FIB)
+    assert proc.returncode != 0 and "AssertionError: head closed form at blocks m = 9 " in proc.stderr
     proc = _run_optimized(
         "from itertools import count; from fibpal import counting; calls, flush = count(), counting._flush; "
         "counting._flush = lambda *a: flush(*a) + (next(calls) == 0); "

@@ -22,6 +22,15 @@ def test_floor_phi_block_matches_scalar():
         assert v == floor_phi(p)
 
 
+def test_floor_phi_block_corrects_a_high_seed():
+    # every p <= 2 fib(38) whose float64 root of 5p**2 truncates one too high,
+    # fib(38) first; no p <= 3e8 has a seed one too low
+    ps = np.array([102_334_155, 133_957_148, 173_045_317, 204_668_310], dtype=np.int64)
+    n = 5 * ps * ps
+    assert (np.sqrt(n).astype(np.int64) ** 2 > n).all()
+    assert kernels.floor_phi_block(ps).tolist() == [floor_phi(p) for p in ps.tolist()]
+
+
 def test_floor_phi_block_leaves_its_input_unchanged():
     # a read-only array, which any write into the input would trip
     ps = np.arange(kernels.FAST_FLOOR_MAX - 3000, kernels.FAST_FLOOR_MAX + 1, dtype=np.int64)

@@ -118,6 +118,13 @@ def test_kernel_uniqueness_over_short_factors(prefix_10k):
                 assert singular_word(bigger) not in w
 
 
+def test_kernel_found_twice_raises(monkeypatch):
+    # over an all-a prefix, "aaaa" is a factor holding the candidate S(2) = "aaa" twice
+    monkeypatch.setattr(singular, "prefix", lambda n: "a" * n)
+    with pytest.raises(AssertionError, match=r"the kernel S\(2\) occurs twice in the factor 'aaaa'"):
+        kernel("aaaa")
+
+
 def test_kernel_occurrence_correspondence(prefix_10k):
     # the kernel inside the p-th occurrence is the p-th kernel occurrence
     for w in ["a", "b", "aa", "aba", "abaab", "ababa", singular_word(4), "abaababaab"]:
