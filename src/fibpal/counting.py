@@ -46,7 +46,7 @@ positions for kernel index m splits exactly into those of two child cells,
 and the m = 0 cell reduces to its maximum, cell(-1, end_a(p) + 1); expanding
 down to kernel indices {-1, 0} tiles every cell.  The children's floors are
 p + q and p (the identities after_b_end and after_a_end), so one split rule
-carries (m, p, q, lo), lo the first position, with no isqrt below the root.
+carries (m, p, q, lo), lo the first position, with no floor_phi below the root.
 The children start at lo and lo + fib(m-1), so they tile the cell by
 construction; verify_tau checks the rule against the closed forms.
 """

@@ -2,8 +2,8 @@
 
 The infinite word is the fixed point, starting from ``a``, of the morphism
 a -> ab, b -> a.  Positions are 1-based and unbounded, so everything here is
-integer-exact: golden-ratio floors are computed with ``math.isqrt`` on
-arbitrary-precision integers, and no float ever reaches a result.
+integer-exact: a golden-ratio floor is one product with a fixed-point phi,
+or ``math.isqrt`` where that cannot decide it, and no float reaches a result.
 
 Conventions used throughout the package:
 
@@ -179,15 +179,29 @@ def fib_floor_index(x: int) -> int:
     return bisect_right(_fibs, x) - 2
 
 
+_PHI = (math.isqrt(5 << 8192) - (1 << 4096)) >> 1  # floor(phi * 2**4096), by floor(sqrt(5) * 2**4096)
+
+
 def floor_phi(p: int) -> int:
     """Exact floor(phi * p) where phi = (sqrt(5) - 1) / 2.
 
-    Computed as (isqrt(5 p^2) - p) // 2.  sqrt(5) * p is irrational for
-    p >= 1, so the floor is recovered exactly from the integer square root;
-    no floating point is involved.  Equals the number of ``a`` letters in the
-    prefix of length p - 1.
+    For p >= 2**30 with 64 guard bits, k = p.bit_length() + 64 <= 4096:
+    c = _PHI >> (4096 - k) is floor(phi * 2**k), and phi * 2**k is irrational,
+    so x = p * c < p * phi * 2**k < x + p.  When x and x + p have the same
+    quotient q by 2**k, q <= p * phi < q + 1.  Otherwise, (isqrt(5 p^2) - p) // 2,
+    exact as sqrt(5) * p is irrational for p >= 1: for p < 2**30 (isqrt's
+    machine-word path), past _PHI's precision, and for p * phi within 2**-64
+    of an integer, as for nearly every fib(m) with m >= 92.  No floating point
+    is involved.  Equals the number of ``a`` letters in the prefix of length p - 1.
     """
-    if p < 0:
+    if p >= 1 << 30:
+        k = p.bit_length() + 64
+        if k <= 4096:
+            x = p * (_PHI >> (4096 - k))
+            q = x >> k
+            if (x + p) >> k == q:
+                return q
+    elif p < 0:
         raise DomainError(f"floor_phi needs p >= 0, got {show_int(p)}")
     return (math.isqrt(5 * p * p) - p) // 2
 

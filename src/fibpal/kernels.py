@@ -20,9 +20,9 @@ def active_backend() -> str:
 
 
 # Machine-width guards.  floor arguments up to FAST_FLOOR_MAX keep 5*p*p and
-# the root-correction squares inside int64 (the float64 sqrt seed may be a few
-# ulps off there; the correction loops repair it).  The identity sweep feeds
-# derived arguments up to ~2.62*p, hence its tighter input bound.
+# the root-correction squares inside int64 (the float64 sqrt seed is off by at
+# most one there; floor_phi_block steps once each way).  The identity sweep
+# feeds derived arguments up to ~2.62*p, hence its tighter input bound.
 FAST_FLOOR_MAX = 10**9
 FAST_SCAN_MAX = 3 * 10**8
 # Values per block of a NumPy sweep (floor_identity_scan and the preimage

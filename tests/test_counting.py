@@ -469,7 +469,7 @@ def leaf_off_its_cell(m: int, p: int):
                          + [(12, Random(7).randrange(10**k, 10**(k + 1))) for k in (20, 50, 200, 999)])
 def test_carried_floors_at_big_p(m, p):
     # every leaf's position comes from floors carried down from the root's one
-    # isqrt; chain_interval pays an isqrt of its own p, ~p wide
+    # floor_phi; chain_interval takes a floor_phi of its own p, ~p wide
     assert leaf_off_its_cell(m, p) is None
 
 

@@ -1,0 +1,106 @@
+"""Committed answer digests: one sha256 per function and magnitude.
+
+Every answer is exact, so none should change.  A change that alters one on
+purpose says why in CHANGES.md and updates its constant in the same commit.
+Each row is the repr of an answer with every int written in hex (``str``
+refuses ints past 4,300 digits), one row per line.
+"""
+
+import hashlib
+from random import Random
+
+import pytest
+
+from fibpal import (
+    PalCoord,
+    chain_interval,
+    fib,
+    floor_phi,
+    letter_at,
+    pal_span,
+    singular_end_pos,
+    split_cell,
+)
+
+
+def _seeded(k: int) -> list[int]:
+    rng = Random(k)
+    return [rng.randrange(10**k, 10**(k + 1)) for _ in range(6)]
+
+
+# "small" is every n < 3,000; "1eK" is six seeded n in [10**K, 10**(K + 1))
+MAGNITUDES = {"small": range(1, 3000), **{f"1e{k}": _seeded(k) for k in (6, 18, 100, 1000, 4000)}}
+
+
+def _kernel_index(n: int) -> int:
+    return n % 12 - 1
+
+
+# function name -> the answer it gives for input n
+FUNCTIONS = {
+    "floor_phi": floor_phi,
+    "letter_at": letter_at,
+    "singular_end_pos": lambda n: singular_end_pos(_kernel_index(n), n),
+    "chain_interval": lambda n: chain_interval(_kernel_index(n), n),
+    "pal_span": lambda n: pal_span(PalCoord(_kernel_index(n), n % fib(_kernel_index(n) + 1) + 1), n),
+    "split_cell": lambda n: split_cell(n % 12 + 1, n),
+}
+
+DIGESTS = {
+    ("floor_phi", "small"): "ee2ab7308f05fe979379a6512e3c80e5da30c33725b0eb38935b535105e8ee9c",
+    ("floor_phi", "1e6"): "618410bc6fc067b83a678d88d72323c6b8dc47f334f07c3d7bd4dc3486703c1b",
+    ("floor_phi", "1e18"): "0fc598a4c519f16ae01c2e02ef021da0c9d96f03c047b3a79f0bd566608445a1",
+    ("floor_phi", "1e100"): "cb7c5223b8104785ec35689b90f4ad0862cbefe7d38ea18cf945dcc3d3310921",
+    ("floor_phi", "1e1000"): "c80175c2f96fcc59f6de687d8f92766c7c35d306d65323b02aa7664c346baac0",
+    ("floor_phi", "1e4000"): "7e26fe26cbcf924de0b62acf560b88d4e6b5a18a7f60c3a6e2c2759a9b037848",
+    ("letter_at", "small"): "c0592386f4adfbadfbe75f8689629c549856db73cd93ae59356cae5183c89e1c",
+    ("letter_at", "1e6"): "dcb4ce1a9a2f9e659623da86209bc4ab98326e010ccec9ecf27ebc87e0b7678f",
+    ("letter_at", "1e18"): "1e594f9a54d16225056d006c29cd2afa96f54ef766669d6c586b0a35b0040a60",
+    ("letter_at", "1e100"): "6ecd51cd8d697c56cddf04d136c2cffb7371f158a981bd8f4137b401622c61f4",
+    ("letter_at", "1e1000"): "75818b59c6d6df66ff7cd1712c59c77d603dff1573cd5ef8defc518839236085",
+    ("letter_at", "1e4000"): "9d2a6dc6c46c2067633f50bea63e99fb3ba4237b9e2e5cb4acf01fc4b57fc212",
+    ("singular_end_pos", "small"): "768fd182edebe50808ca8ad2f7dcf2d0d78b6c44719856eeebff50c8e6e460c4",
+    ("singular_end_pos", "1e6"): "dd7dc0e6080687efb0c3d1accc9ea513c52a982c8b2fd643fc692b2a1170ff4b",
+    ("singular_end_pos", "1e18"): "4f43776982bea92ff2856d2c04f439920e0e82beda37d38c4d5e63dee806a4b0",
+    ("singular_end_pos", "1e100"): "e8f6d1eb6096ddf7ef0642081ac12f05be18eb9b978604d07225fe5b1ab21d1e",
+    ("singular_end_pos", "1e1000"): "505430422c71149e90ab0fbe7f638cb61edcf0ab04751559c10eeabcc8fb67c5",
+    ("singular_end_pos", "1e4000"): "4911cef04592560357c26870d80e1f6e00dbc45342cab8fded10007f4fea2867",
+    ("chain_interval", "small"): "65683612c56b9309e5ae761ac545f12bbb35733874bfb1df1070a859601a690c",
+    ("chain_interval", "1e6"): "a73adf0a1ef64e4712f7f5161557c46cddd6713a786b8a1a3ef0a4fe96fc821e",
+    ("chain_interval", "1e18"): "39df9718db3df9130fd65fe9b8fcd0650d5bbc3abb858ef5a92ecda274216ae4",
+    ("chain_interval", "1e100"): "63e547524ed9846ee4ff6a584d021b0e17950de3773e5bbaa16a9ebd639f74fb",
+    ("chain_interval", "1e1000"): "e49121808a724da31a08ab5448d238277d542ec764ba81219ee76b698a3ced63",
+    ("chain_interval", "1e4000"): "6112c64a51c5bd657edc15a4219e214848cd41d2612be82c1d191fcba7214019",
+    ("pal_span", "small"): "302f62faa2525a8a2e901e1bc6eb75c9c9af0afdd4998a0d8b2d49a0de36afdc",
+    ("pal_span", "1e6"): "03e759154d38e78dda2a959ff2496673c71473eecddd7b9439c69541a608d1dd",
+    ("pal_span", "1e18"): "5a75133d3ee79b0866e7440ea2f027c6014cee859b806b9317e444c4897b6b13",
+    ("pal_span", "1e100"): "3d649d17db080641aba6ff51db1be8060093b6afe659e791de537caeccdf590b",
+    ("pal_span", "1e1000"): "0205936031f66e81c00b75c057b783efc607eb1fe3d47a2c3c5f2bb0b0b4bfa4",
+    ("pal_span", "1e4000"): "c72fa4e03f3ac7ef4abbe900cd44e0becc00606809adfd559b0dc2289b154d93",
+    ("split_cell", "small"): "e7516edf7d742dbd56ad84f7948ccf643cf872299cc2adaf3410cc3d2fd752a2",
+    ("split_cell", "1e6"): "71c8751c880d442900c500a541a6275a33a0aa90b1b8be5d961806f2f1e9de70",
+    ("split_cell", "1e18"): "42d87f3f2643651374e878a53ec169d47c07f4247fd025818aaa981d8dae7026",
+    ("split_cell", "1e100"): "1b0d714218beaf21a24ae165aa0f38da2aaef9c2352a356dee7d6f80dd31f114",
+    ("split_cell", "1e1000"): "eda105fab1a61d1734a84691aa0b5ca459fb9dbca1cd29ec40a0c1d83316e6fb",
+    ("split_cell", "1e4000"): "078fbf0b1c97c10b5c8d74dbf75ef1c0fdaece815287dcb2359ee0351d399b00",
+}
+
+
+def _row(answer) -> str:
+    if isinstance(answer, int):
+        return hex(answer)
+    if isinstance(answer, tuple):
+        return f"{type(answer).__name__}({', '.join(map(_row, answer))})"
+    return repr(answer)
+
+
+def digest(function: str, magnitude: str) -> str:
+    answer = FUNCTIONS[function]
+    rows = "\n".join(_row(answer(n)) for n in MAGNITUDES[magnitude])
+    return hashlib.sha256(rows.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("function, magnitude", list(DIGESTS))
+def test_answers_match_the_committed_digest(function, magnitude):
+    assert digest(function, magnitude) == DIGESTS[function, magnitude], \
+        f"{function} answers at magnitude {magnitude} changed"

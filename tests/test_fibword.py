@@ -1,5 +1,7 @@
+import math
 import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -178,11 +180,34 @@ def test_floor_phi_examples():
         floor_phi(-1)
 
 
-@given(st.integers(min_value=1, max_value=10**30))
+@given(st.integers(min_value=1, max_value=2**4200))
 def test_floor_phi_squared_inequality(p):
-    # k = floor(phi*p) iff (2k+p)^2 <= 5p^2 < (2k+p+2)^2, an exact restatement
+    # k = floor(phi*p) iff (2k+p)^2 <= 5p^2 < (2k+p+2)^2, an exact restatement;
+    # the range runs past the precision of floor_phi's fixed-point phi
     k = floor_phi(p)
     assert (2 * k + p) ** 2 <= 5 * p * p < (2 * k + p + 2) ** 2
+
+
+def test_floor_phi_takes_each_path_exactly(monkeypatch):
+    # floor_phi answers by one product unless p < 2**30, p is past the
+    # precision of its fixed-point phi, or the product's 64 guard bits cannot
+    # decide the floor, as for nearly every fib(k) with k >= 92; each path
+    # must give the root formula
+    roots = []
+    monkeypatch.setattr(fibword, "math", SimpleNamespace(isqrt=lambda n: roots.append(n) or math.isqrt(n)))
+    bits = fibword._PHI.bit_length()  # the precision of _PHI
+    ps = [fib(k) + d for k in range(-1, 5001) for d in (-1, 0, 1)]
+    ps += [2**30 - 1, 2**30, 2**30 + 1, 2**(bits - 64) - 1, 2**(bits - 64) + 1]  # bit lengths 30, 31, 31, bits - 64, bits - 63
+    took_root = {}
+    for p in ps:
+        roots.clear()
+        assert floor_phi(p) == (math.isqrt(5 * p * p) - p) // 2, p
+        took_root[p] = bool(roots)
+    assert took_root[2**30 - 1] and not took_root[2**30] and not took_root[2**30 + 1]
+    assert not took_root[2**(bits - 64) - 1] and took_root[2**(bits - 64) + 1]
+    # the guard sends fib values inside the precision back to the root
+    assert 2**30 <= fib(92) and fib(5000).bit_length() + 64 <= bits
+    assert any(took_root[fib(k)] for k in range(92, 5001))
 
 
 @given(st.integers(min_value=0, max_value=10**18))
