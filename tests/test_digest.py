@@ -3,7 +3,8 @@
 Every answer is exact, so none should change.  A change that alters one on
 purpose says why in CHANGES.md and updates its constant in the same commit.
 Each row is the repr of an answer with every int written in hex (``str``
-refuses ints past 4,300 digits), one row per line.
+refuses ints past 4,300 digits), one row per line; a word function's row is
+the type name of the DomainError it raises, where it raises one.
 """
 
 import hashlib
@@ -12,12 +13,21 @@ from random import Random
 import pytest
 
 from fibpal import (
+    DomainError,
     PalCoord,
     chain_interval,
+    coord_from_pal,
     fib,
     floor_phi,
+    is_factor,
+    kernel,
     letter_at,
+    new_pal_at,
+    pal_end_pos,
+    pal_from_coord,
     pal_span,
+    pals_of_length,
+    prefix,
     singular_end_pos,
     split_cell,
 )
@@ -28,12 +38,44 @@ def _seeded(k: int) -> list[int]:
     return [rng.randrange(10**k, 10**(k + 1)) for _ in range(6)]
 
 
-# "small" is every n < 3,000; "1eK" is six seeded n in [10**K, 10**(K + 1))
-MAGNITUDES = {"small": range(1, 3000), **{f"1e{k}": _seeded(k) for k in (6, 18, 100, 1000, 4000)}}
+def _words() -> list[str]:
+    """Seeded factors of length 1 .. 1,000, each with a one-letter mutant, and
+    the palindromes of a seeded length, built by pal_from_coord."""
+    rng = Random(1)
+    text = prefix(30000)
+    out = []
+    for _ in range(200):
+        length = rng.randrange(1, 1001)
+        start = rng.randrange(len(text) - length)
+        w = text[start:start + length]
+        k = rng.randrange(length)
+        out += [w, w[:k] + "ab"[w[k] == "a"] + w[k + 1:]]
+        out += [pal_from_coord(c) for c in pals_of_length(rng.randrange(1, 1001))]
+    return out
+
+
+# "small" is every n < 3,000; "1eK" is six seeded n in [10**K, 10**(K + 1));
+# "words" is the word magnitude, the one the word functions take
+MAGNITUDES = {"small": range(1, 3000), **{f"1e{k}": _seeded(k) for k in (6, 18, 100, 1000, 4000)},
+              "words": _words()}
 
 
 def _kernel_index(n: int) -> int:
     return n % 12 - 1
+
+
+def _coord(n: int) -> PalCoord:
+    return PalCoord(_kernel_index(n), n % fib(_kernel_index(n) + 1) + 1)
+
+
+def _answer_or_error(function):
+    """The function's answer, or the type name of the DomainError it raises."""
+    def answer(w):
+        try:
+            return function(w)
+        except DomainError as exc:  # NotAFactorError is one
+            return type(exc).__name__
+    return answer
 
 
 # function name -> the answer it gives for input n
@@ -42,8 +84,15 @@ FUNCTIONS = {
     "letter_at": letter_at,
     "singular_end_pos": lambda n: singular_end_pos(_kernel_index(n), n),
     "chain_interval": lambda n: chain_interval(_kernel_index(n), n),
-    "pal_span": lambda n: pal_span(PalCoord(_kernel_index(n), n % fib(_kernel_index(n) + 1) + 1), n),
+    "pal_end_pos": lambda n: pal_end_pos(_coord(n), n),
+    "pal_span": lambda n: pal_span(_coord(n), n),
+    "new_pal_at": new_pal_at,
+    "pals_of_length": pals_of_length,
     "split_cell": lambda n: split_cell(n % 12 + 1, n),
+    # word functions, at the "words" magnitude only
+    "kernel": _answer_or_error(kernel),
+    "is_factor": _answer_or_error(is_factor),
+    "coord_from_pal": _answer_or_error(coord_from_pal),
 }
 
 DIGESTS = {
@@ -77,12 +126,33 @@ DIGESTS = {
     ("pal_span", "1e100"): "3d649d17db080641aba6ff51db1be8060093b6afe659e791de537caeccdf590b",
     ("pal_span", "1e1000"): "0205936031f66e81c00b75c057b783efc607eb1fe3d47a2c3c5f2bb0b0b4bfa4",
     ("pal_span", "1e4000"): "c72fa4e03f3ac7ef4abbe900cd44e0becc00606809adfd559b0dc2289b154d93",
+    ("pal_end_pos", "small"): "b5f0d9410ca8c900ee224d69392376a4e583faf90a4166eaced27208d009ed4a",
+    ("pal_end_pos", "1e6"): "6fab9d48a60d0f675fc5c83091bfd6264ee4c4db13e41640a7ccfec99f1dddb3",
+    ("pal_end_pos", "1e18"): "706dc1ff7c73583b2d0ee35e78e4a5eb8140ed07834993ef6d4b43889521f1fc",
+    ("pal_end_pos", "1e100"): "2dc55f070dfc214106b943154d851f0bb493eee03bed8bd7b8c28d15efc25149",
+    ("pal_end_pos", "1e1000"): "2f124dbfca306f193ce4974f8c0fc197c027a46d64601a15bdcbd83618a161db",
+    ("pal_end_pos", "1e4000"): "2c6794883b1b41ca717804c71c62383963779eeca6656b655c4ec4f92d2a9a8f",
+    ("new_pal_at", "small"): "e70ad965be3c8230377519bb7ef055dd3257862bb86d3e8d6a6282e84939886a",
+    ("new_pal_at", "1e6"): "f26f28b5c55380d4ca2f7e0926e024a69cc799d8138851895bf01a1aa801e5db",
+    ("new_pal_at", "1e18"): "1a35d464804465889a2099cc792665eef5d149f8a780614f00e384d63f0511c7",
+    ("new_pal_at", "1e100"): "8c40319e1cb7fcc8031eb278c7c47f56f67a147ca1ad09cdaaefe192c38e51bc",
+    ("new_pal_at", "1e1000"): "dc7a92bc14224be90ac373f9d7f9ca0e6e669947aca8d461ce486c4fff743ce9",
+    ("new_pal_at", "1e4000"): "9f2eef0285ee7b44fcac90da79a33bb25cd6dbdf81b2aa37626183cbd1454c28",
+    ("pals_of_length", "small"): "080524056639a4a65439ca5a2a0f83bf6f596ac6e41b83fc4d82d9e84c7ce702",
+    ("pals_of_length", "1e6"): "bafa9178b5d7ea8510018d65f39a423adba575c8e66b655f9e735127f130a38f",
+    ("pals_of_length", "1e18"): "82be67778951078200ba7833919ab801d128c6868799dec1fd61572f406e9c9d",
+    ("pals_of_length", "1e100"): "47f0ca55afa8435be5267a7a0a9cf61aecf0647a59485e2d9fdf1a6c0c9c1204",
+    ("pals_of_length", "1e1000"): "2c92f2b733b17f74930f1751286628cf7a6593c459456a8f2499b302dcd6c0be",
+    ("pals_of_length", "1e4000"): "b3dcc8b64d72275f50fa02e785985cdde578685451de3e1f8d024c69d748d234",
     ("split_cell", "small"): "e7516edf7d742dbd56ad84f7948ccf643cf872299cc2adaf3410cc3d2fd752a2",
     ("split_cell", "1e6"): "71c8751c880d442900c500a541a6275a33a0aa90b1b8be5d961806f2f1e9de70",
     ("split_cell", "1e18"): "42d87f3f2643651374e878a53ec169d47c07f4247fd025818aaa981d8dae7026",
     ("split_cell", "1e100"): "1b0d714218beaf21a24ae165aa0f38da2aaef9c2352a356dee7d6f80dd31f114",
     ("split_cell", "1e1000"): "eda105fab1a61d1734a84691aa0b5ca459fb9dbca1cd29ec40a0c1d83316e6fb",
     ("split_cell", "1e4000"): "078fbf0b1c97c10b5c8d74dbf75ef1c0fdaece815287dcb2359ee0351d399b00",
+    ("kernel", "words"): "06f178bc254e24a0ac571a740f7f3831e5663a4939592a91db19a0feb5d7be5c",
+    ("is_factor", "words"): "d5698c81eb61cdfca9edee0bece3376239750790362b7e16eb3dbc464bd71841",
+    ("coord_from_pal", "words"): "425a43a763450272a1728172b0ec21ddea8889e19232fba53fab516857efc1d3",
 }
 
 
@@ -91,6 +161,8 @@ def _row(answer) -> str:
         return hex(answer)
     if isinstance(answer, tuple):
         return f"{type(answer).__name__}({', '.join(map(_row, answer))})"
+    if isinstance(answer, list):
+        return f"[{', '.join(map(_row, answer))}]"
     return repr(answer)
 
 
