@@ -9,12 +9,18 @@ fib(m+1) - i letters later.  Ranging over i, those ending positions fill the
 contiguous interval of size fib(m+1) starting at ``end``; for p = 1 the
 intervals for consecutive m tile the positive integers, which is why exactly
 one palindrome's first occurrence ends at each position n.
+
+Each query checks its arguments once and reads the Fibonacci numbers it
+needs from one ``fibword.fibs_through`` view (``fibs[k + 1]`` is fib(k)), with
+no helper frame; on bad arguments it calls the function that states the
+check, which raises.  ``pal_span`` alone also calls fib(), as noted there.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
+from . import fibword
 from .errors import DomainError, show_int
 from .fibword import fib, fib_floor_index, floor_phi
 
@@ -34,14 +40,13 @@ class PalCoord(NamedTuple):
         return self.i == fib(self.m + 1)
 
 
-def validate_coord(c: PalCoord) -> int:
-    """Raise DomainError unless i lies in [1, fib(m+1)]; return fib(m+1)."""
+def validate_coord(c: PalCoord) -> None:
+    """Raise DomainError unless i lies in [1, fib(m+1)]."""
     if c.m < -1:
         raise DomainError(f"kernel index must be >= -1, got {show_int(c.m)}")
     top = fib(c.m + 1)
     if not 1 <= c.i <= top:
         raise DomainError(f"i must lie in [1, fib({c.m + 1})={show_int(top)}], got {show_int(c.i)}")
-    return top
 
 
 class OccurrenceSpan(NamedTuple):
@@ -68,18 +73,14 @@ class ChainInterval(NamedTuple):
         return self.hi - self.lo + 1
 
 
-def _end_pos(m: int, p: int, fib_next: int) -> int:
-    """singular_end_pos(m, p) for checked arguments, given fib_next = fib(m+1)."""
-    return p * fib_next + (floor_phi(p) + 1) * fib(m) - 1
-
-
 def singular_end_pos(m: int, p: int) -> int:
     """Ending position of the p-th occurrence of the m-th singular word."""
     if m < -1:
         raise DomainError(f"kernel index must be >= -1, got {show_int(m)}")
     if p < 1:
         raise DomainError(f"occurrence index must be >= 1, got {show_int(p)}")
-    return _end_pos(m, p, fib(m + 1))
+    fibs = fibword.fibs_through(m + 1)
+    return p * fibs[m + 2] + (floor_phi(p) + 1) * fibs[m + 1] - 1
 
 
 def singular_start_pos(m: int, p: int) -> int:
@@ -89,17 +90,25 @@ def singular_start_pos(m: int, p: int) -> int:
 
 def pal_end_pos(c: PalCoord, p: int) -> int:
     """Ending position of the p-th occurrence of the palindrome (m, i)."""
-    fib_next = validate_coord(c)  # the coordinate error wins over p's
-    if p < 1:
+    m, i = c
+    fibs = fibword.fibs_through(m + 1)  # the table, unread, when m < -1
+    if m < -1 or not 1 <= i <= fibs[m + 2] or p < 1:
+        validate_coord(c)  # the coordinate's error wins over p's
         raise DomainError(f"occurrence index must be >= 1, got {show_int(p)}")
-    return _end_pos(c.m, p, fib_next) + fib_next - c.i
+    return (p + 1) * fibs[m + 2] + (floor_phi(p) + 1) * fibs[m + 1] - 1 - i  # singular_end_pos + fib(m+1) - i
 
 
 def pal_span(c: PalCoord, p: int) -> OccurrenceSpan:
     """First and last letter positions of the p-th occurrence of the palindrome (m, i)."""
-    end = pal_end_pos(c, p)
+    m, i = c
+    fibs = fibword.fibs_through(m + 1)
+    if m < -1 or not 1 <= i <= fibs[m + 2] or p < 1:
+        pal_end_pos(c, p)  # raises, the coordinate's error before p's
+    # S(m) starts at p fib(m+1) + floor_phi(p) fib(m), the palindrome fib(m+1) - i letters
+    # earlier; its length reads fib(m+3) by fib(), which refuses it past the index limit
+    start = (p - 1) * fibs[m + 2] + floor_phi(p) * fibs[m + 1] + i
     # tuple.__new__ builds the record as OccurrenceSpan._make does, without its frame
-    return tuple.__new__(OccurrenceSpan, (end - c.length() + 1, end))
+    return tuple.__new__(OccurrenceSpan, (start, start + fib(m + 3) - 2 * i - 1))
 
 
 def chain_interval(m: int, p: int) -> ChainInterval:
@@ -108,8 +117,11 @@ def chain_interval(m: int, p: int) -> ChainInterval:
     Stored as (lo, hi); the interval is provably contiguous of size fib(m+1),
     so it is never materialized as an element set.
     """
-    lo = singular_end_pos(m, p)  # checks m, then p
-    return tuple.__new__(ChainInterval, (m, p, lo, lo + fib(m + 1) - 1))
+    if m < -1 or p < 1:
+        singular_end_pos(m, p)  # raises, m's error before p's
+    fibs = fibword.fibs_through(m + 1)
+    lo = p * fibs[m + 2] + (floor_phi(p) + 1) * fibs[m + 1] - 1
+    return tuple.__new__(ChainInterval, (m, p, lo, lo + fibs[m + 2] - 1))
 
 
 def new_pal_at(n: int) -> PalCoord:
@@ -121,8 +133,9 @@ def new_pal_at(n: int) -> PalCoord:
     if n < 1:
         raise DomainError(f"positions are 1-based, got {show_int(n)}")
     m = fib_floor_index(n + 1) - 2
-    i = fib(m + 3) - 1 - n
-    if not 1 <= i <= fib(m + 1):  # a defect: every n >= 1 lands in [1, fib(m+1)]
+    fibs = fibword.fibs_through(m + 3)
+    i = fibs[m + 4] - 1 - n
+    if not 1 <= i <= fibs[m + 2]:  # a defect: every n >= 1 lands in [1, fib(m+1)]
         raise AssertionError(f"position {show_int(n)} gets i = {show_int(i)} outside [1, fib({m + 1})]")
     return tuple.__new__(PalCoord, (m, i))
 

@@ -55,10 +55,11 @@ def coord_from_pal(w: str) -> PalCoord:
     if w != w[::-1]:
         raise DomainError(f"{w[:40]!r} is not a palindrome")
     m = fibpal.singular.kernel(w).m  # raises NotAFactorError for non-factors
-    num = fib(m + 3) - len(w)
-    if num <= 0 or num % 2 or num // 2 > fib(m + 1):  # a defect: every palindromic factor has a coordinate
+    fibs = fibword.fibs_through(m + 3)  # fibs[k + 1] is fib(k)
+    num = fibs[m + 4] - len(w)
+    if num <= 0 or num % 2 or num // 2 > fibs[m + 2]:  # a defect: every palindromic factor has a coordinate
         raise AssertionError(f"the palindrome {w[:40]!r} gets no coordinate at kernel index {m}")
-    return PalCoord(m, num // 2)
+    return tuple.__new__(PalCoord, (m, num // 2))
 
 
 def pals_of_length(n: int) -> list[PalCoord]:
@@ -71,10 +72,11 @@ def pals_of_length(n: int) -> list[PalCoord]:
         raise DomainError("palindrome lengths start at 1; the empty word is excluded")
     out = []
     top = fib_floor_index(n)
+    fibs = fibword.fibs_through(top + 3)  # fibs[k + 1] is fib(k)
     for m in range(max(-1, top - 2), top + 1):
-        num = fib(m + 3) - n
-        if num >= 2 and num % 2 == 0 and num // 2 <= fib(m + 1):
-            out.append(PalCoord(m, num // 2))
+        num = fibs[m + 4] - n
+        if num >= 2 and num % 2 == 0 and num // 2 <= fibs[m + 2]:
+            out.append(tuple.__new__(PalCoord, (m, num // 2)))
     return out
 
 

@@ -53,14 +53,15 @@ def _largest_singular(w: str) -> tuple[int, int, bool] | None:
     """
     n = len(w)
     m = fibword.fib_floor_index(n)
-    text = prefix(fib(m + 1) + n)
+    fibs = fibword.fibs_through(m + 1)  # fibs[k + 1] is fib(k)
+    text = prefix(fibs[m + 2] + n)
     while m >= -1:
-        first = fib(m + 1) - 1
-        s = text[first:first + fib(m)]
+        first = fibs[m + 2] - 1
+        s = text[first:first + fibs[m + 1]]
         idx = w.find(s)
         if idx >= 0:
             start = first - idx
-            occurs = start >= 0 and text[start:start + n] == w
+            occurs = start >= 0 and text.startswith(w, start)
             if occurs and w.find(s, idx + 1) >= 0:
                 raise AssertionError(f"the kernel S({m}) occurs twice in the factor {w[:40]!r}")
             return m, idx, occurs
@@ -95,4 +96,4 @@ def kernel(w: str) -> KernelResult:
     found = _largest_singular(w)
     if found is None or not found[2]:
         raise NotAFactorError(f"{w[:40]!r} does not occur in the Fibonacci word")
-    return KernelResult(found[0], found[1] + 1)
+    return tuple.__new__(KernelResult, (found[0], found[1] + 1))  # as KernelResult._make does, without its frame

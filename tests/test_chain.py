@@ -1,4 +1,6 @@
 import re
+import sys
+from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,20 +8,26 @@ from hypothesis import given, strategies as st
 from fibpal import (
     DomainError,
     PalCoord,
+    ResourceError,
     chain_interval,
+    coord_from_pal,
     distinct_count,
     fib,
+    floor_phi,
+    kernel,
     new_pal_at,
     pal_end_pos,
     pal_from_coord,
     pal_span,
     pals_of_length,
+    prefix,
     prefix_palindrome_lengths,
     singular_end_pos,
     singular_start_pos,
     singular_word,
 )
-from fibpal import chain, cylinder, oracle
+from fibpal import fibword, oracle
+from fibpal.fibword import fibs_through
 
 
 def test_singular_end_pos_examples():
@@ -45,19 +53,18 @@ def test_pal_end_pos_examples():
 
 
 def test_pal_end_pos_checks_each_argument_once(monkeypatch):
-    calls = []
+    views = []
 
     def counted(m):
-        calls.append(m)
-        return fib(m)
+        views.append(m)
+        return fibs_through(m)
 
-    monkeypatch.setattr(chain, "fib", counted)
-    monkeypatch.setattr(cylinder, "fib", counted)
+    monkeypatch.setattr(fibword, "fibs_through", counted)
     for m, i, p in ((5, 3, 7), (-1, 1, 1), (0, 1, 4), (8, 55, 10**30)):
         expect = singular_end_pos(m, p) + fib(m + 1) - i
-        calls.clear()
+        views.clear()
         assert pal_end_pos(PalCoord(m, i), p) == expect
-        assert calls == [m + 1, m]  # fib(m+1) once, for the bound on i and the offset
+        assert views == [m + 1]  # one view, for the bound on i and the offset
     # the coordinate is checked before p, and every message names the bad value
     for c, p, msg in ((PalCoord(-2, 1), 0, "kernel index must be >= -1, got -2"),
                       (PalCoord(2, 6), 0, "i must lie in [1, fib(3)=5], got 6"),
@@ -65,6 +72,70 @@ def test_pal_end_pos_checks_each_argument_once(monkeypatch):
                       (PalCoord(2, 4), 0, "occurrence index must be >= 1, got 0")):
         with pytest.raises(DomainError, match=re.escape(msg)):
             pal_end_pos(c, p)
+
+
+def test_queries_raise_in_the_checks_order():
+    # each query raises its first bad argument's message, whichever function states the check
+    for c, p, msg in ((PalCoord(-2, 1), 0, "kernel index must be >= -1, got -2"),
+                      (PalCoord(2, 6), 0, "i must lie in [1, fib(3)=5], got 6"),
+                      (PalCoord(2, 4), 0, "occurrence index must be >= 1, got 0")):
+        with pytest.raises(DomainError, match=re.escape(msg)):
+            pal_span(c, p)
+    for m, p, msg in ((-2, 0, "kernel index must be >= -1, got -2"), (0, 0, "occurrence index must be >= 1, got 0")):
+        with pytest.raises(DomainError, match=re.escape(msg)):
+            chain_interval(m, p)
+    # past the index limit fib(m+1) is refused: after p's check for a kernel
+    # index, before it for a coordinate, whose check on i needs fib(m+1)
+    big = fibword.FIB_INDEX_MAX + 1
+    for query in (lambda: chain_interval(big, 1), lambda: singular_end_pos(big, 1),
+                  lambda: pal_end_pos(PalCoord(big, 1), 0), lambda: pal_span(PalCoord(big, 1), 0)):
+        with pytest.raises(ResourceError, match=re.escape(f"fib index {big + 1} exceeds the index limit")):
+            query()
+    # a span's length needs fib(m+3), refused there even for a valid coordinate
+    with pytest.raises(ResourceError, match=re.escape(f"fib index {big} exceeds the index limit")):
+        pal_span(PalCoord(big - 3, 1), 1)
+
+
+def test_closed_forms_across_the_table_edge(monkeypatch):
+    # past fibword.FIB_TABLE_MAX a view is a stepped pair; from a fresh table,
+    # the queries below the edge grow it as they go
+    monkeypatch.setattr(fibword, "_fibs", [1, 1])
+    top = fibword.FIB_TABLE_MAX
+    for m in range(top - 4, top + 5):
+        for p in (1, 2, 10**30):
+            lo = singular_end_pos(m, p)
+            assert lo == p * fib(m + 1) + (floor_phi(p) + 1) * fib(m) - 1
+            assert chain_interval(m, p) == (m, p, lo, lo + fib(m + 1) - 1)
+            for i in (1, 2, fib(m + 1)):
+                end = pal_end_pos(PalCoord(m, i), p)
+                assert end == lo + fib(m + 1) - i
+                assert pal_span(PalCoord(m, i), p) == (end - fib(m + 3) + 2 * i + 1, end)
+    assert len(fibword._fibs) == top + 2
+
+
+def test_concurrent_closed_form_queries(monkeypatch):
+    # as test_counting's walk test: the chain, kernel and coordinate queries read
+    # the shared Fibonacci table without a lock, so start from a fresh table
+    # that some threads read while another grows it
+    from concurrent.futures import ThreadPoolExecutor
+
+    rng = Random(5)
+    text = prefix(20000)
+    queries = [(chain_interval, m, p) for m in [*range(-1, 300, 3), 4999, 5003] for p in (1, 7, 10**30)]
+    queries += [(pal_span, PalCoord(m, fib(m + 1) // 2 + 1), p) for m in range(-1, 300, 5) for p in (1, 10**30)]
+    queries += [(kernel, text[s:s + n]) for n, s in ((rng.randrange(1, 1001), rng.randrange(10000)) for _ in range(60))]
+    queries += [(coord_from_pal, pal_from_coord(c)) for n in range(1, 600, 11) for c in pals_of_length(n)]
+    rng.shuffle(queries)
+    expected = [f(*args) for f, *args in queries]
+    monkeypatch.setattr(fibword, "_fibs", [1, 1])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(lambda q: q[0](*q[1:]), queries, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == expected
 
 
 def test_pal_spans_match_scans(prefix_10k):
