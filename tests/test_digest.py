@@ -17,12 +17,16 @@ from fibpal import (
     PalCoord,
     chain_interval,
     coord_from_pal,
+    end_count,
+    expand_leaves,
     fib,
     floor_phi,
     is_factor,
     kernel,
     letter_at,
     new_pal_at,
+    occurrence_count,
+    occurrence_count_trace,
     pal_end_pos,
     pal_from_coord,
     pal_span,
@@ -30,7 +34,9 @@ from fibpal import (
     prefix,
     singular_end_pos,
     split_cell,
+    tail_sum,
 )
+from fibpal.fibword import fib_floor_index
 
 
 def _seeded(k: int) -> list[int]:
@@ -89,6 +95,13 @@ FUNCTIONS = {
     "new_pal_at": new_pal_at,
     "pals_of_length": pals_of_length,
     "split_cell": lambda n: split_cell(n % 12 + 1, n),
+    "fib_floor_index": fib_floor_index,
+    "end_count": end_count,
+    "occurrence_count": occurrence_count,
+    "tail_sum": tail_sum,
+    "occurrence_count_trace.tail": lambda n: occurrence_count_trace(n)[1].get("tail"),  # None in the base table
+    # at the seeded magnitudes only
+    "expand_leaves": lambda n: expand_leaves(n % 10 - 1, n),
     # word functions, at the "words" magnitude only
     "kernel": _answer_or_error(kernel),
     "is_factor": _answer_or_error(is_factor),
@@ -150,6 +163,41 @@ DIGESTS = {
     ("split_cell", "1e100"): "1b0d714218beaf21a24ae165aa0f38da2aaef9c2352a356dee7d6f80dd31f114",
     ("split_cell", "1e1000"): "eda105fab1a61d1734a84691aa0b5ca459fb9dbca1cd29ec40a0c1d83316e6fb",
     ("split_cell", "1e4000"): "078fbf0b1c97c10b5c8d74dbf75ef1c0fdaece815287dcb2359ee0351d399b00",
+    ("fib_floor_index", "small"): "cb983926e9ba0fb1df08df22482ba3a2f81677189eaaecaf72de3174eb7e9726",
+    ("fib_floor_index", "1e6"): "ef3e7be2e2b109ebec1cbec5795ec0cb89079a55373ed4184b8eb2660fb6ef0b",
+    ("fib_floor_index", "1e18"): "ae30c4eb1aeeb02fbe116403f1364f1dcf6075d66755afbb3a7f92b69d6c1945",
+    ("fib_floor_index", "1e100"): "a605f137351193751e677919939b26afe6b26cc443265b05bafe68b62d393f94",
+    ("fib_floor_index", "1e1000"): "0b41a815cfa7f0653acf2732947b9646cb3e4bfa94171d28266c5b9a733e22cd",
+    ("fib_floor_index", "1e4000"): "24767497bbd7068491f0471ad2dd2060f7e5fb82b67b3f994d263ce154e64729",
+    ("end_count", "small"): "ed08e5244960631387819b7dca8089c67f6500872f2e44ee03840ebad544c906",
+    ("end_count", "1e6"): "1f2ba86abf6b2a186757c7e9c63e2bfbbe17aeecf67626f1c06236b3b704832c",
+    ("end_count", "1e18"): "83cbe6b1b7493a4a886ad4bb861282f5d9fa67ff31cae4bd89b5a71685b5a5de",
+    ("end_count", "1e100"): "8e08b6e15128ed407ef1d446ab94ef7a5930a487bbc822026d5f59c28cb8d4de",
+    ("end_count", "1e1000"): "19ef84de9efe12e23a0d751181bb2fb776be5b475db598e3777a0161599ad85e",
+    ("end_count", "1e4000"): "508654fcc52d188c33909047d9b224142d06e87872a79844f3253ad99201bbe0",
+    ("occurrence_count", "small"): "08c8948b1b0904a0a3c77b38c559bac2a7cfa77a45db5eaecbfdb289e582f40c",
+    ("occurrence_count", "1e6"): "7cba3a432879f1fb3fc9088c982692b2492cff8c1805648a6b88a04879a1119f",
+    ("occurrence_count", "1e18"): "68e2dcb73208edd87aee3bf49ac8311e984eaf5efcb9d5265f9ac7f1935a13c8",
+    ("occurrence_count", "1e100"): "81cec5637a51883d47199ceff03ff6422f008f9b6bf53b6bc8cb54b6f75fce68",
+    ("occurrence_count", "1e1000"): "2dbfb5f3de957bbe369411672ca21659bf212071b1459a45fab359504e27d713",
+    ("occurrence_count", "1e4000"): "56c96f52e4b849ebe52698c040d5663ed0751ab085022efe73f959faad78a42b",
+    ("tail_sum", "small"): "59b1401e6920430c23a2d3becdb07349e58688078ed81daf2aa74af6ea565de5",
+    ("tail_sum", "1e6"): "1f8465dad55c6718db5fc3e3df6f9916fa8d8b1c85afcdeec3295b6e2ca09db5",
+    ("tail_sum", "1e18"): "f359daa973a450eaafe1db90dcc64f3c538cd5466ebc705a7f55dd4374f267bf",
+    ("tail_sum", "1e100"): "212848cc216cd225c32e72d4fdfd888c5143b4ef3f283767278dfba33e888036",
+    ("tail_sum", "1e1000"): "2479c1e7b21353bd813b7e5cbdf19df82512ddadb287e3a8ef2896caefc854ae",
+    ("tail_sum", "1e4000"): "b0a3a91c0a5037f4570e7f2729276753e14e02db9f4eab5d5da8ca50938cec97",
+    ("occurrence_count_trace.tail", "small"): "c21e9d67e872b3087adc6a59a0c6ec2fbd1cc273cb47235a4542e5cff474288c",
+    ("occurrence_count_trace.tail", "1e6"): "1f8465dad55c6718db5fc3e3df6f9916fa8d8b1c85afcdeec3295b6e2ca09db5",
+    ("occurrence_count_trace.tail", "1e18"): "f359daa973a450eaafe1db90dcc64f3c538cd5466ebc705a7f55dd4374f267bf",
+    ("occurrence_count_trace.tail", "1e100"): "212848cc216cd225c32e72d4fdfd888c5143b4ef3f283767278dfba33e888036",
+    ("occurrence_count_trace.tail", "1e1000"): "2479c1e7b21353bd813b7e5cbdf19df82512ddadb287e3a8ef2896caefc854ae",
+    ("occurrence_count_trace.tail", "1e4000"): "b0a3a91c0a5037f4570e7f2729276753e14e02db9f4eab5d5da8ca50938cec97",
+    ("expand_leaves", "1e6"): "f386b44a5af2544a9b8cd5a5f100b61071b433e7dc3e7cac4cfa7763b9f71fa2",
+    ("expand_leaves", "1e18"): "031f009026c468c0b43d99273aec657bab720ddde04b123b25c6dd41ebe4b519",
+    ("expand_leaves", "1e100"): "408bb2c5af08e875953a1d3182a1901cf24251eec18fcf746ae0748cd8677d2a",
+    ("expand_leaves", "1e1000"): "74f2420c5fa5fa1cb02df590aeb0c9e48c6f707948e24a791a48a320e362b601",
+    ("expand_leaves", "1e4000"): "7e6ac0df8cc27afcd5d317a2ad73d86408722b15a1e27825da205a5f645c7020",
     ("kernel", "words"): "06f178bc254e24a0ac571a740f7f3831e5663a4939592a91db19a0feb5d7be5c",
     ("is_factor", "words"): "d5698c81eb61cdfca9edee0bece3376239750790362b7e16eb3dbc464bd71841",
     ("coord_from_pal", "words"): "425a43a763450272a1728172b0ec21ddea8889e19232fba53fab516857efc1d3",
