@@ -23,17 +23,19 @@ r = n - fib(m) + 1: a hop keeps r into block m-2 if r < fib(m-3), else
 subtracts fib(m-3) into block m-1 (the greedy Zeckendorf digits of r), so it
 costs one big-int comparison and at most one big-int subtraction.  end_count
 is that walk alone, ending in a base table.  The cumulative count is a closed
-form at the block boundary plus a tail sum: r + 1 per hop, the base table,
-and per "head+tail" hop the block m-2 it copies as its head, summing to
+form at the block boundary, block_prefix_total(m) = ((m-3) fib(m+2) +
+(m-1) fib(m)) / 5 + 2, plus a tail sum: r + 1 per hop, the base table, and
+per "head+tail" hop the block m-2 it copies as its head, summing to
 block_sum(m-2) = ((m-1) fib(m-1) + (m-4) fib(m-3)) / 5.  The tail loop
-(tail_sum, occurrence_count) computes that sum only, folding the heads'
-Fibonacci terms into a small x + y phi in Z[phi] by Horner's rule and
-flushing it into one big sum every few dozen blocks; the trace is its own
-exact walk by the same hop rule.  That each head is an integer depends on
-m mod 20 only (fib mod 5 has Pisano period 20), so it is checked once, at
-import, on the heads of twenty consecutive blocks.  Past the Fibonacci table
-the walks step a pair down by subtraction, so memory stays bounded.
-Agreement with the block form and the tree oracle is enforced by the tests.
+(occurrence_count, tail_sum) folds the heads' Fibonacci terms into a small
+x + y phi in Z[phi] by Horner's rule, flushing it into one big sum every few
+dozen blocks; that sum starts at the boundary's numerator, so the total takes
+one division by 5.  The trace is its own exact walk by the same hop rule.
+That each head is an integer depends on m mod 20 only (fib mod 5 has Pisano
+period 20), so it is checked once, at import, on the heads of twenty
+consecutive blocks.  Past the Fibonacci table the walks step a pair down by
+subtraction, so memory stays bounded.  Agreement with the block form and the
+tree oracle is enforced by the tests.
 
 Interval splitting
 ------------------
@@ -95,20 +97,24 @@ def _flush(x: int, y: int, fibs, m: int) -> int:
 
 
 def _walk(n: int) -> tuple[int, int]:
-    """(tail_sum(n), block index of n): the tail sum only, on end_count's hop rule.
+    """(occurrence_count(n), block index of n), for n >= 1, on end_count's hop rule.
 
     The copied heads, block_sum(m-2) each, are summed by Horner's rule over Z[phi]:
     a small x + y phi stands for x fib(m-4) + y fib(m-3) at the current block m,
     so stepping down one block multiplies it by phi; every _SEG blocks it is
-    flushed into one big sum."""
+    flushed into one big sum, which starts at 5 (block_prefix_total(m) - 2)."""
     m0 = m = fib_floor_index(n + 1)  # the block: fib(m) - 1 <= n <= fib(m+1) - 2
-    fibs = fibword.fibs_through(m0)  # fibs[k + 1] is fib(k): the table, or a stepped pair past it
-    r0 = r = n - fibs[m + 1] + 1
+    fibs = fibword.fibs_through(m0 + 2)  # fibs[k + 1] is fib(k): the table, or a stepped pair past it
+    # read fib(m+2) first: a stepped pair moves down to fib(m), where the walk starts
+    total = (m - 3) * fibs[m + 3]
+    f = fibs[m + 1]
+    total += (m - 1) * f
+    r0 = r = n - f + 1
     # a head at block m adds (m-1) fib(m-4) + w fib(m-3): 5 block_sum(m-2) is
     # (m-1) fib(m-4) + (3m-6) fib(m-3) in the basis fib(m-3), fib(m-4) (fib(m-1) =
     # 2 fib(m-3) + fib(m-4)), plus 5 hops fib(m-3), as fib(m-3) is also in
     # offsets 1 .. hops; with w = 5 hops + 3m - 6 from the start
-    total = x = y = 0
+    x = y = 0
     w = 3 * m - 6
     while m > 3:
         stop = max(m - _SEG, 3)
@@ -128,7 +134,7 @@ def _walk(n: int) -> tuple[int, int]:
     hops = (w - 3 * m + 6) // 5
     base = fibs[m + 1] - 2  # _END_BASE index of the block's first position
     # the offsets sum to r0 + (hops - 1) r plus the hop-weighted fib(m-3) in total
-    return hops + r0 + (hops - 1) * r + _div5(total) + sum(_END_BASE[base:base + r + 1]), m0
+    return hops + r0 + (hops - 1) * r + _div5(total) + 2 + sum(_END_BASE[base:base + r + 1]), m0
 
 
 def end_count(n: int) -> int:
@@ -169,7 +175,8 @@ def tail_sum(n: int) -> int:
     """
     if n < 1:
         raise DomainError(f"positions are 1-based, got {show_int(n)}")
-    return _walk(n)[0]
+    total, m = _walk(n)
+    return total - block_prefix_total(m) if m > 1 else total  # block 1 is position 1, with nothing before it
 
 
 def block_prefix_total(m: int) -> int:
@@ -213,10 +220,7 @@ def occurrence_count(n: int) -> int:
     """
     if n < 0:
         raise DomainError(f"prefix lengths are >= 0, got {show_int(n)}")
-    if n <= 3:
-        return (0, 1, 2, 4)[n]
-    tail, m = _walk(n)
-    return block_prefix_total(m) + tail
+    return _walk(n)[0] if n else 0
 
 
 def occurrence_count_trace(n: int) -> tuple[int, dict]:

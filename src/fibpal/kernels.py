@@ -2,13 +2,15 @@
 
 The tree fill, ``eertree_fill``, is plain Python over ``list`` buffers,
 which it returns as they are; the floor sweep is vectorized NumPy over
-blocks of at most ``SCAN_CHUNK`` values, so that its temporaries stay small
-whatever its bound.  Both work on machine-width integers only; callers
-refuse input past the guards below, and nothing escalates to big-int
-arithmetic.
+blocks of at most ``SCAN_CHUNK`` values, on work arrays made once per
+sweep, so that they stay small whatever its bound.  Both work on
+machine-width integers only; callers refuse input past the guards below, and
+nothing escalates to big-int arithmetic.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -26,11 +28,12 @@ def active_backend() -> str:
 FAST_FLOOR_MAX = 10**9
 FAST_SCAN_MAX = 3 * 10**8
 # Values per block of a NumPy sweep (floor_identity_scan and the preimage
-# tiling of verify_tau): each int64 temporary is 64 KiB, and a sweep peaks
+# tiling of verify_tau): each int64 work row is 64 KiB, and a sweep peaks
 # at ~0.5 MB (tracemalloc).  Under glibc malloc, temporaries of 96 KiB and
 # more were paged in afresh block after block (~34,000 minor faults per
 # 10**6 sweep at 2**14 values, ~400 at 2**13), and 2**19 values peaked at
-# ~30 MB; CHANGES.md has the block-size table.
+# ~30 MB; CHANGES.md has the block-size table.  Both sweeps make their work
+# rows once and pass them to every block as ``out=``.
 SCAN_CHUNK = 1 << 13
 
 
@@ -87,23 +90,32 @@ def eertree_fill(text):
     return num, lens, link, depth, node
 
 
-def floor_phi_block(p: np.ndarray) -> np.ndarray:
+def floor_phi_block(p: np.ndarray, out: np.ndarray | None = None,
+                    work: Sequence[np.ndarray] | None = None) -> np.ndarray:
     """Vectorized exact floor(phi * p) for an int64 array with p <= FAST_FLOOR_MAX.
 
     A float64 square root seeds the integer root of 5p**2 and one step each way
-    makes it exact.  ``p`` itself is never written.
+    makes it exact.  ``p`` itself is never written.  The floors go to ``out``,
+    and the temporaries to ``work``, two int64 rows of p's length; a sweep
+    passes the same ones block after block, and either is made when omitted.
     """
     if p.size and int(p.max()) > FAST_FLOOR_MAX:
         raise OverflowError("floor_phi_block input exceeds machine-width guard")
     p = np.asarray(p, dtype=np.int64)
-    n = p * p
+    s = np.empty_like(p) if out is None else out
+    n, sq = np.empty((2, *p.shape), dtype=np.int64) if work is None else work
+    np.multiply(p, p, out=n)
     n *= 5
     # the float64 root of n < 2**63 is within ~2**-52 s of the true root s, and
-    # s <= ~2.3e9, so the truncated seed is off by at most one either way
-    s = np.sqrt(n).astype(np.int64)
-    sq = s * s
+    # s <= ~2.3e9, so the truncated seed is off by at most one either way; it
+    # is written into sq's bytes, which the square below overwrites
+    root = np.sqrt(n, out=sq.view(np.float64))
+    np.copyto(s, root, casting="unsafe")
+    np.multiply(s, s, out=sq)
     s -= sq > n
-    s += n - sq > 2 * s  # (s + 1)**2 <= n; never where s was just lowered
+    n -= sq
+    np.add(s, s, out=sq)
+    s += n > sq  # (s + 1)**2 <= n; never where s was just lowered
     s -= p
     s >>= 1
     return s
@@ -114,15 +126,27 @@ def floor_identity_scan(lo: int, hi: int) -> int:
 
     With q = floor(phi*p): floor(phi*(p+q)) = p-1, floor(phi*(2p+q)) = p+q,
     floor(phi*(p+q+1)) = p and floor(phi*(2p+q+1)) = p+q.  Swept in blocks
-    of ``SCAN_CHUNK`` values through ``floor_phi_block``.
+    of ``SCAN_CHUNK`` values through ``floor_phi_block``, on work arrays made
+    once per sweep.
     """
+    steps = np.arange(SCAN_CHUNK, dtype=np.int64)
+    rows = np.empty((6, SCAN_CHUNK), dtype=np.int64)
+    masks = np.empty((2, SCAN_CHUNK), dtype=bool)
     for start in range(lo, hi + 1, SCAN_CHUNK):
-        p = np.arange(start, min(start + SCAN_CHUNK, hi + 1), dtype=np.int64)
-        pq = p + floor_phi_block(p)
-        bad = floor_phi_block(pq) != p - 1
-        bad |= floor_phi_block(pq + p) != pq
-        bad |= floor_phi_block(pq + 1) != p
-        bad |= floor_phi_block(pq + p + 1) != pq
+        size = min(SCAN_CHUNK, hi + 1 - start)
+        p, pq, arg, floors, *work = rows[:, :size]
+        bad, miss = masks[:, :size]
+        np.add(steps[:size], start, out=p)
+        np.add(p, floor_phi_block(p, out=floors, work=work), out=pq)
+        at_a_end = floor_phi_block(pq, out=floors, work=work)
+        at_a_end += 1
+        np.not_equal(at_a_end, p, out=bad)
+        np.add(pq, p, out=arg)
+        bad |= np.not_equal(floor_phi_block(arg, out=floors, work=work), pq, out=miss)
+        np.add(pq, 1, out=arg)
+        bad |= np.not_equal(floor_phi_block(arg, out=floors, work=work), p, out=miss)
+        arg += p
+        bad |= np.not_equal(floor_phi_block(arg, out=floors, work=work), pq, out=miss)
         if bad.any():
             return start + int(bad.argmax())
     return 0

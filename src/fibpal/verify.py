@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import itertools
 import time
-from collections import defaultdict
 from typing import NamedTuple
 
 import numpy as np
@@ -196,16 +195,20 @@ def verify_tau(max_m: int = 15, max_p: int = 500) -> VerifyResult:
                 return _finish("tau", False, checked, t0, {"m": m, "p": p} if m else {"p": p})
             checked += 1
     # every q >= 2 is end_a(q') + 1 or end_b(q') + 1 for exactly one q',
-    # walked in blocks of q'
-    hits = np.zeros(TAU_PREIMAGE_MAX + 1, dtype=np.int64)
+    # walked in blocks of q' on work arrays made once; hits[-1] takes every q past the bound
+    hits = np.zeros(TAU_PREIMAGE_MAX + 2, dtype=np.int64)
+    steps = np.arange(kernels.SCAN_CHUNK, dtype=np.int64)
+    rows = np.empty((5, kernels.SCAN_CHUNK), dtype=np.int64)
     for start in range(1, TAU_PREIMAGE_MAX + 1, kernels.SCAN_CHUNK):
-        qs = np.arange(start, min(start + kernels.SCAN_CHUNK, TAU_PREIMAGE_MAX + 1), dtype=np.int64)
-        after_a = qs + kernels.floor_phi_block(qs)
+        qs, after_a, after_b, *work = rows[:, :min(kernels.SCAN_CHUNK, TAU_PREIMAGE_MAX + 1 - start)]
+        np.add(steps[:qs.size], start, out=qs)
+        np.add(qs, kernels.floor_phi_block(qs, out=after_b, work=work), out=after_a)  # after_b: the floors, for now
         after_a += 1
-        for after in (after_a, after_a + qs):
-            np.add.at(hits, after[after <= TAU_PREIMAGE_MAX], 1)
-    if not (hits[2:] == 1).all():
-        q = int(np.nonzero(hits[2:] != 1)[0][0]) + 2
+        np.add(after_a, qs, out=after_b)
+        for after in (after_a, after_b):
+            np.add.at(hits, np.minimum(after, TAU_PREIMAGE_MAX + 1, out=after), 1)
+    if not (hits[2:-1] == 1).all():
+        q = int(np.nonzero(hits[2:-1] != 1)[0][0]) + 2
         return _finish("tau", False, checked, t0, {"q": q, "preimages": int(hits[q])})
     return _finish("tau", True, checked + TAU_PREIMAGE_MAX, t0)
 
@@ -284,12 +287,44 @@ def verify_return_words(prefix_n: int = 10**4) -> VerifyResult:
     return _finish("return-words", True, checked, t0)
 
 
+def _factor_index(s: str, max_len: int, max_p: int):
+    """Yield, for each length 1 .. max_len, every factor of s of that length
+    mapped to its first max_p 0-based starts, in the order of first starts.
+
+    Length L + 1 grows from length L: a kept start i of a factor u is a start
+    of u + x exactly when s[i + L] == x.  Fewer than max_p kept starts are
+    every start of u, so they are every start of its extensions too.  A full
+    list may miss starts past its last one, so each extension resumes there
+    with ``str.find`` until it also holds max_p."""
+    letters = sorted(set(s))
+    index = {"": list(range(min(max_p, len(s))))}  # the empty factor starts everywhere
+    for length in range(max_len):
+        ends = len(s) - length  # the starts with a letter after a factor of this length
+        grown = []
+        for u, starts in index.items():
+            for x in letters:
+                kept = [i for i in starts if i < ends and s[i + length] == x]
+                if len(starts) == max_p and len(kept) < max_p:
+                    v, j = u + x, starts[-1]
+                    while len(kept) < max_p and (j := s.find(v, j + 1)) >= 0:
+                        kept.append(j)
+                if kept:
+                    grown.append((kept[0], u + x, kept))
+        grown.sort()
+        index = {v: kept for _, v, kept in grown}
+        yield index
+
+
 def verify_kernels(prefix_n: int = 10**4, max_p: int = 50) -> VerifyResult:
     """Kernel uniqueness and occurrence correspondence over all short factors.
 
-    One pass per length indexes the first max_p starts of every factor in
-    the prefix, so memory is bounded by the bounds, not the prefix.  A
-    factor whose kernel is as long as itself is the singular word S(m), and
+    Each length's index holds the first max_p starts of every factor of the
+    prefix, grown from the previous length's (``_factor_index``): the kept
+    starts of a factor u split by the letter after them, at most (L + 1) max_p
+    steps at length L for the L + 1 factors the check requires, and a full
+    list resumes each extension with ``str.find`` past its last start.
+    Memory holds two lengths' lists, bounded by the bounds, not the prefix.
+    A factor whose kernel is as long as itself is the singular word S(m), and
     its starts are kept for every longer factor with kernel S(m), which a
     later length reaches.  For lengths up to 10 every word over {a, b} is
     also checked: ``is_factor`` must hold exactly on the factors scanned.
@@ -299,12 +334,7 @@ def verify_kernels(prefix_n: int = 10**4, max_p: int = 50) -> VerifyResult:
     s = prefix(prefix_n)
     kernel_starts = {}  # m -> the first max_p 0-based starts of S(m) in s
     checked = 0
-    for length in range(1, KERNEL_LEN + 1):
-        index = defaultdict(list)  # factor -> its first max_p 0-based starts, in first-occurrence order
-        for i in range(len(s) - length + 1):
-            starts = index[s[i: i + length]]
-            if len(starts) < max_p:
-                starts.append(i)
+    for length, index in enumerate(_factor_index(s, KERNEL_LEN, max_p), 1):
         for w, starts_w in index.items():
             try:
                 ker = singular.kernel(w)

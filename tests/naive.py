@@ -8,8 +8,11 @@ per-position counts, or from the buffers of ``kernels.eertree_fill``, what a
 ``PrefixScan`` does not keep: every distinct palindrome, each node's
 palindrome and the suffix-link chain.  The split tree is rebuilt as
 ``split_cell`` once built it, each cell from ``chain_interval`` at its tau
-image, so it checks the split step that carries the golden floors.
+image, so it checks the split step that carries the golden floors.  The
+factor index of the kernels suite is rebuilt one slice per window and length.
 """
+
+from collections import defaultdict
 
 from fibpal import kernels
 from fibpal.chain import chain_interval, singular_end_pos
@@ -59,6 +62,18 @@ def naive_palindrome_set(s: str) -> set[str]:
             if t == t[::-1]:
                 out.add(t)
     return out
+
+
+def factor_index(s: str, max_len: int, max_p: int):
+    """``verify._factor_index`` by one pass of slices per length: every factor
+    of length 1 .. max_len mapped to its first max_p 0-based starts."""
+    for length in range(1, max_len + 1):
+        index = defaultdict(list)  # factor -> its first max_p 0-based starts, in first-occurrence order
+        for i in range(len(s) - length + 1):
+            starts = index[s[i: i + length]]
+            if len(starts) < max_p:
+                starts.append(i)
+        yield index
 
 
 def fill(s: str):

@@ -76,7 +76,7 @@ def test_floor_identity_scan_catches_a_wrong_floor(monkeypatch):
     first = min(p for c in near for p in range(c - 3, c + 4) if not holds(p))
     # the first failure sits in the second block of a sweep from 1
     assert chunk < first <= bad
-    monkeypatch.setattr(kernels, "floor_phi_block", lambda x: true_block(x) + (x == bad))
+    monkeypatch.setattr(kernels, "floor_phi_block", lambda x, **bufs: true_block(x, **bufs) + (x == bad))
     assert kernels.floor_identity_scan(1, bad + 3000) == first
     # from past every smaller failure, the fault shows in the second block
     lo = near[1] + 4
@@ -97,7 +97,7 @@ def test_floor_identity_scan_wrong_floor_at_a_block_edge(monkeypatch, offset):
     bad = lo + chunk + offset
     assert floor_phi(bad) + 4 < lo
     true_block = kernels.floor_phi_block
-    monkeypatch.setattr(kernels, "floor_phi_block", lambda x: true_block(x) + (x == bad))
+    monkeypatch.setattr(kernels, "floor_phi_block", lambda x, **bufs: true_block(x, **bufs) + (x == bad))
     assert kernels.floor_identity_scan(lo, bad + 3000) == bad
     assert kernels.floor_identity_scan(lo, bad) == bad
 

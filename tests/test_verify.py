@@ -7,13 +7,14 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from random import Random
 
 import pytest
 
 from fibpal import DomainError, chain, counting, cylinder, fib, floor_phi, kernels, oracle, prefix, singular, verify
 from fibpal.chain import ChainInterval, OccurrenceSpan
 from fibpal.cylinder import PalCoord
-from naive import naive_palindrome_set
+from naive import factor_index, naive_palindrome_set
 
 # checks per suite at run_suites(all, 2000, 5, 15); a faster suite must not check less
 CHECKED_AT_2000 = {
@@ -58,6 +59,48 @@ def test_verify_kernels_memory():
     finally:
         tracemalloc.stop()
     assert res.ok and peak < 512 * 1024
+
+
+def _random_word(n: int) -> str:
+    rng = Random(33)
+    return "".join(rng.choice("ab") for _ in range(n))
+
+
+# (text, longest factor length): the kernels suite's prefixes, from the
+# shortest it accepts, and words with many factors per length or few
+INDEX_TEXTS = {
+    "prefix-105": (prefix(105), verify.KERNEL_LEN),
+    "prefix-1000": (prefix(1000), verify.KERNEL_LEN),
+    "prefix-20000": (prefix(20_000), verify.KERNEL_LEN),
+    "random-600": (_random_word(600), 30),
+    "periodic-aab": ("aab" * 200, verify.KERNEL_LEN),
+    "periodic-abaab": ("abaab" * 100 + "b", verify.KERNEL_LEN),
+}
+
+
+@pytest.mark.parametrize("max_p", [1, 2, 50])
+@pytest.mark.parametrize("text", list(INDEX_TEXTS))
+def test_factor_index_matches_the_reference(text, max_p):
+    # the same factors, each with the same starts, in the same order
+    s, max_len = INDEX_TEXTS[text]
+    grown = [list(index.items()) for index in verify._factor_index(s, max_len, max_p)]
+    assert grown == [list(index.items()) for index in factor_index(s, max_len, max_p)]
+
+
+class _NoRefill(str):
+    """A text whose later starts a full list never finds."""
+
+    def find(self, *args):
+        return -1
+
+
+def test_verify_kernels_reports_an_index_without_refill(monkeypatch):
+    # every list then stops at starts inside the first 50 letters: "aabab"
+    # keeps its start 49, but its kernel "bab" there starts at 51, past the cut
+    text = _NoRefill(prefix(1000))
+    monkeypatch.setattr(verify, "prefix", lambda n, *what: text)
+    res = verify.verify_kernels(1000, 50)
+    assert not res.ok and res.counterexample == {"factor": "aabab"}
 
 
 def test_verify_return_words_memory():
@@ -269,7 +312,7 @@ def test_verify_tau_reports_a_wrong_reduction(monkeypatch):
 def test_verify_tau_reports_a_preimage_gap(monkeypatch):
     # floor(phi * 10) off by one moves the preimage of 10 + floor(phi * 10) + 1 = 17 to 18
     real = kernels.floor_phi_block
-    monkeypatch.setattr(kernels, "floor_phi_block", lambda q: real(q) + (q == 10))
+    monkeypatch.setattr(kernels, "floor_phi_block", lambda q, **bufs: real(q, **bufs) + (q == 10))
     res = verify.verify_tau(max_m=2, max_p=5)
     assert 10 + floor_phi(10) + 1 == 17
     assert not res.ok and res.counterexample == {"q": 17, "preimages": 0}
@@ -287,7 +330,7 @@ def test_verify_tau_reports_a_preimage_fault_past_the_first_block(monkeypatch, q
     # preimage: a b-end where floor(phi * q) steps by 1 at q_bad, else the
     # a-end of q_bad - 1, so that one block repeats an end
     real = kernels.floor_phi_block
-    monkeypatch.setattr(kernels, "floor_phi_block", lambda q: real(q) + shift * (q == q_bad))
+    monkeypatch.setattr(kernels, "floor_phi_block", lambda q, **bufs: real(q, **bufs) + shift * (q == q_bad))
     res = verify.verify_tau(max_m=2, max_p=5)
     q = q_bad + floor_phi(q_bad) + 1
     want = {"q": q, "preimages": 0} if shift > 0 else {"q": q - 1, "preimages": 2}
@@ -300,8 +343,8 @@ def test_verify_tau_counts_every_end_piled_on_one_q(monkeypatch):
     real = kernels.floor_phi_block
     q0 = kernels.SCAN_CHUNK + 1
 
-    def piled(q):
-        return real(q) if q[0] != q0 else floor_phi(q0) + q0 - q
+    def piled(q, **bufs):
+        return real(q, **bufs) if q[0] != q0 else floor_phi(q0) + q0 - q
 
     monkeypatch.setattr(kernels, "floor_phi_block", piled)
     res = verify.verify_tau(max_m=2, max_p=5)
