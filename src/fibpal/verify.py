@@ -289,13 +289,7 @@ def verify_return_words(prefix_n: int = 10**4) -> VerifyResult:
 
 def _factor_index(s: str, max_len: int, max_p: int):
     """Yield, for each length 1 .. max_len, every factor of s of that length
-    mapped to its first max_p 0-based starts, in the order of first starts.
-
-    Length L + 1 grows from length L: a kept start i of a factor u is a start
-    of u + x exactly when s[i + L] == x.  Fewer than max_p kept starts are
-    every start of u, so they are every start of its extensions too.  A full
-    list may miss starts past its last one, so each extension resumes there
-    with ``str.find`` until it also holds max_p."""
+    mapped to its first max_p 0-based starts, in the order of first starts."""
     letters = sorted(set(s))
     index = {"": list(range(min(max_p, len(s))))}  # the empty factor starts everywhere
     for length in range(max_len):
@@ -318,16 +312,19 @@ def _factor_index(s: str, max_len: int, max_p: int):
 def verify_kernels(prefix_n: int = 10**4, max_p: int = 50) -> VerifyResult:
     """Kernel uniqueness and occurrence correspondence over all short factors.
 
-    Each length's index holds the first max_p starts of every factor of the
-    prefix, grown from the previous length's (``_factor_index``): the kept
-    starts of a factor u split by the letter after them, at most (L + 1) max_p
-    steps at length L for the L + 1 factors the check requires, and a full
-    list resumes each extension with ``str.find`` past its last start.
-    Memory holds two lengths' lists, bounded by the bounds, not the prefix.
-    A factor whose kernel is as long as itself is the singular word S(m), and
-    its starts are kept for every longer factor with kernel S(m), which a
-    later length reaches.  For lengths up to 10 every word over {a, b} is
-    also checked: ``is_factor`` must hold exactly on the factors scanned.
+    Each length's index (``_factor_index``) grows from the previous one: a
+    kept start i of a factor u of length L starts u + x exactly when
+    s[i + L] == x.  Fewer than max_p kept starts are every start of u, and so
+    of its extensions; a full list may miss starts past its last one, so each
+    extension resumes there with ``str.find`` until it also holds max_p.  At
+    length L that is at most 2 (L + 1) max_p reads of a kept start, one per
+    letter, for the L + 1 factors the check requires, plus the searches, and
+    memory holds two lengths' lists: it is bounded by the bounds, not the
+    prefix.  A factor whose kernel is as long as itself is the singular word
+    S(m), and its starts are kept for every longer factor with kernel S(m),
+    which a later length reaches.  For lengths up to 10 every word over
+    {a, b} is also checked: ``is_factor`` must hold exactly on the factors
+    scanned.
     """
     _require_prefix(prefix_n, KERNEL_LEN)
     t0 = time.perf_counter()
