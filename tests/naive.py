@@ -9,13 +9,15 @@ per-position counts, or from the buffers of ``kernels.eertree_fill``, what a
 palindrome and the suffix-link chain.  The split tree is rebuilt as
 ``split_cell`` once built it, each cell from ``chain_interval`` at its tau
 image, so it checks the split step that carries the golden floors.  The
-factor index of the kernels suite is rebuilt one slice per window and length.
+factor index of the kernels suite is rebuilt one slice per window and length,
+and a Zeckendorf expansion by the greedy rule, one place at a time.
 """
 
 from collections import defaultdict
 
 from fibpal import kernels
 from fibpal.chain import chain_interval, singular_end_pos
+from fibpal.fibword import fib
 
 
 def center_palindrome_spans(s: str):
@@ -135,3 +137,18 @@ def split_leaves(m: int, p: int) -> list:
         return [chain_interval(m, p)]
     left, right = split_children(m, p)
     return split_leaves(left.m, left.p) + split_leaves(right.m, right.p)
+
+
+def zeckendorf(x: int) -> list[int]:
+    """The places of x's 1-digits, highest first, in the greedy Zeckendorf
+    expansion over fib(0) = 1, fib(1) = 2, fib(2) = 3, ...: at each place from
+    the top down, take fib(place) whenever it fits."""
+    place = 0
+    while fib(place + 1) <= x:
+        place += 1
+    out = []
+    for k in range(place, -1, -1):
+        if fib(k) <= x:
+            out.append(k)
+            x -= fib(k)
+    return out

@@ -2,7 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from itertools import count
+from itertools import accumulate, count
 from pathlib import Path
 from random import Random
 
@@ -34,7 +34,8 @@ from fibpal import (
 from fibpal import counting, fibword
 from fibpal.chain import singular_end_pos
 from fibpal.fibword import fib_floor_index, floor_phi
-from naive import center_end_counts, fill, reduction, split_children, split_leaves, split_tree, suffix_lengths
+from naive import (center_end_counts, fill, reduction, split_children, split_leaves, split_tree, suffix_lengths,
+                   zeckendorf)
 
 # end-count vectors over the first six blocks
 BLOCK_VECTORS = {
@@ -204,6 +205,120 @@ def test_horner_tail_memory():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**10, peak
+
+
+def test_floor_phi_shifts_the_zeckendorf_expansion():
+    # B(a) = floor_phi(a + 1) is a's expansion one place down: sum of fib(p - 1), fib(-1) = 1
+    for a in range(20000):
+        assert floor_phi(a + 1) == sum(fib(p - 1) for p in zeckendorf(a)), a
+
+
+def test_end_count_is_the_block_less_the_zeckendorf_ones():
+    # measured from the end of its block m, n is X = fib(m+1) - 2 - n, and the walk is
+    # X's greedy expansion: hops are blocks less the ones met, and the base table adds
+    # 3 less the ones at places 0 .. 2, so end_count(n) = m - z(X)
+    for n in range(1, 20000):
+        m = fib_floor_index(n + 1)
+        ones = zeckendorf(fib(m + 1) - 2 - n)
+        base = end_count(n) - (m - 3) + sum(p >= 3 for p in ones)
+        assert base == 3 - sum(p < 3 for p in ones), n
+        assert end_count(n) == m - len(ones), n
+
+
+def test_tail_sum_is_a_zeckendorf_prefix_sum():
+    # tail_sum(n) = block_sum(m) - m X + sum_{x<X} z(x), with the prefix sums in
+    # closed form at the Fibonacci numbers: 5 sum_{x<fib(k)} z(x) = (2k+2) fib(k) - (k+2) fib(k-1)
+    ones_below = list(accumulate((len(zeckendorf(x)) for x in range(fib(16))), initial=0))
+    for k in range(16):
+        assert 5 * ones_below[fib(k)] == (2 * k + 2) * fib(k) - (k + 2) * fib(k - 1), k
+    for n in range(1, 3000):
+        m = fib_floor_index(n + 1)
+        x = fib(m + 1) - 2 - n
+        assert tail_sum(n) == block_sum(m) - m * x + ones_below[x], n
+
+
+def test_peel_tables_match_their_definitions():
+    pop, b, t1, t2 = counting._tables()
+    w = counting._PEEL_W
+    assert len(pop) == len(t1) == len(t2) == fib(w) and len(b) == fib(w) + 1 and b[-1] == fib(w - 1)
+    for a in range(fib(w)):
+        ones = zeckendorf(a)
+        assert pop[a] == len(ones) and b[a] == floor_phi(a + 1), a
+        assert t1[a] == sum(5 * rho * fib(j) + (2 * j + 2) * fib(j) - (j + 2) * fib(j - 1)
+                            for rho, j in enumerate(ones)), a
+        assert t2[a] == sum(5 * rho * fib(j - 1) + (2 * j + 2) * fib(j - 1) - (j + 2) * (fib(j - 2) if j else 0)
+                            for rho, j in enumerate(ones)), a
+
+
+def test_peel_matches_the_reference_walk_at_its_edges():
+    # where walks start peeling, where a walk's chunk count changes, and at fib(k) + d
+    w, start = counting._PEEL_W, counting._PEEL_MIN
+    ks = set(range(start - 3, start + w + 3)) | {w + 12 + j * w + e for j in range(4, 10) for e in (0, 1, 2)}
+    rng = Random(90)
+    ns = [fib(k) + d for k in sorted(ks) for d in range(-3, 4)]
+    ns += [rng.randint(fib(k) - 1, fib(k + 1) - 2) for k in range(start, start + 3 * w) for _ in range(3)]
+    for n in ns:
+        end, tail, m, _ = reference_walk(n)
+        assert end_count(n) == end and tail_sum(n) == tail, n
+        assert occurrence_count(n) == block_prefix_total(m) + tail, n
+
+
+def test_peel_tables_are_lazy_small_and_quick():
+    # a fresh process: counts up to 10**18 build no table, the first one past it
+    # builds them once; a build is timed by the least of three, so that a busy
+    # host does not fail it
+    code = """if True:
+        import sys, time, tracemalloc
+        from fibpal import counting
+        assert counting._peel_tables is None
+        for n in (1, 10**6, 10**18, 11 * 10**17, counting.fib(counting._PEEL_MIN) - 2):
+            counting.end_count(n), counting.occurrence_count(n), counting.tail_sum(n)
+        assert counting._peel_tables is None
+        n = 10**1000 + 12345
+        counting.occurrence_count(n)
+        tables = counting._peel_tables
+        assert tables is not None
+        counting.end_count(n), counting.tail_sum(n), counting.occurrence_count(10**1100)
+        assert counting._peel_tables is tables
+        times = []
+        for _ in range(3):
+            counting._peel_tables = None
+            start = time.perf_counter()
+            counting._tables()
+            times.append(time.perf_counter() - start)
+        assert min(times) <= 0.010, times
+        counting._peel_tables = None
+        tracemalloc.start()
+        counting._tables()
+        held, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert held <= 256 * 2**10 and peak <= 2**20, (held, peak)
+        assert "numpy" not in sys.modules
+        print("ok")
+    """
+    proc = _run(code)
+    assert proc.returncode == 0 and proc.stdout.strip() == "ok", proc.stderr
+
+
+def test_first_peels_from_eight_threads(monkeypatch):
+    # the tables are built by the first walk that peels: let eight threads race for it
+    from concurrent.futures import ThreadPoolExecutor
+
+    rng = Random(8)
+    ns = [rng.randrange(10**k, 10 ** (k + 1)) for k in (19, 30, 100, 1000) for _ in range(4)]
+    expected = {}
+    for n in ns:
+        end, tail, m, _ = reference_walk(n)
+        expected[n] = (block_prefix_total(m) + tail, end)
+    monkeypatch.setattr(counting, "_peel_tables", None)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(lambda n: (n, (occurrence_count(n), end_count(n))), ns, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == len(ns) and all(expected[n] == v for n, v in results)
 
 
 def chain_counts(n):
