@@ -17,25 +17,16 @@ block(m), so the per-index form is the single-branch
 
     end_count(n) = end_count(n - fib(m-1)) + 1
 
-for every n in block m, after which n lies in block m-1 or m-2.  The counts
-come from an iterative O(log n) walk with no memo, on the block offset
-r = n - fib(m) + 1: a hop keeps r into block m-2 if r < fib(m-3), else
-subtracts fib(m-3) into block m-1 (a Zeckendorf digit, below), so it
-costs one big-int comparison and at most one big-int subtraction.  end_count
-is that walk alone, ending in a base table.  The cumulative count is a closed
-form at the block boundary, block_prefix_total(m) = ((m-3) fib(m+2) +
-(m-1) fib(m)) / 5 + 2, plus a tail sum: r + 1 per hop, the base table, and
-per "head+tail" hop the block m-2 it copies as its head, summing to
-block_sum(m-2) = ((m-1) fib(m-1) + (m-4) fib(m-3)) / 5.  The tail loop
-(occurrence_count, tail_sum) folds the heads' Fibonacci terms into a small
-x + y phi in Z[phi] by Horner's rule, flushing it into one big sum every few
-dozen blocks; that sum starts at the boundary's numerator, so the total takes
-one division by 5.  The trace is its own exact walk by the same hop rule.
-That each head is an integer depends on m mod 20 only (fib mod 5 has Pisano
-period 20), so it is checked once, at import, on the heads of twenty
-consecutive blocks.  Past the Fibonacci table the walks step a pair down by
-subtraction, so memory stays bounded.  Agreement with the block form and the
-tree oracle is enforced by the tests.
+for every n in block m, after which n lies in block m-1 or m-2.  On the block
+offset r = n - fib(m) + 1, a hop keeps r into block m-2 if r < fib(m-3), else
+subtracts fib(m-3) into block m-1, and the walk ends in a base table.  The
+cumulative count is a closed form at the block boundary, block_prefix_total(m)
+= ((m-3) fib(m+2) + (m-1) fib(m)) / 5 + 2, plus a tail sum: r + 1 per hop, the
+base table, and per "head+tail" hop the block m-2 it copies as its head,
+block_sum(m-2) = ((m-1) fib(m-1) + (m-4) fib(m-3)) / 5.  occurrence_count_trace
+takes that walk hop by hop, each head divided by 5 as it is added; end_count
+and occurrence_count read the same walk off n's Zeckendorf digits, below.
+Agreement with the block form and the tree oracle is enforced by the tests.
 
 Zeckendorf digits and the peel
 ------------------------------
@@ -52,23 +43,30 @@ as 5 sum_{x<fib(k)} z(x) = (2k+2) fib(k) - (k+2) fib(k-1): the x < X that
 leave X at one of its ones, at place p with c ones above it, and go on
 freely below add 5 c fib(p) plus that at k = p.
 
-From block _PEEL_MIN up, end_count and the tail loop peel X's top digits
-W = _PEEL_W at a time.  For x < fib(s+W), the pattern a of x's digits at
-places s .. s+W-1 is the largest a with H_s(a) = fib(s-1) a + fib(s-2) B(a)
-<= x, B(a) = floor_phi(a+1) being a's expansion one place down: an estimate
-from 40 leading bits and exact steps find it, and x -= H_s(a) leaves x <
-fib(s).  A chunk adds POP[a] = z(a) ones, and to the tail's 5 sum it adds
-fib(s-1) (T1[a] + s (2a - B) + 5 c a) + fib(s-2) (T2[a] + s (3B - a) + 5 c B),
-c the ones above it, where over a's ones at local place j, rho ones above each,
+The counts peel X W = _PEEL_W digits at a time, in chunks at places s .. s+W-1
+with s a multiple of W, from s = W floor((m-2)/W), whose pattern may be
+partial, down to s = 0.  For x < fib(s+W), the pattern a of x's digits there
+is the largest a with H_s(a) = fib(s-1) a + fib(s-2) B(a) <= x, B(a) =
+floor_phi(a+1) being a's expansion one place down: for s >= W an estimate from
+40 leading bits and exact steps find it, and x -= H_s(a) leaves x < fib(s);
+at s = 0, H_0(a) = a (fib(-1) = 1, fib(-2) = 0), so the last pattern is the x
+left.  A chunk adds POP[a] = z(a) ones, so end_count(n) = m - sum POP[a], and
+to 5 sum_{x<X} z(x) it adds fib(s-1) (T1[a] + s (2a - B) + 5 c a) + fib(s-2)
+(T2[a] + s (3B - a) + 5 c B), c the ones above it (T1[a] + 5 c a at s = 0),
+where over a's ones at local place j, rho ones above each,
 
     T1[a] = sum 5 rho fib(j) + (2j+2) fib(j) - (j+2) fib(j-1),
     T2[a] = sum 5 rho fib(j-1) + (2j+2) fib(j-1) - (j+2) fib(j-2),
 
-fib(-2) = 0.  The hop loops finish the last W + 12 blocks or fewer, and the
-trace keeps its own per-hop walk.  POP (bytes), B (array 'H', with B[fib(W)])
-and T1 and T2 (array 'i') hold one entry per pattern: at W = 19, 10,946
-patterns in ~122 KiB, built in ~3 ms on the first walk that peels, never at
-import.
+fib(-2) = 0.  As block_prefix_total(m+1) - m X + sum_{x<X} z(x),
+
+    occurrence_count(n) = ((m-2) fib(m+3) + m fib(m+1) - 5 m X + sum of the chunk terms) / 5 + 2,
+
+one division by 5, which checks the whole sum.  Past the Fibonacci table the
+fib values come from a stepped pair, so memory stays bounded.  POP (bytes), B
+(array 'H', with B[fib(W)]) and T1 and T2 (array 'i') hold one entry per
+pattern: at W = 19, 10,946 patterns in ~122 KiB, built in ~3 ms by the first
+count in a process, never at import.
 
 Interval splitting
 ------------------
@@ -98,21 +96,14 @@ from .chain import ChainInterval, chain_interval, singular_end_pos
 from .errors import DomainError, show_int
 from .fibword import check_cap, fib, fib_floor_index, floor_phi
 
-# end_count(1) .. end_count(6); the walk bottoms out here.
+# end_count(1) .. end_count(6); the trace's walk bottoms out here.
 _END_BASE = (1, 1, 2, 2, 2, 3)
 
-# The tail's Horner element is flushed into the big sum every _SEG blocks, so
-# its small ints stay within a few machine words.
-_SEG = 40
-
-# Walks from block _PEEL_MIN up (n >= fib(90) - 1, ~7.5e18) peel _PEEL_W
-# digits at a time.  Peeling pays from ~block 46 (2-vCPU Xeon VM, Python
-# 3.11), but blocks below 90 keep the hop loops alone, so that every n below
-# ~7.5e18, 10**18 among them, keeps its exact code path.  W = 20 ran 3-5%
-# faster at 10**1000 but built its 17,711 patterns in 4.6-6 ms, against
-# 2.9 ms for W = 19, and the build lands in a process's first large count.
-_PEEL_W, _PEEL_MIN = 19, 90
-_peel_tables = None  # (POP, B, T1, T2), built on the first walk that peels
+# The counts peel _PEEL_W digits per chunk.  W = 20 ran 3-5% faster at 10**1000
+# (2-vCPU Xeon VM, Python 3.11) but built its 17,711 patterns in 4.6-6 ms,
+# against 2.9 ms for W = 19, and the build lands in a process's first count.
+_PEEL_W = 19
+_peel_tables = None  # (POP, B, T1, T2), built on the first count
 _peel_lock = threading.Lock()
 
 # Bytes charged to the cap per unit held (tracemalloc peaks, m = 16..24, p = 1):
@@ -126,19 +117,6 @@ def _div5(x: int) -> int:
     if x % 5:
         raise AssertionError(f"coefficient sum {x} is not divisible by 5")
     return x // 5
-
-
-# Every head block_sum(m-2) is an integer: its numerator mod 5 depends on m mod 20
-# only, as fib mod 5 has period 20 (Pisano), so blocks m = 4 .. 23 cover every m.
-for _m in range(4, 24):
-    if ((_m - 1) * fib(_m - 1) + (_m - 4) * fib(_m - 3)) % 5:
-        raise AssertionError(f"head closed form at blocks m = {_m} mod 20 is not divisible by 5")
-del _m
-
-
-def _flush(x: int, y: int, fibs, m: int) -> int:
-    """x fib(m-4) + y fib(m-3), the value of the tail element x + y phi at block m >= 2."""
-    return x * (fibs[m - 3] if m > 2 else 0) + y * fibs[m - 2]  # fib(-2) = 0
 
 
 def _tables():
@@ -167,122 +145,67 @@ def _tables():
     return _peel_tables
 
 
-def _peel(m: int, x: int, fibs):
-    """Peel x < fib(m-1), the distance from n to the end of its block m, _PEEL_W
-    Zeckendorf digits at a time while the chunk's lowest place s stays >= 12.
-
-    Yields (s, a, B(a), fib(s-1), fib(s-2), x) per chunk: a is the pattern of x's
-    digits at places s .. s+W-1, and x is what is left below them, x < fib(s); the
-    walk goes on at block s + 1 with r = fib(s) - 1 - x."""
-    b = _tables()[1]
-    while m > _PEEL_W + 12:
-        s = m - 1 - _PEEL_W
-        f0, f1, f2 = fibs[s + 1], fibs[s], fibs[s - 1]  # fib(s), fib(s-1), fib(s-2)
-        # with g = (1 + sqrt 5)/2, H_s(a) = a g**s + fib(s-2) (B(a) - a/g), so x / g**s lies
-        # in (a - 0.18, a + 1.28); the Lucas number 2 fib(s-1) - fib(s-2) = g**s + (-1/g)**s,
-        # on 40 leading bits, moves that quotient by < 0.11 for s >= 12, so its floor is
-        # a - 1, a or a + 1, and at most fib(W)
-        sh = f1.bit_length() - 40
-        a = (x >> sh) // (((f1 >> sh) << 1) - (f2 >> sh)) if sh > 0 else x // ((f1 << 1) - f2)
+def _chunk(x: int, f0: int, f1: int, f2: int, b) -> tuple[int, int, int]:
+    """(a, B(a), x - H_s(a)) for x < fib(s + _PEEL_W), s >= 12, from f0, f1, f2 =
+    fib(s), fib(s-1), fib(s-2): a is the pattern of x's digits at places
+    s .. s+W-1, and x - H_s(a) < fib(s) is what lies below them."""
+    # with g = (1 + sqrt 5)/2, H_s(a) = a g**s + fib(s-2) (B(a) - a/g), so x / g**s lies
+    # in (a - 0.18, a + 1.28); the Lucas number 2 fib(s-1) - fib(s-2) = g**s + (-1/g)**s,
+    # on 40 leading bits, moves that quotient by < 0.11 for s >= 12, so its floor is
+    # a - 1, a or a + 1, and at most fib(W)
+    sh = f1.bit_length() - 40
+    a = (x >> sh) // (((f1 >> sh) << 1) - (f2 >> sh)) if sh > 0 else x // ((f1 << 1) - f2)
+    ba = b[a]
+    x -= f1 * a + f2 * ba
+    while x < 0:  # H_s(a) > x: down one pattern; H_s(a) - H_s(a-1) is fib(s) or fib(s-1)
+        a -= 1
+        x += f0 if b[a] < ba else f1
         ba = b[a]
-        x -= f1 * a + f2 * ba
-        while x < 0:  # H_s(a) > x: down one pattern; H_s(a) - H_s(a-1) is fib(s) or fib(s-1)
-            a -= 1
-            x += f0 if b[a] < ba else f1
-            ba = b[a]
-        while x >= (f0 if b[a + 1] > ba else f1):  # H_s(a+1) <= x: up one pattern
-            x -= f0 if b[a + 1] > ba else f1
-            a += 1
-            ba = b[a]
-        yield s, a, ba, f1, f2, x
-        m = s + 1
+    while x >= (f0 if b[a + 1] > ba else f1):  # H_s(a+1) <= x: up one pattern
+        x -= f0 if b[a + 1] > ba else f1
+        a += 1
+        ba = b[a]
+    return a, ba, x
 
 
 def _walk(n: int) -> tuple[int, int]:
-    """(occurrence_count(n), block index of n), for n >= 1, on end_count's hop rule.
+    """(occurrence_count(n), block index m of n), for n >= 1.
 
-    The copied heads, block_sum(m-2) each, are summed by Horner's rule over Z[phi]:
-    a small x + y phi stands for x fib(m-4) + y fib(m-3) at the current block m,
-    so stepping down one block multiplies it by phi; every _SEG blocks it is
-    flushed into one big sum, which starts at 5 (block_prefix_total(m) - 2).
-
-    From block _PEEL_MIN up, the count is block_prefix_total(m+1) less the end
-    counts past n, m X - sum_{x<X} z(x); the chunks give that sum down to block
-    m1, where x1 is left, and the hop walk at n1 = fib(m1+1) - 2 - x1 gives the
-    rest: its count, less block_prefix_total(m1+1), plus m1 x1, is the sum over
-    x < x1, to which the chunks' c ones add c x1."""
-    m0 = m = fib_floor_index(n + 1)  # the block: fib(m) - 1 <= n <= fib(m+1) - 2
-    fibs = fibword.fibs_through(m0 + 2)  # fibs[k + 1] is fib(k): the table, or a stepped pair past it
-    if m0 >= _PEEL_MIN:
-        pop, _, t1, t2 = _tables()
-        # 5 (block_prefix_total(m+1) - 2) = (m-2) fib(m+2) + 2 (m-1) fib(m+1), less 5 m X
-        total = (m - 2) * fibs[m + 3]
-        x = fibs[m + 2]
-        total += 2 * (m - 1) * x
-        x -= n + 2  # X, the distance to the block's end
-        total -= 5 * m * x
-        c = 0  # the ones peeled so far
-        for s, a, b, f1, f2, x in _peel(m, x, fibs):
-            total += f1 * (t1[a] + s * (2 * a - b) + 5 * c * a) + f2 * (t2[a] + s * (3 * b - a) + 5 * c * b)
-            c += pop[a]
-        m = s + 1
-        total += 5 * (c + m) * x - (m - 2) * fibs[m + 3] - 2 * (m - 1) * fibs[m + 2]
-        return _div5(total) + _walk(fibs[m + 2] - 2 - x)[0], m0
-    # read fib(m+2) first: a stepped pair moves down to fib(m), where the walk starts
-    total = (m - 3) * fibs[m + 3]
-    f = fibs[m + 1]
-    total += (m - 1) * f
-    r0 = r = n - f + 1
-    # a head at block m adds (m-1) fib(m-4) + w fib(m-3): 5 block_sum(m-2) is
-    # (m-1) fib(m-4) + (3m-6) fib(m-3) in the basis fib(m-3), fib(m-4) (fib(m-1) =
-    # 2 fib(m-3) + fib(m-4)), plus 5 hops fib(m-3), as fib(m-3) is also in
-    # offsets 1 .. hops; with w = 5 hops + 3m - 6 from the start
-    x = y = 0
-    w = 3 * m - 6
-    while m > 3:
-        stop = max(m - _SEG, 3)
-        while m > stop:
-            g = fibs[m - 2]  # fib(m-3)
-            if r < g:  # down two blocks: times phi**2
-                x, y = x + y, x + 2 * y
-                w -= 1
-                m -= 2
-            else:  # add the head, then down one block: times phi
-                x, y = y + w, x + y + w + m - 1
-                w += 2
-                r -= g
-                m -= 1
-        total += _flush(x, y, fibs, m)
-        x = y = 0
-    hops = (w - 3 * m + 6) // 5
-    base = fibs[m + 1] - 2  # _END_BASE index of the block's first position
-    # the offsets sum to r0 + (hops - 1) r plus the hop-weighted fib(m-3) in total
-    return hops + r0 + (hops - 1) * r + _div5(total) + 2 + sum(_END_BASE[base:base + r + 1]), m0
+    The count is block_prefix_total(m+1) less the end counts past n, m X -
+    sum_{x<X} z(x): 5 times it is (m-2) fib(m+2) + 2 (m-1) fib(m+1) - 5 m X plus
+    each chunk's part of 5 sum_{x<X} z(x), and the chunk at place 0, pattern x,
+    adds T1[x] + 5 c x."""
+    m = fib_floor_index(n + 1)  # the block: fib(m) - 1 <= n <= fib(m+1) - 2
+    fibs = fibword.fibs_through(m + 2)  # fibs[k + 1] is fib(k): the table, or a stepped pair past it
+    pop, b, t1, t2 = _peel_tables or _tables()
+    # read fib(m+2) first: a stepped pair moves down from there
+    total = (m - 2) * fibs[m + 3]
+    x = fibs[m + 2]
+    total += 2 * (m - 1) * x
+    x -= n + 2  # X, the distance to the block's end
+    total -= 5 * m * x
+    c = 0  # the ones peeled so far
+    for s in range(_PEEL_W * ((m - 2) // _PEEL_W), 0, -_PEEL_W):
+        f1, f2 = fibs[s], fibs[s - 1]  # fib(s-1), fib(s-2)
+        a, ba, x = _chunk(x, fibs[s + 1], f1, f2, b)
+        total += f1 * (t1[a] + s * (2 * a - ba) + 5 * c * a) + f2 * (t2[a] + s * (3 * ba - a) + 5 * c * ba)
+        c += pop[a]
+    return _div5(total + t1[x] + 5 * c * x) + 2, m
 
 
 def end_count(n: int) -> int:
-    """Number of palindrome occurrences ending exactly at position n: 1 per hop plus the base table."""
+    """Number of palindrome occurrences ending exactly at position n: m less the
+    1-digits of X, the distance from n to the end of its block m."""
     if n < 1:
         raise DomainError(f"positions are 1-based, got {show_int(n)}")
     m = fib_floor_index(n + 1)  # the block: fib(m) - 1 <= n <= fib(m+1) - 2
-    fibs = fibword.fibs_through(m)  # fibs[k + 1] is fib(k)
-    r = n - fibs[m + 1] + 1
-    hops = 0
-    if m >= _PEEL_MIN:  # a chunk takes W blocks in W - POP[a] hops
-        pop = _tables()[0]
-        for s, a, _, _, _, x in _peel(m, fibs[m] - 1 - r, fibs):
-            hops += _PEEL_W - pop[a]
-        m = s + 1
-        r = fibs[m] - 1 - x
-    while m > 3:
-        g = fibs[m - 2]  # fib(m-3)
-        if r < g:
-            m -= 2
-        else:
-            r -= g
-            m -= 1
-        hops += 1
-    return _END_BASE[fibs[m + 1] - 2 + r] + hops
+    fibs = fibword.fibs_through(m + 1)  # fibs[k + 1] is fib(k)
+    pop, b, _, _ = _peel_tables or _tables()
+    x = fibs[m + 2] - 2 - n
+    for s in range(_PEEL_W * ((m - 2) // _PEEL_W), 0, -_PEEL_W):
+        a, _, x = _chunk(x, fibs[s + 1], fibs[s], fibs[s - 1], b)
+        m -= pop[a]
+    return m - pop[x]
 
 
 def end_count_block(m: int) -> list[int]:
@@ -343,9 +266,9 @@ def end_count_near_fib(m: int) -> tuple[int, int, int]:
 def occurrence_count(n: int) -> int:
     """Number of palindrome occurrences (with repetition) in the length-n prefix.
 
-    occurrence_count(0) is 0 by convention.  O(log n) steps: one walk down the
-    chain, in exact integer arithmetic with no memo and no prefix
-    materialization.
+    occurrence_count(0) is 0 by convention.  O(log n) steps: n's Zeckendorf
+    digits, peeled 19 at a time, in exact integer arithmetic with no memo and
+    no prefix materialization.
     """
     if n < 0:
         raise DomainError(f"prefix lengths are >= 0, got {show_int(n)}")
@@ -353,7 +276,7 @@ def occurrence_count(n: int) -> int:
 
 
 def occurrence_count_trace(n: int) -> tuple[int, dict]:
-    """occurrence_count(n) plus the walk taken, by its own exact walk on _walk's hop
+    """occurrence_count(n) plus the walk taken, by its own exact walk on the hop
     rule: each step adds its part as one big int, and its value is tail_sum of its n."""
     if n < 0:
         raise DomainError(f"prefix lengths are >= 0, got {show_int(n)}")

@@ -113,8 +113,9 @@ class _FibSteps:
     """fib values by the table's index, [k + 1] -> fib(k), for k past the table.
 
     Holds one pair (fib(k), fib(k - 1)) and moves it by one addition or
-    subtraction per index, so a walk that moves a few indices at a time pays
-    O(1) big-int operations per step; indices inside the table are read there.
+    subtraction per index, or down d > 3 indices by one Cassini step, so a
+    walk that moves a few indices at a time pays O(1) big-int operations per
+    step; indices inside the table are read there.
     """
 
     __slots__ = ("idx", "hi", "lo")
@@ -127,6 +128,15 @@ class _FibSteps:
         if idx < len(_fibs):
             return _fibs[idx]
         k, hi, lo = self.idx, self.hi, self.lo
+        d = k - idx
+        if 3 < d < len(_fibs):
+            # (fib(k-d), fib(k-d-1)) = (-1)**d (f3 fib(k) - f2 fib(k-1), f1 fib(k-1) - f2 fib(k)),
+            # with f1, f2, f3 = fib(d-1), fib(d-2), fib(d-3) from the table
+            f1, f2, f3 = _fibs[d], _fibs[d - 1], _fibs[d - 2]
+            hi, lo = f3 * hi - f2 * lo, f1 * lo - f2 * hi
+            if d & 1:
+                hi, lo = -hi, -lo
+            k = idx
         while k > idx:
             hi, lo = lo, hi - lo
             k -= 1

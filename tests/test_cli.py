@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import time
+from array import array
 from pathlib import Path
 
 import pytest
@@ -323,15 +324,23 @@ def test_impossible_coordinate_exit_3(capsys, monkeypatch):
     assert code == 3 and out == "" and "internal error: AssertionError: position 10 gets i" in err
 
 
+def _t1_one_too_large_at(a):
+    """The counting tables with T1[a] one too large: n = 7 is the first count whose last pattern is 4."""
+    pop, b, t1, t2 = counting._tables()
+    t1 = array("i", t1)
+    t1[a] += 1
+    return pop, b, t1, t2
+
+
 @pytest.mark.parametrize("plant, argv, counterexample", [
-    # the planted faults of test_impossible_coordinate_exit_3, and a flushed head sum one too large
+    # the planted faults of test_impossible_coordinate_exit_3, and a counting table entry one too large
     (lambda patch: patch.setattr(fibpal.singular, "kernel", lambda w, real=fibpal.singular.kernel:
                                  real(w)._replace(m=1) if w == "aba" else real(w)),
      ("cylinder",), {"coord": [0, 1], "roundtrip": None}),
     (lambda patch: patch.setattr(fibpal.chain, "fib_floor_index", lambda x, real=fibpal.chain.fib_floor_index:
                                  real(x) + (x == 11)),
      ("chain", "--max-n", "100"), {"n": 10}),
-    (lambda patch: patch.setattr(counting, "_flush", lambda *a, real=counting._flush: real(*a) + 1),
+    (lambda patch: patch.setattr(counting, "_peel_tables", _t1_one_too_large_at(4)),
      ("counts", "--max-n", "100"), {"n": 7}),
 ], ids=["cylinder", "chain", "counts"])
 def test_verify_closed_form_assertion_exit_1(capsys, monkeypatch, plant, argv, counterexample):

@@ -2,7 +2,8 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from itertools import accumulate, count
+from array import array
+from itertools import accumulate
 from pathlib import Path
 from random import Random
 
@@ -178,20 +179,22 @@ def test_walk_matches_reference_walk_past_the_table():
     assert len(fibword._fibs) <= top + 2
 
 
-def test_horner_tail_matches_reference_walk_at_flush_boundaries():
-    # blocks within 2 of where a walk's last segment ends at block 3, for up to three flushes
+def test_counts_match_the_reference_walk_at_chunk_edges():
+    # blocks within 2 of m = 2 + 19 j, where the number of aligned chunks a count peels changes
     rng = Random(1007)
-    seg = counting._SEG
-    blocks = sorted({k * seg + 3 + d for k in range(1, 4) for d in range(-2, 3)} | set(range(3, 9)))
+    w = counting._PEEL_W
+    blocks = sorted({2 + j * w + d for j in range(4) for d in range(-2, 3)} - {0, 1} | set(range(3, 9)))
     for m in blocks:
         lo, hi = fib(m) - 1, fib(m + 1) - 2
         ns = {lo, lo + 1, hi - 1, hi, lo + fib(m - 2), lo + fib(m - 3) - 1} | {rng.randint(lo, hi) for _ in range(20)}
-        for n in sorted(k for k in ns if k >= 4):
+        for n in sorted(ns):
             end, tail, mm, steps = reference_walk(n)
-            value, trace = occurrence_count_trace(n)
             assert mm == m and end_count(n) == end and tail_sum(n) == tail, n
-            assert trace == {"m": m, "before_block": block_prefix_total(m), "tail": tail, "tail_steps": steps}, n
-            assert value == occurrence_count(n) == block_prefix_total(m) + tail, n
+            assert occurrence_count(n) == block_prefix_total(m) + tail, n
+            if n > 3:  # below 4 the count comes from a table, without a walk
+                value, trace = occurrence_count_trace(n)
+                assert trace == {"m": m, "before_block": block_prefix_total(m), "tail": tail, "tail_steps": steps}, n
+                assert value == occurrence_count(n), n
 
 
 def test_horner_tail_memory():
@@ -251,12 +254,12 @@ def test_peel_tables_match_their_definitions():
 
 
 def test_peel_matches_the_reference_walk_at_its_edges():
-    # where walks start peeling, where a walk's chunk count changes, and at fib(k) + d
-    w, start = counting._PEEL_W, counting._PEEL_MIN
-    ks = set(range(start - 3, start + w + 3)) | {w + 12 + j * w + e for j in range(4, 10) for e in (0, 1, 2)}
+    # where a walk's number of aligned chunks changes, m = 2 + 19 j, at fib(k) + d, up to the table's end
+    w = counting._PEEL_W
+    ks = {2 + j * w + e for j in [*range(12), 50, 150, 262] for e in range(-2, 3)}
     rng = Random(90)
-    ns = [fib(k) + d for k in sorted(ks) for d in range(-3, 4)]
-    ns += [rng.randint(fib(k) - 1, fib(k + 1) - 2) for k in range(start, start + 3 * w) for _ in range(3)]
+    ns = [fib(k) + d for k in sorted(ks) for d in range(-3, 4) if fib(k) + d >= 2]  # block 1 has no prefix total
+    ns += [rng.randint(fib(k) - 1, fib(k + 1) - 2) for k in range(2, 8 * w) for _ in range(3)]
     for n in ns:
         end, tail, m, _ = reference_walk(n)
         assert end_count(n) == end and tail_sum(n) == tail, n
@@ -264,21 +267,18 @@ def test_peel_matches_the_reference_walk_at_its_edges():
 
 
 def test_peel_tables_are_lazy_small_and_quick():
-    # a fresh process: counts up to 10**18 build no table, the first one past it
-    # builds them once; a build is timed by the least of three, so that a busy
-    # host does not fail it
+    # a fresh process: import builds no table, the first count of any n builds
+    # them once; a build is timed by the least of three, so that a busy host
+    # does not fail it
     code = """if True:
         import sys, time, tracemalloc
         from fibpal import counting
         assert counting._peel_tables is None
-        for n in (1, 10**6, 10**18, 11 * 10**17, counting.fib(counting._PEEL_MIN) - 2):
-            counting.end_count(n), counting.occurrence_count(n), counting.tail_sum(n)
-        assert counting._peel_tables is None
-        n = 10**1000 + 12345
-        counting.occurrence_count(n)
+        counting.end_count(1)
         tables = counting._peel_tables
         assert tables is not None
-        counting.end_count(n), counting.tail_sum(n), counting.occurrence_count(10**1100)
+        for n in (1, 2, 7, 10**6, 10**18, 10**1000 + 12345, 10**1100):
+            counting.end_count(n), counting.occurrence_count(n), counting.tail_sum(n)
         assert counting._peel_tables is tables
         times = []
         for _ in range(3):
@@ -496,29 +496,31 @@ def test_invariant_checks_survive_optimize_flag():
     assert proc.returncode != 0 and "AssertionError" in proc.stderr
 
 
-# fib(8) one too large before counting is imported: the numerator of block m = 9's head
-_CORRUPT_FIB = "from fibpal import fibword; fibword.fib(40); fibword._fibs[9] += 1; import fibpal.counting"
+def _last_pattern(n):
+    """The pattern of n's last chunk: X's digits at places 0 .. 18, X = fib(m+1) - 2 - n."""
+    m = fib_floor_index(n + 1)
+    return sum(fib(p) for p in zeckendorf(fib(m + 1) - 2 - n) if p < counting._PEEL_W)
 
 
 def test_head_exactness_check_catches_faults(monkeypatch):
-    proc = _run(_CORRUPT_FIB)
-    assert proc.returncode != 0 and "AssertionError: head closed form at blocks m = 9 " in proc.stderr
+    # T1 one too large at the pattern of n's last chunk: 5 times the count comes out one too large
     n = 10**1000 + 12345
-    calls, flush = count(), counting._flush  # the first flushed product comes out one too large
+    pop, b, t1, t2 = counting._tables()
+    t1 = array("i", t1)
+    t1[_last_pattern(n)] += 1
     with monkeypatch.context() as mp:
-        mp.setattr(counting, "_flush", lambda *a: flush(*a) + (next(calls) == 0))
+        mp.setattr(counting, "_peel_tables", (pop, b, t1, t2))
         with pytest.raises(AssertionError, match="not divisible by 5"):
             occurrence_count(n)
     assert occurrence_count(n) - occurrence_count(n - 1) == end_count(n)
 
 
 def test_head_exactness_check_survives_optimize_flag():
-    proc = _run_optimized(_CORRUPT_FIB)
-    assert proc.returncode != 0 and "AssertionError: head closed form at blocks m = 9 " in proc.stderr
+    n = 10**1000 + 12345
     proc = _run_optimized(
-        "from itertools import count; from fibpal import counting; calls, flush = count(), counting._flush; "
-        "counting._flush = lambda *a: flush(*a) + (next(calls) == 0); "
-        "counting.occurrence_count(10**1000 + 12345)"
+        "from array import array; from fibpal import counting; pop, b, t1, t2 = counting._tables(); "
+        f"t1 = array('i', t1); t1[{_last_pattern(n)}] += 1; counting._peel_tables = pop, b, t1, t2; "
+        f"counting.occurrence_count({n})"
     )
     assert proc.returncode != 0 and "not divisible by 5" in proc.stderr
 

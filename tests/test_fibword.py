@@ -1,6 +1,7 @@
 import math
 import os
 import sys
+from random import Random
 from types import SimpleNamespace
 
 import numpy as np
@@ -92,6 +93,23 @@ def test_fib_past_the_table():
     for idx in [top + 41, top + 3, top + 20, top + 19, top + 41, top - 7, top + 2, 5, top + 1]:
         assert steps[idx] == fib(idx - 1), idx
     assert fibword.fibs_through(top) is fibword._fibs
+    assert len(fibword._fibs) == top + 2
+
+
+def test_stepped_pair_jumps_down():
+    # a read more than 3 indices below the pair is one Cassini step with the table's
+    # fib(d-1), fib(d-2), fib(d-3); a jump past the table's length steps one by one
+    rng = Random(5000)
+    top, limit = fibword.FIB_TABLE_MAX, fibword.FIB_INDEX_MAX
+    fib(top)
+    for m in (top, top + 1, top + 4, limit, *(rng.randint(top, limit) for _ in range(4))):
+        steps, idx = fibword._FibSteps(m), m + 1
+        jumps = [rng.choice((1, 2, 3, 4, 5, rng.randint(6, 300))) for _ in range(30)] + [top + 3]
+        for d in jumps:
+            if idx - d < 1:
+                break
+            idx -= d
+            assert steps[idx] == fib(idx - 1), (m, idx)
     assert len(fibword._fibs) == top + 2
 
 
