@@ -113,9 +113,9 @@ class _FibSteps:
     """fib values by the table's index, [k + 1] -> fib(k), for k past the table.
 
     Holds one pair (fib(k), fib(k - 1)) and moves it by one addition or
-    subtraction per index, or down d > 3 indices by one Cassini step, so a
-    walk that moves a few indices at a time pays O(1) big-int operations per
-    step; indices inside the table are read there.
+    subtraction per index, or down 3 < d < len(_fibs) indices by one Cassini
+    step, so a walk that moves a few indices at a time pays O(1) big-int
+    operations per step; indices inside the table are read there.
     """
 
     __slots__ = ("idx", "hi", "lo")

@@ -61,12 +61,9 @@ def _words() -> list[str]:
 
 
 def _fib_edges() -> list[int]:
-    """n = fib(k) + d, |d| <= 3, for k in 60 .. 120 (walks from block 90 up
-    peel 19 Zeckendorf digits at a time, counting._PEEL_MIN and _PEEL_W),
-    k = 31 + 19 j + {0, 1, 2} over a spread of j (where a walk's number of
-    chunks changes, as the peel stops at block 31), and k within 3 of
-    fibword.FIB_TABLE_MAX (where the walks leave the Fibonacci table for a
-    stepped pair)."""
+    """n = fib(k) + d, |d| <= 3, for k in 60 .. 120, k = 31 + 19 j + {0, 1, 2}
+    over a spread of j, and k within 3 of fibword.FIB_TABLE_MAX (where the
+    counts leave the Fibonacci table for a stepped pair)."""
     ks = set(range(60, 121)) | set(range(4997, 5004))
     ks |= {31 + 19 * j + d for j in (3, 4, 5, 10, 50, 100, 200, 261) for d in range(3)}
     return [fib(k) + d for k in sorted(ks) for d in range(-3, 4)]
