@@ -78,11 +78,29 @@ def _peel_edges() -> list[int]:
     return [fib(k) + d for k in sorted(ks) for d in range(-3, 4) if fib(k) + d >= 1]
 
 
+def _correction_edges() -> list[int]:
+    """n = fib(s + 21) - 2 - x in block s + 20, whose top 19-digit chunk is at
+    place s, for s = 19, 38, 57, 76, with x at both ends of pattern a's range,
+    H_s(a) and H_s(a + 1) - 1, H_s(a) = fib(s-1) a + fib(s-2) floor_phi(a + 1):
+    the edges where the chunk's estimate of a is corrected, for the first four
+    and last four of the fib(19) patterns and every 97th between them."""
+    top = fib(19)
+    patterns = sorted({*range(4), *range(0, top, 97), *range(top - 4, top)})
+    out = []
+    for s in (19, 38, 57, 76):
+        def h(a):
+            return fib(s - 1) * a + fib(s - 2) * floor_phi(a + 1)
+        out += [fib(s + 21) - 2 - x for a in patterns for x in (h(a), h(a + 1) - 1)]
+    return out
+
+
 # "small" is every n < 3,000; "1eK" is six seeded n in [10**K, 10**(K + 1));
 # "fib-edges" and "peel-edges" are n next to the Fibonacci numbers where the
-# counting walks change course; "words" is the word magnitude, the one the word functions take
+# counting walks change course, "correction-edges" the n where a chunk's
+# estimate is corrected; "words" is the word magnitude, the one the word functions take
 MAGNITUDES = {"small": range(1, 3000), **{f"1e{k}": _seeded(k) for k in (6, 18, 100, 1000, 4000)},
-              "fib-edges": _fib_edges(), "peel-edges": _peel_edges(), "words": _words()}
+              "fib-edges": _fib_edges(), "peel-edges": _peel_edges(),
+              "correction-edges": _correction_edges(), "words": _words()}
 
 
 def _kernel_index(n: int) -> int:
@@ -196,6 +214,7 @@ DIGESTS = {
     ("end_count", "1e4000"): "508654fcc52d188c33909047d9b224142d06e87872a79844f3253ad99201bbe0",
     ("end_count", "fib-edges"): "047ebc2f63cbab0bafd2c8ab734067b8af8f77c82a9971fb71e8875787acba38",
     ("end_count", "peel-edges"): "3eaa8fa03d2db100d6ce5a2fd0872dcdf29e92921a32e080e41e10585ac5c8b5",
+    ("end_count", "correction-edges"): "ddbae838a0f46112ffe552867ba63e36a8d857acdf3062e4749e512641c5d7f8",
     ("occurrence_count", "small"): "08c8948b1b0904a0a3c77b38c559bac2a7cfa77a45db5eaecbfdb289e582f40c",
     ("occurrence_count", "1e6"): "7cba3a432879f1fb3fc9088c982692b2492cff8c1805648a6b88a04879a1119f",
     ("occurrence_count", "1e18"): "68e2dcb73208edd87aee3bf49ac8311e984eaf5efcb9d5265f9ac7f1935a13c8",
@@ -204,6 +223,7 @@ DIGESTS = {
     ("occurrence_count", "1e4000"): "56c96f52e4b849ebe52698c040d5663ed0751ab085022efe73f959faad78a42b",
     ("occurrence_count", "fib-edges"): "84612f6f3cb23d2fd4ad38ebd3d2366568c9f225eb2fa97c83aecff30707eadd",
     ("occurrence_count", "peel-edges"): "bca471bd0ddfb4152e377ae153565e463fc5bd9ab17fe7d815114a02f553ae7f",
+    ("occurrence_count", "correction-edges"): "4d185938b58c46ea2f176904fc0dc82e7800c938b62afa6f360dd517c42ecae7",
     ("tail_sum", "small"): "59b1401e6920430c23a2d3becdb07349e58688078ed81daf2aa74af6ea565de5",
     ("tail_sum", "1e6"): "1f8465dad55c6718db5fc3e3df6f9916fa8d8b1c85afcdeec3295b6e2ca09db5",
     ("tail_sum", "1e18"): "f359daa973a450eaafe1db90dcc64f3c538cd5466ebc705a7f55dd4374f267bf",
@@ -212,6 +232,7 @@ DIGESTS = {
     ("tail_sum", "1e4000"): "b0a3a91c0a5037f4570e7f2729276753e14e02db9f4eab5d5da8ca50938cec97",
     ("tail_sum", "fib-edges"): "ea5749e6cf9730f1dbcecd4a4869882361c164718a03c2ba4ec0c5eb2a06a95d",
     ("tail_sum", "peel-edges"): "de7de597ec063bb5a0b481ca8f8d7b30885ec4a6453d7832c23977ccfcc95ea0",
+    ("tail_sum", "correction-edges"): "b0130c54bd1a9cccea85656c3b62b1a3a830d1756e2df61d34e1568bd094e7c6",
     ("occurrence_count_trace.tail", "small"): "c21e9d67e872b3087adc6a59a0c6ec2fbd1cc273cb47235a4542e5cff474288c",
     ("occurrence_count_trace.tail", "1e6"): "1f8465dad55c6718db5fc3e3df6f9916fa8d8b1c85afcdeec3295b6e2ca09db5",
     ("occurrence_count_trace.tail", "1e18"): "f359daa973a450eaafe1db90dcc64f3c538cd5466ebc705a7f55dd4374f267bf",
