@@ -48,14 +48,14 @@ with s a multiple of W, from s = W floor((m-2)/W), whose pattern may be
 partial, down to s = 0.  For x < fib(s+W), the pattern a of x's digits there
 is the largest a with H_s(a) = fib(s-1) a + fib(s-2) B(a) <= x, B(a) =
 floor_phi(a+1) being a's expansion one place down: for s >= W an estimate from
-40 leading bits and exact steps find it, and x -= H_s(a) leaves x < fib(s);
+40 leading bits and one exact step at most find it, and x - H_s(a) < fib(s);
 at s = 0, H_0(a) = a (fib(-1) = 1, fib(-2) = 0), so the last pattern is the x
 left.  A chunk adds POP[a] = z(a) ones, so end_count(n) = m - sum POP[a], and
 to 5 sum_{x<X} z(x) it adds fib(s-1) (T1[a] + s (2a - B) + 5 c a) + fib(s-2)
 (T2[a] + s (3B - a) + 5 c B), c the ones above it (T1[a] + 5 c a at s = 0),
 where over a's ones at local place j, rho ones above each,
 
-    T1[a] = sum 5 rho fib(j) + (2j+2) fib(j) - (j+2) fib(j-1),
+    T1[a] = sum 5 rho fib(j) + (2j+2) fib(j) - (j+2) fib(j-1) = 5 sum_{y<a} POP[y],
     T2[a] = sum 5 rho fib(j-1) + (2j+2) fib(j-1) - (j+2) fib(j-2),
 
 fib(-2) = 0.  As block_prefix_total(m+1) - m X + sum_{x<X} z(x),
@@ -146,25 +146,26 @@ def _tables():
 
 
 def _chunk(x: int, f0: int, f1: int, f2: int, b) -> tuple[int, int, int]:
-    """(a, B(a), x - H_s(a)) for x < fib(s + _PEEL_W), s >= 12, from f0, f1, f2 =
-    fib(s), fib(s-1), fib(s-2): a is the pattern of x's digits at places
-    s .. s+W-1, and x - H_s(a) < fib(s) is what lies below them."""
-    # with g = (1 + sqrt 5)/2, H_s(a) = a g**s + fib(s-2) (B(a) - a/g), so x / g**s lies
-    # in (a - 0.18, a + 1.28); the Lucas number 2 fib(s-1) - fib(s-2) = g**s + (-1/g)**s,
-    # on 40 leading bits, moves that quotient by < 0.11 for s >= 12, so its floor is
-    # a - 1, a or a + 1, and at most fib(W)
+    """(a, B(a), x - H_s(a)) for x < fib(s + W), s a positive multiple of W = _PEEL_W,
+    from f0, f1, f2 = fib(s), fib(s-1), fib(s-2): a is x's pattern at places s ..
+    s+W-1.  With g = (1 + sqrt 5)/2 and L_s = 2 fib(s-1) - fib(s-2), H_s(a) / L_s =
+    a + (1/g - frac((a+1)/g)) / sqrt 5 + e, |e| < 2e-4 at s = 19, < 2e-12 from 38 on,
+    so the estimate floor(x / L_s) undershoots a only if frac((a+1)/g) > 1/g: then
+    frac(a/g) + 1/g < 1, B(a) = B(a-1), and H_s(a) - H_s(a-1) is fib(s-1), not fib(s)
+    as where B rises.  A test finds it one step at most from a at s = 19 .. 190,
+    4,997 and 5,016; past s = 38 its error, < 3e-8 with the 40-bit cut, is below the
+    least |1/g - frac((a+1)/g)| / sqrt 5, 1.8e-5 for 0 < a <= fib(W): so at every s."""
     sh = f1.bit_length() - 40
     a = (x >> sh) // (((f1 >> sh) << 1) - (f2 >> sh)) if sh > 0 else x // ((f1 << 1) - f2)
     ba = b[a]
     x -= f1 * a + f2 * ba
-    while x < 0:  # H_s(a) > x: down one pattern; H_s(a) - H_s(a-1) is fib(s) or fib(s-1)
+    if x < 0:  # H_s(a) > x: down one pattern; B is flat there only from a = fib(W)
         a -= 1
         x += f0 if b[a] < ba else f1
         ba = b[a]
-    while x >= (f0 if b[a + 1] > ba else f1):  # H_s(a+1) <= x: up one pattern
-        x -= f0 if b[a + 1] > ba else f1
+    elif x >= f1 and b[a + 1] == ba:  # H_s(a+1) = H_s(a) + fib(s-1) <= x: up one pattern
+        x -= f1
         a += 1
-        ba = b[a]
     return a, ba, x
 
 
@@ -178,8 +179,7 @@ def _walk(n: int) -> tuple[int, int]:
     m = fib_floor_index(n + 1)  # the block: fib(m) - 1 <= n <= fib(m+1) - 2
     fibs = fibword.fibs_through(m + 2)  # fibs[k + 1] is fib(k): the table, or a stepped pair past it
     pop, b, t1, t2 = _peel_tables or _tables()
-    # read fib(m+2) first: a stepped pair moves down from there
-    total = (m - 2) * fibs[m + 3]
+    total = (m - 2) * fibs[m + 3]  # fib(m+2) first: a stepped pair moves down from there
     x = fibs[m + 2]
     total += 2 * (m - 1) * x
     x -= n + 2  # X, the distance to the block's end

@@ -489,6 +489,13 @@ GOLDEN = [
      '"value": 17}, {"case": "copy", "m": 4, "n": 8, "value": 5}, {"case": "table", "m": 2, "n": 3, "value": 3}]}, '
      '"value": 98}',
      "B(29) = 98\n  before block: 56  tail: 42"),
+    # below 4 the trace is the base table's value, with no block or tail
+    (["count", "--occurrences", "-n", "0", "--trace"],
+     '{"cmd": "count", "mode": "occurrences", "n": 0, "trace": {"base_table": true, "value": 0}, "value": 0}',
+     "B(0) = 0\n  base table: 0"),
+    (["count", "--occurrences", "-n", "3", "--trace"],
+     '{"cmd": "count", "mode": "occurrences", "n": 3, "trace": {"base_table": true, "value": 4}, "value": 4}',
+     "B(3) = 4\n  base table: 4"),
     (["count", "--distinct", "-n", "100"], '{"cmd": "count", "mode": "distinct", "n": 100, "value": 100}', "100"),
     (["count", "special", "--m", "6"],
      '{"cmd": "count special", "end_count_fib": 4, "end_count_fib_minus1": 3, "end_count_fib_minus2": 5, "m": 6, '

@@ -244,6 +244,7 @@ def test_peel_tables_match_their_definitions():
     pop, b, t1, t2 = counting._tables()
     w = counting._PEEL_W
     assert len(pop) == len(t1) == len(t2) == fib(w) and len(b) == fib(w) + 1 and b[-1] == fib(w - 1)
+    assert list(t1) == [5 * v for v in accumulate(pop[:-1], initial=0)]  # 5 times the ones below a
     for a in range(fib(w)):
         ones = zeckendorf(a)
         assert pop[a] == len(ones) and b[a] == floor_phi(a + 1), a
@@ -251,6 +252,41 @@ def test_peel_tables_match_their_definitions():
                             for rho, j in enumerate(ones)), a
         assert t2[a] == sum(5 * rho * fib(j - 1) + (2 * j + 2) * fib(j - 1) - (j + 2) * (fib(j - 2) if j else 0)
                             for rho, j in enumerate(ones)), a
+
+
+class _Reads:
+    """A view of the B table that records the indices read through it."""
+
+    def __init__(self, b):
+        self.b, self.read = b, []
+
+    def __getitem__(self, i):
+        self.read.append(i)
+        return self.b[i]
+
+
+def test_chunk_corrects_its_estimate_by_one_step():
+    # both ends of every pattern's range, H_s(a) and H_s(a+1) - 1, at the first
+    # ten chunk places, the last one inside the Fibonacci table and one past it:
+    # the estimate (the first index read) is monotone in x, so between them it
+    # is within one of a, and it never undershoots a pattern that B rises into
+    _, b, _, _ = counting._tables()
+    w = counting._PEEL_W
+    top = fib(w)
+    places = [*range(w, 11 * w, w), fibword.FIB_TABLE_MAX // w * w, (fibword.FIB_TABLE_MAX // w + 1) * w]
+    for s in places:
+        f0, f1, f2 = fib(s), fib(s - 1), fib(s - 2)
+        view = _Reads(b)
+        edges = [f1 * a + f2 * b[a] for a in range(top + 1)]  # H_s(a), up to H_s(fib(W)) = fib(s + W)
+        assert edges[top] == fib(s + w), s
+        for a in range(top):
+            for x in (edges[a], edges[a + 1] - 1):
+                view.read.clear()
+                assert counting._chunk(x, f0, f1, f2, view) == (a, b[a], x - edges[a]), (s, a, x)
+                guess = view.read[0]
+                assert abs(guess - a) <= 1, (s, a, x, guess)
+                assert guess >= a or b[a] == b[a - 1], (s, a, x)  # an undershoot steps up by fib(s-1)
+                assert guess <= a or b[a + 1] > b[a] or a + 1 == top, (s, a, x)  # B is flat down only from fib(W)
 
 
 def test_peel_matches_the_reference_walk_at_its_edges():
