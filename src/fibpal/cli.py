@@ -174,8 +174,10 @@ def _count_lines(r: dict) -> list[str]:
                 f"({r['end_count_fib_minus2']},{r['end_count_fib_minus1']},{r['end_count_fib']})"]
     if "trace" in r:
         trace = r["trace"]
-        return [f"B({r['n']}) = {r['value']}", f"  base table: {trace['value']}" if "base_table" in trace
-                else f"  before block: {trace['before_block']}  tail: {trace['tail']}"]
+        if "base_table" in trace:
+            return [f"B({r['n']}) = {r['value']}", f"  base table: {trace['value']}"]
+        return [f"B({r['n']}) = {r['value']}",
+                f"  before block: {trace['before_block']}  tail: {trace['tail']}"]
     return [str(r["value"])]
 
 

@@ -179,7 +179,8 @@ def _walk(n: int) -> tuple[int, int]:
     m = fib_floor_index(n + 1)  # the block: fib(m) - 1 <= n <= fib(m+1) - 2
     fibs = fibword.fibs_through(m + 2)  # fibs[k + 1] is fib(k): the table, or a stepped pair past it
     pop, b, t1, t2 = _peel_tables or _tables()
-    total = (m - 2) * fibs[m + 3]  # fib(m+2) first: a stepped pair moves down from there
+    # read fib(m+2) first: a stepped pair moves down from there
+    total = (m - 2) * fibs[m + 3]
     x = fibs[m + 2]
     total += 2 * (m - 1) * x
     x -= n + 2  # X, the distance to the block's end

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -287,6 +288,30 @@ def test_chunk_corrects_its_estimate_by_one_step():
                 assert abs(guess - a) <= 1, (s, a, x, guess)
                 assert guess >= a or b[a] == b[a - 1], (s, a, x)  # an undershoot steps up by fib(s-1)
                 assert guess <= a or b[a + 1] > b[a] or a + 1 == top, (s, a, x)  # B is flat down only from fib(W)
+
+
+@pytest.mark.parametrize("n, step", [(fib(39) - 1, "down, B flat"), (267903349, "down, B rises"),
+                                     (267896583, "up")])
+def test_count_command_takes_each_chunk_step(n, step, monkeypatch, capsys):
+    # through the command's entry point, the one chunk of each n, at place 19,
+    # takes the step named: fib(39) - 1 steps down from the extra pattern fib(19)
+    from fibpal.cli import main
+
+    chunk, steps = counting._chunk, []
+
+    def recorded(x, f0, f1, f2, b):
+        view = _Reads(b)
+        a, ba, rest = chunk(x, f0, f1, f2, view)
+        guess = view.read[0]
+        steps.append((f0, "none" if guess == a else "up" if guess < a
+                      else "down, B rises" if b[a + 1] > ba else "down, B flat"))
+        return a, ba, rest
+
+    monkeypatch.setattr(counting, "_chunk", recorded)
+    assert main(["count", "--occurrences", "-n", str(n)]) == 0
+    assert steps == [(fib(19), step)]
+    _, tail, m, _ = reference_walk(n)
+    assert json.loads(capsys.readouterr().out)["value"] == block_prefix_total(m) + tail
 
 
 def test_peel_matches_the_reference_walk_at_its_edges():
