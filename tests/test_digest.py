@@ -78,6 +78,15 @@ def _peel_edges() -> list[int]:
     return [fib(k) + d for k in sorted(ks) for d in range(-3, 4) if fib(k) + d >= 1]
 
 
+def _table_edges() -> list[int]:
+    """n = fib(k) + d >= 1, |d| <= 3, for k = 19 j + {1, 2, 3}, j = 262 .. 265:
+    the last blocks whose top chunk is at a place up to 4,997, inside
+    fibword.FIB_TABLE_MAX, and the first whose top chunks, at places 5,016 and
+    5,035, are built from a stepped pair past it."""
+    ks = [19 * j + e for j in range(262, 266) for e in (1, 2, 3)]
+    return [fib(k) + d for k in ks for d in range(-3, 4) if fib(k) + d >= 1]
+
+
 def _correction_edges() -> list[int]:
     """n = fib(s + 21) - 2 - x in block s + 20, whose top 19-digit chunk is at
     place s, for s = 19, 38, 57, 76, with x at both ends of pattern a's range,
@@ -95,11 +104,11 @@ def _correction_edges() -> list[int]:
 
 
 # "small" is every n < 3,000; "1eK" is six seeded n in [10**K, 10**(K + 1));
-# "fib-edges" and "peel-edges" are n next to the Fibonacci numbers where the
-# counting walks change course, "correction-edges" the n where a chunk's
+# "fib-edges", "peel-edges" and "table-edges" are n next to the Fibonacci numbers
+# where the counting walks change course, "correction-edges" the n where a chunk's
 # estimate is corrected; "words" is the word magnitude, the one the word functions take
 MAGNITUDES = {"small": range(1, 3000), **{f"1e{k}": _seeded(k) for k in (6, 18, 100, 1000, 4000)},
-              "fib-edges": _fib_edges(), "peel-edges": _peel_edges(),
+              "fib-edges": _fib_edges(), "peel-edges": _peel_edges(), "table-edges": _table_edges(),
               "correction-edges": _correction_edges(), "words": _words()}
 
 
@@ -215,6 +224,7 @@ DIGESTS = {
     ("end_count", "fib-edges"): "047ebc2f63cbab0bafd2c8ab734067b8af8f77c82a9971fb71e8875787acba38",
     ("end_count", "peel-edges"): "3eaa8fa03d2db100d6ce5a2fd0872dcdf29e92921a32e080e41e10585ac5c8b5",
     ("end_count", "correction-edges"): "ddbae838a0f46112ffe552867ba63e36a8d857acdf3062e4749e512641c5d7f8",
+    ("end_count", "table-edges"): "6a471b9b3e3612665ef447d8f9df626794e52f336d8cbc4c5210a9a94bc2ddc1",
     ("occurrence_count", "small"): "08c8948b1b0904a0a3c77b38c559bac2a7cfa77a45db5eaecbfdb289e582f40c",
     ("occurrence_count", "1e6"): "7cba3a432879f1fb3fc9088c982692b2492cff8c1805648a6b88a04879a1119f",
     ("occurrence_count", "1e18"): "68e2dcb73208edd87aee3bf49ac8311e984eaf5efcb9d5265f9ac7f1935a13c8",
@@ -224,6 +234,7 @@ DIGESTS = {
     ("occurrence_count", "fib-edges"): "84612f6f3cb23d2fd4ad38ebd3d2366568c9f225eb2fa97c83aecff30707eadd",
     ("occurrence_count", "peel-edges"): "bca471bd0ddfb4152e377ae153565e463fc5bd9ab17fe7d815114a02f553ae7f",
     ("occurrence_count", "correction-edges"): "4d185938b58c46ea2f176904fc0dc82e7800c938b62afa6f360dd517c42ecae7",
+    ("occurrence_count", "table-edges"): "747c24aac85ff3f494b306497a7a0f242fdb7b99dcf00940fc8d71c3479952f8",
     ("tail_sum", "small"): "59b1401e6920430c23a2d3becdb07349e58688078ed81daf2aa74af6ea565de5",
     ("tail_sum", "1e6"): "1f8465dad55c6718db5fc3e3df6f9916fa8d8b1c85afcdeec3295b6e2ca09db5",
     ("tail_sum", "1e18"): "f359daa973a450eaafe1db90dcc64f3c538cd5466ebc705a7f55dd4374f267bf",
@@ -233,6 +244,7 @@ DIGESTS = {
     ("tail_sum", "fib-edges"): "ea5749e6cf9730f1dbcecd4a4869882361c164718a03c2ba4ec0c5eb2a06a95d",
     ("tail_sum", "peel-edges"): "de7de597ec063bb5a0b481ca8f8d7b30885ec4a6453d7832c23977ccfcc95ea0",
     ("tail_sum", "correction-edges"): "b0130c54bd1a9cccea85656c3b62b1a3a830d1756e2df61d34e1568bd094e7c6",
+    ("tail_sum", "table-edges"): "20c40009bce870a6e77c20b7f66219021bbc0e170439f48dcd844e0496aac1ff",
     ("occurrence_count_trace.tail", "small"): "c21e9d67e872b3087adc6a59a0c6ec2fbd1cc273cb47235a4542e5cff474288c",
     ("occurrence_count_trace.tail", "1e6"): "1f8465dad55c6718db5fc3e3df6f9916fa8d8b1c85afcdeec3295b6e2ca09db5",
     ("occurrence_count_trace.tail", "1e18"): "f359daa973a450eaafe1db90dcc64f3c538cd5466ebc705a7f55dd4374f267bf",
