@@ -62,11 +62,12 @@ fib(-2) = 0.  As block_prefix_total(m+1) - m X + sum_{x<X} z(x),
 
     occurrence_count(n) = ((m-2) fib(m+3) + m fib(m+1) - 5 m X + sum of the chunk terms) / 5 + 2,
 
-one division by 5, which checks the whole sum.  Past the Fibonacci table the
-fib values come from a stepped pair, so memory stays bounded.  POP (bytes), B
-(array 'H', with B[fib(W)]) and T1 and T2 (array 'i') hold one entry per
-pattern: at W = 19, 10,946 patterns in ~122 KiB, built in ~3 ms by the first
-count in a process, never at import.
+one division by 5, which checks the whole sum.  Each place s >= W is a tuple
+(s, fib(s), fib(s-1), fib(s-2), shift, divisor), made once inside the Fibonacci
+table as far up as counts need and past it one at a time from a stepped pair,
+so memory stays bounded.  POP (bytes), B (array 'H', with B[fib(W)]) and T1, T2
+(array 'i') hold one entry per pattern: at W = 19, 10,946 patterns in ~122 KiB,
+built in ~2.5 ms by the first count in a process, never at import.
 
 Interval splitting
 ------------------
@@ -89,12 +90,12 @@ from __future__ import annotations
 import threading
 from array import array
 from itertools import accumulate
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import fibword
 from .chain import ChainInterval, chain_interval, singular_end_pos
 from .errors import DomainError, show_int
-from .fibword import check_cap, fib, fib_floor_index, floor_phi
+from .fibword import FIB_TABLE_MAX, check_cap, fib, fib_floor_index, floor_phi
 
 # end_count(1) .. end_count(6); the trace's walk bottoms out here.
 _END_BASE = (1, 1, 2, 2, 2, 3)
@@ -104,6 +105,7 @@ _END_BASE = (1, 1, 2, 2, 2, 3)
 # against 2.9 ms for W = 19, and the build lands in a process's first count.
 _PEEL_W = 19
 _peel_tables = None  # (POP, B, T1, T2), built on the first count
+_places = [None]  # _places[k] is place W k, k >= 1, built on demand inside the Fibonacci table
 _peel_lock = threading.Lock()
 
 # Bytes charged to the cap per unit held (tracemalloc peaks, m = 16..24, p = 1):
@@ -124,39 +126,57 @@ def _tables():
 
     By the block rule: a pattern whose top 1-digit is at place j is fib(j) + y,
     y < fib(j-1), so POP[a] = POP[y] + 1 and B[a] = B[y] + fib(j-1); the top one
-    has rank 0 and each of y's ones one more than in y, which adds 5 y to T1 and
-    5 B[y] to T2.  B holds one more entry, B[fib(W)] = fib(W-1).  The build
-    runs once, under a lock, and publishes the four by one assignment."""
+    has rank 0 and each of y's ones one more than in y, which adds 5 B[y] to T2;
+    T1 is 5 times POP's prefix sums.  B holds one more entry, B[fib(W)] = fib(W-1).
+    The build runs once, under a lock, and publishes the four by one assignment."""
     global _peel_tables
     if _peel_tables is None:
         with _peel_lock:
             if _peel_tables is None:
-                pop, b, t1, t2 = bytearray(1), array("H", [0]), array("i", [0]), array("i", [0])
+                pop, b, t2 = bytearray(1), array("H", [0]), array("i", [0])
                 inc = bytes(range(1, 256)) + b"\0"  # bytes.translate adds 1 to each count
                 for j in range(_PEEL_W):
-                    f, k, h = fib(j), fib(j - 1), fib(j - 2) if j else 0  # fib(-2) = 0
-                    top1, top2 = (2 * j + 2) * f - (j + 2) * k, (2 * j + 2) * k - (j + 2) * h
+                    k, h = fib(j - 1), fib(j - 2) if j else 0  # fib(-2) = 0
+                    top2 = (2 * j + 2) * k - (j + 2) * h
                     pop += pop[:k].translate(inc)
-                    t1.fromlist([t + 5 * y + top1 for y, t in enumerate(t1[:k])])
                     t2.fromlist([t + 5 * v + top2 for t, v in zip(t2[:k], b[:k])])
                     b.fromlist([v + k for v in b[:k]])
                 b.append(fib(_PEEL_W - 1))
+                t1 = array("i", [5 * v for v in accumulate(pop[:-1], initial=0)])
                 _peel_tables = bytes(pop), b, t1, t2
     return _peel_tables
 
 
-def _chunk(x: int, f0: int, f1: int, f2: int, b) -> tuple[int, int, int]:
-    """(a, B(a), x - H_s(a)) for x < fib(s + W), s a positive multiple of W = _PEEL_W,
-    from f0, f1, f2 = fib(s), fib(s-1), fib(s-2): a is x's pattern at places s ..
-    s+W-1.  With g = (1 + sqrt 5)/2 and L_s = 2 fib(s-1) - fib(s-2), H_s(a) / L_s =
-    a + (1/g - frac((a+1)/g)) / sqrt 5 + e, |e| < 2e-4 at s = 19, < 2e-12 from 38 on,
-    so the estimate floor(x / L_s) undershoots a only if frac((a+1)/g) > 1/g: then
-    frac(a/g) + 1/g < 1, B(a) = B(a-1), and H_s(a) - H_s(a-1) is fib(s-1), not fib(s)
-    as where B rises.  A test finds it one step at most from a at s = 19 .. 190,
-    4,997 and 5,016; past s = 38 its error, < 3e-8 with the 40-bit cut, is below the
-    least |1/g - frac((a+1)/g)| / sqrt 5, 1.8e-5 for 0 < a <= fib(W): so at every s."""
-    sh = f1.bit_length() - 40
-    a = (x >> sh) // (((f1 >> sh) << 1) - (f2 >> sh)) if sh > 0 else x // ((f1 << 1) - f2)
+def _place(fibs, s: int) -> tuple[int, int, int, int, int, int]:
+    """Place s as _chunk takes it, from fibs: the Fibonacci table or a stepped pair."""
+    f0, f1 = fibs[s + 1], fibs[s]
+    f2 = f0 - f1  # fib(s-2), one subtraction where a stepped pair would take a read
+    sh = f1.bit_length() - 40 if f1 >= 1 << 40 else 0  # a shorter fib(s-1) gives the exact L_s
+    return s, f0, f1, f2, sh, ((f1 >> sh) << 1) - (f2 >> sh)
+
+
+def _places_down(top: int, fibs) -> Iterator[tuple]:
+    """Places W top, ..., 2W, W: past the Fibonacci table made one at a time, inside it from _places."""
+    with _peel_lock:
+        _places.extend(_place(fibs, _PEEL_W * k) for k in range(len(_places), min(top, FIB_TABLE_MAX // _PEEL_W) + 1))
+    for s in range(_PEEL_W * top, FIB_TABLE_MAX, -_PEEL_W):
+        yield _place(fibs, s)
+    yield from _places[top:0:-1]
+
+
+def _chunk(x: int, place: tuple, b) -> tuple[int, int, int]:
+    """(a, B(a), x - H_s(a)) for x < fib(s + W) and place = (s, fib(s), fib(s-1),
+    fib(s-2), shift, divisor), s a positive multiple of W = _PEEL_W: a is x's pattern
+    at places s .. s+W-1.  With g = (1 + sqrt 5)/2 and L_s = 2 fib(s-1) - fib(s-2),
+    H_s(a) / L_s = a + (1/g - frac((a+1)/g)) / sqrt 5 + e, |e| < 2e-4 at s = 19,
+    < 2e-12 from 38 on, so the estimate floor(x / L_s) undershoots a only if
+    frac((a+1)/g) > 1/g: then frac(a/g) + 1/g < 1, B(a) = B(a-1), and H_s(a) -
+    H_s(a-1) is fib(s-1), not fib(s) as where B rises.  A test finds it one step at
+    most from a at s = 19 .. 190, 4,997 and 5,016; past s = 38 its error, < 3e-8 with
+    the divisor L_s cut by the shift to fib(s-1)'s 40 leading bits, is below the least
+    |1/g - frac((a+1)/g)| / sqrt 5, 1.8e-5 for 0 < a <= fib(W): so at every s."""
+    _, f0, f1, f2, sh, d = place
+    a = (x >> sh) // d
     ba = b[a]
     x -= f1 * a + f2 * ba
     if x < 0:  # H_s(a) > x: down one pattern; B is flat there only from a = fib(W)
@@ -185,13 +205,15 @@ def _walk(n: int) -> tuple[int, int]:
     total += 2 * (m - 1) * x
     x -= n + 2  # X, the distance to the block's end
     total -= 5 * m * x
-    c = 0  # the ones peeled so far
-    for s in range(_PEEL_W * ((m - 2) // _PEEL_W), 0, -_PEEL_W):
-        f1, f2 = fibs[s], fibs[s - 1]  # fib(s-1), fib(s-2)
-        a, ba, x = _chunk(x, fibs[s + 1], f1, f2, b)
-        total += f1 * (t1[a] + s * (2 * a - ba) + 5 * c * a) + f2 * (t2[a] + s * (3 * ba - a) + 5 * c * ba)
-        c += pop[a]
-    return _div5(total + t1[x] + 5 * c * x) + 2, m
+    c5 = 0  # 5 times the ones peeled so far
+    top = (m - 2) // _PEEL_W  # the chunks above place 0
+    for place in _places[top:0:-1] if top < len(_places) else _places_down(top, fibs):
+        s, _, f1, f2, _, _ = place
+        a, ba, x = _chunk(x, place, b)
+        k = 2 * s + c5
+        total += f1 * (t1[a] + k * a - s * ba) + f2 * (t2[a] + (k + s) * ba - s * a)
+        c5 += 5 * pop[a]
+    return _div5(total + t1[x] + c5 * x) + 2, m
 
 
 def end_count(n: int) -> int:
@@ -203,8 +225,9 @@ def end_count(n: int) -> int:
     fibs = fibword.fibs_through(m + 1)  # fibs[k + 1] is fib(k)
     pop, b, _, _ = _peel_tables or _tables()
     x = fibs[m + 2] - 2 - n
-    for s in range(_PEEL_W * ((m - 2) // _PEEL_W), 0, -_PEEL_W):
-        a, _, x = _chunk(x, fibs[s + 1], fibs[s], fibs[s - 1], b)
+    top = (m - 2) // _PEEL_W  # the chunks above place 0
+    for place in _places[top:0:-1] if top < len(_places) else _places_down(top, fibs):
+        a, _, x = _chunk(x, place, b)
         m -= pop[a]
     return m - pop[x]
 

@@ -268,22 +268,29 @@ class _Reads:
 
 def test_chunk_corrects_its_estimate_by_one_step():
     # both ends of every pattern's range, H_s(a) and H_s(a+1) - 1, at the first
-    # ten chunk places, the last one inside the Fibonacci table and one past it:
-    # the estimate (the first index read) is monotone in x, so between them it
-    # is within one of a, and it never undershoots a pattern that B rises into
+    # ten chunk places, the last one inside the Fibonacci table and one past it,
+    # each place as the counts get it, with its shift and divisor: the estimate
+    # (the first index read) is monotone in x, so between them it is within one
+    # of a, and it never undershoots a pattern that B rises into
     _, b, _, _ = counting._tables()
     w = counting._PEEL_W
     top = fib(w)
-    places = [*range(w, 11 * w, w), fibword.FIB_TABLE_MAX // w * w, (fibword.FIB_TABLE_MAX // w + 1) * w]
-    for s in places:
-        f0, f1, f2 = fib(s), fib(s - 1), fib(s - 2)
+    past = fibword.FIB_TABLE_MAX // w + 1  # place W past is the first past the table
+    wanted = {*range(w, 11 * w, w), (past - 1) * w, past * w}
+    places = [place for place in counting._places_down(past, fibword.fibs_through(past * w)) if place[0] in wanted]
+    assert [place[0] for place in places] == sorted(wanted, reverse=True)
+    assert len(counting._places) == past  # place 0's slot and the places inside the table, none past it
+    for place in places:
+        s, f0, f1, f2, _, _ = place
+        assert (f0, f1, f2) == (fib(s), fib(s - 1), fib(s - 2)), s
+        assert s == past * w or place is counting._places[s // w], s
         view = _Reads(b)
         edges = [f1 * a + f2 * b[a] for a in range(top + 1)]  # H_s(a), up to H_s(fib(W)) = fib(s + W)
         assert edges[top] == fib(s + w), s
         for a in range(top):
             for x in (edges[a], edges[a + 1] - 1):
                 view.read.clear()
-                assert counting._chunk(x, f0, f1, f2, view) == (a, b[a], x - edges[a]), (s, a, x)
+                assert counting._chunk(x, place, view) == (a, b[a], x - edges[a]), (s, a, x)
                 guess = view.read[0]
                 assert abs(guess - a) <= 1, (s, a, x, guess)
                 assert guess >= a or b[a] == b[a - 1], (s, a, x)  # an undershoot steps up by fib(s-1)
@@ -299,17 +306,17 @@ def test_count_command_takes_each_chunk_step(n, step, monkeypatch, capsys):
 
     chunk, steps = counting._chunk, []
 
-    def recorded(x, f0, f1, f2, b):
+    def recorded(x, place, b):
         view = _Reads(b)
-        a, ba, rest = chunk(x, f0, f1, f2, view)
+        a, ba, rest = chunk(x, place, view)
         guess = view.read[0]
-        steps.append((f0, "none" if guess == a else "up" if guess < a
+        steps.append((place[0], "none" if guess == a else "up" if guess < a
                       else "down, B rises" if b[a + 1] > ba else "down, B flat"))
         return a, ba, rest
 
     monkeypatch.setattr(counting, "_chunk", recorded)
     assert main(["count", "--occurrences", "-n", str(n)]) == 0
-    assert steps == [(fib(19), step)]
+    assert steps == [(19, step)]
     _, tail, m, _ = reference_walk(n)
     assert json.loads(capsys.readouterr().out)["value"] == block_prefix_total(m) + tail
 
@@ -330,7 +337,8 @@ def test_peel_matches_the_reference_walk_at_its_edges():
 def test_peel_tables_are_lazy_small_and_quick():
     # a fresh process: import builds no table, the first count of any n builds
     # them once; a build is timed by the least of three, so that a busy host
-    # does not fail it
+    # does not fail it; the chunk places are built up to the top one a count
+    # peels, none up to n = 28,655 (block 20), four up to 10**18
     code = """if True:
         import sys, time, tracemalloc
         from fibpal import counting
@@ -338,6 +346,10 @@ def test_peel_tables_are_lazy_small_and_quick():
         counting.end_count(1)
         tables = counting._peel_tables
         assert tables is not None
+        counting.end_count(28655)
+        assert counting._places == [None]
+        counting.end_count(10**18)
+        assert [place[0] for place in counting._places[1:]] == [19, 38, 57, 76]
         for n in (1, 2, 7, 10**6, 10**18, 10**1000 + 12345, 10**1100):
             counting.end_count(n), counting.occurrence_count(n), counting.tail_sum(n)
         assert counting._peel_tables is tables
@@ -362,7 +374,8 @@ def test_peel_tables_are_lazy_small_and_quick():
 
 
 def test_first_peels_from_eight_threads(monkeypatch):
-    # the tables are built by the first walk that peels: let eight threads race for it
+    # the tables and the chunk places are built by the first walks that peel:
+    # let eight threads race for them
     from concurrent.futures import ThreadPoolExecutor
 
     rng = Random(8)
@@ -372,6 +385,7 @@ def test_first_peels_from_eight_threads(monkeypatch):
         end, tail, m, _ = reference_walk(n)
         expected[n] = (block_prefix_total(m) + tail, end)
     monkeypatch.setattr(counting, "_peel_tables", None)
+    monkeypatch.setattr(counting, "_places", [None])
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -380,6 +394,9 @@ def test_first_peels_from_eight_threads(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert len(results) == len(ns) and all(expected[n] == v for n, v in results)
+    w = counting._PEEL_W
+    top = (fib_floor_index(max(ns) + 1) - 2) // w
+    assert counting._places == [None] + [counting._place(fibword._fibs, s) for s in range(w, top * w + 1, w)]
 
 
 def chain_counts(n):
