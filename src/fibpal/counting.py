@@ -64,10 +64,9 @@ fib(-2) = 0.  As block_prefix_total(m+1) - m X + sum_{x<X} z(x),
 
 one division by 5, which checks the whole sum.  Each place s >= W is a tuple
 (s, fib(s), fib(s-1), fib(s-2), shift, divisor), made once inside the Fibonacci
-table as far up as counts need and past it one at a time from a stepped pair,
-so memory stays bounded.  POP (bytes), B (array 'H', with B[fib(W)]) and T1, T2
-(array 'i') hold one entry per pattern: at W = 19, 10,946 patterns in ~122 KiB,
-built in ~2.5 ms by the first count in a process, never at import.
+table as far up as counts need, and past it from a stepped pair and never held.
+POP (bytes), B (array 'H', with B[fib(W)]) and T1, T2 (array 'i') hold one entry
+per pattern, 10,946 at W = 19 in ~122 KiB, built by a process's first count.
 
 Interval splitting
 ------------------
@@ -150,7 +149,7 @@ def _tables():
 def _place(fibs, s: int) -> tuple[int, int, int, int, int, int]:
     """Place s as _chunk takes it, from fibs: the Fibonacci table or a stepped pair."""
     f0, f1 = fibs[s + 1], fibs[s]
-    f2 = f0 - f1  # fib(s-2), one subtraction where a stepped pair would take a read
+    f2 = fibs[s - 1] if s <= FIB_TABLE_MAX else f0 - f1  # share the table's int; past it, spare a stepped read
     sh = f1.bit_length() - 40 if f1 >= 1 << 40 else 0  # a shorter fib(s-1) gives the exact L_s
     return s, f0, f1, f2, sh, ((f1 >> sh) << 1) - (f2 >> sh)
 
@@ -166,15 +165,14 @@ def _places_down(top: int, fibs) -> Iterator[tuple]:
 
 def _chunk(x: int, place: tuple, b) -> tuple[int, int, int]:
     """(a, B(a), x - H_s(a)) for x < fib(s + W) and place = (s, fib(s), fib(s-1),
-    fib(s-2), shift, divisor), s a positive multiple of W = _PEEL_W: a is x's pattern
-    at places s .. s+W-1.  With g = (1 + sqrt 5)/2 and L_s = 2 fib(s-1) - fib(s-2),
-    H_s(a) / L_s = a + (1/g - frac((a+1)/g)) / sqrt 5 + e, |e| < 2e-4 at s = 19,
-    < 2e-12 from 38 on, so the estimate floor(x / L_s) undershoots a only if
-    frac((a+1)/g) > 1/g: then frac(a/g) + 1/g < 1, B(a) = B(a-1), and H_s(a) -
-    H_s(a-1) is fib(s-1), not fib(s) as where B rises.  A test finds it one step at
-    most from a at s = 19 .. 190, 4,997 and 5,016; past s = 38 its error, < 3e-8 with
-    the divisor L_s cut by the shift to fib(s-1)'s 40 leading bits, is below the least
-    |1/g - frac((a+1)/g)| / sqrt 5, 1.8e-5 for 0 < a <= fib(W): so at every s."""
+    fib(s-2), shift, divisor), s a positive multiple of W: a is x's pattern at places s ..
+    s+W-1.  With g = (1 + sqrt 5)/2 and L_s = 2 fib(s-1) - fib(s-2), H_s(a) / L_s =
+    a + (1/g - frac((a+1)/g)) / sqrt 5 + e, |e| < 2e-4 at s = 19, < 2e-12 from 38 on,
+    so the estimate floor(x / L_s) undershoots a only if frac((a+1)/g) > 1/g: then
+    frac(a/g) + 1/g < 1, B(a) = B(a-1), and H_s(a) - H_s(a-1) is fib(s-1), not fib(s)
+    as where B rises.  A test finds it one step at most from a at s = 19 .. 190,
+    4,997 and 5,016; past s = 38 its error, < 3e-8 with the 40-bit cut, is below the
+    least |1/g - frac((a+1)/g)| / sqrt 5, 1.8e-5 for 0 < a <= fib(W): so at every s."""
     _, f0, f1, f2, sh, d = place
     a = (x >> sh) // d
     ba = b[a]

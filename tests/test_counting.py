@@ -266,7 +266,7 @@ class _Reads:
         return self.b[i]
 
 
-def test_chunk_corrects_its_estimate_by_one_step():
+def test_chunk_corrects_its_estimate_by_one_step(monkeypatch):
     # both ends of every pattern's range, H_s(a) and H_s(a+1) - 1, at the first
     # ten chunk places, the last one inside the Fibonacci table and one past it,
     # each place as the counts get it, with its shift and divisor: the estimate
@@ -277,13 +277,15 @@ def test_chunk_corrects_its_estimate_by_one_step():
     top = fib(w)
     past = fibword.FIB_TABLE_MAX // w + 1  # place W past is the first past the table
     wanted = {*range(w, 11 * w, w), (past - 1) * w, past * w}
+    monkeypatch.setattr(counting, "_places", [None])  # built here, from this process's table
     places = [place for place in counting._places_down(past, fibword.fibs_through(past * w)) if place[0] in wanted]
     assert [place[0] for place in places] == sorted(wanted, reverse=True)
     assert len(counting._places) == past  # place 0's slot and the places inside the table, none past it
     for place in places:
         s, f0, f1, f2, _, _ = place
         assert (f0, f1, f2) == (fib(s), fib(s - 1), fib(s - 2)), s
-        assert s == past * w or place is counting._places[s // w], s
+        # a held place is the list's, and shares the table's ints
+        assert s == past * w or place is counting._places[s // w] and f2 is fib(s - 2), s
         view = _Reads(b)
         edges = [f1 * a + f2 * b[a] for a in range(top + 1)]  # H_s(a), up to H_s(fib(W)) = fib(s + W)
         assert edges[top] == fib(s + w), s
