@@ -126,8 +126,8 @@ def _tables():
     By the block rule: a pattern whose top 1-digit is at place j is fib(j) + y,
     y < fib(j-1), so POP[a] = POP[y] + 1 and B[a] = B[y] + fib(j-1); the top one
     has rank 0 and each of y's ones one more than in y, which adds 5 B[y] to T2;
-    T1 is 5 times POP's prefix sums.  B holds one more entry, B[fib(W)] = fib(W-1).
-    The build runs once, under a lock, and publishes the four by one assignment."""
+    T1 sums 5 POP[y] (at most 50, so a byte).  B holds one more entry, B[fib(W)] =
+    fib(W-1).  The build runs once, under a lock, and publishes the four at once."""
     global _peel_tables
     if _peel_tables is None:
         with _peel_lock:
@@ -141,7 +141,7 @@ def _tables():
                     t2.fromlist([t + 5 * v + top2 for t, v in zip(t2[:k], b[:k])])
                     b.fromlist([v + k for v in b[:k]])
                 b.append(fib(_PEEL_W - 1))
-                t1 = array("i", [5 * v for v in accumulate(pop[:-1], initial=0)])
+                t1 = array("i", accumulate(pop[:-1].translate(bytes(5 * c % 256 for c in range(256))), initial=0))
                 _peel_tables = bytes(pop), b, t1, t2
     return _peel_tables
 
