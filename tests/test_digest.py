@@ -87,6 +87,15 @@ def _table_edges() -> list[int]:
     return [fib(k) + d for k in ks for d in range(-3, 4) if fib(k) + d >= 1]
 
 
+def _kernel_edges() -> list[tuple[int, int]]:
+    """(m, p) for the kernel indices m = 4,995 .. 5,010, across
+    fibword.FIB_TABLE_MAX, and m = 20,000, far past it, each with p = 1, 2 and
+    three seeded p up to 1e1000: the chain queries read fib(m) and fib(m+1)
+    from the table on one side of the edge and from past it on the other."""
+    ps = [1, 2, *_seeded(18)[:2], _seeded(1000)[0]]
+    return [(m, p) for m in [*range(4995, 5011), 20000] for p in ps]
+
+
 def _correction_edges() -> list[int]:
     """n = fib(s + 21) - 2 - x in block s + 20, whose top 19-digit chunk is at
     place s, for s = 19, 38, 57, 76, with x at both ends of pattern a's range,
@@ -106,18 +115,21 @@ def _correction_edges() -> list[int]:
 # "small" is every n < 3,000; "1eK" is six seeded n in [10**K, 10**(K + 1));
 # "fib-edges", "peel-edges" and "table-edges" are n next to the Fibonacci numbers
 # where the counting walks change course, "correction-edges" the n where a chunk's
-# estimate is corrected; "words" is the word magnitude, the one the word functions take
+# estimate is corrected; "kernel-edges" holds (m, p) pairs, the chain queries'
+# kernel index and occurrence; "words" is the word magnitude, the one the word functions take
 MAGNITUDES = {"small": range(1, 3000), **{f"1e{k}": _seeded(k) for k in (6, 18, 100, 1000, 4000)},
               "fib-edges": _fib_edges(), "peel-edges": _peel_edges(), "table-edges": _table_edges(),
-              "correction-edges": _correction_edges(), "words": _words()}
+              "correction-edges": _correction_edges(), "kernel-edges": _kernel_edges(), "words": _words()}
 
 
-def _kernel_index(n: int) -> int:
-    return n % 12 - 1
+def _kernel_and_p(n) -> tuple[int, int]:
+    """(m, p) of a chain query: a kernel-edges pair as it is, else m = n % 12 - 1 and p = n."""
+    return n if isinstance(n, tuple) else (n % 12 - 1, n)
 
 
-def _coord(n: int) -> PalCoord:
-    return PalCoord(_kernel_index(n), n % fib(_kernel_index(n) + 1) + 1)
+def _coord(n) -> tuple[PalCoord, int]:
+    m, p = _kernel_and_p(n)
+    return PalCoord(m, p % fib(m + 1) + 1), p
 
 
 def _answer_or_error(function):
@@ -134,10 +146,10 @@ def _answer_or_error(function):
 FUNCTIONS = {
     "floor_phi": floor_phi,
     "letter_at": letter_at,
-    "singular_end_pos": lambda n: singular_end_pos(_kernel_index(n), n),
-    "chain_interval": lambda n: chain_interval(_kernel_index(n), n),
-    "pal_end_pos": lambda n: pal_end_pos(_coord(n), n),
-    "pal_span": lambda n: pal_span(_coord(n), n),
+    "singular_end_pos": lambda n: singular_end_pos(*_kernel_and_p(n)),
+    "chain_interval": lambda n: chain_interval(*_kernel_and_p(n)),
+    "pal_end_pos": lambda n: pal_end_pos(*_coord(n)),
+    "pal_span": lambda n: pal_span(*_coord(n)),
     "new_pal_at": new_pal_at,
     "pals_of_length": pals_of_length,
     "split_cell": lambda n: split_cell(n % 12 + 1, n),
@@ -173,24 +185,28 @@ DIGESTS = {
     ("singular_end_pos", "1e100"): "e8f6d1eb6096ddf7ef0642081ac12f05be18eb9b978604d07225fe5b1ab21d1e",
     ("singular_end_pos", "1e1000"): "505430422c71149e90ab0fbe7f638cb61edcf0ab04751559c10eeabcc8fb67c5",
     ("singular_end_pos", "1e4000"): "4911cef04592560357c26870d80e1f6e00dbc45342cab8fded10007f4fea2867",
+    ("singular_end_pos", "kernel-edges"): "5d8bb61a02f94ce12af6f3ebbe78c3fffedb081f666ee810c279f897930619be",
     ("chain_interval", "small"): "65683612c56b9309e5ae761ac545f12bbb35733874bfb1df1070a859601a690c",
     ("chain_interval", "1e6"): "a73adf0a1ef64e4712f7f5161557c46cddd6713a786b8a1a3ef0a4fe96fc821e",
     ("chain_interval", "1e18"): "39df9718db3df9130fd65fe9b8fcd0650d5bbc3abb858ef5a92ecda274216ae4",
     ("chain_interval", "1e100"): "63e547524ed9846ee4ff6a584d021b0e17950de3773e5bbaa16a9ebd639f74fb",
     ("chain_interval", "1e1000"): "e49121808a724da31a08ab5448d238277d542ec764ba81219ee76b698a3ced63",
     ("chain_interval", "1e4000"): "6112c64a51c5bd657edc15a4219e214848cd41d2612be82c1d191fcba7214019",
+    ("chain_interval", "kernel-edges"): "1e4caf6f9bede7ccf854c548eb098c8333af37f80b05c239e24d63309d4b65f1",
     ("pal_span", "small"): "302f62faa2525a8a2e901e1bc6eb75c9c9af0afdd4998a0d8b2d49a0de36afdc",
     ("pal_span", "1e6"): "03e759154d38e78dda2a959ff2496673c71473eecddd7b9439c69541a608d1dd",
     ("pal_span", "1e18"): "5a75133d3ee79b0866e7440ea2f027c6014cee859b806b9317e444c4897b6b13",
     ("pal_span", "1e100"): "3d649d17db080641aba6ff51db1be8060093b6afe659e791de537caeccdf590b",
     ("pal_span", "1e1000"): "0205936031f66e81c00b75c057b783efc607eb1fe3d47a2c3c5f2bb0b0b4bfa4",
     ("pal_span", "1e4000"): "c72fa4e03f3ac7ef4abbe900cd44e0becc00606809adfd559b0dc2289b154d93",
+    ("pal_span", "kernel-edges"): "d9966a9056162498e5f98aea4c3798e52580e1a22dee66f95bd9e1442b7bd92d",
     ("pal_end_pos", "small"): "b5f0d9410ca8c900ee224d69392376a4e583faf90a4166eaced27208d009ed4a",
     ("pal_end_pos", "1e6"): "6fab9d48a60d0f675fc5c83091bfd6264ee4c4db13e41640a7ccfec99f1dddb3",
     ("pal_end_pos", "1e18"): "706dc1ff7c73583b2d0ee35e78e4a5eb8140ed07834993ef6d4b43889521f1fc",
     ("pal_end_pos", "1e100"): "2dc55f070dfc214106b943154d851f0bb493eee03bed8bd7b8c28d15efc25149",
     ("pal_end_pos", "1e1000"): "2f124dbfca306f193ce4974f8c0fc197c027a46d64601a15bdcbd83618a161db",
     ("pal_end_pos", "1e4000"): "2c6794883b1b41ca717804c71c62383963779eeca6656b655c4ec4f92d2a9a8f",
+    ("pal_end_pos", "kernel-edges"): "9f102c939274baeee21602041a602ec2e14459381111019d5067c95663d45c40",
     ("new_pal_at", "small"): "e70ad965be3c8230377519bb7ef055dd3257862bb86d3e8d6a6282e84939886a",
     ("new_pal_at", "1e6"): "f26f28b5c55380d4ca2f7e0926e024a69cc799d8138851895bf01a1aa801e5db",
     ("new_pal_at", "1e18"): "1a35d464804465889a2099cc792665eef5d149f8a780614f00e384d63f0511c7",
@@ -251,6 +267,8 @@ DIGESTS = {
     ("occurrence_count_trace.tail", "1e100"): "212848cc216cd225c32e72d4fdfd888c5143b4ef3f283767278dfba33e888036",
     ("occurrence_count_trace.tail", "1e1000"): "2479c1e7b21353bd813b7e5cbdf19df82512ddadb287e3a8ef2896caefc854ae",
     ("occurrence_count_trace.tail", "1e4000"): "b0a3a91c0a5037f4570e7f2729276753e14e02db9f4eab5d5da8ca50938cec97",
+    ("occurrence_count_trace.tail", "fib-edges"): "ea5749e6cf9730f1dbcecd4a4869882361c164718a03c2ba4ec0c5eb2a06a95d",
+    ("occurrence_count_trace.tail", "table-edges"): "20c40009bce870a6e77c20b7f66219021bbc0e170439f48dcd844e0496aac1ff",
     ("expand_leaves", "1e6"): "f386b44a5af2544a9b8cd5a5f100b61071b433e7dc3e7cac4cfa7763b9f71fa2",
     ("expand_leaves", "1e18"): "031f009026c468c0b43d99273aec657bab720ddde04b123b25c6dd41ebe4b519",
     ("expand_leaves", "1e100"): "408bb2c5af08e875953a1d3182a1901cf24251eec18fcf746ae0748cd8677d2a",
