@@ -64,7 +64,8 @@ fib(-2) = 0.  As block_prefix_total(m+1) - m X + sum_{x<X} z(x),
 
 one division by 5, which checks the whole sum.  Each place s >= W is a tuple
 (s, fib(s), fib(s-1), fib(s-2), shift, divisor), made once inside the Fibonacci
-table as far up as counts need, and past it from a stepped pair and never held.
+table as far up as counts need, and past it one at a time, never held, from a pair
+(fib(s), fib(s-1)) moved down W indices per place by one Cassini step.
 POP (bytes), B (array 'H', with B[fib(W)]) and T1, T2 (array 'i') hold one entry
 per pattern, 10,946 at W = 19 in ~122 KiB, built by a process's first count.
 
@@ -146,20 +147,27 @@ def _tables():
     return _peel_tables
 
 
-def _place(fibs, s: int) -> tuple[int, int, int, int, int, int]:
-    """Place s as _chunk takes it, from fibs: the Fibonacci table or a stepped pair."""
-    f0, f1 = fibs[s + 1], fibs[s]
-    f2 = fibs[s - 1] if s <= FIB_TABLE_MAX else f0 - f1  # share the table's int; past it, spare a stepped read
+def _place(s: int, f0: int, f1: int, f2: int) -> tuple[int, int, int, int, int, int]:
+    """Place s as _chunk takes it, from f0, f1, f2 = fib(s), fib(s-1), fib(s-2)."""
     sh = f1.bit_length() - 40 if f1 >= 1 << 40 else 0  # a shorter fib(s-1) gives the exact L_s
     return s, f0, f1, f2, sh, ((f1 >> sh) << 1) - (f2 >> sh)
 
 
-def _places_down(top: int, fibs) -> Iterator[tuple]:
+def _places_down(top: int) -> Iterator[tuple]:
     """Places W top, ..., 2W, W: past the Fibonacci table made one at a time, inside it from _places."""
+    w = _PEEL_W
+    fibs = fibword.fibs_through(min(w * top, FIB_TABLE_MAX))
     with _peel_lock:
-        _places.extend(_place(fibs, _PEEL_W * k) for k in range(len(_places), min(top, FIB_TABLE_MAX // _PEEL_W) + 1))
-    for s in range(_PEEL_W * top, FIB_TABLE_MAX, -_PEEL_W):
-        yield _place(fibs, s)
+        _places.extend(_place(s, fibs[s + 1], fibs[s], fibs[s - 1])
+                       for s in range(w * len(_places), w * min(top, FIB_TABLE_MAX // w) + 1, w))
+    if w * top > FIB_TABLE_MAX:
+        f0, f1 = fibword._fib_pair(w * top)
+        g1, g2, g3 = fibs[w], fibs[w - 1], fibs[w - 2]  # fib(W-1), fib(W-2), fib(W-3)
+        for s in range(w * top, FIB_TABLE_MAX, -w):
+            yield _place(s, f0, f1, f0 - f1)
+            # W is odd, so by Cassini fib(s-W) = fib(W-2) fib(s-1) - fib(W-3) fib(s)
+            # and fib(s-W-1) = fib(W-2) fib(s) - fib(W-1) fib(s-1)
+            f0, f1 = g2 * f1 - g3 * f0, g2 * f0 - g1 * f1
     yield from _places[top:0:-1]
 
 
@@ -195,17 +203,15 @@ def _walk(n: int) -> tuple[int, int]:
     each chunk's part of 5 sum_{x<X} z(x), and the chunk at place 0, pattern x,
     adds T1[x] + 5 c x."""
     m = fib_floor_index(n + 1)  # the block: fib(m) - 1 <= n <= fib(m+1) - 2
-    fibs = fibword.fibs_through(m + 2)  # fibs[k + 1] is fib(k): the table, or a stepped pair past it
+    fibs = fibword.fibs_through(m + 2)  # fibs[k + 1] is fib(k)
     pop, b, t1, t2 = _peel_tables or _tables()
-    # read fib(m+2) first: a stepped pair moves down from there
-    total = (m - 2) * fibs[m + 3]
     x = fibs[m + 2]
-    total += 2 * (m - 1) * x
+    total = (m - 2) * fibs[m + 3] + 2 * (m - 1) * x
     x -= n + 2  # X, the distance to the block's end
     total -= 5 * m * x
     c5 = 0  # 5 times the ones peeled so far
     top = (m - 2) // _PEEL_W  # the chunks above place 0
-    for place in _places[top:0:-1] if top < len(_places) else _places_down(top, fibs):
+    for place in _places[top:0:-1] if top < len(_places) else _places_down(top):
         s, _, f1, f2, _, _ = place
         a, ba, x = _chunk(x, place, b)
         k = 2 * s + c5
@@ -224,7 +230,7 @@ def end_count(n: int) -> int:
     pop, b, _, _ = _peel_tables or _tables()
     x = fibs[m + 2] - 2 - n
     top = (m - 2) // _PEEL_W  # the chunks above place 0
-    for place in _places[top:0:-1] if top < len(_places) else _places_down(top, fibs):
+    for place in _places[top:0:-1] if top < len(_places) else _places_down(top):
         a, _, x = _chunk(x, place, b)
         m -= pop[a]
     return m - pop[x]
@@ -306,19 +312,19 @@ def occurrence_count_trace(n: int) -> tuple[int, dict]:
         return occurrence_count(n), {"base_table": True, "value": occurrence_count(n)}
     m0 = m = fib_floor_index(n + 1)
     fibs = fibword.fibs_through(m0)  # fibs[k + 1] is fib(k)
-    r = n - fibs[m + 1] + 1
+    f1, f2 = fibs[m], fibs[m - 1]  # fib(m-1), fib(m-2), moved down with m
+    r1 = n - fibs[m + 1] + 2  # r + 1, r the offset in block m
     walked = []  # (m, n, case, part): part is what the step adds to the tail
-    while m > 3:
-        f, g = fibs[m + 1], fibs[m - 2]  # fib(m), fib(m-3)
-        if r < g:
-            walked.append((m, r + f - 1, "copy", r + 1))
-            m -= 2
+    while m > 3:  # each hop moves n down by fib(m-1)
+        g = f1 - f2  # fib(m-3)
+        if r1 <= g:
+            walked.append((m, n, "copy", r1))
+            n, f1, f2, m = n - f1, g, f2 - g, m - 2
         else:  # the head is block m-2: block_sum(m-2) = ((m-1) fib(m-1) + (m-4) fib(m-3)) / 5
-            walked.append((m, r + f - 1, "head+tail", r + 1 + _div5((m - 1) * fibs[m] + (m - 4) * g)))
-            r -= g
-            m -= 1
-    base = fibs[m + 1] - 2  # _END_BASE index of the block's first position
-    walked.append((m, base + r + 1, "table", sum(_END_BASE[base:base + r + 1])))
+            walked.append((m, n, "head+tail", r1 + _div5((m - 1) * f1 + (m - 4) * g)))
+            r1 -= g
+            n, f1, f2, m = n - f1, f2, g, m - 1
+    walked.append((m, n, "table", sum(_END_BASE[f1 + f2 - 2:n])))  # the block starts at _END_BASE index fib(m) - 2
     values = list(accumulate(part for *_, part in reversed(walked)))[::-1]  # tail_sum at each step's n
     steps = [{"n": k, "m": mk, "case": case, "value": v} for (mk, k, case, _), v in zip(walked, values)]
     before = block_prefix_total(m0)

@@ -109,54 +109,21 @@ def _fib_pair(m: int) -> tuple[int, int]:
     return b, a
 
 
-class _FibSteps:
-    """fib values by the table's index, [k + 1] -> fib(k), for k past the table.
+def fibs_through(m: int) -> list[int] | dict[int, int]:
+    """fib(k) under the table's index, [k + 1] -> fib(k), for k up to m.
 
-    Holds one pair (fib(k), fib(k - 1)) and moves it by one addition or
-    subtraction per index, or down 3 < d < len(_fibs) indices by one Cassini
-    step, so a walk that moves a few indices at a time pays O(1) big-int
-    operations per step; indices inside the table are read there.
-    """
-
-    __slots__ = ("idx", "hi", "lo")
-
-    def __init__(self, m: int):
-        self.idx = m + 1
-        self.hi, self.lo = _fib_pair(m)
-
-    def __getitem__(self, idx: int) -> int:
-        if idx < len(_fibs):
-            return _fibs[idx]
-        k, hi, lo = self.idx, self.hi, self.lo
-        d = k - idx
-        if 3 < d < len(_fibs):
-            # (fib(k-d), fib(k-d-1)) = (-1)**d (f3 fib(k) - f2 fib(k-1), f1 fib(k-1) - f2 fib(k)),
-            # with f1, f2, f3 = fib(d-1), fib(d-2), fib(d-3) from the table
-            f1, f2, f3 = _fibs[d], _fibs[d - 1], _fibs[d - 2]
-            hi, lo = f3 * hi - f2 * lo, f1 * lo - f2 * hi
-            if d & 1:
-                hi, lo = -hi, -lo
-            k = idx
-        while k > idx:
-            hi, lo = lo, hi - lo
-            k -= 1
-        while k < idx:
-            hi, lo = hi + lo, hi
-            k += 1
-        self.idx, self.hi, self.lo = k, hi, lo
-        return hi
-
-
-def fibs_through(m: int) -> list[int] | _FibSteps:
-    """Indexable fib(-1) .. fib(m), with [k + 1] holding fib(k) as in the table.
-
-    The table itself when m is within FIB_TABLE_MAX; past it, the table filled
-    to FIB_TABLE_MAX and a stepped pair from (fib(m), fib(m - 1)) above it.
+    The table itself, every k >= -1, when m is within FIB_TABLE_MAX; past it,
+    the table filled to FIB_TABLE_MAX and a dict of fib(m - 4) .. fib(m), the
+    deepest any caller reads, from one fast doubling and three subtractions.
     """
     if m + 1 < len(_fibs):
         return _fibs
     fib(min(m, FIB_TABLE_MAX))
-    return _fibs if m <= FIB_TABLE_MAX else _FibSteps(m)
+    if m <= FIB_TABLE_MAX:
+        return _fibs
+    f0, f1 = _fib_pair(m)  # fib(m), fib(m - 1)
+    f2 = f0 - f1
+    return {m + 1: f0, m: f1, m - 1: f2, m - 2: f1 - f2, m - 3: 2 * f2 - f1}
 
 
 def fib_floor_index(x: int) -> int:

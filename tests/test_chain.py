@@ -97,7 +97,7 @@ def test_queries_raise_in_the_checks_order():
 
 
 def test_closed_forms_across_the_table_edge(monkeypatch):
-    # past fibword.FIB_TABLE_MAX a view is a stepped pair; from a fresh table,
+    # past fibword.FIB_TABLE_MAX a view holds the five values at and below its index; from a fresh table,
     # the queries below the edge grow it as they go
     monkeypatch.setattr(fibword, "_fibs", [1, 1])
     top = fibword.FIB_TABLE_MAX

@@ -166,7 +166,8 @@ def test_walk_matches_reference_walk():
 
 
 def test_walk_matches_reference_walk_past_the_table():
-    # past fib(FIB_TABLE_MAX) the walk and its trace read a stepped pair
+    # past fib(FIB_TABLE_MAX) the peel's places and the trace each move their own
+    # Fibonacci pair down from the block
     rng = Random(4790)
     top = fibword.FIB_TABLE_MAX
     ns = [fib(top) - 2, fib(top), fib(top + 1) - 2, fib(top + 1) - 1, fib(top + 3) + 5]
@@ -278,7 +279,7 @@ def test_chunk_corrects_its_estimate_by_one_step(monkeypatch):
     past = fibword.FIB_TABLE_MAX // w + 1  # place W past is the first past the table
     wanted = {*range(w, 11 * w, w), (past - 1) * w, past * w}
     monkeypatch.setattr(counting, "_places", [None])  # built here, from this process's table
-    places = [place for place in counting._places_down(past, fibword.fibs_through(past * w)) if place[0] in wanted]
+    places = [place for place in counting._places_down(past) if place[0] in wanted]
     assert [place[0] for place in places] == sorted(wanted, reverse=True)
     assert len(counting._places) == past  # place 0's slot and the places inside the table, none past it
     for place in places:
@@ -297,6 +298,31 @@ def test_chunk_corrects_its_estimate_by_one_step(monkeypatch):
                 assert abs(guess - a) <= 1, (s, a, x, guess)
                 assert guess >= a or b[a] == b[a - 1], (s, a, x)  # an undershoot steps up by fib(s-1)
                 assert guess <= a or b[a + 1] > b[a] or a + 1 == top, (s, a, x)  # B is flat down only from fib(W)
+
+
+def test_places_past_the_table_move_their_pair_down():
+    # past the Fibonacci table _places_down moves (fib(s), fib(s-1)) down W indices per
+    # place by one Cassini step with the table's fib(W-1), fib(W-2), fib(W-3); for tops
+    # from the first place past the table (s = 5,016) to near the index limit, every
+    # place equals the one built from a pair read by fib() at the top and moved down
+    # by the recurrence alone, with fib() itself checked at the top, at the lowest place
+    # past the table and at one seeded place between, and _places holds none of them
+    rng = Random(5000)
+    w = counting._PEEL_W
+    past, limit = fibword.FIB_TABLE_MAX // w + 1, fibword.FIB_INDEX_MAX // w
+    for top in (past, past + 1, past + 4, limit, *(rng.randint(past, limit) for _ in range(4))):
+        places = counting._places_down(top)
+        f0, f1, k = fib(w * top), fib(w * top - 1), w * top
+        checked = {w * top, w * past, w * rng.randint(past, top)}
+        for s in range(w * top, fibword.FIB_TABLE_MAX, -w):
+            while k > s:
+                f0, f1, k = f1, f0 - f1, k - 1
+            place = next(places)
+            assert place == counting._place(s, f0, f1, f0 - f1), (top, s)
+            assert s not in checked or place[1:4] == (fib(s), fib(s - 1), fib(s - 2)), (top, s)
+        assert list(places) == counting._places[past - 1:0:-1], top
+    assert len(counting._places) == past
+    assert len(fibword._fibs) == fibword.FIB_TABLE_MAX + 2
 
 
 @pytest.mark.parametrize("n, step", [(fib(39) - 1, "down, B flat"), (267903349, "down, B rises"),
@@ -398,7 +424,8 @@ def test_first_peels_from_eight_threads(monkeypatch):
     assert len(results) == len(ns) and all(expected[n] == v for n, v in results)
     w = counting._PEEL_W
     top = (fib_floor_index(max(ns) + 1) - 2) // w
-    assert counting._places == [None] + [counting._place(fibword._fibs, s) for s in range(w, top * w + 1, w)]
+    places = [counting._place(s, fib(s), fib(s - 1), fib(s - 2)) for s in range(w, top * w + 1, w)]
+    assert counting._places == [None] + places
 
 
 def chain_counts(n):

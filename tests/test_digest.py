@@ -63,7 +63,7 @@ def _words() -> list[str]:
 def _fib_edges() -> list[int]:
     """n = fib(k) + d, |d| <= 3, for k in 60 .. 120, k = 31 + 19 j + {0, 1, 2}
     over a spread of j, and k within 3 of fibword.FIB_TABLE_MAX (where the
-    counts leave the Fibonacci table for a stepped pair)."""
+    counts leave the Fibonacci table)."""
     ks = set(range(60, 121)) | set(range(4997, 5004))
     ks |= {31 + 19 * j + d for j in (3, 4, 5, 10, 50, 100, 200, 261) for d in range(3)}
     return [fib(k) + d for k in sorted(ks) for d in range(-3, 4)]
@@ -82,7 +82,7 @@ def _table_edges() -> list[int]:
     """n = fib(k) + d >= 1, |d| <= 3, for k = 19 j + {1, 2, 3}, j = 262 .. 265:
     the last blocks whose top chunk is at a place up to 4,997, inside
     fibword.FIB_TABLE_MAX, and the first whose top chunks, at places 5,016 and
-    5,035, are built from a stepped pair past it."""
+    5,035, are built from a pair moved down past it."""
     ks = [19 * j + e for j in range(262, 266) for e in (1, 2, 3)]
     return [fib(k) + d for k in ks for d in range(-3, 4) if fib(k) + d >= 1]
 

@@ -88,28 +88,16 @@ def test_fib_past_the_table():
     assert fib(top + 1) == fib(top) + fib(top - 1)
     f, g = fib(30000), fib(29999)
     assert fib(30001) == f + g and fibword.fib_floor_index(f + g - 1) == 30000
-    steps = fibword.fibs_through(top + 40)
-    assert steps is not fibword._fibs
-    for idx in [top + 41, top + 3, top + 20, top + 19, top + 41, top - 7, top + 2, 5, top + 1]:
-        assert steps[idx] == fib(idx - 1), idx
+    # past the table a view holds fib(m - 4) .. fib(m) under the table's indices
+    # m - 3 .. m + 1, the deepest any caller reads, and nothing below them
+    for m in (top + 1, top + 40, fibword.FIB_INDEX_MAX):
+        view = fibword.fibs_through(m)
+        assert sorted(view) == list(range(m - 3, m + 2)), m
+        for idx, value in view.items():
+            assert value == fib(idx - 1), (m, idx)
+        with pytest.raises(KeyError):
+            view[m - 4]
     assert fibword.fibs_through(top) is fibword._fibs
-    assert len(fibword._fibs) == top + 2
-
-
-def test_stepped_pair_jumps_down():
-    # a read more than 3 indices below the pair is one Cassini step with the table's
-    # fib(d-1), fib(d-2), fib(d-3); a jump past the table's length steps one by one
-    rng = Random(5000)
-    top, limit = fibword.FIB_TABLE_MAX, fibword.FIB_INDEX_MAX
-    fib(top)
-    for m in (top, top + 1, top + 4, limit, *(rng.randint(top, limit) for _ in range(4))):
-        steps, idx = fibword._FibSteps(m), m + 1
-        jumps = [rng.choice((1, 2, 3, 4, 5, rng.randint(6, 300))) for _ in range(30)] + [top + 3]
-        for d in jumps:
-            if idx - d < 1:
-                break
-            idx -= d
-            assert steps[idx] == fib(idx - 1), (m, idx)
     assert len(fibword._fibs) == top + 2
 
 
