@@ -52,22 +52,24 @@ floor_phi(a+1) being a's expansion one place down: for s >= W an estimate from
 at s = 0, H_0(a) = a (fib(-1) = 1, fib(-2) = 0), so the last pattern is the x
 left.  A chunk adds POP[a] = z(a) ones, so end_count(n) = m - sum POP[a], and
 to 5 sum_{x<X} z(x) it adds fib(s-1) (T1[a] + s (2a - B) + 5 c a) + fib(s-2)
-(T2[a] + s (3B - a) + 5 c B), c the ones above it (T1[a] + 5 c a at s = 0),
+(T1[B] + (s+1) (3B - a) + 5 c B), c the ones above it (T1[a] + 5 c a at s = 0),
 where over a's ones at local place j, rho ones above each,
 
     T1[a] = sum 5 rho fib(j) + (2j+2) fib(j) - (j+2) fib(j-1) = 5 sum_{y<a} POP[y],
-    T2[a] = sum 5 rho fib(j-1) + (2j+2) fib(j-1) - (j+2) fib(j-2),
+    T1[B] + 3B - a = sum 5 rho fib(j-1) + (2j+2) fib(j-1) - (j+2) fib(j-2),
 
-fib(-2) = 0.  As block_prefix_total(m+1) - m X + sum_{x<X} z(x),
+fib(-2) = 0: a's ones one place down sum to B, T1's sum holds over any expansion
+whose ones but the lowest are apart, and each term is T1's at j-1 plus 3 fib(j-1) -
+fib(j).  As block_prefix_total(m+1) - m X + sum_{x<X} z(x),
 
     occurrence_count(n) = ((m-2) fib(m+3) + m fib(m+1) - 5 m X + sum of the chunk terms) / 5 + 2,
 
-one division by 5, which checks the whole sum.  Each place s >= W is a tuple
-(s, fib(s), fib(s-1), fib(s-2), shift, divisor), made once inside the Fibonacci
-table as far up as counts need, and past it one at a time, never held, from a pair
-(fib(s), fib(s-1)) moved down W indices per place by one Cassini step.
-POP (bytes), B (array 'H', with B[fib(W)]) and T1, T2 (array 'i') hold one entry
-per pattern, 10,946 at W = 19 in ~122 KiB, built by a process's first count.
+one division by 5, which checks the whole sum.  Each place s >= W is a tuple (s, fib(s),
+fib(s-1), fib(s-2), shift, divisor, s+1, s+3), made once inside the Fibonacci table as
+far up as counts need, and past it one at a time, never held, from the count's (fib(m),
+fib(m-1)) moved down to the top place by the recurrence, then W indices per place by one
+Cassini step.  POP (bytes), B (array 'H', with B[fib(W)]) and T1 (array 'i') hold one
+entry per pattern, 10,946 at W = 19 in ~78 KiB, built by a process's first count.
 
 Interval splitting
 ------------------
@@ -101,10 +103,10 @@ from .fibword import FIB_TABLE_MAX, check_cap, fib, fib_floor_index, floor_phi
 _END_BASE = (1, 1, 2, 2, 2, 3)
 
 # The counts peel _PEEL_W digits per chunk.  W = 20 ran 3-5% faster at 10**1000
-# (2-vCPU Xeon VM, Python 3.11) but built its 17,711 patterns in 4.6-6 ms,
-# against 2.9 ms for W = 19, and the build lands in a process's first count.
+# (2-vCPU Xeon VM, Python 3.11) but builds its 17,711 patterns in 2.2-3.5 ms,
+# against 1.4 ms for W = 19, and the build lands in a process's first count.
 _PEEL_W = 19
-_peel_tables = None  # (POP, B, T1, T2), built on the first count
+_peel_tables = None  # (POP, B, T1), built on the first count
 _places = [None]  # _places[k] is place W k, k >= 1, built on demand inside the Fibonacci table
 _peel_lock = threading.Lock()
 
@@ -122,58 +124,56 @@ def _div5(x: int) -> int:
 
 
 def _tables():
-    """(POP, B, T1, T2) over the fib(_PEEL_W) patterns a, built on first use.
+    """(POP, B, T1) over the fib(_PEEL_W) patterns a, built on first use.
 
     By the block rule: a pattern whose top 1-digit is at place j is fib(j) + y,
-    y < fib(j-1), so POP[a] = POP[y] + 1 and B[a] = B[y] + fib(j-1); the top one
-    has rank 0 and each of y's ones one more than in y, which adds 5 B[y] to T2;
-    T1 sums 5 POP[y] (at most 50, so a byte).  B holds one more entry, B[fib(W)] =
-    fib(W-1).  The build runs once, under a lock, and publishes the four at once."""
+    y < fib(j-1), so POP[a] = POP[y] + 1 and B[a] = B[y] + fib(j-1); T1 sums 5 POP
+    (at most 50, so a byte) below a.  B holds one more entry, B[fib(W)] = fib(W-1).
+    The build runs once, under a lock, and publishes the three at once."""
     global _peel_tables
     if _peel_tables is None:
         with _peel_lock:
             if _peel_tables is None:
-                pop, b, t2 = bytearray(1), array("H", [0]), array("i", [0])
+                pop, b = bytearray(1), array("H", [0])
                 inc = bytes(range(1, 256)) + b"\0"  # bytes.translate adds 1 to each count
                 for j in range(_PEEL_W):
-                    k, h = fib(j - 1), fib(j - 2) if j else 0  # fib(-2) = 0
-                    top2 = (2 * j + 2) * k - (j + 2) * h
+                    k = fib(j - 1)
                     pop += pop[:k].translate(inc)
-                    t2.fromlist([t + 5 * v + top2 for t, v in zip(t2[:k], b[:k])])
                     b.fromlist([v + k for v in b[:k]])
                 b.append(fib(_PEEL_W - 1))
                 t1 = array("i", accumulate(pop[:-1].translate(bytes(5 * c % 256 for c in range(256))), initial=0))
-                _peel_tables = bytes(pop), b, t1, t2
+                _peel_tables = bytes(pop), b, t1
     return _peel_tables
 
 
-def _place(s: int, f0: int, f1: int, f2: int) -> tuple[int, int, int, int, int, int]:
-    """Place s as _chunk takes it, from f0, f1, f2 = fib(s), fib(s-1), fib(s-2)."""
+def _place(s: int, f0: int, f1: int, f2: int) -> tuple:
+    """Place s as _chunk and _walk take it, from f0, f1, f2 = fib(s), fib(s-1), fib(s-2)."""
     sh = f1.bit_length() - 40 if f1 >= 1 << 40 else 0  # a shorter fib(s-1) gives the exact L_s
-    return s, f0, f1, f2, sh, ((f1 >> sh) << 1) - (f2 >> sh)
+    return s, f0, f1, f2, sh, ((f1 >> sh) << 1) - (f2 >> sh), s + 1, s + 3
 
 
-def _places_down(top: int) -> Iterator[tuple]:
-    """Places W top, ..., 2W, W: past the Fibonacci table made one at a time, inside it from _places."""
+def _places_down(top: int, m: int, f0: int, f1: int) -> Iterator[tuple]:
+    """Places W top, ..., 2W, W of a count in block m: past the Fibonacci table made one at
+    a time from its f0, f1 = fib(m), fib(m-1), inside it from _places."""
     w = _PEEL_W
     fibs = fibword.fibs_through(min(w * top, FIB_TABLE_MAX))
     with _peel_lock:
         _places.extend(_place(s, fibs[s + 1], fibs[s], fibs[s - 1])
                        for s in range(w * len(_places), w * min(top, FIB_TABLE_MAX // w) + 1, w))
     if w * top > FIB_TABLE_MAX:
-        f0, f1 = fibword._fib_pair(w * top)
-        g1, g2, g3 = fibs[w], fibs[w - 1], fibs[w - 2]  # fib(W-1), fib(W-2), fib(W-3)
+        for _ in range(m - w * top):  # 2 .. 20 steps down to (fib(W top), fib(W top - 1))
+            f0, f1 = f1, f0 - f1
         for s in range(w * top, FIB_TABLE_MAX, -w):
             yield _place(s, f0, f1, f0 - f1)
             # W is odd, so by Cassini fib(s-W) = fib(W-2) fib(s-1) - fib(W-3) fib(s)
             # and fib(s-W-1) = fib(W-2) fib(s) - fib(W-1) fib(s-1)
-            f0, f1 = g2 * f1 - g3 * f0, g2 * f0 - g1 * f1
+            f0, f1 = fibs[w - 1] * f1 - fibs[w - 2] * f0, fibs[w - 1] * f0 - fibs[w] * f1
     yield from _places[top:0:-1]
 
 
 def _chunk(x: int, place: tuple, b) -> tuple[int, int, int]:
     """(a, B(a), x - H_s(a)) for x < fib(s + W) and place = (s, fib(s), fib(s-1),
-    fib(s-2), shift, divisor), s a positive multiple of W: a is x's pattern at places s ..
+    fib(s-2), shift, divisor, s+1, s+3), s a positive multiple of W: a is x's pattern at places s ..
     s+W-1.  With g = (1 + sqrt 5)/2 and L_s = 2 fib(s-1) - fib(s-2), H_s(a) / L_s =
     a + (1/g - frac((a+1)/g)) / sqrt 5 + e, |e| < 2e-4 at s = 19, < 2e-12 from 38 on,
     so the estimate floor(x / L_s) undershoots a only if frac((a+1)/g) > 1/g: then
@@ -181,7 +181,7 @@ def _chunk(x: int, place: tuple, b) -> tuple[int, int, int]:
     as where B rises.  A test finds it one step at most from a at s = 19 .. 190,
     4,997 and 5,016; past s = 38 its error, < 3e-8 with the 40-bit cut, is below the
     least |1/g - frac((a+1)/g)| / sqrt 5, 1.8e-5 for 0 < a <= fib(W): so at every s."""
-    _, f0, f1, f2, sh, d = place
+    _, f0, f1, f2, sh, d, _, _ = place
     a = (x >> sh) // d
     ba = b[a]
     x -= f1 * a + f2 * ba
@@ -204,18 +204,18 @@ def _walk(n: int) -> tuple[int, int]:
     adds T1[x] + 5 c x."""
     m = fib_floor_index(n + 1)  # the block: fib(m) - 1 <= n <= fib(m+1) - 2
     fibs = fibword.fibs_through(m + 2)  # fibs[k + 1] is fib(k)
-    pop, b, t1, t2 = _peel_tables or _tables()
+    pop, b, t1 = _peel_tables or _tables()
     x = fibs[m + 2]
     total = (m - 2) * fibs[m + 3] + 2 * (m - 1) * x
     x -= n + 2  # X, the distance to the block's end
     total -= 5 * m * x
     c5 = 0  # 5 times the ones peeled so far
     top = (m - 2) // _PEEL_W  # the chunks above place 0
-    for place in _places[top:0:-1] if top < len(_places) else _places_down(top):
-        s, _, f1, f2, _, _ = place
+    for place in _places[top:0:-1] if top < len(_places) else _places_down(top, m, fibs[m + 1], fibs[m]):
+        s, _, f1, f2, _, _, s1, s3 = place
         a, ba, x = _chunk(x, place, b)
         k = 2 * s + c5
-        total += f1 * (t1[a] + k * a - s * ba) + f2 * (t2[a] + (k + s) * ba - s * a)
+        total += f1 * (t1[a] + k * a - s * ba) + f2 * (t1[ba] + (k + s3) * ba - s1 * a)
         c5 += 5 * pop[a]
     return _div5(total + t1[x] + c5 * x) + 2, m
 
@@ -227,10 +227,10 @@ def end_count(n: int) -> int:
         raise DomainError(f"positions are 1-based, got {show_int(n)}")
     m = fib_floor_index(n + 1)  # the block: fib(m) - 1 <= n <= fib(m+1) - 2
     fibs = fibword.fibs_through(m + 1)  # fibs[k + 1] is fib(k)
-    pop, b, _, _ = _peel_tables or _tables()
+    pop, b, _ = _peel_tables or _tables()
     x = fibs[m + 2] - 2 - n
     top = (m - 2) // _PEEL_W  # the chunks above place 0
-    for place in _places[top:0:-1] if top < len(_places) else _places_down(top):
+    for place in _places[top:0:-1] if top < len(_places) else _places_down(top, m, fibs[m + 1], fibs[m]):
         a, _, x = _chunk(x, place, b)
         m -= pop[a]
     return m - pop[x]

@@ -326,10 +326,10 @@ def test_impossible_coordinate_exit_3(capsys, monkeypatch):
 
 def _t1_one_too_large_at(a):
     """The counting tables with T1[a] one too large: n = 7 is the first count whose last pattern is 4."""
-    pop, b, t1, t2 = counting._tables()
+    pop, b, t1 = counting._tables()
     t1 = array("i", t1)
     t1[a] += 1
-    return pop, b, t1, t2
+    return pop, b, t1
 
 
 @pytest.mark.parametrize("plant, argv, counterexample", [

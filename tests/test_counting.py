@@ -243,17 +243,19 @@ def test_tail_sum_is_a_zeckendorf_prefix_sum():
 
 
 def test_peel_tables_match_their_definitions():
-    pop, b, t1, t2 = counting._tables()
+    pop, b, t1 = counting._tables()
     w = counting._PEEL_W
-    assert len(pop) == len(t1) == len(t2) == fib(w) and len(b) == fib(w) + 1 and b[-1] == fib(w - 1)
+    assert len(pop) == len(t1) == fib(w) and len(b) == fib(w) + 1 and b[-1] == fib(w - 1)
     assert list(t1) == [5 * v for v in accumulate(pop[:-1], initial=0)]  # 5 times the ones below a
     for a in range(fib(w)):
         ones = zeckendorf(a)
         assert pop[a] == len(ones) and b[a] == floor_phi(a + 1), a
         assert t1[a] == sum(5 * rho * fib(j) + (2 * j + 2) * fib(j) - (j + 2) * fib(j - 1)
                             for rho, j in enumerate(ones)), a
-        assert t2[a] == sum(5 * rho * fib(j - 1) + (2 * j + 2) * fib(j - 1) - (j + 2) * (fib(j - 2) if j else 0)
-                            for rho, j in enumerate(ones)), a
+        # T2's defining sum, T1's one place down, is read as T1 at B(a)
+        t2 = sum(5 * rho * fib(j - 1) + (2 * j + 2) * fib(j - 1) - (j + 2) * (fib(j - 2) if j else 0)
+                 for rho, j in enumerate(ones))
+        assert t1[b[a]] + 3 * b[a] - a == t2, a
 
 
 class _Reads:
@@ -273,18 +275,19 @@ def test_chunk_corrects_its_estimate_by_one_step(monkeypatch):
     # each place as the counts get it, with its shift and divisor: the estimate
     # (the first index read) is monotone in x, so between them it is within one
     # of a, and it never undershoots a pattern that B rises into
-    _, b, _, _ = counting._tables()
+    _, b, _ = counting._tables()
     w = counting._PEEL_W
     top = fib(w)
     past = fibword.FIB_TABLE_MAX // w + 1  # place W past is the first past the table
     wanted = {*range(w, 11 * w, w), (past - 1) * w, past * w}
     monkeypatch.setattr(counting, "_places", [None])  # built here, from this process's table
-    places = [place for place in counting._places_down(past) if place[0] in wanted]
+    m = w * past + 2  # the block whose top place is W past
+    places = [place for place in counting._places_down(past, m, fib(m), fib(m - 1)) if place[0] in wanted]
     assert [place[0] for place in places] == sorted(wanted, reverse=True)
     assert len(counting._places) == past  # place 0's slot and the places inside the table, none past it
     for place in places:
-        s, f0, f1, f2, _, _ = place
-        assert (f0, f1, f2) == (fib(s), fib(s - 1), fib(s - 2)), s
+        s, f0, f1, f2, _, _, s1, s3 = place
+        assert (f0, f1, f2, s1, s3) == (fib(s), fib(s - 1), fib(s - 2), s + 1, s + 3), s
         # a held place is the list's, and shares the table's ints
         assert s == past * w or place is counting._places[s // w] and f2 is fib(s - 2), s
         view = _Reads(b)
@@ -301,26 +304,31 @@ def test_chunk_corrects_its_estimate_by_one_step(monkeypatch):
 
 
 def test_places_past_the_table_move_their_pair_down():
-    # past the Fibonacci table _places_down moves (fib(s), fib(s-1)) down W indices per
-    # place by one Cassini step with the table's fib(W-1), fib(W-2), fib(W-3); for tops
-    # from the first place past the table (s = 5,016) to near the index limit, every
-    # place equals the one built from a pair read by fib() at the top and moved down
-    # by the recurrence alone, with fib() itself checked at the top, at the lowest place
-    # past the table and at one seeded place between, and _places holds none of them
+    # past the Fibonacci table _places_down moves the count's pair (fib(m), fib(m-1))
+    # down the 2 .. 20 indices to its top place W top, then (fib(s), fib(s-1)) down W
+    # indices per place by one Cassini step with the table's fib(W-1), fib(W-2),
+    # fib(W-3); for blocks from the first whose top place is past the table (s = 5,016,
+    # 20 indices below m = 5,036; 5,037 steps 2 to s = 5,035) to the index limit, every
+    # place equals the one built from a pair read by fib() at m and moved down by the
+    # recurrence alone, with fib() itself checked at the top, at the lowest place past
+    # the table and at one seeded place between, and _places holds none of them
     rng = Random(5000)
     w = counting._PEEL_W
-    past, limit = fibword.FIB_TABLE_MAX // w + 1, fibword.FIB_INDEX_MAX // w
-    for top in (past, past + 1, past + 4, limit, *(rng.randint(past, limit) for _ in range(4))):
-        places = counting._places_down(top)
-        f0, f1, k = fib(w * top), fib(w * top - 1), w * top
+    past, limit = fibword.FIB_TABLE_MAX // w + 1, fibword.FIB_INDEX_MAX
+    for m in (w * past + 20, w * past + 21, w * past + 4 * w + 11, limit - 1, limit - 2,
+              *(rng.randint(w * past + 2, limit - 1) for _ in range(4))):
+        top = (m - 2) // w
+        assert top >= past and 2 <= m - w * top <= 20, m
+        places = counting._places_down(top, m, fib(m), fib(m - 1))
+        f0, f1, k = fib(m), fib(m - 1), m
         checked = {w * top, w * past, w * rng.randint(past, top)}
         for s in range(w * top, fibword.FIB_TABLE_MAX, -w):
             while k > s:
                 f0, f1, k = f1, f0 - f1, k - 1
             place = next(places)
-            assert place == counting._place(s, f0, f1, f0 - f1), (top, s)
-            assert s not in checked or place[1:4] == (fib(s), fib(s - 1), fib(s - 2)), (top, s)
-        assert list(places) == counting._places[past - 1:0:-1], top
+            assert place == counting._place(s, f0, f1, f0 - f1), (m, s)
+            assert s not in checked or place[1:4] == (fib(s), fib(s - 1), fib(s - 2)), (m, s)
+        assert list(places) == counting._places[past - 1:0:-1], m
     assert len(counting._places) == past
     assert len(fibword._fibs) == fibword.FIB_TABLE_MAX + 2
 
@@ -393,7 +401,7 @@ def test_peel_tables_are_lazy_small_and_quick():
         counting._tables()
         held, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        assert held <= 256 * 2**10 and peak <= 2**20, (held, peak)
+        assert held <= 128 * 2**10 and peak <= 2**20, (held, peak)
         assert "numpy" not in sys.modules
         print("ok")
     """
@@ -612,11 +620,11 @@ def _last_pattern(n):
 def test_head_exactness_check_catches_faults(monkeypatch):
     # T1 one too large at the pattern of n's last chunk: 5 times the count comes out one too large
     n = 10**1000 + 12345
-    pop, b, t1, t2 = counting._tables()
+    pop, b, t1 = counting._tables()
     t1 = array("i", t1)
     t1[_last_pattern(n)] += 1
     with monkeypatch.context() as mp:
-        mp.setattr(counting, "_peel_tables", (pop, b, t1, t2))
+        mp.setattr(counting, "_peel_tables", (pop, b, t1))
         with pytest.raises(AssertionError, match="not divisible by 5"):
             occurrence_count(n)
     assert occurrence_count(n) - occurrence_count(n - 1) == end_count(n)
@@ -625,8 +633,8 @@ def test_head_exactness_check_catches_faults(monkeypatch):
 def test_head_exactness_check_survives_optimize_flag():
     n = 10**1000 + 12345
     proc = _run_optimized(
-        "from array import array; from fibpal import counting; pop, b, t1, t2 = counting._tables(); "
-        f"t1 = array('i', t1); t1[{_last_pattern(n)}] += 1; counting._peel_tables = pop, b, t1, t2; "
+        "from array import array; from fibpal import counting; pop, b, t1 = counting._tables(); "
+        f"t1 = array('i', t1); t1[{_last_pattern(n)}] += 1; counting._peel_tables = pop, b, t1; "
         f"counting.occurrence_count({n})"
     )
     assert proc.returncode != 0 and "not divisible by 5" in proc.stderr
