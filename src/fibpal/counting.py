@@ -119,7 +119,7 @@ _BLOCK_BYTES, _LEAF_BYTES, _NODE_BYTES = 32, 192, 832
 
 def _div5(x: int) -> int:
     if x % 5:
-        raise AssertionError(f"coefficient sum {x} is not divisible by 5")
+        raise AssertionError(f"{show_int(x)} is not divisible by 5")
     return x // 5
 
 
@@ -147,7 +147,7 @@ def _tables():
 
 
 def _place(s: int, f0: int, f1: int, f2: int) -> tuple:
-    """Place s as _chunk and _walk take it, from f0, f1, f2 = fib(s), fib(s-1), fib(s-2)."""
+    """Place s as _chunk and occurrence_count take it, from f0, f1, f2 = fib(s), fib(s-1), fib(s-2)."""
     sh = f1.bit_length() - 40 if f1 >= 1 << 40 else 0  # a shorter fib(s-1) gives the exact L_s
     return s, f0, f1, f2, sh, ((f1 >> sh) << 1) - (f2 >> sh), s + 1, s + 3
 
@@ -195,31 +195,6 @@ def _chunk(x: int, place: tuple, b) -> tuple[int, int, int]:
     return a, ba, x
 
 
-def _walk(n: int) -> tuple[int, int]:
-    """(occurrence_count(n), block index m of n), for n >= 1.
-
-    The count is block_prefix_total(m+1) less the end counts past n, m X -
-    sum_{x<X} z(x): 5 times it is (m-2) fib(m+2) + 2 (m-1) fib(m+1) - 5 m X plus
-    each chunk's part of 5 sum_{x<X} z(x), and the chunk at place 0, pattern x,
-    adds T1[x] + 5 c x."""
-    m = fib_floor_index(n + 1)  # the block: fib(m) - 1 <= n <= fib(m+1) - 2
-    fibs = fibword.fibs_through(m + 2)  # fibs[k + 1] is fib(k)
-    pop, b, t1 = _peel_tables or _tables()
-    x = fibs[m + 2]
-    total = (m - 2) * fibs[m + 3] + 2 * (m - 1) * x
-    x -= n + 2  # X, the distance to the block's end
-    total -= 5 * m * x
-    c5 = 0  # 5 times the ones peeled so far
-    top = (m - 2) // _PEEL_W  # the chunks above place 0
-    for place in _places[top:0:-1] if top < len(_places) else _places_down(top, m, fibs[m + 1], fibs[m]):
-        s, _, f1, f2, _, _, s1, s3 = place
-        a, ba, x = _chunk(x, place, b)
-        k = 2 * s + c5
-        total += f1 * (t1[a] + k * a - s * ba) + f2 * (t1[ba] + (k + s3) * ba - s1 * a)
-        c5 += 5 * pop[a]
-    return _div5(total + t1[x] + c5 * x) + 2, m
-
-
 def end_count(n: int) -> int:
     """Number of palindrome occurrences ending exactly at position n: m less the
     1-digits of X, the distance from n to the end of its block m."""
@@ -255,15 +230,16 @@ def tail_sum(n: int) -> int:
     """
     if n < 1:
         raise DomainError(f"positions are 1-based, got {show_int(n)}")
-    total, m = _walk(n)
-    return total - block_prefix_total(m) if m > 1 else total  # block 1 is position 1, with nothing before it
+    m = fib_floor_index(n + 1)
+    return occurrence_count(n) - (block_prefix_total(m) if m > 1 else 0)  # block 1 is position 1, with nothing before it
 
 
 def block_prefix_total(m: int) -> int:
     """Closed form of occurrence_count(fib(m) - 2), the total before block m."""
     if m < 2:
         raise DomainError(f"defined for m >= 2, got {show_int(m)}")
-    return _div5((m - 3) * fib(m + 2) + (m - 1) * fib(m)) + 2
+    fibs = fibword.fibs_through(m + 2)  # fibs[k + 1] is fib(k)
+    return _div5((m - 3) * fibs[m + 3] + (m - 1) * fibs[m + 1]) + 2
 
 
 def fib_prefix_total(m: int) -> int:
@@ -296,11 +272,29 @@ def occurrence_count(n: int) -> int:
 
     occurrence_count(0) is 0 by convention.  O(log n) steps: n's Zeckendorf
     digits, peeled 19 at a time, in exact integer arithmetic with no memo and
-    no prefix materialization.
+    no prefix materialization.  The sum is the module docstring's, its
+    (m-2) fib(m+3) + m fib(m+1) read as (m-2) fib(m+2) + 2 (m-1) fib(m+1).
     """
     if n < 0:
         raise DomainError(f"prefix lengths are >= 0, got {show_int(n)}")
-    return _walk(n)[0] if n else 0
+    if not n:
+        return 0
+    m = fib_floor_index(n + 1)  # the block: fib(m) - 1 <= n <= fib(m+1) - 2
+    fibs = fibword.fibs_through(m + 2)  # fibs[k + 1] is fib(k)
+    pop, b, t1 = _peel_tables or _tables()
+    x = fibs[m + 2]
+    total = (m - 2) * fibs[m + 3] + 2 * (m - 1) * x
+    x -= n + 2  # X, the distance to the block's end
+    total -= 5 * m * x
+    c5 = 0  # 5 times the ones peeled so far
+    top = (m - 2) // _PEEL_W  # the chunks above place 0
+    for place in _places[top:0:-1] if top < len(_places) else _places_down(top, m, fibs[m + 1], fibs[m]):
+        s, _, f1, f2, _, _, s1, s3 = place
+        a, ba, x = _chunk(x, place, b)
+        k = 2 * s + c5
+        total += f1 * (t1[a] + k * a - s * ba) + f2 * (t1[ba] + (k + s3) * ba - s1 * a)
+        c5 += 5 * pop[a]
+    return _div5(total + t1[x] + c5 * x) + 2
 
 
 def occurrence_count_trace(n: int) -> tuple[int, dict]:
@@ -309,7 +303,8 @@ def occurrence_count_trace(n: int) -> tuple[int, dict]:
     if n < 0:
         raise DomainError(f"prefix lengths are >= 0, got {show_int(n)}")
     if n <= 3:
-        return occurrence_count(n), {"base_table": True, "value": occurrence_count(n)}
+        value = occurrence_count(n)
+        return value, {"base_table": True, "value": value}
     m0 = m = fib_floor_index(n + 1)
     fibs = fibword.fibs_through(m0)  # fibs[k + 1] is fib(k)
     f1, f2 = fibs[m], fibs[m - 1]  # fib(m-1), fib(m-2), moved down with m

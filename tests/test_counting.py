@@ -199,8 +199,8 @@ def test_counts_match_the_reference_walk_at_chunk_edges():
                 assert value == occurrence_count(n), n
 
 
-def test_horner_tail_memory():
-    # the tail is a few small ints and one big sum, not a list of coefficients per index
+def test_count_peak_memory_at_1e1000():
+    # a warm count's peak is a few small ints, a slice of the held places and one big sum: under 16 KiB
     n = 10**1000 + 12345
     occurrence_count(n)
     tracemalloc.start()
@@ -617,9 +617,10 @@ def _last_pattern(n):
     return sum(fib(p) for p in zeckendorf(fib(m + 1) - 2 - n) if p < counting._PEEL_W)
 
 
-def test_head_exactness_check_catches_faults(monkeypatch):
-    # T1 one too large at the pattern of n's last chunk: 5 times the count comes out one too large
-    n = 10**1000 + 12345
+@pytest.mark.parametrize("n", [10**1000 + 12345, 10**5000 + 12345], ids=["1e1000", "1e5000"])
+def test_head_exactness_check_catches_faults(monkeypatch, n):
+    # T1 one too large at the pattern of n's last chunk: 5 times the count comes out one too large;
+    # at 1e5000 the sum is past str()'s digit limit, and the message still names it
     pop, b, t1 = counting._tables()
     t1 = array("i", t1)
     t1[_last_pattern(n)] += 1
