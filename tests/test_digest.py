@@ -87,6 +87,34 @@ def _table_edges() -> list[int]:
     return [fib(k) + d for k in ks for d in range(-3, 4) if fib(k) + d >= 1]
 
 
+def _wide_edges() -> list[int]:
+    """n = fib(k) + d >= 1, |d| <= 3, and three seeded n per block, for k = 19 j +
+    {1, 2, 3}: the blocks near m = 19 j + 2, where the index j of a count's top
+    19-digit chunk place changes parity, for j = 3 .. 8 (m = 78 is the first block
+    whose top place is 76, the fourth), a spread of j, and j = 262 .. 266 across
+    fibword.FIB_TABLE_MAX; and n = fib(s + 40) - 2 - x in block s + 39, whose
+    digits from place s on make one 38-digit pattern a, with x at both ends of a's
+    range, H_s(a) and H_s(a + 1) - 1, H_s(a) = fib(s-1) a + fib(s-2) floor_phi(a + 1),
+    for s = 57, 95, 4,997 (the last place 19 j with j odd inside the table) and
+    5,035 (the first past it), at the first and last four of the fib(38) patterns,
+    every 632,459th between them, and fib(j) - 1, fib(j), fib(j) + 1 for j < 38,
+    where a / phi is nearest an integer."""
+    rng = Random(38)
+    ks = [19 * j + e for j in [*range(3, 9), 20, 21, 100, 101, *range(262, 267)] for e in (1, 2, 3)]
+    out = [fib(k) + d for k in ks for d in range(-3, 4) if fib(k) + d >= 1]
+    out += [rng.randint(fib(k) - 1, fib(k + 1) - 2) for k in ks for _ in range(3)]
+    top = fib(38)
+    patterns = sorted({*range(4), *range(0, top, 632459), *range(top - 4, top),
+                       *(fib(j) + d for j in range(38) for d in (-1, 0, 1) if 0 <= fib(j) + d < top)})
+    for s in (57, 95, 4997, 5035):
+        f1, f2, end = fib(s - 1), fib(s - 2), fib(s + 40) - 2
+
+        def h(a):
+            return f1 * a + f2 * floor_phi(a + 1)
+        out += [end - x for a in patterns for x in (h(a), h(a + 1) - 1)]
+    return out
+
+
 def _kernel_edges() -> list[tuple[int, int]]:
     """(m, p) for the kernel indices m = 4,995 .. 5,010, across
     fibword.FIB_TABLE_MAX, and m = 20,000, far past it, each with p = 1, 2 and
@@ -115,11 +143,13 @@ def _correction_edges() -> list[int]:
 # "small" is every n < 3,000; "1eK" is six seeded n in [10**K, 10**(K + 1));
 # "fib-edges", "peel-edges" and "table-edges" are n next to the Fibonacci numbers
 # where the counting walks change course, "correction-edges" the n where a chunk's
-# estimate is corrected; "kernel-edges" holds (m, p) pairs, the chain queries'
+# estimate is corrected, "wide-edges" the n where a count's top place changes parity and
+# where the digits of a 38-digit pattern end; "kernel-edges" holds (m, p) pairs, the chain queries'
 # kernel index and occurrence; "words" is the word magnitude, the one the word functions take
 MAGNITUDES = {"small": range(1, 3000), **{f"1e{k}": _seeded(k) for k in (6, 18, 100, 1000, 4000)},
               "fib-edges": _fib_edges(), "peel-edges": _peel_edges(), "table-edges": _table_edges(),
-              "correction-edges": _correction_edges(), "kernel-edges": _kernel_edges(), "words": _words()}
+              "correction-edges": _correction_edges(), "wide-edges": _wide_edges(),
+              "kernel-edges": _kernel_edges(), "words": _words()}
 
 
 def _kernel_and_p(n) -> tuple[int, int]:
@@ -241,6 +271,7 @@ DIGESTS = {
     ("end_count", "peel-edges"): "3eaa8fa03d2db100d6ce5a2fd0872dcdf29e92921a32e080e41e10585ac5c8b5",
     ("end_count", "correction-edges"): "ddbae838a0f46112ffe552867ba63e36a8d857acdf3062e4749e512641c5d7f8",
     ("end_count", "table-edges"): "6a471b9b3e3612665ef447d8f9df626794e52f336d8cbc4c5210a9a94bc2ddc1",
+    ("end_count", "wide-edges"): "246773202de2e47584ebfb05536ec1ead7f525277a9088df85ca17fc9ef0eaca",
     ("occurrence_count", "small"): "08c8948b1b0904a0a3c77b38c559bac2a7cfa77a45db5eaecbfdb289e582f40c",
     ("occurrence_count", "1e6"): "7cba3a432879f1fb3fc9088c982692b2492cff8c1805648a6b88a04879a1119f",
     ("occurrence_count", "1e18"): "68e2dcb73208edd87aee3bf49ac8311e984eaf5efcb9d5265f9ac7f1935a13c8",
@@ -251,6 +282,7 @@ DIGESTS = {
     ("occurrence_count", "peel-edges"): "bca471bd0ddfb4152e377ae153565e463fc5bd9ab17fe7d815114a02f553ae7f",
     ("occurrence_count", "correction-edges"): "4d185938b58c46ea2f176904fc0dc82e7800c938b62afa6f360dd517c42ecae7",
     ("occurrence_count", "table-edges"): "747c24aac85ff3f494b306497a7a0f242fdb7b99dcf00940fc8d71c3479952f8",
+    ("occurrence_count", "wide-edges"): "6a3e81daaa438e3069fe8a69723e80c6b04ce9bee00836f0ffd7d80d8fee1185",
     ("tail_sum", "small"): "59b1401e6920430c23a2d3becdb07349e58688078ed81daf2aa74af6ea565de5",
     ("tail_sum", "1e6"): "1f8465dad55c6718db5fc3e3df6f9916fa8d8b1c85afcdeec3295b6e2ca09db5",
     ("tail_sum", "1e18"): "f359daa973a450eaafe1db90dcc64f3c538cd5466ebc705a7f55dd4374f267bf",
@@ -261,6 +293,7 @@ DIGESTS = {
     ("tail_sum", "peel-edges"): "de7de597ec063bb5a0b481ca8f8d7b30885ec4a6453d7832c23977ccfcc95ea0",
     ("tail_sum", "correction-edges"): "b0130c54bd1a9cccea85656c3b62b1a3a830d1756e2df61d34e1568bd094e7c6",
     ("tail_sum", "table-edges"): "20c40009bce870a6e77c20b7f66219021bbc0e170439f48dcd844e0496aac1ff",
+    ("tail_sum", "wide-edges"): "7c9de48b1a7b5fe85afa9b924110d5ee64ed8c8309fb86a030a17b45a7c8d7af",
     ("occurrence_count_trace.tail", "small"): "c21e9d67e872b3087adc6a59a0c6ec2fbd1cc273cb47235a4542e5cff474288c",
     ("occurrence_count_trace.tail", "1e6"): "1f8465dad55c6718db5fc3e3df6f9916fa8d8b1c85afcdeec3295b6e2ca09db5",
     ("occurrence_count_trace.tail", "1e18"): "f359daa973a450eaafe1db90dcc64f3c538cd5466ebc705a7f55dd4374f267bf",
