@@ -64,12 +64,22 @@ fib(j).  As block_prefix_total(m+1) - m X + sum_{x<X} z(x),
 
     occurrence_count(n) = ((m-2) fib(m+3) + m fib(m+1) - 5 m X + sum of the chunk terms) / 5 + 2,
 
-one division by 5, which checks the whole sum.  Each place s >= W is a tuple (s, fib(s),
-fib(s-1), fib(s-2), shift, divisor, s+1, s+3), made once inside the Fibonacci table as
-far up as counts need, and past it one at a time, never held, from the count's (fib(m),
-fib(m-1)) moved down to the top place by the recurrence, then W indices per place by one
-Cassini step.  POP (bytes), B (array 'H', with B[fib(W)]) and T1 (array 'i') hold one
-entry per pattern, 10,946 at W = 19 in ~78 KiB, built by a process's first count.
+one division by 5, which checks the whole sum.
+
+From s = 3W on, at odd s/W, one big-int step peels places s .. s+2W-1 as one pattern a <
+fib(2W): _chunk's estimate on a 72-bit cut, one exact step, B(a) = (a+1) R >> 64 with R =
+floor(2**64 / g), and _chunk at place W to split a into hi and lo.  B is exact, equal to
+floor_phi(a+1) for every a <= fib(2W), as a test checks; one step suffices, as the least
+|1/g - frac((a+1)/g)| / sqrt 5 for 0 < a < fib(2W), 3.2e-9 at a = fib(2W-1), exceeds the
+cut's error, < 1e-13, and _chunk's e, 1.5e-16 at s = 57 (1.3e-8 at s = 38, so places W and
+2W, and an odd top place, stay single).  The step adds fib(s-1) (P[hi] + T1[lo] + c lo + k a
+- s B) + fib(s-2) (P2[hi] + T1[b] + (c+3) b - lo + (k+s) B - s a), B = B(a), b = B(lo), c =
+5 POP[hi], k = 2s + 5 (ones above), P[hi] being hi's chunk term at place W, P2[hi] that term
+one place down.  A count's steps are made once per top place inside the Fibonacci table, and
+past it one at a time from (fib(m), fib(m-1)), moved down to the top place by the recurrence,
+then W places at a time by one Cassini step.  POP (bytes), B ('H', with B[fib(W)]) and T1
+('i'), 10,946 entries in ~78 KiB, are built by a process's first count, P and P2 ('q',
+~171 KiB) by its first wide step.
 
 Interval splitting
 ------------------
@@ -89,6 +99,8 @@ construction; verify_tau checks the rule against the closed forms.
 
 from __future__ import annotations
 
+import struct
+import sys
 import threading
 from array import array
 from itertools import accumulate
@@ -103,18 +115,22 @@ from .fibword import FIB_TABLE_MAX, check_cap, fib, fib_floor_index, floor_phi
 _END_BASE = (1, 1, 2, 2, 2, 3)
 
 # The counts peel _PEEL_W digits per chunk.  W = 20 ran 3-5% faster at 10**1000
-# (2-vCPU Xeon VM, Python 3.11) but builds its 17,711 patterns in 2.2-3.5 ms,
+# (2-vCPU Xeon VM, Python 3.11, before the wide steps) but builds its 17,711 patterns in 2.2-3.5 ms,
 # against 1.4 ms for W = 19, and the build lands in a process's first count.
 _PEEL_W = 19
 _peel_tables = None  # (POP, B, T1), built on the first count
+_wide_tables = None  # (P, P2), built on the first wide step
 _places = [None]  # _places[k] is place W k, k >= 1, built on demand inside the Fibonacci table
+_runs = {}  # top -> the steps of a count whose top place is W top, inside the Fibonacci table
 _peel_lock = threading.Lock()
+_R = fibword._PHI >> 4032  # floor(2**64 / g): B(a) = (a + 1) _R >> 64 for a <= fib(2W)
 
 # Bytes charged to the cap per unit held (tracemalloc peaks, m = 16..24, p = 1):
 # ~25 per end_count_block entry, ~185 per expand_leaves leaf, ~790 per
 # expand_cell leaf with its share of inner nodes and its reduction.  A leaf
 # also holds 3 or 8 ints as wide as the cell's last position, ~1 byte per 7 bits.
-_BLOCK_BYTES, _LEAF_BYTES, _NODE_BYTES = 32, 192, 832
+# A trace step holds ~280 and ints ~1.1 times as wide as n (n = 10**e + 12345, e = 100 .. 4000).
+_BLOCK_BYTES, _LEAF_BYTES, _NODE_BYTES, _STEP_BYTES = 32, 192, 832, 320
 
 
 def _div5(x: int) -> int:
@@ -171,6 +187,40 @@ def _places_down(top: int, m: int, f0: int, f1: int) -> Iterator[tuple]:
     yield from _places[top:0:-1]
 
 
+def _wide(place: tuple) -> tuple:
+    """The wide step at place s, (s, fib(s), fib(s-1), fib(s-2), shift, divisor, P, P2, place W), from
+    place s.  The first builds P and P2 on columns read as ints of 64-bit lanes, each result in [0, 2**33)."""
+    global _wide_tables
+    if _wide_tables is None:
+        pop, b, t1 = _peel_tables or _tables()
+        with _peel_lock:
+            if _wide_tables is None:
+                w, f, n, order = _PEEL_W, fibword.fibs_through(_PEEL_W), len(t1), sys.byteorder  # f[k + 1] is fib(k)
+                tables = array("q"), array("q")
+                for lo in range(0, n, 1024):  # in blocks, so that the build holds little beyond the tables
+                    hi = min(lo + 1024, n)
+                    t, tb, a, bv = (int.from_bytes(struct.pack(f"={hi - lo}q", *v), order)
+                                    for v in (t1[lo:hi], [t1[v] for v in b[lo:hi]], range(lo, hi), b[lo:hi]))
+                    e1, e2 = t + w * (2 * a - bv), tb + (3 * w + 3) * bv - (w + 1) * a
+                    for table, (g1, g2) in zip(tables, (f[w:w - 2:-1], f[w - 1:w - 3:-1])):
+                        table.frombytes((g1 * e1 + g2 * e2).to_bytes(8 * (hi - lo), order))
+                _wide_tables = tables
+    s, f0, f1, f2, _, _, _, _ = place
+    p1, p2 = _wide_tables
+    sh = max(f1.bit_length() - 72, 0)  # a 72-bit cut, or the exact L_s
+    return s, f0, f1, f2, sh, ((f1 >> sh) << 1) - (f2 >> sh), p1, p2, _places[1]
+
+
+def _steps(top: int, m: int, f0: int, f1: int):
+    """The steps of a count in block m whose top place is W top, from _places_down's: a wide one at
+    each odd j >= 3 below top, for places W j and W (j+1), else a place alone; kept in _runs."""
+    steps = (_wide(place) if j & 1 and 2 < j < top else place
+             for j, place in zip(range(top, 0, -1), _places_down(top, m, f0, f1)) if j < 3 or j & 1)
+    if _PEEL_W * top <= FIB_TABLE_MAX:
+        _runs[top] = steps = list(steps)
+    return steps
+
+
 def _chunk(x: int, place: tuple, b) -> tuple[int, int, int]:
     """(a, B(a), x - H_s(a)) for x < fib(s + W) and place = (s, fib(s), fib(s-1),
     fib(s-2), shift, divisor, s+1, s+3), s a positive multiple of W: a is x's pattern at places s ..
@@ -205,9 +255,20 @@ def end_count(n: int) -> int:
     pop, b, _ = _peel_tables or _tables()
     x = fibs[m + 2] - 2 - n
     top = (m - 2) // _PEEL_W  # the chunks above place 0
-    for place in _places[top:0:-1] if top < len(_places) else _places_down(top, m, fibs[m + 1], fibs[m]):
-        a, _, x = _chunk(x, place, b)
-        m -= pop[a]
+    for place in _runs[top] if top in _runs else _steps(top, m, fibs[m + 1], fibs[m]):
+        if len(place) > 8:  # a wide step: _chunk's estimate and step, then _chunk at place W splits a
+            _, f0, f1, f2, sh, d, _, _, local = place
+            ba = ((a := (x >> sh) // d) + 1) * _R >> 64  # a estimated, B(a) by _R
+            x -= f1 * a + f2 * ba
+            if x < 0 or x >= f1 and (a + 2) * _R >> 64 == ba:  # down one pattern, or up one where B is flat
+                e = 1 if x > 0 else -1
+                a, bb = a + e, (a + e + 1) * _R >> 64
+                x, ba = x - e * (f1 if bb == ba else f0), bb
+            hi, _, lo = _chunk(a, local, b)
+            m -= pop[hi] + pop[lo]
+        else:
+            a, _, x = _chunk(x, place, b)
+            m -= pop[a]
     return m - pop[x]
 
 
@@ -271,7 +332,7 @@ def occurrence_count(n: int) -> int:
     """Number of palindrome occurrences (with repetition) in the length-n prefix.
 
     occurrence_count(0) is 0 by convention.  O(log n) steps: n's Zeckendorf
-    digits, peeled 19 at a time, in exact integer arithmetic with no memo and
+    digits, peeled 38 or 19 at a time, in exact integer arithmetic with no memo and
     no prefix materialization.  The sum is the module docstring's, its
     (m-2) fib(m+3) + m fib(m+1) read as (m-2) fib(m+2) + 2 (m-1) fib(m+1).
     """
@@ -288,12 +349,26 @@ def occurrence_count(n: int) -> int:
     total -= 5 * m * x
     c5 = 0  # 5 times the ones peeled so far
     top = (m - 2) // _PEEL_W  # the chunks above place 0
-    for place in _places[top:0:-1] if top < len(_places) else _places_down(top, m, fibs[m + 1], fibs[m]):
-        s, _, f1, f2, _, _, s1, s3 = place
-        a, ba, x = _chunk(x, place, b)
-        k = 2 * s + c5
-        total += f1 * (t1[a] + k * a - s * ba) + f2 * (t1[ba] + (k + s3) * ba - s1 * a)
-        c5 += 5 * pop[a]
+    for place in _runs[top] if top in _runs else _steps(top, m, fibs[m + 1], fibs[m]):
+        if len(place) > 8:
+            s, f0, f1, f2, sh, d, p1, p2, local = place  # a wide step, as end_count's
+            ba = ((a := (x >> sh) // d) + 1) * _R >> 64
+            x -= f1 * a + f2 * ba
+            if x < 0 or x >= f1 and (a + 2) * _R >> 64 == ba:
+                e = 1 if x > 0 else -1
+                a, bb = a + e, (a + e + 1) * _R >> 64
+                x, ba = x - e * (f1 if bb == ba else f0), bb
+            hi, _, lo = _chunk(a, local, b)
+            c, bl, k = 5 * pop[hi], b[lo], 2 * s + c5
+            total += (f1 * (p1[hi] + t1[lo] + c * lo + k * a - s * ba)
+                      + f2 * (p2[hi] + t1[bl] + (c + 3) * bl - lo + (k + s) * ba - s * a))
+            c5 += c + 5 * pop[lo]
+        else:
+            s, _, f1, f2, _, _, s1, s3 = place
+            a, ba, x = _chunk(x, place, b)
+            k = 2 * s + c5
+            total += f1 * (t1[a] + k * a - s * ba) + f2 * (t1[ba] + (k + s3) * ba - s1 * a)
+            c5 += 5 * pop[a]
     return _div5(total + t1[x] + c5 * x) + 2
 
 
@@ -306,6 +381,7 @@ def occurrence_count_trace(n: int) -> tuple[int, dict]:
         value = occurrence_count(n)
         return value, {"base_table": True, "value": value}
     m0 = m = fib_floor_index(n + 1)
+    check_cap(m, "count trace", _STEP_BYTES + 2 * (n.bit_length() // 8))  # m steps, two ints of n's width each
     fibs = fibword.fibs_through(m0)  # fibs[k + 1] is fib(k)
     f1, f2 = fibs[m], fibs[m - 1]  # fib(m-1), fib(m-2), moved down with m
     r1 = n - fibs[m + 1] + 2  # r + 1, r the offset in block m

@@ -333,6 +333,91 @@ def test_places_past_the_table_move_their_pair_down():
     assert len(fibword._fibs) == fibword.FIB_TABLE_MAX + 2
 
 
+def test_wide_tables_match_their_definitions():
+    # P[hi] is hi's chunk term at local place W with no ones above it, and P2[hi] that term one
+    # place down: T1's and T2's sums over hi's ones at local places W + j
+    w = counting._PEEL_W
+    end_count(10**18)  # its count takes a wide step
+    p1, p2 = counting._wide_tables
+    assert p1.typecode == p2.typecode == "q" and len(p1) == len(p2) == fib(w)
+    for hi in range(fib(w)):
+        ones = [w + j for j in zeckendorf(hi)]
+        assert p1[hi] == sum(5 * rho * fib(j) + (2 * j + 2) * fib(j) - (j + 2) * fib(j - 1)
+                             for rho, j in enumerate(ones)), hi
+        assert p2[hi] == sum(5 * rho * fib(j - 1) + (2 * j + 2) * fib(j - 1) - (j + 2) * fib(j - 2)
+                             for rho, j in enumerate(ones)), hi
+
+
+def test_wide_fixed_point_floor_is_exact():
+    # B(a) = floor_phi(a + 1) = (a + 1) _R >> 64 for every a <= fib(38): each p = a + 1
+    # against kernels.floor_phi_block, in blocks, with p _R split at 32 bits so that each
+    # part fits an int64: (p (_R >> 32) + (p (_R & 0xFFFFFFFF) >> 32)) >> 32
+    import numpy as np
+    from fibpal.kernels import floor_phi_block
+
+    top = fib(2 * counting._PEEL_W) + 1
+    hi, lo = counting._R >> 32, counting._R & 0xFFFFFFFF
+    size = 1 << 16
+    steps = np.arange(size, dtype=np.int64)
+    p, fixed, low, floors, *work = np.empty((6, size), dtype=np.int64)
+    for start in range(1, top + 1, size):
+        k = min(size, top + 1 - start)
+        np.add(steps[:k], start, out=p[:k])
+        np.multiply(p[:k], lo, out=low[:k])
+        low >>= 32
+        np.multiply(p[:k], hi, out=fixed[:k])
+        fixed += low
+        fixed >>= 32
+        floor_phi_block(p[:k], out=floors[:k], work=[row[:k] for row in work])
+        bad = np.flatnonzero(fixed[:k] != floors[:k])
+        assert not bad.size, int(p[bad[0]])
+    assert start + k - 1 == top and (top * counting._R) >> 64 == floor_phi(top)
+
+
+@pytest.mark.parametrize("s", [57, 95, 4997, 5035])
+def test_wide_step_corrects_its_estimate_by_one_step(s, monkeypatch):
+    # a count in block s + 39 takes the wide step at place s first; at both ends of the
+    # range of each of the first and last four 38-digit patterns a, every 2,000,003rd, and
+    # fib(j) + {-1, 0, 1}, where a / phi is nearest an integer: the estimate from the step's
+    # shift and divisor is within one of a, undershoots only where B(a) = B(a-1) and
+    # overshoots only where B rises, and both counts hand exactly a to the split at place W
+    w = counting._PEEL_W
+    m = s + 2 * w + 1
+    top = (m - 2) // w
+    step = next(iter(counting._steps(top, m, fib(m), fib(m - 1))))
+    _, f0, f1, f2, sh, d, _, _, local = step
+    assert len(step) == 9 and (step[0], f0, f1, f2) == (s, fib(s), fib(s - 1), fib(s - 2))
+    assert local is counting._places[1]
+    top_a = fib(2 * w)
+    patterns = sorted({*range(4), *range(0, top_a, 2000003), *range(top_a - 4, top_a),
+                       *(fib(j) + e for j in range(2 * w) for e in (-1, 0, 1) if 0 <= fib(j) + e < top_a)})
+
+    def h(a):
+        return f1 * a + f2 * floor_phi(a + 1)
+
+    chunk, split = counting._chunk, []
+
+    def recorded(x, place, b):
+        if place is local and not split:
+            split.append(x)
+        return chunk(x, place, b)
+
+    monkeypatch.setattr(counting, "_chunk", recorded)
+    for a in patterns:
+        for x in (h(a), h(a + 1) - 1):
+            guess = (x >> sh) // d
+            assert abs(guess - a) <= 1, (s, a, x, guess)
+            assert guess >= a or floor_phi(a + 1) == floor_phi(a), (s, a)
+            assert guess <= a or floor_phi(a + 2) > floor_phi(a + 1), (s, a)
+            n = fib(m + 1) - 2 - x
+            for count in (end_count, occurrence_count):
+                split.clear()
+                count(n)
+                assert split == [a], (s, a, x, count.__name__)
+            split.append(None)  # the count at n - 1 is checked by its answer, not its split
+            assert occurrence_count(n) - occurrence_count(n - 1) == end_count(n), (s, a, x)
+
+
 @pytest.mark.parametrize("n, step", [(fib(39) - 1, "down, B flat"), (267903349, "down, B rises"),
                                      (267896583, "up")])
 def test_count_command_takes_each_chunk_step(n, step, monkeypatch, capsys):
@@ -409,9 +494,46 @@ def test_peel_tables_are_lazy_small_and_quick():
     assert proc.returncode == 0 and proc.stdout.strip() == "ok", proc.stderr
 
 
+def test_wide_tables_are_lazy_small_and_quick():
+    # a fresh process: no count below block 78, the first whose top place, 76, pairs with
+    # place 57 in a wide step, builds P and P2; the first count there builds them once, in
+    # two words per pattern, timed by the least of three builds
+    code = """if True:
+        import sys, time, tracemalloc
+        from fibpal import counting
+        from fibpal.fibword import fib
+        for n in (1, 2, 7, 10**6, 10**15, fib(77) - 1, fib(78) - 2):
+            counting.end_count(n), counting.occurrence_count(n), counting.tail_sum(n)
+        assert counting._wide_tables is None and max(counting._runs) == 3
+        counting.end_count(fib(78) - 1)
+        tables = counting._wide_tables
+        assert tables is not None and [len(run) for run in counting._runs.values()][-1] == 3
+        for n in (10**18, 10**100, 10**1000 + 12345, 10**1100):
+            counting.end_count(n), counting.occurrence_count(n), counting.tail_sum(n)
+        assert counting._wide_tables is tables
+        times, place = [], counting._places[3]
+        for _ in range(3):
+            counting._wide_tables = None
+            start = time.perf_counter()
+            counting._wide(place)
+            times.append(time.perf_counter() - start)
+        assert min(times) <= 0.005, times
+        counting._wide_tables = None
+        tracemalloc.start()
+        step = counting._wide(place)
+        held, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert held <= 3 * 8 * fib(19) and peak <= 2**19, (held, peak)
+        assert "numpy" not in sys.modules
+        print("ok")
+    """
+    proc = _run(code)
+    assert proc.returncode == 0 and proc.stdout.strip() == "ok", proc.stderr
+
+
 def test_first_peels_from_eight_threads(monkeypatch):
-    # the tables and the chunk places are built by the first walks that peel:
-    # let eight threads race for them
+    # the tables, the chunk places and the runs of steps are built by the first
+    # walks that peel, each of which takes wide steps: let eight threads race for them
     from concurrent.futures import ThreadPoolExecutor
 
     rng = Random(8)
@@ -421,7 +543,9 @@ def test_first_peels_from_eight_threads(monkeypatch):
         end, tail, m, _ = reference_walk(n)
         expected[n] = (block_prefix_total(m) + tail, end)
     monkeypatch.setattr(counting, "_peel_tables", None)
+    monkeypatch.setattr(counting, "_wide_tables", None)
     monkeypatch.setattr(counting, "_places", [None])
+    monkeypatch.setattr(counting, "_runs", {})
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -434,6 +558,17 @@ def test_first_peels_from_eight_threads(monkeypatch):
     top = (fib_floor_index(max(ns) + 1) - 2) // w
     places = [counting._place(s, fib(s), fib(s - 1), fib(s - 2)) for s in range(w, top * w + 1, w)]
     assert counting._places == [None] + places
+    tops = {(fib_floor_index(n + 1) - 2) // w for n in ns}
+    assert set(counting._runs) == tops and min(tops) >= 4
+    for top, run in counting._runs.items():
+        js = [j for j in range(top, 0, -1) if j < 3 or j & 1]
+        assert [place[0] for place in run] == [w * j for j in js], top
+        for j, place in zip(js, run):
+            if j & 1 and 2 < j < top:  # a wide step holds the one pair of tables and the place W split
+                assert place[6] is counting._wide_tables[0] and place[7] is counting._wide_tables[1], top
+                assert place[8] is counting._places[1], top
+            else:
+                assert place is counting._places[j], top
 
 
 def chain_counts(n):
@@ -752,6 +887,40 @@ def test_expand_leaves_tile_the_cell():
             assert leaf.lo == expect
             expect = leaf.hi + 1
         assert expect == iv.hi + 1
+
+
+@pytest.mark.parametrize("e", [1000, 2000, 4000])
+def test_trace_peak_stays_under_its_charge(e, monkeypatch):
+    # before it walks, the trace charges the cap once for its m steps, each at
+    # _STEP_BYTES and two ints of n's width; its tracemalloc peak stays under that
+    n = 10**e + 12345
+    check, charged = counting.check_cap, []
+    monkeypatch.setattr(counting, "check_cap", lambda k, what, unit=1: (charged.append(k * unit), check(k, what, unit)))
+    occurrence_count_trace(10**6)
+    charged.clear()
+    tracemalloc.start()
+    try:
+        occurrence_count_trace(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    m = fib_floor_index(n + 1)
+    assert charged == [m * (counting._STEP_BYTES + 2 * (n.bit_length() // 8))]
+    assert peak <= charged[0], (peak, charged)
+
+
+def test_trace_refuses_past_the_cap(monkeypatch, capsys):
+    # at a 10**6-byte cap the trace at 10**2000 + 1 (9,569 steps) is refused before it
+    # walks, through the API and through the command (exit 2); 10**200 is still traced
+    from fibpal.cli import main
+
+    monkeypatch.setenv("FIBPAL_MAX_MATERIALIZE", str(10**6))
+    assert occurrence_count_trace(10**200)[0] == occurrence_count(10**200)
+    with pytest.raises(ResourceError, match="^count trace of 9569 items of 1980 bytes exceeds"):
+        occurrence_count_trace(10**2000 + 1)
+    assert main(["count", "--occurrences", "-n", str(10**2000 + 1), "--trace"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "count trace of 9569 items" in captured.err
 
 
 def test_expansion_respects_materialize_cap(monkeypatch):
