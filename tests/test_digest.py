@@ -124,31 +124,34 @@ def _kernel_edges() -> list[tuple[int, int]]:
     return [(m, p) for m in [*range(4995, 5011), 20000] for p in ps]
 
 
-def _correction_edges() -> list[int]:
+def _correction_edges(places=(19, 38, 57, 76)) -> list[int]:
     """n = fib(s + 21) - 2 - x in block s + 20, whose top 19-digit chunk is at
-    place s, for s = 19, 38, 57, 76, with x at both ends of pattern a's range,
+    place s, for s in places, with x at both ends of pattern a's range,
     H_s(a) and H_s(a + 1) - 1, H_s(a) = fib(s-1) a + fib(s-2) floor_phi(a + 1):
     the edges where the chunk's estimate of a is corrected, for the first four
     and last four of the fib(19) patterns and every 97th between them."""
     top = fib(19)
     patterns = sorted({*range(4), *range(0, top, 97), *range(top - 4, top)})
     out = []
-    for s in (19, 38, 57, 76):
+    for s in places:
         def h(a):
             return fib(s - 1) * a + fib(s - 2) * floor_phi(a + 1)
         out += [fib(s + 21) - 2 - x for a in patterns for x in (h(a), h(a + 1) - 1)]
     return out
 
 
-# "small" is every n < 3,000; "1eK" is six seeded n in [10**K, 10**(K + 1));
+# "small" is every n < 3,000; "1eK" is six seeded n in [10**K, 10**(K + 1)), three at 1e10000;
 # "fib-edges", "peel-edges" and "table-edges" are n next to the Fibonacci numbers
 # where the counting walks change course, "correction-edges" the n where a chunk's
 # estimate is corrected, "wide-edges" the n where a count's top place changes parity and
-# where the digits of a 38-digit pattern end; "kernel-edges" holds (m, p) pairs, the chain queries'
+# where the digits of a 38-digit pattern end, "odd-top-edges" the correction edges at the odd
+# top places 95, 4,997 and 5,035 (indices 5, 263 and 265); "kernel-edges" holds (m, p) pairs, the chain queries'
 # kernel index and occurrence; "words" is the word magnitude, the one the word functions take
 MAGNITUDES = {"small": range(1, 3000), **{f"1e{k}": _seeded(k) for k in (6, 18, 100, 1000, 4000)},
+              "1e10000": _seeded(10000)[:3],
               "fib-edges": _fib_edges(), "peel-edges": _peel_edges(), "table-edges": _table_edges(),
-              "correction-edges": _correction_edges(), "wide-edges": _wide_edges(),
+              "correction-edges": _correction_edges(), "odd-top-edges": _correction_edges((95, 4997, 5035)),
+              "wide-edges": _wide_edges(),
               "kernel-edges": _kernel_edges(), "words": _words()}
 
 
@@ -267,9 +270,11 @@ DIGESTS = {
     ("end_count", "1e100"): "8e08b6e15128ed407ef1d446ab94ef7a5930a487bbc822026d5f59c28cb8d4de",
     ("end_count", "1e1000"): "19ef84de9efe12e23a0d751181bb2fb776be5b475db598e3777a0161599ad85e",
     ("end_count", "1e4000"): "508654fcc52d188c33909047d9b224142d06e87872a79844f3253ad99201bbe0",
+    ("end_count", "1e10000"): "e5479dec60e4b0163363621cc850f437f3ccc477328d3c21bca3c6d99ea0215c",
     ("end_count", "fib-edges"): "047ebc2f63cbab0bafd2c8ab734067b8af8f77c82a9971fb71e8875787acba38",
     ("end_count", "peel-edges"): "3eaa8fa03d2db100d6ce5a2fd0872dcdf29e92921a32e080e41e10585ac5c8b5",
     ("end_count", "correction-edges"): "ddbae838a0f46112ffe552867ba63e36a8d857acdf3062e4749e512641c5d7f8",
+    ("end_count", "odd-top-edges"): "e3eace058957ed4f92940b7ba0f0bd50d95e51b49526b68bc3dfe03eb175b3c9",
     ("end_count", "table-edges"): "6a471b9b3e3612665ef447d8f9df626794e52f336d8cbc4c5210a9a94bc2ddc1",
     ("end_count", "wide-edges"): "246773202de2e47584ebfb05536ec1ead7f525277a9088df85ca17fc9ef0eaca",
     ("occurrence_count", "small"): "08c8948b1b0904a0a3c77b38c559bac2a7cfa77a45db5eaecbfdb289e582f40c",
@@ -278,9 +283,11 @@ DIGESTS = {
     ("occurrence_count", "1e100"): "81cec5637a51883d47199ceff03ff6422f008f9b6bf53b6bc8cb54b6f75fce68",
     ("occurrence_count", "1e1000"): "2dbfb5f3de957bbe369411672ca21659bf212071b1459a45fab359504e27d713",
     ("occurrence_count", "1e4000"): "56c96f52e4b849ebe52698c040d5663ed0751ab085022efe73f959faad78a42b",
+    ("occurrence_count", "1e10000"): "c28ef9e081c8dbd9c394448b37218cd1c57a1676d6b7459a52946a26d65d5e82",
     ("occurrence_count", "fib-edges"): "84612f6f3cb23d2fd4ad38ebd3d2366568c9f225eb2fa97c83aecff30707eadd",
     ("occurrence_count", "peel-edges"): "bca471bd0ddfb4152e377ae153565e463fc5bd9ab17fe7d815114a02f553ae7f",
     ("occurrence_count", "correction-edges"): "4d185938b58c46ea2f176904fc0dc82e7800c938b62afa6f360dd517c42ecae7",
+    ("occurrence_count", "odd-top-edges"): "6a0f3c6fc89725fcb9536c626dadc5d8586975a41ba44033024e2c6f17b8d39f",
     ("occurrence_count", "table-edges"): "747c24aac85ff3f494b306497a7a0f242fdb7b99dcf00940fc8d71c3479952f8",
     ("occurrence_count", "wide-edges"): "6a3e81daaa438e3069fe8a69723e80c6b04ce9bee00836f0ffd7d80d8fee1185",
     ("tail_sum", "small"): "59b1401e6920430c23a2d3becdb07349e58688078ed81daf2aa74af6ea565de5",
@@ -289,9 +296,11 @@ DIGESTS = {
     ("tail_sum", "1e100"): "212848cc216cd225c32e72d4fdfd888c5143b4ef3f283767278dfba33e888036",
     ("tail_sum", "1e1000"): "2479c1e7b21353bd813b7e5cbdf19df82512ddadb287e3a8ef2896caefc854ae",
     ("tail_sum", "1e4000"): "b0a3a91c0a5037f4570e7f2729276753e14e02db9f4eab5d5da8ca50938cec97",
+    ("tail_sum", "1e10000"): "b26bd945d5fb864cdad4246cf53e2fad6bf89400256712abfd739e54d4b193d7",
     ("tail_sum", "fib-edges"): "ea5749e6cf9730f1dbcecd4a4869882361c164718a03c2ba4ec0c5eb2a06a95d",
     ("tail_sum", "peel-edges"): "de7de597ec063bb5a0b481ca8f8d7b30885ec4a6453d7832c23977ccfcc95ea0",
     ("tail_sum", "correction-edges"): "b0130c54bd1a9cccea85656c3b62b1a3a830d1756e2df61d34e1568bd094e7c6",
+    ("tail_sum", "odd-top-edges"): "945d2794738cdc98d09fbc863f0aa80814608943437da1282bb23e5d4f68f84b",
     ("tail_sum", "table-edges"): "20c40009bce870a6e77c20b7f66219021bbc0e170439f48dcd844e0496aac1ff",
     ("tail_sum", "wide-edges"): "7c9de48b1a7b5fe85afa9b924110d5ee64ed8c8309fb86a030a17b45a7c8d7af",
     ("occurrence_count_trace.tail", "small"): "c21e9d67e872b3087adc6a59a0c6ec2fbd1cc273cb47235a4542e5cff474288c",
