@@ -47,13 +47,13 @@ The counts peel X W = _PEEL_W digits at a time, in chunks at places s .. s+W-1
 with s a multiple of W, from s = W floor((m-2)/W), whose pattern may be
 partial, down to s = 0.  For x < fib(s+W), the pattern a of x's digits there
 is the largest a with H_s(a) = fib(s-1) a + fib(s-2) B(a) <= x, B(a) =
-floor_phi(a+1) being a's expansion one place down: for s >= W an estimate from
-40 leading bits and one exact step at most find it, and x - H_s(a) < fib(s);
-at s = 0, H_0(a) = a (fib(-1) = 1, fib(-2) = 0), so the last pattern is the x
-left.  A chunk adds POP[a] = z(a) ones, so end_count(n) = m - sum POP[a], and
-to 5 sum_{x<X} z(x) it adds fib(s-1) (T1[a] + s (2a - B) + 5 c a) + fib(s-2)
-(T1[B] + (s+1) (3B - a) + 5 c B), c the ones above it (T1[a] + 5 c a at s = 0),
-where over a's ones at local place j, rho ones above each,
+floor_phi(a+1) being a's expansion one place down: for s >= W an estimate and
+one exact step at most find it, and x - H_s(a) < fib(s); at s = 0, H_0(a) = a
+(fib(-1) = 1, fib(-2) = 0), so the last pattern is the x left.  A chunk adds
+POP[a] = z(a) ones, so end_count(n) = m - sum POP[a], and to 5 sum_{x<X} z(x)
+it adds fib(s-1) (T1[a] + s (2a - B) + 5 c a) + fib(s-2) (T1[B] + (s+1) (3B -
+a) + 5 c B), c the ones above it (T1[a] + 5 c a at s = 0), where over a's ones
+at local place j, rho ones above each,
 
     T1[a] = sum 5 rho fib(j) + (2j+2) fib(j) - (j+2) fib(j-1) = 5 sum_{y<a} POP[y],
     T1[B] + 3B - a = sum 5 rho fib(j-1) + (2j+2) fib(j-1) - (j+2) fib(j-2),
@@ -67,19 +67,19 @@ fib(j).  As block_prefix_total(m+1) - m X + sum_{x<X} z(x),
 one division by 5, which checks the whole sum.
 
 From s = 3W on, at odd s/W, one big-int step peels places s .. s+2W-1 as one pattern a <
-fib(2W): _chunk's estimate on a 72-bit cut, one exact step, B(a) = (a+1) R >> 64 with R =
-floor(2**64 / g), and _chunk at place W to split a into hi and lo.  B is exact, equal to
-floor_phi(a+1) for every a <= fib(2W), as a test checks; one step suffices, as the least
-|1/g - frac((a+1)/g)| / sqrt 5 for 0 < a < fib(2W), 3.2e-9 at a = fib(2W-1), exceeds the
-cut's error, < 1e-13, and _chunk's e, 1.5e-16 at s = 57 (1.3e-8 at s = 38, so places W and
-2W, and an odd top place, stay single).  The step adds fib(s-1) (P[hi] + T1[lo] + c lo + k a
+fib(2W), at the top place too (there x < fib(s+W)): _chunk's estimate on a 72-bit cut, one
+exact step, B(a) = (a+1) R >> 64 with R = floor(2**64 / g), and _chunk at place W to split a
+into hi and lo.  B is exact, equal to floor_phi(a+1) for every a <= fib(2W), as a test checks;
+one step suffices, as the least |1/g - frac((a+1)/g)| / sqrt 5 for 0 < a < fib(2W), 3.2e-9 at
+a = fib(2W-1), exceeds the cut's error, < 1e-13, and _chunk's e, 1.5e-16 at s = 57 (1.3e-8 at
+s = 38, so places W and 2W stay single).  The step adds fib(s-1) (P[hi] + T1[lo] + c lo + k a
 - s B) + fib(s-2) (P2[hi] + T1[b] + (c+3) b - lo + (k+s) B - s a), B = B(a), b = B(lo), c =
 5 POP[hi], k = 2s + 5 (ones above), P[hi] being hi's chunk term at place W, P2[hi] that term
-one place down.  A count's steps are made once per top place inside the Fibonacci table, and
-past it one at a time from (fib(m), fib(m-1)), moved down to the top place by the recurrence,
-then W places at a time by one Cassini step.  POP (bytes), B ('H', with B[fib(W)]) and T1
-('i'), 10,946 entries in ~78 KiB, are built by a process's first count, P and P2 ('q',
-~171 KiB) by its first wide step.
+one place down.  A count's steps are a slice of one ladder, the steps at places W, 2W, 3W, 5W,
+7W, ... inside the Fibonacci table; past it its wide steps come from (fib(m), fib(m-1)), moved
+down to the top one's place by the recurrence, then 2W places at a time by one Cassini step.
+POP (bytes), B ('H', with B[fib(W)]) and T1 ('i'), 10,946 entries in ~78 KiB, are built by a
+process's first count, P and P2 ('q', ~171 KiB) when the ladder first reaches 3W.
 
 Interval splitting
 ------------------
@@ -119,9 +119,9 @@ _END_BASE = (1, 1, 2, 2, 2, 3)
 # against 1.4 ms for W = 19, and the build lands in a process's first count.
 _PEEL_W = 19
 _peel_tables = None  # (POP, B, T1), built on the first count
-_wide_tables = None  # (P, P2), built on the first wide step
-_places = [None]  # _places[k] is place W k, k >= 1, built on demand inside the Fibonacci table
-_runs = {}  # top -> the steps of a count whose top place is W top, inside the Fibonacci table
+_wide_tables = None  # (P, P2), built when _ladder first reaches place 3W
+_ladder = []  # the steps at places W, 2W, 3W, 5W, 7W, ... inside the Fibonacci table, built on demand
+_runs = {}  # top -> _ladder's steps for a count whose top place is W top, inside the Fibonacci table
 _peel_lock = threading.Lock()
 _R = fibword._PHI >> 4032  # floor(2**64 / g): B(a) = (a + 1) _R >> 64 for a <= fib(2W)
 
@@ -163,75 +163,67 @@ def _tables():
 
 
 def _place(s: int, f0: int, f1: int, f2: int) -> tuple:
-    """Place s as _chunk and occurrence_count take it, from f0, f1, f2 = fib(s), fib(s-1), fib(s-2)."""
-    sh = f1.bit_length() - 40 if f1 >= 1 << 40 else 0  # a shorter fib(s-1) gives the exact L_s
-    return s, f0, f1, f2, sh, ((f1 >> sh) << 1) - (f2 >> sh), s + 1, s + 3
-
-
-def _places_down(top: int, m: int, f0: int, f1: int) -> Iterator[tuple]:
-    """Places W top, ..., 2W, W of a count in block m: past the Fibonacci table made one at
-    a time from its f0, f1 = fib(m), fib(m-1), inside it from _places."""
-    w = _PEEL_W
-    fibs = fibword.fibs_through(min(w * top, FIB_TABLE_MAX))
-    with _peel_lock:
-        _places.extend(_place(s, fibs[s + 1], fibs[s], fibs[s - 1])
-                       for s in range(w * len(_places), w * min(top, FIB_TABLE_MAX // w) + 1, w))
-    if w * top > FIB_TABLE_MAX:
-        for _ in range(m - w * top):  # 2 .. 20 steps down to (fib(W top), fib(W top - 1))
-            f0, f1 = f1, f0 - f1
-        for s in range(w * top, FIB_TABLE_MAX, -w):
-            yield _place(s, f0, f1, f0 - f1)
-            # W is odd, so by Cassini fib(s-W) = fib(W-2) fib(s-1) - fib(W-3) fib(s)
-            # and fib(s-W-1) = fib(W-2) fib(s) - fib(W-1) fib(s-1)
-            f0, f1 = fibs[w - 1] * f1 - fibs[w - 2] * f0, fibs[w - 1] * f0 - fibs[w] * f1
-    yield from _places[top:0:-1]
-
-
-def _wide(place: tuple) -> tuple:
-    """The wide step at place s, (s, fib(s), fib(s-1), fib(s-2), shift, divisor, P, P2, place W), from
-    place s.  The first builds P and P2 on columns read as ints of 64-bit lanes, each result in [0, 2**33)."""
-    global _wide_tables
-    if _wide_tables is None:
-        pop, b, t1 = _peel_tables or _tables()
-        with _peel_lock:
-            if _wide_tables is None:
-                w, f, n, order = _PEEL_W, fibword.fibs_through(_PEEL_W), len(t1), sys.byteorder  # f[k + 1] is fib(k)
-                tables = array("q"), array("q")
-                for lo in range(0, n, 1024):  # in blocks, so that the build holds little beyond the tables
-                    hi = min(lo + 1024, n)
-                    t, tb, a, bv = (int.from_bytes(struct.pack(f"={hi - lo}q", *v), order)
-                                    for v in (t1[lo:hi], [t1[v] for v in b[lo:hi]], range(lo, hi), b[lo:hi]))
-                    e1, e2 = t + w * (2 * a - bv), tb + (3 * w + 3) * bv - (w + 1) * a
-                    for table, (g1, g2) in zip(tables, (f[w:w - 2:-1], f[w - 1:w - 3:-1])):
-                        table.frombytes((g1 * e1 + g2 * e2).to_bytes(8 * (hi - lo), order))
-                _wide_tables = tables
-    s, f0, f1, f2, _, _, _, _ = place
-    p1, p2 = _wide_tables
-    sh = max(f1.bit_length() - 72, 0)  # a 72-bit cut, or the exact L_s
-    return s, f0, f1, f2, sh, ((f1 >> sh) << 1) - (f2 >> sh), p1, p2, _places[1]
+    """Place s as the counts take it, from f0, f1, f2 = fib(s), fib(s-1), fib(s-2)."""
+    sh = max(f1.bit_length() - 72, 0)  # a 72-bit cut, or the exact L_s at W and 2W
+    return s, f0, f1, f2, sh, ((f1 >> sh) << 1) - (f2 >> sh)
 
 
 def _steps(top: int, m: int, f0: int, f1: int):
-    """The steps of a count in block m whose top place is W top, from _places_down's: a wide one at
-    each odd j >= 3 below top, for places W j and W (j+1), else a place alone; kept in _runs."""
-    steps = (_wide(place) if j & 1 and 2 < j < top else place
-             for j, place in zip(range(top, 0, -1), _places_down(top, m, f0, f1)) if j < 3 or j & 1)
-    if _PEEL_W * top <= FIB_TABLE_MAX:
-        _runs[top] = steps = list(steps)
+    """The steps of a count in block m whose top place is W top, highest first: a wide one at each odd
+    j >= 3 up to top, for places W j and W (j+1), then places 2W and W.  Inside the Fibonacci table they
+    are a slice of _ladder, kept in _runs; past it the wide ones come from f0, f1 = fib(m), fib(m-1),
+    then the whole ladder.  As the ladder first reaches place 3W, P and P2 are built on columns read
+    as ints of 64-bit lanes, each result in [0, 2**33)."""
+    global _wide_tables
+    w = _PEEL_W
+    t = min(top, FIB_TABLE_MAX // w)
+    k = min(t, (t + 3) // 2)  # the ladder's steps up to place W t
+    if len(_ladder) < k:
+        fibs, (_, b, t1) = fibword.fibs_through(w * t), _peel_tables or _tables()  # fibs[k + 1] is fib(k)
+        with _peel_lock:
+            for i in range(len(_ladder), k):
+                if i == 2:  # place 3W, the first wide step: P and P2 first, with the lock already held
+                    tables, n, order = (array("q"), array("q")), len(t1), sys.byteorder
+                    for lo in range(0, n, 1024):  # in blocks, so that the build holds little beyond the tables
+                        hi = min(lo + 1024, n)
+                        ta, tb, a, bv = (int.from_bytes(struct.pack(f"={hi - lo}q", *v), order)
+                                         for v in (t1[lo:hi], [t1[v] for v in b[lo:hi]], range(lo, hi), b[lo:hi]))
+                        e1, e2 = ta + w * (2 * a - bv), tb + (3 * w + 3) * bv - (w + 1) * a
+                        for table, (g1, g2) in zip(tables, (fibs[w:w - 2:-1], fibs[w - 1:w - 3:-1])):
+                            table.frombytes((g1 * e1 + g2 * e2).to_bytes(8 * (hi - lo), order))
+                    _wide_tables = tables
+                s = w * max(i + 1, 2 * i - 1)
+                _ladder.append(_place(s, fibs[s + 1], fibs[s], fibs[s - 1]))
+    steps = _ladder[k - 1::-1] if k else []
+    if t < top:
+        return _down(top, m, f0, f1, steps)
+    _runs[top] = steps
     return steps
 
 
+def _down(top: int, m: int, f0: int, f1: int, ladder: list) -> Iterator[tuple]:
+    """Past the Fibonacci table, the wide steps of a count in block m from f0, f1 = fib(m), fib(m-1),
+    moved down to the top one's place by the recurrence, then 2W places at a time; then the ladder."""
+    w, fibs = _PEEL_W, fibword.fibs_through(2 * _PEEL_W)
+    for _ in range(m - w * (top - 1 | 1)):  # 2 .. 39 steps down to the top wide step's (fib(s), fib(s-1))
+        f0, f1 = f1, f0 - f1
+    for s in range(w * (top - 1 | 1), FIB_TABLE_MAX, -2 * w):
+        yield _place(s, f0, f1, f0 - f1)
+        # by Cassini, fib(s-2W) = fib(2W-3) fib(s) - fib(2W-2) fib(s-1)
+        # and fib(s-2W-1) = fib(2W-1) fib(s-1) - fib(2W-2) fib(s)
+        f0, f1 = fibs[2 * w - 2] * f0 - fibs[2 * w - 1] * f1, fibs[2 * w] * f1 - fibs[2 * w - 1] * f0
+    yield from ladder
+
+
 def _chunk(x: int, place: tuple, b) -> tuple[int, int, int]:
-    """(a, B(a), x - H_s(a)) for x < fib(s + W) and place = (s, fib(s), fib(s-1),
-    fib(s-2), shift, divisor, s+1, s+3), s a positive multiple of W: a is x's pattern at places s ..
-    s+W-1.  With g = (1 + sqrt 5)/2 and L_s = 2 fib(s-1) - fib(s-2), H_s(a) / L_s =
-    a + (1/g - frac((a+1)/g)) / sqrt 5 + e, |e| < 2e-4 at s = 19, < 2e-12 from 38 on,
-    so the estimate floor(x / L_s) undershoots a only if frac((a+1)/g) > 1/g: then
-    frac(a/g) + 1/g < 1, B(a) = B(a-1), and H_s(a) - H_s(a-1) is fib(s-1), not fib(s)
-    as where B rises.  A test finds it one step at most from a at s = 19 .. 190,
-    4,997 and 5,016; past s = 38 its error, < 3e-8 with the 40-bit cut, is below the
-    least |1/g - frac((a+1)/g)| / sqrt 5, 1.8e-5 for 0 < a <= fib(W): so at every s."""
-    _, f0, f1, f2, sh, d, _, _ = place
+    """(a, B(a), x - H_s(a)) for x < fib(s + W) and place = (s, fib(s), fib(s-1), fib(s-2),
+    shift, divisor), s = W or 2W: a is x's pattern at places s .. s+W-1.  With g = (1 + sqrt 5)/2
+    and L_s = 2 fib(s-1) - fib(s-2), the divisor, H_s(a) / L_s = a + (1/g - frac((a+1)/g)) / sqrt 5
+    + e, |e| < 2e-4 at s = 19, < 2e-12 at 38, so the estimate floor(x / L_s) undershoots a only if
+    frac((a+1)/g) > 1/g: then frac(a/g) + 1/g < 1, B(a) = B(a-1), and H_s(a) - H_s(a-1) is
+    fib(s-1), not fib(s) as where B rises.  A test finds it one step at most from a at both ends
+    of every pattern's range, at both places."""
+    _, f0, f1, f2, sh, d = place
     a = (x >> sh) // d
     ba = b[a]
     x -= f1 * a + f2 * ba
@@ -256,15 +248,15 @@ def end_count(n: int) -> int:
     x = fibs[m + 2] - 2 - n
     top = (m - 2) // _PEEL_W  # the chunks above place 0
     for place in _runs[top] if top in _runs else _steps(top, m, fibs[m + 1], fibs[m]):
-        if len(place) > 8:  # a wide step: _chunk's estimate and step, then _chunk at place W splits a
-            _, f0, f1, f2, sh, d, _, _, local = place
+        s, f0, f1, f2, sh, d = place
+        if s > 2 * _PEEL_W:  # a wide step: _chunk's estimate and step, then _chunk at place W splits a
             ba = ((a := (x >> sh) // d) + 1) * _R >> 64  # a estimated, B(a) by _R
             x -= f1 * a + f2 * ba
             if x < 0 or x >= f1 and (a + 2) * _R >> 64 == ba:  # down one pattern, or up one where B is flat
                 e = 1 if x > 0 else -1
                 a, bb = a + e, (a + e + 1) * _R >> 64
                 x, ba = x - e * (f1 if bb == ba else f0), bb
-            hi, _, lo = _chunk(a, local, b)
+            hi, _, lo = _chunk(a, _ladder[0], b)
             m -= pop[hi] + pop[lo]
         else:
             a, _, x = _chunk(x, place, b)
@@ -350,24 +342,24 @@ def occurrence_count(n: int) -> int:
     c5 = 0  # 5 times the ones peeled so far
     top = (m - 2) // _PEEL_W  # the chunks above place 0
     for place in _runs[top] if top in _runs else _steps(top, m, fibs[m + 1], fibs[m]):
-        if len(place) > 8:
-            s, f0, f1, f2, sh, d, p1, p2, local = place  # a wide step, as end_count's
+        s, f0, f1, f2, sh, d = place
+        if s > 2 * _PEEL_W:  # a wide step, as end_count's
             ba = ((a := (x >> sh) // d) + 1) * _R >> 64
             x -= f1 * a + f2 * ba
             if x < 0 or x >= f1 and (a + 2) * _R >> 64 == ba:
                 e = 1 if x > 0 else -1
                 a, bb = a + e, (a + e + 1) * _R >> 64
                 x, ba = x - e * (f1 if bb == ba else f0), bb
-            hi, _, lo = _chunk(a, local, b)
+            hi, _, lo = _chunk(a, _ladder[0], b)
+            p1, p2 = _wide_tables
             c, bl, k = 5 * pop[hi], b[lo], 2 * s + c5
             total += (f1 * (p1[hi] + t1[lo] + c * lo + k * a - s * ba)
                       + f2 * (p2[hi] + t1[bl] + (c + 3) * bl - lo + (k + s) * ba - s * a))
             c5 += c + 5 * pop[lo]
         else:
-            s, _, f1, f2, _, _, s1, s3 = place
             a, ba, x = _chunk(x, place, b)
             k = 2 * s + c5
-            total += f1 * (t1[a] + k * a - s * ba) + f2 * (t1[ba] + (k + s3) * ba - s1 * a)
+            total += f1 * (t1[a] + k * a - s * ba) + f2 * (t1[ba] + (k + s + 3) * ba - (s + 1) * a)
             c5 += 5 * pop[a]
     return _div5(total + t1[x] + c5 * x) + 2
 

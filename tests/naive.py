@@ -143,12 +143,13 @@ def zeckendorf(x: int) -> list[int]:
     """The places of x's 1-digits, highest first, in the greedy Zeckendorf
     expansion over fib(0) = 1, fib(1) = 2, fib(2) = 3, ...: at each place from
     the top down, take fib(place) whenever it fits."""
-    place = 0
-    while fib(place + 1) <= x:
-        place += 1
+    place, f, g = 0, 1, 1  # fib(place), fib(place - 1)
+    while f + g <= x:
+        place, f, g = place + 1, f + g, f
     out = []
     for k in range(place, -1, -1):
-        if fib(k) <= x:
+        if f <= x:
             out.append(k)
-            x -= fib(k)
+            x -= f
+        f, g = g, f - g
     return out

@@ -269,27 +269,20 @@ class _Reads:
         return self.b[i]
 
 
-def test_chunk_corrects_its_estimate_by_one_step(monkeypatch):
-    # both ends of every pattern's range, H_s(a) and H_s(a+1) - 1, at the first
-    # ten chunk places, the last one inside the Fibonacci table and one past it,
-    # each place as the counts get it, with its shift and divisor: the estimate
-    # (the first index read) is monotone in x, so between them it is within one
+def test_chunk_corrects_its_estimate_by_one_step():
+    # both ends of every pattern's range, H_s(a) and H_s(a+1) - 1, at places W and 2W,
+    # the only places _chunk runs at (place W also splits each wide step's pattern), each
+    # place as the counts get it from the ladder, with the exact L_s as its divisor: the
+    # estimate (the first index read) is monotone in x, so between them it is within one
     # of a, and it never undershoots a pattern that B rises into
     _, b, _ = counting._tables()
     w = counting._PEEL_W
     top = fib(w)
-    past = fibword.FIB_TABLE_MAX // w + 1  # place W past is the first past the table
-    wanted = {*range(w, 11 * w, w), (past - 1) * w, past * w}
-    monkeypatch.setattr(counting, "_places", [None])  # built here, from this process's table
-    m = w * past + 2  # the block whose top place is W past
-    places = [place for place in counting._places_down(past, m, fib(m), fib(m - 1)) if place[0] in wanted]
-    assert [place[0] for place in places] == sorted(wanted, reverse=True)
-    assert len(counting._places) == past  # place 0's slot and the places inside the table, none past it
-    for place in places:
-        s, f0, f1, f2, _, _, s1, s3 = place
-        assert (f0, f1, f2, s1, s3) == (fib(s), fib(s - 1), fib(s - 2), s + 1, s + 3), s
-        # a held place is the list's, and shares the table's ints
-        assert s == past * w or place is counting._places[s // w] and f2 is fib(s - 2), s
+    end_count(fib(2 * w + 2))  # block 2W + 2, whose top place is 2W
+    for s, place in zip((w, 2 * w), counting._ladder):
+        f1, f2 = fib(s - 1), fib(s - 2)
+        assert place == (s, fib(s), f1, f2, 0, 2 * f1 - f2), s
+        assert place[3] is f2, s  # a ladder place shares the table's ints
         view = _Reads(b)
         edges = [f1 * a + f2 * b[a] for a in range(top + 1)]  # H_s(a), up to H_s(fib(W)) = fib(s + W)
         assert edges[top] == fib(s + w), s
@@ -304,32 +297,36 @@ def test_chunk_corrects_its_estimate_by_one_step(monkeypatch):
 
 
 def test_places_past_the_table_move_their_pair_down():
-    # past the Fibonacci table _places_down moves the count's pair (fib(m), fib(m-1))
-    # down the 2 .. 20 indices to its top place W top, then (fib(s), fib(s-1)) down W
-    # indices per place by one Cassini step with the table's fib(W-1), fib(W-2),
-    # fib(W-3); for blocks from the first whose top place is past the table (s = 5,016,
-    # 20 indices below m = 5,036; 5,037 steps 2 to s = 5,035) to the index limit, every
-    # place equals the one built from a pair read by fib() at m and moved down by the
-    # recurrence alone, with fib() itself checked at the top, at the lowest place past
-    # the table and at one seeded place between, and _places holds none of them
+    # past the Fibonacci table a count's wide steps come from its pair (fib(m), fib(m-1)),
+    # moved down the 2 .. 39 indices to its top wide step's place W j, j the largest odd
+    # index up to top, then 2W indices per step by one Cassini step with the table's
+    # fib(2W-1), fib(2W-2), fib(2W-3); for blocks from the first whose top place is past
+    # the table (top 264, whose top wide step, at 4,997, is the ladder's) to the index
+    # limit, every step equals the one built from a pair read by fib() at m and moved down
+    # by the recurrence alone, with fib() itself checked at the top wide step, at the
+    # lowest past the table (5,035) and at one seeded step between; the steps below the
+    # table are the whole ladder's own, and _runs keeps none of these counts
     rng = Random(5000)
     w = counting._PEEL_W
     past, limit = fibword.FIB_TABLE_MAX // w + 1, fibword.FIB_INDEX_MAX
-    for m in (w * past + 20, w * past + 21, w * past + 4 * w + 11, limit - 1, limit - 2,
-              *(rng.randint(w * past + 2, limit - 1) for _ in range(4))):
+    for m in (w * past + 2, w * past + 20, w * past + 21, w * past + 2 * w + 20, w * past + 4 * w + 11,
+              limit - 1, limit - 2, *(rng.randint(w * past + 2, limit - 1) for _ in range(4))):
         top = (m - 2) // w
-        assert top >= past and 2 <= m - w * top <= 20, m
-        places = counting._places_down(top, m, fib(m), fib(m - 1))
+        j = top - 1 | 1
+        assert top >= past and 2 <= m - w * j <= 2 * w + 1, m
+        steps = iter(counting._steps(top, m, fib(m), fib(m - 1)))
         f0, f1, k = fib(m), fib(m - 1), m
-        checked = {w * top, w * past, w * rng.randint(past, top)}
-        for s in range(w * top, fibword.FIB_TABLE_MAX, -w):
+        checked = {w * j, w * (past + 1), w * (rng.randint(past, top) - 1 | 1)}
+        for s in range(w * j, fibword.FIB_TABLE_MAX, -2 * w):
             while k > s:
                 f0, f1, k = f1, f0 - f1, k - 1
-            place = next(places)
-            assert place == counting._place(s, f0, f1, f0 - f1), (m, s)
-            assert s not in checked or place[1:4] == (fib(s), fib(s - 1), fib(s - 2)), (m, s)
-        assert list(places) == counting._places[past - 1:0:-1], m
-    assert len(counting._places) == past
+            step = next(steps)
+            assert step == counting._place(s, f0, f1, f0 - f1), (m, s)
+            assert s not in checked or step[1:4] == (fib(s), fib(s - 1), fib(s - 2)), (m, s)
+        rest = list(steps)
+        assert len(rest) == len(counting._ladder) == (past + 2) // 2, m
+        assert all(step is held for step, held in zip(rest, reversed(counting._ladder))), m
+    assert max(counting._runs) < past
     assert len(fibword._fibs) == fibword.FIB_TABLE_MAX + 2
 
 
@@ -376,46 +373,45 @@ def test_wide_fixed_point_floor_is_exact():
 
 @pytest.mark.parametrize("s", [57, 95, 4997, 5035])
 def test_wide_step_corrects_its_estimate_by_one_step(s, monkeypatch):
-    # a count in block s + 39 takes the wide step at place s first; at both ends of the
-    # range of each of the first and last four 38-digit patterns a, every 2,000,003rd, and
-    # fib(j) + {-1, 0, 1}, where a / phi is nearest an integer: the estimate from the step's
-    # shift and divisor is within one of a, undershoots only where B(a) = B(a-1) and
-    # overshoots only where B rises, and both counts hand exactly a to the split at place W
+    # a count in block s + 39, whose top place s + 19 is even, and one in block s + 20, whose
+    # top place s is odd, take the wide step at place s first, with a < fib(2W) and a < fib(W);
+    # at both ends of the range of each of the first and last four such patterns a, every
+    # 2,000,003rd, and fib(j) + {-1, 0, 1}, where a / phi is nearest an integer: the estimate
+    # from the step's shift and divisor is within one of a, undershoots only where B(a) = B(a-1)
+    # and overshoots only where B rises, and both counts hand exactly a to the split at place W
     w = counting._PEEL_W
-    m = s + 2 * w + 1
-    top = (m - 2) // w
-    step = next(iter(counting._steps(top, m, fib(m), fib(m - 1))))
-    _, f0, f1, f2, sh, d, _, _, local = step
-    assert len(step) == 9 and (step[0], f0, f1, f2) == (s, fib(s), fib(s - 1), fib(s - 2))
-    assert local is counting._places[1]
-    top_a = fib(2 * w)
-    patterns = sorted({*range(4), *range(0, top_a, 2000003), *range(top_a - 4, top_a),
-                       *(fib(j) + e for j in range(2 * w) for e in (-1, 0, 1) if 0 <= fib(j) + e < top_a)})
-
-    def h(a):
-        return f1 * a + f2 * floor_phi(a + 1)
-
     chunk, split = counting._chunk, []
 
     def recorded(x, place, b):
-        if place is local and not split:
+        if place is counting._ladder[0] and not split:
             split.append(x)
         return chunk(x, place, b)
 
     monkeypatch.setattr(counting, "_chunk", recorded)
-    for a in patterns:
-        for x in (h(a), h(a + 1) - 1):
-            guess = (x >> sh) // d
-            assert abs(guess - a) <= 1, (s, a, x, guess)
-            assert guess >= a or floor_phi(a + 1) == floor_phi(a), (s, a)
-            assert guess <= a or floor_phi(a + 2) > floor_phi(a + 1), (s, a)
-            n = fib(m + 1) - 2 - x
-            for count in (end_count, occurrence_count):
-                split.clear()
-                count(n)
-                assert split == [a], (s, a, x, count.__name__)
-            split.append(None)  # the count at n - 1 is checked by its answer, not its split
-            assert occurrence_count(n) - occurrence_count(n - 1) == end_count(n), (s, a, x)
+    for m in (s + 2 * w + 1, s + w + 1):
+        top, top_a = (m - 2) // w, fib(m - 1 - s)
+        step = next(iter(counting._steps(top, m, fib(m), fib(m - 1))))
+        _, f0, f1, f2, sh, d = step
+        assert step == counting._place(s, fib(s), fib(s - 1), fib(s - 2)) and s > 2 * w, m
+        patterns = sorted({*range(4), *range(0, top_a, 2000003), *range(top_a - 4, top_a),
+                           *(fib(j) + e for j in range(2 * w) for e in (-1, 0, 1) if 0 <= fib(j) + e < top_a)})
+
+        def h(a):
+            return f1 * a + f2 * floor_phi(a + 1)
+
+        for a in patterns:
+            for x in (h(a), h(a + 1) - 1):
+                guess = (x >> sh) // d
+                assert abs(guess - a) <= 1, (s, a, x, guess)
+                assert guess >= a or floor_phi(a + 1) == floor_phi(a), (s, a)
+                assert guess <= a or floor_phi(a + 2) > floor_phi(a + 1), (s, a)
+                n = fib(m + 1) - 2 - x
+                for count in (end_count, occurrence_count):
+                    split.clear()
+                    count(n)
+                    assert split == [a], (m, a, x, count.__name__)
+                split.append(None)  # the count at n - 1 is checked by its answer, not its split
+                assert occurrence_count(n) - occurrence_count(n - 1) == end_count(n), (m, a, x)
 
 
 @pytest.mark.parametrize("n, step", [(fib(39) - 1, "down, B flat"), (267903349, "down, B rises"),
@@ -458,8 +454,8 @@ def test_peel_matches_the_reference_walk_at_its_edges():
 def test_peel_tables_are_lazy_small_and_quick():
     # a fresh process: import builds no table, the first count of any n builds
     # them once; a build is timed by the least of three, so that a busy host
-    # does not fail it; the chunk places are built up to the top one a count
-    # peels, none up to n = 28,655 (block 20), four up to 10**18
+    # does not fail it; the ladder's steps are built up to the top one a count
+    # takes, none up to n = 28,655 (block 20), three up to 10**18 (top place 76)
     code = """if True:
         import sys, time, tracemalloc
         from fibpal import counting
@@ -468,9 +464,9 @@ def test_peel_tables_are_lazy_small_and_quick():
         tables = counting._peel_tables
         assert tables is not None
         counting.end_count(28655)
-        assert counting._places == [None]
+        assert counting._ladder == []
         counting.end_count(10**18)
-        assert [place[0] for place in counting._places[1:]] == [19, 38, 57, 76]
+        assert [step[0] for step in counting._ladder] == [19, 38, 57]
         for n in (1, 2, 7, 10**6, 10**18, 10**1000 + 12345, 10**1100):
             counting.end_count(n), counting.occurrence_count(n), counting.tail_sum(n)
         assert counting._peel_tables is tables
@@ -495,32 +491,36 @@ def test_peel_tables_are_lazy_small_and_quick():
 
 
 def test_wide_tables_are_lazy_small_and_quick():
-    # a fresh process: no count below block 78, the first whose top place, 76, pairs with
-    # place 57 in a wide step, builds P and P2; the first count there builds them once, in
-    # two words per pattern, timed by the least of three builds
+    # a fresh process: no count below block 59, the first whose top place, 57, is a wide
+    # step's, builds P and P2; the first count there builds them once, as the ladder first
+    # reaches place 3W, in two words per pattern, timed by the least of three builds
     code = """if True:
         import sys, time, tracemalloc
         from fibpal import counting
         from fibpal.fibword import fib
-        for n in (1, 2, 7, 10**6, 10**15, fib(77) - 1, fib(78) - 2):
+        for n in (1, 2, 7, 10**6, 10**12, fib(58) - 1, fib(59) - 2):
             counting.end_count(n), counting.occurrence_count(n), counting.tail_sum(n)
-        assert counting._wide_tables is None and max(counting._runs) == 3
-        counting.end_count(fib(78) - 1)
+        assert counting._wide_tables is None and len(counting._ladder) == 2 and max(counting._runs) == 2
+        counting.end_count(fib(59) - 1)
         tables = counting._wide_tables
-        assert tables is not None and [len(run) for run in counting._runs.values()][-1] == 3
+        assert tables is not None and len(counting._ladder) == len(counting._runs[3]) == 3
         for n in (10**18, 10**100, 10**1000 + 12345, 10**1100):
             counting.end_count(n), counting.occurrence_count(n), counting.tail_sum(n)
         assert counting._wide_tables is tables
-        times, place = [], counting._places[3]
-        for _ in range(3):
+
+        def build():
             counting._wide_tables = None
+            del counting._ladder[2:]
+            counting._steps(3, 59, fib(59), fib(58))
+
+        times = []
+        for _ in range(3):
             start = time.perf_counter()
-            counting._wide(place)
+            build()
             times.append(time.perf_counter() - start)
         assert min(times) <= 0.005, times
-        counting._wide_tables = None
         tracemalloc.start()
-        step = counting._wide(place)
+        build()
         held, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert held <= 3 * 8 * fib(19) and peak <= 2**19, (held, peak)
@@ -531,9 +531,36 @@ def test_wide_tables_are_lazy_small_and_quick():
     assert proc.returncode == 0 and proc.stdout.strip() == "ok", proc.stderr
 
 
+def test_step_caches_do_not_grow_with_query_history():
+    # a fresh process counts one n in each top place inside the Fibonacci table: the
+    # ladder, the runs and P and P2 hold at most 0.5 MB (each top's own list of wide
+    # steps held 3.07 MB), and every run is the ladder's steps down from its top one
+    code = """if True:
+        import tracemalloc
+        from fibpal import counting
+        from fibpal.fibword import FIB_TABLE_MAX, fib
+        w, tops = counting._PEEL_W, range(FIB_TABLE_MAX // counting._PEEL_W + 1)
+        counting._tables(), fib(FIB_TABLE_MAX)
+        tracemalloc.start()
+        for top in tops:
+            counting.end_count(fib(w * top + 2))  # block W top + 2, whose top place is W top
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.stop()
+        assert held <= 2**19, held
+        ladder = counting._ladder
+        assert set(counting._runs) == set(tops) and len(ladder) == (len(tops) + 3) // 2
+        for top, run in counting._runs.items():
+            assert len(run) == min(top, (top + 3) // 2), top
+            assert all(step is held for step, held in zip(run, reversed(ladder[:len(run)]))), top
+        print("ok")
+    """
+    proc = _run(code)
+    assert proc.returncode == 0 and proc.stdout.strip() == "ok", proc.stderr
+
+
 def test_first_peels_from_eight_threads(monkeypatch):
-    # the tables, the chunk places and the runs of steps are built by the first
-    # walks that peel, each of which takes wide steps: let eight threads race for them
+    # the tables and the ladder are built by the first walks that peel, each of which
+    # takes wide steps: let eight threads race for them
     from concurrent.futures import ThreadPoolExecutor
 
     rng = Random(8)
@@ -544,7 +571,7 @@ def test_first_peels_from_eight_threads(monkeypatch):
         expected[n] = (block_prefix_total(m) + tail, end)
     monkeypatch.setattr(counting, "_peel_tables", None)
     monkeypatch.setattr(counting, "_wide_tables", None)
-    monkeypatch.setattr(counting, "_places", [None])
+    monkeypatch.setattr(counting, "_ladder", [])
     monkeypatch.setattr(counting, "_runs", {})
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -556,19 +583,14 @@ def test_first_peels_from_eight_threads(monkeypatch):
     assert len(results) == len(ns) and all(expected[n] == v for n, v in results)
     w = counting._PEEL_W
     top = (fib_floor_index(max(ns) + 1) - 2) // w
-    places = [counting._place(s, fib(s), fib(s - 1), fib(s - 2)) for s in range(w, top * w + 1, w)]
-    assert counting._places == [None] + places
+    places = [w, 2 * w, *range(3 * w, top * w + 1, 2 * w)]
+    assert counting._ladder == [counting._place(s, fib(s), fib(s - 1), fib(s - 2)) for s in places]
     tops = {(fib_floor_index(n + 1) - 2) // w for n in ns}
     assert set(counting._runs) == tops and min(tops) >= 4
     for top, run in counting._runs.items():
-        js = [j for j in range(top, 0, -1) if j < 3 or j & 1]
-        assert [place[0] for place in run] == [w * j for j in js], top
-        for j, place in zip(js, run):
-            if j & 1 and 2 < j < top:  # a wide step holds the one pair of tables and the place W split
-                assert place[6] is counting._wide_tables[0] and place[7] is counting._wide_tables[1], top
-                assert place[8] is counting._places[1], top
-            else:
-                assert place is counting._places[j], top
+        js = [*range(top - 1 | 1, 2, -2), 2, 1]
+        assert [step[0] for step in run] == [w * j for j in js], top
+        assert all(step is held for step, held in zip(run, reversed(counting._ladder[:len(run)]))), top
 
 
 def chain_counts(n):
