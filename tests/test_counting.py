@@ -373,12 +373,13 @@ def test_wide_fixed_point_floor_is_exact():
 
 @pytest.mark.parametrize("s", [57, 95, 4997, 5035])
 def test_wide_step_corrects_its_estimate_by_one_step(s, monkeypatch):
-    # a count in block s + 39, whose top place s + 19 is even, and one in block s + 20, whose
-    # top place s is odd, take the wide step at place s first, with a < fib(2W) and a < fib(W);
-    # at both ends of the range of each of the first and last four such patterns a, every
-    # 2,000,003rd, and fib(j) + {-1, 0, 1}, where a / phi is nearest an integer: the estimate
-    # from the step's shift and divisor is within one of a, undershoots only where B(a) = B(a-1)
-    # and overshoots only where B rises, and both counts hand exactly a to the split at place W
+    # a count in block s + 39, whose top place s + 19 has an even index, and one in block s + 20,
+    # whose top place s has an odd one, take the wide step at place s first, with a < fib(2W)
+    # and a < fib(W); at both ends of the range of each of the first and last four such patterns
+    # a, every 2,000,003rd, and fib(j) + {-1, 0, 1}, where a / phi is nearest an integer: the
+    # estimate from the step's shift and divisor is within one of a, undershoots only where
+    # B(a) = B(a-1) and overshoots only where B rises, and both counts hand exactly a to the
+    # split at place W
     w = counting._PEEL_W
     chunk, split = counting._chunk, []
 
