@@ -8,6 +8,7 @@ the type name of the DomainError it raises, where it raises one.
 """
 
 import hashlib
+from itertools import product
 from random import Random
 
 import pytest
@@ -57,6 +58,29 @@ def _words() -> list[str]:
         k = rng.randrange(length)
         out += [w, w[:k] + "ab"[w[k] == "a"] + w[k + 1:]]
         out += [pal_from_coord(c) for c in pals_of_length(rng.randrange(1, 1001))]
+    return out
+
+
+def _pal_words() -> list[str]:
+    """Palindromic factors of seeded lengths 1 .. 12,000, built by pal_from_coord,
+    each also with its middle letter (two letters at even length) flipped; every
+    palindrome over {a, b} of length up to 14 that is not a factor; and seeded
+    factors that are not palindromes.  Past length 6,765 a coordinate's prefix
+    is longer than the prefix table's 17,711 letters."""
+    rng = Random(43)
+    out = []
+    lengths = [rng.randint(1, 12000) for _ in range(30)] + [round(12000 ** rng.random()) for _ in range(30)]
+    for w in (pal_from_coord(c) for n in lengths for c in pals_of_length(n)):
+        mid = (len(w) - 1) // 2
+        out += [w, w[:mid] + w[mid:len(w) - mid].translate(str.maketrans("ab", "ba")) + w[len(w) - mid:]]
+    text = prefix(2000)
+    for n in range(1, 15):
+        for half in product("ab", repeat=(n + 1) // 2):
+            w = "".join(half) + "".join(half[:n // 2][::-1])
+            if w not in text:  # every factor of length 14 occurs within the first 2,000 letters
+                out.append(w)
+    starts = [rng.randrange(len(text) - 100) for _ in range(40)]
+    out += [w for w in (text[s:s + rng.randint(2, 100)] for s in starts) if w != w[::-1]]
     return out
 
 
@@ -146,13 +170,13 @@ def _correction_edges(places=(19, 38, 57, 76)) -> list[int]:
 # estimate is corrected, "wide-edges" the n where a count's top place changes parity and
 # where the digits of a 38-digit pattern end, "odd-top-edges" the correction edges at the odd
 # top places 95, 4,997 and 5,035 (indices 5, 263 and 265); "kernel-edges" holds (m, p) pairs, the chain queries'
-# kernel index and occurrence; "words" is the word magnitude, the one the word functions take
+# kernel index and occurrence; "words" and "pal-words" are the word magnitudes, the ones the word functions take
 MAGNITUDES = {"small": range(1, 3000), **{f"1e{k}": _seeded(k) for k in (6, 18, 100, 1000, 4000)},
               "1e10000": _seeded(10000)[:3],
               "fib-edges": _fib_edges(), "peel-edges": _peel_edges(), "table-edges": _table_edges(),
               "correction-edges": _correction_edges(), "odd-top-edges": _correction_edges((95, 4997, 5035)),
               "wide-edges": _wide_edges(),
-              "kernel-edges": _kernel_edges(), "words": _words()}
+              "kernel-edges": _kernel_edges(), "words": _words(), "pal-words": _pal_words()}
 
 
 def _kernel_and_p(n) -> tuple[int, int]:
@@ -193,7 +217,7 @@ FUNCTIONS = {
     "occurrence_count_trace.tail": lambda n: occurrence_count_trace(n)[1].get("tail"),  # None in the base table
     # at the seeded magnitudes only
     "expand_leaves": lambda n: expand_leaves(n % 10 - 1, n),
-    # word functions, at the "words" magnitude only
+    # word functions, at the word magnitudes only
     "kernel": _answer_or_error(kernel),
     "is_factor": _answer_or_error(is_factor),
     "coord_from_pal": _answer_or_error(coord_from_pal),
@@ -319,6 +343,9 @@ DIGESTS = {
     ("kernel", "words"): "06f178bc254e24a0ac571a740f7f3831e5663a4939592a91db19a0feb5d7be5c",
     ("is_factor", "words"): "d5698c81eb61cdfca9edee0bece3376239750790362b7e16eb3dbc464bd71841",
     ("coord_from_pal", "words"): "425a43a763450272a1728172b0ec21ddea8889e19232fba53fab516857efc1d3",
+    ("kernel", "pal-words"): "bd04381fa6694697bd2365d0f0a819bc954818218821967fd79dcf8a9d60ee95",
+    ("is_factor", "pal-words"): "7b9f1e9c9ed16cf7cace9588989a94fec81df5736e36eaf9557da71aed6ce586",
+    ("coord_from_pal", "pal-words"): "1992206ce13ef658c6eb26754a4a9697b3675d1dc21cfb2c0e35f6e017c09f5a",
 }
 
 
