@@ -12,8 +12,8 @@ coordinate; its length is fib(m+3) - 2i.  Palindromes split into three
 cylinders by kernel index mod 3, equivalently by length parity and middle
 letter.  ``PalCoord`` and ``validate_coord`` live in ``chain``, which places
 occurrences by coordinate, and are re-exported here.  Only ``coord_from_pal``
-needs ``singular``: it reaches it as ``fibpal.singular``, which the package
-imports on first access, so the other functions here never load it.
+needs ``singular``, only when a palindrome matches no candidate coordinate: it
+reaches it as ``fibpal.singular``, which the package imports on first access.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import fibpal
 
 from . import fibword
 from .chain import PalCoord, validate_coord
-from .errors import DomainError, show_int
+from .errors import DomainError, NotAFactorError, show_int
 from .fibword import fib, fib_floor_index
 
 CYLINDER_BY_MOD = {2: "a", 0: "b", 1: "aa"}
@@ -49,17 +49,25 @@ def pal_from_coord(c: PalCoord) -> str:
 
 
 def coord_from_pal(w: str) -> PalCoord:
-    """The unique coordinate of a palindromic factor w."""
+    """The unique coordinate of a palindromic factor w, read from its length.
+
+    Only m = top-2 .. top realize len(w), as in ``pals_of_length``, and w's coordinate is the
+    candidate whose slice of one prefix equals w: exact, as the coordinates reach every palindromic
+    factor and give distinct words.  A w equal to none pays one kernel search, to tell a non-factor."""
     if not w:
         raise DomainError("the empty word has no coordinates")
     if w != w[::-1]:
         raise DomainError(f"{w[:40]!r} is not a palindrome")
-    m = fibpal.singular.kernel(w).m  # raises NotAFactorError for non-factors
-    fibs = fibword.fibs_through(m + 3)  # fibs[k + 1] is fib(k)
-    num = fibs[m + 4] - len(w)
-    if num <= 0 or num % 2 or num // 2 > fibs[m + 2]:  # a defect: every palindromic factor has a coordinate
-        raise AssertionError(f"the palindrome {w[:40]!r} gets no coordinate at kernel index {m}")
-    return tuple.__new__(PalCoord, (m, num // 2))
+    top = fib_floor_index(n := len(w))
+    fibs = fibword.fibs_through(top + 3)  # fibs[k + 1] is fib(k)
+    text = fibword.prefix((fibs[top + 4] + n) // 2 - 1, "palindrome coordinate")  # (m, i) ends at n + i - 1
+    for m in range(max(-1, top - 2), top + 1):
+        num = fibs[m + 4] - n
+        if num >= 2 and num % 2 == 0 and num // 2 <= fibs[m + 2] and text.startswith(w, num // 2 - 1):
+            return tuple.__new__(PalCoord, (m, num // 2))
+    if fibpal.singular.is_factor(w):  # a defect: every palindromic factor has a coordinate
+        raise AssertionError(f"the palindrome {w[:40]!r} gets no coordinate")
+    raise NotAFactorError(f"{w[:40]!r} does not occur in the Fibonacci word")
 
 
 def pals_of_length(n: int) -> list[PalCoord]:

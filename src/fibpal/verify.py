@@ -75,8 +75,8 @@ def verify_floors(max_p: int = 10**6) -> VerifyResult:
 def verify_cylinder(scan: oracle.PrefixScan) -> VerifyResult:
     """Coordinate enumeration vs. a tree pass over the first scan.n letters, plus classification.
 
-    Each palindrome is built by ``pal_from_coord`` (the slice of S(m+3)) and
-    checked against the concatenation S(m+1)[i+1 ..] + S(m) + S(m+1)[.. fib(m+1)-i].
+    Each palindrome is built by ``pal_from_coord`` (the slice of S(m+3)), checked against the
+    concatenation S(m+1)[i+1 ..] + S(m) + S(m+1)[.. fib(m+1)-i], and its kernel must be S(m).
     """
     _require_prefix(scan.n, CYLINDER_LEN)
     t0 = time.perf_counter()
@@ -99,6 +99,8 @@ def verify_cylinder(scan: oracle.PrefixScan) -> VerifyResult:
                 return _finish("cylinder", False, n_checked, t0, {"coord": (c.m, c.i), "roundtrip": None})
             if back != c:
                 return _finish("cylinder", False, n_checked, t0, {"coord": (c.m, c.i), "roundtrip": (back.m, back.i)})
+            if (k := singular.kernel(w).m) != c.m:  # the kernel correspondence (Wen & Wen 1994)
+                return _finish("cylinder", False, n_checked, t0, {"coord": (c.m, c.i), "kernel": k})
             tag = cylinder.cylinder_tag(c)
             mid = w[(len(w) - 1) // 2: len(w) // 2 + 1]
             want = "aa" if len(w) % 2 == 0 else mid

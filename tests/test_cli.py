@@ -311,11 +311,19 @@ def test_internal_error_exit_3(capsys, monkeypatch):
         assert "fibpal: internal error: RuntimeError: boom" in err, argv
 
 
+def _corrupt_coordinate_prefix_for_aba(patch):
+    """Flip the first letter of the prefix that coord_from_pal reads for a length-3 word, 7 letters, and of
+    no other prefix: "aba", whose coordinate (0, 1) starts there, is still a factor but matches no candidate."""
+    real = fibpal.fibword.prefix
+    patch.setattr(fibpal.fibword, "prefix", lambda n, what="prefix": "b" + real(n, what)[1:]
+                  if what == "palindrome coordinate" and n == 7 else real(n, what))
+
+
 def test_impossible_coordinate_exit_3(capsys, monkeypatch):
     # only a wrong closed form gives a palindrome or a position no coordinate: a defect, not a usage error
-    kernel, index = fibpal.singular.kernel, fibpal.chain.fib_floor_index
+    index = fibpal.chain.fib_floor_index
     with monkeypatch.context() as patch:
-        patch.setattr(fibpal.singular, "kernel", lambda w: kernel(w)._replace(m=1) if w == "aba" else kernel(w))
+        _corrupt_coordinate_prefix_for_aba(patch)
         code, out, err = run_cli(capsys, "pal", "coord", "-w", "aba")
     assert code == 3 and out == "" and "internal error: AssertionError: the palindrome 'aba'" in err
     with monkeypatch.context() as patch:
@@ -334,9 +342,7 @@ def _t1_one_too_large_at(a):
 
 @pytest.mark.parametrize("plant, argv, counterexample", [
     # the planted faults of test_impossible_coordinate_exit_3, and a counting table entry one too large
-    (lambda patch: patch.setattr(fibpal.singular, "kernel", lambda w, real=fibpal.singular.kernel:
-                                 real(w)._replace(m=1) if w == "aba" else real(w)),
-     ("cylinder",), {"coord": [0, 1], "roundtrip": None}),
+    (_corrupt_coordinate_prefix_for_aba, ("cylinder",), {"coord": [0, 1], "roundtrip": None}),
     (lambda patch: patch.setattr(fibpal.chain, "fib_floor_index", lambda x, real=fibpal.chain.fib_floor_index:
                                  real(x) + (x == 11)),
      ("chain", "--max-n", "100"), {"n": 10}),
@@ -352,13 +358,12 @@ def test_verify_closed_form_assertion_exit_1(capsys, monkeypatch, plant, argv, c
 
 
 def test_verify_all_reports_every_suite_past_a_closed_form_assertion(capsys, monkeypatch):
-    # coord_from_pal asserts on the wrong kernel; the kernels suite, which reads it too, finds it by comparison
-    kernel = fibpal.singular.kernel
-    monkeypatch.setattr(fibpal.singular, "kernel", lambda w: kernel(w)._replace(m=1) if w == "aba" else kernel(w))
+    # coord_from_pal asserts on the corrupt prefix in the second suite; the six after it still run and pass
+    _corrupt_coordinate_prefix_for_aba(monkeypatch)
     code, out, err = run_cli(capsys, "verify", "all", "--max-n", "2000", "--max-m", "5", "--max-p", "15")
     recs = records(out)
     assert code == 1 and err == "" and len(recs) == 8
-    assert [r["suite"] for r in recs if not r["ok"]] == ["cylinder", "kernels"]
+    assert [r["suite"] for r in recs if not r["ok"]] == ["cylinder"]
     assert recs[1]["counterexample"] == {"coord": [0, 1], "roundtrip": None}
 
 
@@ -678,7 +683,7 @@ LOADS = {
     ("pos kernel", "pos pal", "chain"): {"chain"},
     ("count", "tau"): {"chain", "counting"},
     ("pal list", "pal at", "pal conjugates", "pal prefix-lengths"): {"chain", "cylinder"},
-    ("pal coord",): {"chain", "cylinder", "singular"},
+    ("pal coord",): {"chain", "cylinder"},
 }
 
 

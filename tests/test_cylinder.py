@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+from itertools import product
 
 import pytest
 
@@ -12,6 +13,7 @@ from fibpal import (
     cylinder_table,
     cylinder_tag,
     fib,
+    is_factor,
     pal_from_coord,
     palindromic_conjugates,
     pals_of_length,
@@ -19,7 +21,7 @@ from fibpal import (
     prefix_palindrome_lengths,
     singular_word,
 )
-from fibpal import oracle, verify
+from fibpal import oracle, singular, verify
 from naive import center_palindrome_spans
 
 
@@ -56,6 +58,30 @@ def test_coord_from_pal_errors():
         coord_from_pal("bb")  # palindrome, not a factor
     with pytest.raises(DomainError):
         coord_from_pal("")
+
+
+def test_coord_from_pal_decides_every_short_palindrome():
+    # every palindrome over {a, b} up to length 16: a factor gets the coordinate that builds it back, any other
+    # NotAFactorError; an off-by-one in the candidates leaves some factor without one, an AssertionError
+    for n in range(1, 17):
+        for half in product("ab", repeat=(n + 1) // 2):
+            w = "".join(half) + "".join(half[:n // 2][::-1])
+            if is_factor(w):
+                assert pal_from_coord(coord_from_pal(w)) == w, w
+            else:
+                with pytest.raises(NotAFactorError, match="does not occur"):
+                    coord_from_pal(w)
+
+
+def test_coord_from_pal_runs_no_kernel_search_on_a_factor(monkeypatch):
+    def search(w):
+        raise RuntimeError("kernel search")
+
+    long = pal_from_coord(PalCoord(18, 9828))  # 9,001 letters: its prefix, 18,828, is past the prefix table
+    monkeypatch.setattr(singular, "_largest_singular", search)
+    assert coord_from_pal("ababa") == PalCoord(2, 4) and coord_from_pal(long) == PalCoord(18, 9828)
+    with pytest.raises(RuntimeError, match="kernel search"):
+        coord_from_pal("bb")  # only a palindrome that matches no candidate pays it
 
 
 def test_roundtrip_all_coords():
@@ -185,3 +211,11 @@ def test_verify_cylinder_checks_both_forms(monkeypatch):
     word = real(PalCoord(1, 1))
     assert not res.ok
     assert res.counterexample == {"coord": (1, 1), "slice": word.translate(swap), "concatenation": word}
+
+
+def test_verify_cylinder_checks_the_kernel(monkeypatch):
+    # the kernel correspondence (Wen & Wen) cross-checks the enumeration; coord_from_pal no longer reads a kernel
+    real = singular.kernel
+    monkeypatch.setattr(singular, "kernel", lambda w: real(w)._replace(m=1) if w == "aba" else real(w))
+    res = verify.verify_cylinder(oracle.scan_prefix(300))
+    assert not res.ok and res.counterexample == {"coord": (0, 1), "kernel": 1}

@@ -281,10 +281,11 @@ def test_each_call_reads_the_cap_once(monkeypatch):
         fn(*args)
         assert len(reads) == 1, fn.__name__
     # a capped call still raises, naming the request
+    word = pal_from_coord(PalCoord(5, 2))  # 51 letters, whose coordinate reads 96
     monkeypatch.setenv("FIBPAL_MAX_MATERIALIZE", "20")
     for fn, arg, what in ((singular_word, 8, "singular word"), (pal_from_coord, PalCoord(5, 2), "palindrome construction"),
                           (palindromic_conjugates, 6, "conjugate enumeration"), (oracle.scan_prefix, 21, "prefix scan"),
-                          (prefix, 21, "prefix")):
+                          (prefix, 21, "prefix"), (coord_from_pal, word, "palindrome coordinate")):
         with pytest.raises(ResourceError, match=f"^{what} of length"):
             fn(arg)
     assert len(singular_word(5)) == 13 and len(prefix(20)) == 20
