@@ -53,7 +53,7 @@ def coord_from_pal(w: str) -> PalCoord:
 
     Only m = top-2 .. top realize len(w), as in ``pals_of_length``, and w's coordinate is the
     candidate whose slice of one prefix equals w: exact, as the coordinates reach every palindromic
-    factor and give distinct words.  A w equal to none pays one kernel search, to tell a non-factor."""
+    factor and give distinct words.  A w equal to none pays one kernel search: non-factor or defect."""
     if not w:
         raise DomainError("the empty word has no coordinates")
     if w != w[::-1]:

@@ -214,7 +214,7 @@ def test_verify_cylinder_checks_both_forms(monkeypatch):
 
 
 def test_verify_cylinder_checks_the_kernel(monkeypatch):
-    # the kernel correspondence (Wen & Wen) cross-checks the enumeration; coord_from_pal no longer reads a kernel
+    # the kernel correspondence (Wen & Wen) cross-checks the enumeration: a wrong kernel for "aba" fails the suite
     real = singular.kernel
     monkeypatch.setattr(singular, "kernel", lambda w: real(w)._replace(m=1) if w == "aba" else real(w))
     res = verify.verify_cylinder(oracle.scan_prefix(300))

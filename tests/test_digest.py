@@ -65,8 +65,9 @@ def _pal_words() -> list[str]:
     """Palindromic factors of seeded lengths 1 .. 12,000, built by pal_from_coord,
     each also with its middle letter (two letters at even length) flipped; every
     palindrome over {a, b} of length up to 14 that is not a factor; and seeded
-    factors that are not palindromes.  Past length 6,765 a coordinate's prefix
-    is longer than the prefix table's 17,711 letters."""
+    factors that are not palindromes.  From length 6,766 on a kernel search's
+    prefix, and from 6,769 a coordinate's, is longer than the prefix table's
+    17,711 letters."""
     rng = Random(43)
     out = []
     lengths = [rng.randint(1, 12000) for _ in range(30)] + [round(12000 ** rng.random()) for _ in range(30)]
