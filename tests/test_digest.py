@@ -140,6 +140,18 @@ def _wide_edges() -> list[int]:
     return out
 
 
+def _carry_edges() -> list[int]:
+    """n = fib(k) + d, |d| <= 3, and three seeded n per block, for k = 5,075 ..
+    5,112 and 5,227 .. 5,264: the blocks past fibword.FIB_TABLE_MAX whose top
+    19-digit chunk place has index 267, 268, 275 or 276, so that a count takes
+    133 or 137 wide steps, one more than a multiple of four."""
+    rng = Random(133)
+    ks = [*range(5075, 5113), *range(5227, 5265)]
+    out = [fib(k) + d for k in ks for d in range(-3, 4)]
+    out += [rng.randint(fib(k) - 1, fib(k + 1) - 2) for k in ks for _ in range(3)]
+    return out
+
+
 def _kernel_edges() -> list[tuple[int, int]]:
     """(m, p) for the kernel indices m = 4,995 .. 5,010, across
     fibword.FIB_TABLE_MAX, and m = 20,000, far past it, each with p = 1, 2 and
@@ -170,13 +182,14 @@ def _correction_edges(places=(19, 38, 57, 76)) -> list[int]:
 # where the counting walks change course, "correction-edges" the n where a chunk's
 # estimate is corrected, "wide-edges" the n where a count's top place changes parity and
 # where the digits of a 38-digit pattern end, "odd-top-edges" the correction edges at the odd
-# top places 95, 4,997 and 5,035 (indices 5, 263 and 265); "kernel-edges" holds (m, p) pairs, the chain queries'
+# top places 95, 4,997 and 5,035 (indices 5, 263 and 265), "carry-edges" the blocks past the table
+# whose counts take 133 or 137 wide steps; "kernel-edges" holds (m, p) pairs, the chain queries'
 # kernel index and occurrence; "words" and "pal-words" are the word magnitudes, the ones the word functions take
 MAGNITUDES = {"small": range(1, 3000), **{f"1e{k}": _seeded(k) for k in (6, 18, 100, 1000, 4000)},
               "1e10000": _seeded(10000)[:3],
               "fib-edges": _fib_edges(), "peel-edges": _peel_edges(), "table-edges": _table_edges(),
               "correction-edges": _correction_edges(), "odd-top-edges": _correction_edges((95, 4997, 5035)),
-              "wide-edges": _wide_edges(),
+              "wide-edges": _wide_edges(), "carry-edges": _carry_edges(),
               "kernel-edges": _kernel_edges(), "words": _words(), "pal-words": _pal_words()}
 
 
@@ -302,6 +315,7 @@ DIGESTS = {
     ("end_count", "odd-top-edges"): "e3eace058957ed4f92940b7ba0f0bd50d95e51b49526b68bc3dfe03eb175b3c9",
     ("end_count", "table-edges"): "6a471b9b3e3612665ef447d8f9df626794e52f336d8cbc4c5210a9a94bc2ddc1",
     ("end_count", "wide-edges"): "246773202de2e47584ebfb05536ec1ead7f525277a9088df85ca17fc9ef0eaca",
+    ("end_count", "carry-edges"): "a8b81cc4dba19b108bd9fa10a53b36974c4f5a1605fe3eaef633080b9b8efb6c",
     ("occurrence_count", "small"): "08c8948b1b0904a0a3c77b38c559bac2a7cfa77a45db5eaecbfdb289e582f40c",
     ("occurrence_count", "1e6"): "7cba3a432879f1fb3fc9088c982692b2492cff8c1805648a6b88a04879a1119f",
     ("occurrence_count", "1e18"): "68e2dcb73208edd87aee3bf49ac8311e984eaf5efcb9d5265f9ac7f1935a13c8",
@@ -315,6 +329,7 @@ DIGESTS = {
     ("occurrence_count", "odd-top-edges"): "6a0f3c6fc89725fcb9536c626dadc5d8586975a41ba44033024e2c6f17b8d39f",
     ("occurrence_count", "table-edges"): "747c24aac85ff3f494b306497a7a0f242fdb7b99dcf00940fc8d71c3479952f8",
     ("occurrence_count", "wide-edges"): "6a3e81daaa438e3069fe8a69723e80c6b04ce9bee00836f0ffd7d80d8fee1185",
+    ("occurrence_count", "carry-edges"): "5c7b8cb54bf8512f675e3142b92e28436b2be27d08c5a4f3d52b1414c62086a7",
     ("tail_sum", "small"): "59b1401e6920430c23a2d3becdb07349e58688078ed81daf2aa74af6ea565de5",
     ("tail_sum", "1e6"): "1f8465dad55c6718db5fc3e3df6f9916fa8d8b1c85afcdeec3295b6e2ca09db5",
     ("tail_sum", "1e18"): "f359daa973a450eaafe1db90dcc64f3c538cd5466ebc705a7f55dd4374f267bf",
@@ -328,6 +343,7 @@ DIGESTS = {
     ("tail_sum", "odd-top-edges"): "945d2794738cdc98d09fbc863f0aa80814608943437da1282bb23e5d4f68f84b",
     ("tail_sum", "table-edges"): "20c40009bce870a6e77c20b7f66219021bbc0e170439f48dcd844e0496aac1ff",
     ("tail_sum", "wide-edges"): "7c9de48b1a7b5fe85afa9b924110d5ee64ed8c8309fb86a030a17b45a7c8d7af",
+    ("tail_sum", "carry-edges"): "44e1a2490fb686dda1e68682326e47b8b1c2a2066eacadb810682986eb613bf7",
     ("occurrence_count_trace.tail", "small"): "c21e9d67e872b3087adc6a59a0c6ec2fbd1cc273cb47235a4542e5cff474288c",
     ("occurrence_count_trace.tail", "1e6"): "1f8465dad55c6718db5fc3e3df6f9916fa8d8b1c85afcdeec3295b6e2ca09db5",
     ("occurrence_count_trace.tail", "1e18"): "f359daa973a450eaafe1db90dcc64f3c538cd5466ebc705a7f55dd4374f267bf",
