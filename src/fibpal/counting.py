@@ -124,6 +124,11 @@ _ladder = []  # the steps at places W, 2W, 3W, 5W, 7W, ... inside the Fibonacci 
 _runs = {}  # top -> _ladder's steps for a count whose top place is W top, inside the Fibonacci table
 _peel_lock = threading.Lock()
 _R = fibword._PHI >> 4032  # floor(2**64 / g): B(a) = (a + 1) _R >> 64 for a <= fib(2W)
+_W2 = 2 * _PEEL_W  # a count's steps above place 2W are wide
+_F0, _F1 = fibword._fib_pair(_PEEL_W)  # place W's fib(W), fib(W-1), fib(W-2) and L_W split each wide pattern
+_F2, _LW = _F0 - _F1, 3 * _F1 - _F0
+_C0, _C1 = fibword._fib_pair(2 * _PEEL_W - 1)  # fib(2W-1), fib(2W-2), fib(2W-3) carry a held sum 2W places down
+_C2 = _C0 - _C1
 
 # Bytes charged to the cap per unit held (tracemalloc peaks, m = 16..24, p = 1):
 # ~25 per end_count_block entry, ~185 per expand_leaves leaf, ~790 per
@@ -249,14 +254,19 @@ def end_count(n: int) -> int:
     top = (m - 2) // _PEEL_W  # the chunks above place 0
     for place in _runs[top] if top in _runs else _steps(top, m, fibs[m + 1], fibs[m]):
         s, f0, f1, f2, sh, d = place
-        if s > 2 * _PEEL_W:  # a wide step: _chunk's estimate and step, then _chunk at place W splits a
+        if s > _W2:  # a wide step: _chunk's estimate and step, then _chunk's split at place W, inline
             ba = ((a := (x >> sh) // d) + 1) * _R >> 64  # a estimated, B(a) by _R
             x -= f1 * a + f2 * ba
             if x < 0 or x >= f1 and (a + 2) * _R >> 64 == ba:  # down one pattern, or up one where B is flat
                 e = 1 if x > 0 else -1
                 a, bb = a + e, (a + e + 1) * _R >> 64
                 x, ba = x - e * (f1 if bb == ba else f0), bb
-            hi, _, lo = _chunk(a, _ladder[0], b)
+            lo = a - _F1 * (hi := a // _LW) - _F2 * (bh := b[hi])
+            if lo < 0:
+                hi -= 1
+                lo += _F0 if b[hi] < bh else _F1
+            elif lo >= _F1 and b[hi + 1] == bh:
+                hi, lo = hi + 1, lo - _F1
             m -= pop[hi] + pop[lo]
         else:
             a, _, x = _chunk(x, place, b)
@@ -341,26 +351,42 @@ def occurrence_count(n: int) -> int:
     total -= 5 * m * x
     c5 = 0  # 5 times the ones peeled so far
     top = (m - 2) // _PEEL_W  # the chunks above place 0
-    for place in _runs[top] if top in _runs else _steps(top, m, fibs[m + 1], fibs[m]):
-        s, f0, f1, f2, sh, d = place
-        if s > 2 * _PEEL_W:  # a wide step, as end_count's
+    steps = _runs[top] if top in _runs else _steps(top, m, fibs[m + 1], fibs[m])
+    if top > 2:  # wide steps, as end_count's, down to place 3W; then places 2W and W
+        p1, p2 = _wide_tables
+        u = v = i = 0  # the held steps add u fib(s-1) + v fib(s-2), s the last wide place
+        for place in steps:
+            if place[0] == _W2:
+                break
+            s, f0, f1, f2, sh, d = place
             ba = ((a := (x >> sh) // d) + 1) * _R >> 64
             x -= f1 * a + f2 * ba
             if x < 0 or x >= f1 and (a + 2) * _R >> 64 == ba:
                 e = 1 if x > 0 else -1
                 a, bb = a + e, (a + e + 1) * _R >> 64
                 x, ba = x - e * (f1 if bb == ba else f0), bb
-            hi, _, lo = _chunk(a, _ladder[0], b)
-            p1, p2 = _wide_tables
+            lo = a - _F1 * (hi := a // _LW) - _F2 * (bh := b[hi])
+            if lo < 0:
+                hi -= 1
+                lo += _F0 if b[hi] < bh else _F1
+            elif lo >= _F1 and b[hi + 1] == bh:
+                hi, lo = hi + 1, lo - _F1
             c, bl, k = 5 * pop[hi], b[lo], 2 * s + c5
-            total += (f1 * (p1[hi] + t1[lo] + c * lo + k * a - s * ba)
-                      + f2 * (p2[hi] + t1[bl] + (c + 3) * bl - lo + (k + s) * ba - s * a))
+            u, v = (_C0 * u + _C1 * v + (p1[hi] + t1[lo] + c * lo + k * a - s * ba),
+                    _C1 * u + _C2 * v + (p2[hi] + t1[bl] + (c + 3) * bl - lo + (k + s) * ba - s * a))
             c5 += c + 5 * pop[lo]
-        else:
-            a, ba, x = _chunk(x, place, b)
-            k = 2 * s + c5
-            total += f1 * (t1[a] + k * a - s * ba) + f2 * (t1[ba] + (k + s + 3) * ba - (s + 1) * a)
-            c5 += 5 * pop[a]
+            i += 1
+            if not i & 3:  # every fourth wide step meets its Fibonacci pair
+                total += f1 * u + f2 * v
+                u = v = 0
+        total += f1 * u + f2 * v  # the held place's pair, not place 2W's
+        steps = _ladder[1], _ladder[0]
+    for place in steps:
+        s, _, f1, f2, _, _ = place
+        a, ba, x = _chunk(x, place, b)
+        k = 2 * s + c5
+        total += f1 * (t1[a] + k * a - s * ba) + f2 * (t1[ba] + (k + s + 3) * ba - (s + 1) * a)
+        c5 += 5 * pop[a]
     return _div5(total + t1[x] + c5 * x) + 2
 
 
