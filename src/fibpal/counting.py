@@ -68,9 +68,10 @@ one division by 5, which checks the whole sum.
 
 From s = 3W on, at odd s/W, one big-int step peels places s .. s+2W-1 as one pattern a <
 fib(2W), at the top place too (there x < fib(s+W)): _chunk's estimate on a 72-bit cut, one
-exact step, B(a) = (a+1) R >> 64 with R = floor(2**64 / g), and _chunk at place W to split a
-into hi and lo.  B is exact, equal to floor_phi(a+1) for every a <= fib(2W), as a test checks;
-one step suffices, as the least |1/g - frac((a+1)/g)| / sqrt 5 for 0 < a < fib(2W), 3.2e-9 at
+exact step, B(a) = (a+1) R >> 64 with R = floor(2**64 / g), and _chunk's estimate and step at
+place W, written out with that place's fields as module constants, to split a into hi and lo.
+B is exact, equal to floor_phi(a+1) for every a <= fib(2W), as a test checks; one step
+suffices, as the least |1/g - frac((a+1)/g)| / sqrt 5 for 0 < a < fib(2W), 3.2e-9 at
 a = fib(2W-1), exceeds the cut's error, < 1e-13, and _chunk's e, 1.5e-16 at s = 57 (1.3e-8 at
 s = 38, so places W and 2W stay single).  The step adds fib(s-1) (P[hi] + T1[lo] + c lo + k a
 - s B) + fib(s-2) (P2[hi] + T1[b] + (c+3) b - lo + (k+s) B - s a), B = B(a), b = B(lo), c =
@@ -80,6 +81,16 @@ one place down.  A count's steps are a slice of one ladder, the steps at places 
 down to the top one's place by the recurrence, then 2W places at a time by one Cassini step.
 POP (bytes), B ('H', with B[fib(W)]) and T1 ('i'), 10,946 entries in ~78 KiB, are built by a
 process's first count, P and P2 ('q', ~171 KiB) when the ladder first reaches 3W.
+
+occurrence_count's wide steps above place _CARRIED hold their two terms rather than multiply
+them by (fib(s-1), fib(s-2)).  Wide steps are 2W places apart, and fib(j + t) = fib(t-1) fib(j)
++ fib(t-2) fib(j-1), so a held u fib(s-1) + v fib(s-2) is (C0 u + C1 v) fib(s'-1) + (C1 u + C2 v)
+fib(s'-2) at the next wide place s' = s - 2W, C0, C1, C2 = fib(2W-1), fib(2W-2), fib(2W-3): the
+next step adds those to its own terms.  The fourth step held, and every step from _CARRIED down,
+where a pair of products costs less than the carry, adds its terms to the total at its own pair;
+the last wide step, at 3W, is one, so nothing is held past it.  u and v stay small ints (under
+125 bits up to the index limit), and a count at 1e1000 makes ~70 pairs of small x big products
+for its ~125 wide steps.
 
 Interval splitting
 ------------------
@@ -129,6 +140,9 @@ _F0, _F1 = fibword._fib_pair(_PEEL_W)  # place W's fib(W), fib(W-1), fib(W-2) an
 _F2, _LW = _F0 - _F1, 3 * _F1 - _F0
 _C0, _C1 = fibword._fib_pair(2 * _PEEL_W - 1)  # fib(2W-1), fib(2W-2), fib(2W-3) carry a held sum 2W places down
 _C2 = _C0 - _C1
+# Wide steps above this place hold their terms.  Below it the carry's small-int work costs more than the
+# products it saves (crossover ~1,500-3,000 on a 2-vCPU VM, Python 3.11); it must exceed 3W.
+_CARRIED = 2000
 
 # Bytes charged to the cap per unit held (tracemalloc peaks, m = 16..24, p = 1):
 # ~25 per end_count_block entry, ~185 per expand_leaves leaf, ~790 per
@@ -349,16 +363,11 @@ def occurrence_count(n: int) -> int:
     total = (m - 2) * fibs[m + 3] + 2 * (m - 1) * x
     x -= n + 2  # X, the distance to the block's end
     total -= 5 * m * x
-    c5 = 0  # 5 times the ones peeled so far
+    c5 = i = 0  # 5 times the ones peeled so far; the wide steps whose terms are held
     top = (m - 2) // _PEEL_W  # the chunks above place 0
-    steps = _runs[top] if top in _runs else _steps(top, m, fibs[m + 1], fibs[m])
-    if top > 2:  # wide steps, as end_count's, down to place 3W; then places 2W and W
-        p1, p2 = _wide_tables
-        u = v = i = 0  # the held steps add u fib(s-1) + v fib(s-2), s the last wide place
-        for place in steps:
-            if place[0] == _W2:
-                break
-            s, f0, f1, f2, sh, d = place
+    for place in _runs[top] if top in _runs else _steps(top, m, fibs[m + 1], fibs[m]):
+        s, f0, f1, f2, sh, d = place
+        if s > _W2:  # a wide step, as end_count's
             ba = ((a := (x >> sh) // d) + 1) * _R >> 64
             x -= f1 * a + f2 * ba
             if x < 0 or x >= f1 and (a + 2) * _R >> 64 == ba:
@@ -371,22 +380,23 @@ def occurrence_count(n: int) -> int:
                 lo += _F0 if b[hi] < bh else _F1
             elif lo >= _F1 and b[hi + 1] == bh:
                 hi, lo = hi + 1, lo - _F1
+            p1, p2 = _wide_tables
             c, bl, k = 5 * pop[hi], b[lo], 2 * s + c5
-            u, v = (_C0 * u + _C1 * v + (p1[hi] + t1[lo] + c * lo + k * a - s * ba),
-                    _C1 * u + _C2 * v + (p2[hi] + t1[bl] + (c + 3) * bl - lo + (k + s) * ba - s * a))
+            e1 = p1[hi] + t1[lo] + c * lo + k * a - s * ba
+            e2 = p2[hi] + t1[bl] + (c + 3) * bl - lo + (k + s) * ba - s * a
             c5 += c + 5 * pop[lo]
-            i += 1
-            if not i & 3:  # every fourth wide step meets its Fibonacci pair
-                total += f1 * u + f2 * v
-                u = v = 0
-        total += f1 * u + f2 * v  # the held place's pair, not place 2W's
-        steps = _ladder[1], _ladder[0]
-    for place in steps:
-        s, _, f1, f2, _, _ = place
-        a, ba, x = _chunk(x, place, b)
-        k = 2 * s + c5
-        total += f1 * (t1[a] + k * a - s * ba) + f2 * (t1[ba] + (k + s + 3) * ba - (s + 1) * a)
-        c5 += 5 * pop[a]
+            if i:  # the held u fib(s+2W-1) + v fib(s+2W-2), carried down to this place
+                e1, e2 = _C0 * u + _C1 * v + e1, _C1 * u + _C2 * v + e2
+            if s > _CARRIED and i < 3:
+                u, v, i = e1, e2, i + 1
+            else:  # every fourth held step, and every step from _CARRIED down, meets its Fibonacci pair
+                total += f1 * e1 + f2 * e2
+                i = 0
+        else:
+            a, ba, x = _chunk(x, place, b)
+            k = 2 * s + c5
+            total += f1 * (t1[a] + k * a - s * ba) + f2 * (t1[ba] + (k + s + 3) * ba - (s + 1) * a)
+            c5 += 5 * pop[a]
     return _div5(total + t1[x] + c5 * x) + 2
 
 

@@ -271,11 +271,11 @@ class _Reads:
 
 def test_chunk_corrects_its_estimate_by_one_step():
     # both ends of every pattern's range, H_s(a) and H_s(a+1) - 1, at places W and 2W,
-    # the only places _chunk runs at (the wide steps split their patterns inline, with place
-    # W's fields as module constants), each place as the counts get it from the ladder, with
-    # the exact L_s as its divisor: the
-    # estimate (the first index read) is monotone in x, so between them it is within one
-    # of a, and it never undershoots a pattern that B rises into
+    # the only places _chunk runs at (the wide steps split their patterns by its rule inline,
+    # with place W's fields as module constants, equal to the ladder's), each place as the
+    # counts get it from the ladder, with the exact L_s as its divisor: the estimate (the
+    # first index read) is monotone in x, so between them it is within one of a, and it
+    # never undershoots a pattern that B rises into
     _, b, _ = counting._tables()
     w = counting._PEEL_W
     top = fib(w)
@@ -434,9 +434,10 @@ def test_count_command_takes_each_chunk_step(n, step, monkeypatch, capsys):
 
 
 def test_peel_matches_the_reference_walk_at_its_edges():
-    # where a walk's number of aligned chunks changes, m = 2 + 19 j, at fib(k) + d, up to the table's end
+    # where a walk's number of aligned chunks changes, m = 2 + 19 j, at fib(k) + d, up to the table's end,
+    # and where 1 .. 4 of occurrence_count's wide steps are above counting._CARRIED (j = 107 .. 114)
     w = counting._PEEL_W
-    ks = {2 + j * w + e for j in [*range(12), 50, 150, 262] for e in range(-2, 3)}
+    ks = {2 + j * w + e for j in [*range(12), 50, 107, 109, 111, 113, 150, 262] for e in range(-2, 3)}
     rng = Random(90)
     ns = [fib(k) + d for k in sorted(ks) for d in range(-3, 4) if fib(k) + d >= 2]  # block 1 has no prefix total
     ns += [rng.randint(fib(k) - 1, fib(k + 1) - 2) for k in range(2, 8 * w) for _ in range(3)]
