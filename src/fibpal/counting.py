@@ -389,7 +389,7 @@ def occurrence_count(n: int) -> int:
                 e1, e2 = _C0 * u + _C1 * v + e1, _C1 * u + _C2 * v + e2
             if s > _CARRIED and i < 3:
                 u, v, i = e1, e2, i + 1
-            else:  # every fourth held step, and every step from _CARRIED down, meets its Fibonacci pair
+            else:  # the fourth step in a row above _CARRIED, and every step from it down, meets its pair
                 total += f1 * e1 + f2 * e2
                 i = 0
         else:
